@@ -7,7 +7,8 @@ Layers, bottom up:
 * :mod:`qcfun.means` -- mean values and the complete elliptic integral via
   the arithmetic-geometric mean;
 * :mod:`qcfun.modulus` -- the plane ring modulus mu, its generalized
-  signature version mu_a, safeguarded inverses, planar capacities, and the
+  signature version mu_a, their inverses (theta functions for mu,
+  safeguarded Newton for mu_a), planar capacities, and the
   ascending-Landen product;
 * :mod:`qcfun.distortion` -- distortion functions phi_K and phi^a_K, the
   quasisymmetry function, the linear-dilatation bound, the Schottky bound,
@@ -19,8 +20,12 @@ Layers, bottom up:
   estimators;
 * :mod:`qcfun.cli` -- the ``qcfun`` command.
 
-Everything is pure-functional and thread-safe.
+Everything is pure-functional and thread-safe.  Only :mod:`qcfun.geometry`
+needs numpy; its names resolve on first use, so ``import qcfun`` does not
+load numpy.
 """
+
+import importlib
 
 from .bounds import BoundId, bound_value, gehring_d, gehring_d2_composite, surface_area, vuorinen_c
 from .distortion import eta_K2, lambda_of_K, linearized_g, phi_aK, phi_K, schottky_psi
@@ -34,23 +39,6 @@ from .errors import (
     PolylineFormatError,
     QcfunError,
     UnsupportedDimensionError,
-)
-from .geometry import (
-    INFINITY,
-    HyperplaneFit,
-    Polyline,
-    abs_ratio,
-    ahlfors_constant,
-    boundary_metric_estimate,
-    box_dimension,
-    chordal_dist,
-    koch_curve,
-    linear_approx_delta,
-    regular_ngon,
-    relative_size,
-    rho_disk,
-    thickness_constant,
-    triangle_condition_constant,
 )
 from .identities import (
     CaseKind,
@@ -91,3 +79,29 @@ from .specfun import (
 )
 
 __version__ = "0.1.0"
+
+_GEOMETRY_NAMES = frozenset({
+    "INFINITY",
+    "HyperplaneFit",
+    "Polyline",
+    "abs_ratio",
+    "ahlfors_constant",
+    "boundary_metric_estimate",
+    "box_dimension",
+    "chordal_dist",
+    "koch_curve",
+    "linear_approx_delta",
+    "regular_ngon",
+    "relative_size",
+    "rho_disk",
+    "thickness_constant",
+    "triangle_condition_constant",
+})
+
+
+def __getattr__(name):
+    """Import :mod:`qcfun.geometry` (and numpy) when one of its names is first used."""
+    if name == "geometry" or name in _GEOMETRY_NAMES:
+        geometry = importlib.import_module(".geometry", __name__)
+        return geometry if name == "geometry" else getattr(geometry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import distortion, geometry, identities, modulus
+from . import distortion, identities, modulus
 from .bounds import BoundId, bound_signature, bound_value
 from .errors import DomainError, PolylineFormatError, QcfunError
 from .means import ellint_K, ellint_Kprime
@@ -270,6 +270,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_geom(args) -> int:
+    from . import geometry  # the only command that needs numpy
+
     if args.action == "generate":
         if args.koch:
             poly = geometry.koch_curve(args.level, args.angle)

@@ -38,6 +38,9 @@ __all__ = [
 INFINITY = object()  # marker for the point at infinity in absolute ratios
 
 _KOCH_MAX_LEVEL = 12
+# ahlfors_constant holds (2n, 2n, 2) float64 differences: a 1.5 GB peak at
+# n = 3072 (Koch level 5), so about 2.7 GB at the cap by the n^2 scaling
+_AHLFORS_MAX_VERTICES = 4096
 
 
 def _as_points(data, min_points: int, name: str) -> np.ndarray:
@@ -202,13 +205,18 @@ def ahlfors_constant(curve: Polyline) -> float:
 
     Arc diameters are taken over arc vertices including the split points.
     Near 1 for circle-like curves; grows with fractality and for rooms-and-
-    corridors shapes.  O(n^3) by running-maximum sweeps.
+    corridors shapes.  O(n^2) time and memory by running-maximum sweeps;
+    more than 4096 vertices raise :class:`DomainError`.
     """
     if not curve.closed:
         raise DomainError("ahlfors_constant is defined for closed curves")
     n = curve.n_vertices
     if n < 4:
         raise DomainError("ahlfors_constant needs at least 4 vertices")
+    if n > _AHLFORS_MAX_VERTICES:
+        raise DomainError(
+            f"ahlfors_constant accepts at most {_AHLFORS_MAX_VERTICES} vertices, got {n}"
+        )
     pts2 = np.concatenate([curve.points, curve.points])
     diff = pts2[:, None, :] - pts2[None, :, :]
     d2 = np.sqrt((diff * diff).sum(axis=2))

@@ -670,6 +670,8 @@ def _exp_newton(y=4.0, iterations=30) -> dict:
     """Raw (unsafeguarded) Newton iterates for the inverse modulus, from 1/cosh y."""
     if not (y > 0.5 * math.pi):
         raise DomainError("the raw Newton iteration is stated for y > pi/2")
+    # raises ConvergenceError where the root underflows, before cosh y can overflow
+    reference = mu_inv(y).r
     x = 1.0 / math.cosh(y)
     iterates = [x]
     for _ in range(int(iterations)):
@@ -687,7 +689,7 @@ def _exp_newton(y=4.0, iterations=30) -> dict:
         "monotone_increasing": all(d > 0 for d in diffs[:-1]) if len(diffs) > 1 else True,
         "stays_below_one": all(v < 1.0 for v in iterates),
         "final_residual": mu(UnitRadius.from_r(iterates[-1])) - y,
-        "reference": mu_inv(y).r,
+        "reference": reference,
     }
 
 

@@ -30,9 +30,6 @@ __all__ = [
 _AGM_CAP = 60
 _AGM_RTOL = 1e-16
 
-# Above this radius, K(r) is pinned by the log(4/r') bracket instead of the AGM.
-K_NEAR_ONE_R = 1.0 - 1e-8
-
 
 class MeanKind(Enum):
     Arithmetic = "A"
@@ -102,33 +99,18 @@ def comp_radius(r: float) -> float:
     return math.sqrt((1.0 - r) * (1.0 + r))
 
 
-def _k_bracket_mid(r_sq: float, log4_comp: float) -> float:
-    """K(r) from the two-sided elementary bracket, valid only when the bracket is tight.
-
-    (9/(8+r^2)) log(4/r') < K(r) < (4/(3+r^2)) log(4/r'); near r = 1 both sides
-    collapse onto log(4/r') and the midpoint pins K to the bracket half-width.
-    """
-    lo = 9.0 / (8.0 + r_sq)
-    hi = 4.0 / (3.0 + r_sq)
-    if (hi - lo) / hi > 1e-6:
-        raise ConvergenceError("elliptic bracket too wide; argument not close enough to 1")
-    return 0.5 * (lo + hi) * log4_comp
-
-
 def ellint_K(r: float) -> float:
     """Complete elliptic integral K(r) on [0,1), relative error ~1e-15.
 
-    AGM evaluation everywhere except r > 1 - 1e-8, where the complement has
-    too few digits for the AGM and the log(4/r') bracket takes over.
+    Goes through :func:`ellint_K_from_comp` with r' = sqrt((1-r)(1+r)), which
+    is exact to rounding because 1 - r is: the AGM up to 1 - r ~ 5e-15 and the
+    complement expansion on the last few doubles below 1.
     """
     if not (0.0 <= r < 1.0):
         if r == 1.0:
             raise DivergenceError("K(r) diverges at r = 1")
         raise DomainError(f"ellint_K requires r in [0,1), got {r}")
-    if r > K_NEAR_ONE_R:
-        comp = comp_radius(r)
-        return _k_bracket_mid(r * r, math.log(4.0 / comp))
-    return math.pi / (2.0 * agm(1.0, comp_radius(r)))
+    return ellint_K_from_comp(comp_radius(r), r)
 
 
 def ellint_K_from_comp(comp: float, r: float) -> float:

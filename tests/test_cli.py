@@ -213,3 +213,37 @@ class TestGeomCli:
                                "--property", "ahlfors")
         assert code == 2
         assert "line 3" in err
+
+
+class TestTypedErrors:
+    def test_invert_underflowing_result_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "invert", "--fn", "mu", "--y", "800")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "underflows" in err
+
+
+class TestLazyNumpy:
+    SCRIPT = (
+        "import sys, qcfun\n"
+        "qcfun.phi_K(2, .5)\n"
+        "from qcfun.cli import main\n"
+        "main(['eval', '--fn', 'mu', '--r', '.5'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "qcfun.regular_ngon(5)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+
+    def test_light_paths_leave_numpy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qcfun
+
+        src = str(Path(qcfun.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{MU_HALF:.17g}"

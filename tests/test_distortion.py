@@ -3,10 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcfun import (
+    ConvergenceError,
     DomainError,
     OverflowSignal,
+    QcfunError,
     SQRT_HALF,
     UnitRadius,
     eta_K2,
@@ -101,6 +105,22 @@ class TestPhiK:
     def test_tiny_modulus_clamp(self):
         v = phi_K(1e16, 0.9)
         assert v.r == math.nextafter(1.0, 0.0)
+
+    def test_result_below_normal_range_signalled(self):
+        # mu(0.5)/0.001 ~ 2009: the inverse lies far below the smallest double
+        with pytest.raises(ConvergenceError):
+            phi_K(0.001, 0.5)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=1e-6, max_value=0.999999))
+    @settings(max_examples=200, deadline=None)
+    def test_sub_unit_dilatation_radius_or_typed_error(self, K, r):
+        try:
+            v = phi_K(K, r)
+        except QcfunError:
+            return
+        assert isinstance(v, UnitRadius)
+        assert v.r <= r * (1.0 + 1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -164,6 +164,11 @@ class TestAhlfors:
         with pytest.raises(DegenerateGeometryError):
             ahlfors_constant(touching)
 
+    def test_size_guard_names_limit(self):
+        # refused before the quadratic tensors are allocated
+        with pytest.raises(DomainError, match="4096"):
+            ahlfors_constant(regular_ngon(4097))
+
 
 class TestTriangleCondition:
     def test_collinear_is_one(self):

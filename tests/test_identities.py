@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qcfun import DomainError, all_cases, experiment, get_case, residual, run_suite
+from qcfun import ConvergenceError, DomainError, all_cases, experiment, get_case, residual, run_suite
 from qcfun.identities import A_GRID, CaseKind, K_GRID, R_GRID
 
 EQUALITY_ROSTER = [
@@ -162,6 +162,11 @@ class TestExperiments:
     def test_newton_domain(self):
         with pytest.raises(DomainError):
             experiment("newton_monotone", y=1.0)
+
+    def test_newton_underflowing_root_signalled(self):
+        # 1/cosh(800) is out of range; the typed error comes first
+        with pytest.raises(ConvergenceError):
+            experiment("newton_monotone", y=800.0)
 
     def test_artanh_ratio(self):
         obs = experiment("artanh_ratio", K=3.0)

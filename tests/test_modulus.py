@@ -1,6 +1,8 @@
 """Ring modulus, generalized modulus, inverses, capacities, Landen product."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from qcfun import (
     ConvergenceError,
     DomainError,
+    QcfunError,
     UnitRadius,
     agm_product_p,
     gamma2_inv,
@@ -139,6 +142,45 @@ class TestMuInv:
         with pytest.raises(ConvergenceError):
             mu_inv(1e-4)
 
+    @pytest.mark.parametrize("y", [709.8, 800.0, 1e6, 1e300])
+    def test_result_below_normal_range_signalled(self, y):
+        with pytest.raises(ConvergenceError):
+            mu_inv(y)
+
+    def test_last_normal_result(self):
+        u = mu_inv(709.7)
+        assert u.r >= sys.float_info.min
+        assert u.r == pytest.approx(4.0 * math.exp(-709.7), rel=1e-12)
+
+    @given(st.floats(min_value=0.004, max_value=700.0))
+    @settings(max_examples=150, deadline=None)
+    def test_theta_route_against_newton_oracle(self, y):
+        u, oracle = mu_inv(y), mu_a_inv(0.5, y)
+        # the smaller channel carries the digits: r above pi/2, the complement below
+        got, want = (u.r, oracle.r) if y >= 0.5 * math.pi else (u.comp, oracle.comp)
+        assert abs(got - want) <= 1e-11 * want
+        assert abs(mu(u) - y) <= 1e-14 * max(1.0, y)
+        assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
+
+    def test_continuous_across_dual_nome_seam(self):
+        seam = 0.5 * math.pi
+        below, at, above = (mu_inv(y) for y in (math.nextafter(seam, 0.0), seam,
+                                                 math.nextafter(seam, 4.0)))
+        assert below.r >= at.r >= above.r
+        assert below.comp <= at.comp <= above.comp
+        ulp = math.ulp(SQRT_HALF_VAL)
+        assert below.r - above.r <= 8 * ulp and above.comp - below.comp <= 8 * ulp
+
+    @given(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_every_positive_y_gives_radius_or_typed_error(self, y):
+        try:
+            u = mu_inv(y)
+        except QcfunError:
+            return
+        assert isinstance(u, UnitRadius)
+        assert abs(mu(u) - y) <= 1e-14 * max(1.0, y)
+
 
 class TestMuA:
     @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
@@ -207,6 +249,12 @@ class TestMuAInv:
     def test_domain(self):
         with pytest.raises(DomainError):
             mu_a_inv(1.0 / 3.0, 0.0)
+
+    @pytest.mark.parametrize("a", A_GRID)
+    @pytest.mark.parametrize("y", [800.0, 1200.0, 1e6])
+    def test_result_below_normal_range_signalled(self, a, y):
+        with pytest.raises(ConvergenceError):
+            mu_a_inv(a, y)
 
 
 class TestCapacities:

@@ -16,6 +16,7 @@ from qcfun import (
     UnitRadius,
     agm_product_p,
     digamma_fn,
+    ellint_K,
     eta_K2,
     gauss_F,
     mu,
@@ -61,6 +62,12 @@ def test_mu_radius_channel(r):
 @pytest.mark.parametrize("c", [1.5e-4, 1.4e-4, 2e-7, 0.99e-7, 1e-9, 1e-50, 1e-150])
 def test_mu_complement_channel(c):
     assert rel(mu(UnitRadius.from_comp(c)), mu_mp_from_comp(c)) < 2e-13
+
+
+@pytest.mark.parametrize("gap", [9e-9, 4e-9, 1e-9, 2e-10, 5e-11, 1e-11, 1e-13, 2 ** -52])
+def test_ellint_k_near_one(gap):
+    r = 1.0 - gap
+    assert rel(ellint_K(r), mp.ellipk(mp.mpf(r) ** 2)) < 1e-15
 
 
 @pytest.mark.parametrize("y", [0.004, 0.05, 1.0, 1.58, 20.0, 500.0])
