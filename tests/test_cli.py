@@ -67,6 +67,11 @@ class TestInvert:
         _, out2, _ = run_cli(capsys, "invert", "--fn", "mu", "--y", "2.0")
         assert float(out1) == pytest.approx(float(out2), rel=1e-10)
 
+    def test_mua_small_signature(self, capsys):
+        code, out, _ = run_cli(capsys, "invert", "--fn", "muA", "--a", "0.005", "--y", "200")
+        assert code == 0
+        assert float(out) == pytest.approx(3.72e-44, rel=1e-3)
+
 
 class TestTable:
     def test_csv_shape_and_determinism(self, capsys):

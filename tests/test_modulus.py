@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcfun import modulus
 from qcfun import (
     ConvergenceError,
     DomainError,
@@ -142,6 +143,14 @@ class TestMuInv:
         with pytest.raises(ConvergenceError):
             mu_inv(1e-4)
 
+    def test_complement_below_1e300_returned(self):
+        # the complement is 1.5e-304: below 1e-300, above the smallest normal double
+        u, oracle = mu_inv(0.00352), mu_a_inv(0.5, 0.00352)
+        for v in (u, oracle):
+            assert sys.float_info.min < v.comp < 1e-300
+            assert abs(mu(v) - 0.00352) <= 1e-15
+        assert abs(u.comp - oracle.comp) <= 1e-11 * oracle.comp
+
     @pytest.mark.parametrize("y", [709.8, 800.0, 1e6, 1e300])
     def test_result_below_normal_range_signalled(self, y):
         with pytest.raises(ConvergenceError):
@@ -255,6 +264,54 @@ class TestMuAInv:
     def test_result_below_normal_range_signalled(self, a, y):
         with pytest.raises(ConvergenceError):
             mu_a_inv(a, y)
+
+    def test_complement_underflow_signalled(self):
+        with pytest.raises(ConvergenceError):
+            mu_a_inv(0.5, 1e-4)
+
+    @pytest.mark.parametrize("a, y", [(0.005, 200.0), (0.0068, 379.8), (0.0072, 141.6)])
+    def test_small_signature_round_trip(self, a, y):
+        # an r-space bracket from the mu_a bounds spans a factor e^R/4 ~ 1e86 at a = 0.005
+        assert abs(mu_a(a, mu_a_inv(a, y)) - y) <= 1e-11 * max(1.0, y)
+
+    @pytest.mark.parametrize("a", A_GRID)
+    def test_continuous_across_symmetric_value(self, a):
+        y_sym = math.pi / (2.0 * math.sin(math.pi * a))
+        below, at, above = (mu_a_inv(a, y) for y in (math.nextafter(y_sym, 0.0), y_sym,
+                                                      math.nextafter(y_sym, 4.0)))
+        assert below.r >= at.r >= above.r
+        assert below.comp <= at.comp <= above.comp
+        ulp = math.ulp(SQRT_HALF_VAL)
+        assert below.r - above.r <= 8 * ulp and above.comp - below.comp <= 8 * ulp
+
+    @pytest.mark.parametrize("a", A_GRID + (0.01,))
+    def test_forward_duality(self, a):
+        y_sym = math.pi / (2.0 * math.sin(math.pi * a))
+        for r in (1e-12, 1e-3, 0.1, 0.5, SQRT_HALF_VAL, 0.9, 0.999999):
+            u = UnitRadius.from_r(r)
+            assert mu_a(a, u) * mu_a(a, u.swapped) == pytest.approx(y_sym * y_sym, rel=1e-13)
+
+    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+           st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_every_input_gives_radius_or_typed_error(self, a, y):
+        try:
+            u = mu_a_inv(a, y)
+        except QcfunError:
+            return
+        assert isinstance(u, UnitRadius)
+        assert abs(mu_a(a, u) - y) <= 2e-13 * max(1.0, y)
+
+    def test_series_evaluations_per_inverse(self, monkeypatch):
+        calls = []
+        f_zero_balanced = modulus._f_zero_balanced
+        monkeypatch.setattr(modulus, "_f_zero_balanced",
+                            lambda *args: calls.append(1) or f_zero_balanced(*args))
+        for a in (1.0 / 6.0, 0.25, 1.0 / 3.0):
+            for y in (0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
+                calls.clear()
+                mu_a_inv(a, y)
+                assert len(calls) <= 12, (a, y, len(calls))
 
 
 class TestCapacities:
