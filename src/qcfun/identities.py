@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .distortion import eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
 from .modulus import SQRT_HALF, UnitRadius, agm_product_p, mu, mu_a, mu_inv
-from .specfun import EULER_GAMMA, HypergeomParams, beta_fn, digamma_fn, gauss_F, ramanujan_R
+from .specfun import HypergeomParams, _balanced_r0, beta_fn, gauss_F, ramanujan_R
 
 __all__ = [
     "CaseKind",
@@ -101,11 +100,6 @@ class ResidualReport:
             "pass": self.passed,
             "error": self.error,
         }
-
-
-@lru_cache(maxsize=16384)
-def _mua(a: float, r: float) -> float:
-    return mu_a(a, UnitRadius.from_r(r))
 
 
 def _landen_ascend(r: float) -> UnitRadius:
@@ -349,17 +343,17 @@ def _landen_ineq(a, b, r):
 def _mu_sub(a, r, s):
     rc, sc = UnitRadius.from_r(r), UnitRadius.from_r(s)
     mid = math.sqrt(2.0 * r * s / (1.0 + r * s + rc.comp * sc.comp))
-    lhs = _mua(a, r) + _mua(a, s)
-    m_mid = 2.0 * _mua(a, mid)
-    m_geo = 2.0 * _mua(a, math.sqrt(r * s))
+    lhs = mu_a(a, r) + mu_a(a, s)
+    m_mid = 2.0 * mu_a(a, mid)
+    m_geo = 2.0 * mu_a(a, math.sqrt(r * s))
     return min(m_mid - lhs, m_geo - m_mid) / max(1.0, lhs)
 
 
 def _mu_super(a, r, t):
     rc, tc = UnitRadius.from_r(r), UnitRadius.from_r(t)
     mid = (r + t) / (1.0 + r * t + rc.comp * tc.comp)
-    rhs = _mua(a, r) + _mua(a, t)
-    return (rhs - 2.0 * _mua(a, mid)) / max(1.0, rhs)
+    rhs = mu_a(a, r) + mu_a(a, t)
+    return (rhs - 2.0 * mu_a(a, mid)) / max(1.0, rhs)
 
 
 def _dup_constant(a):
@@ -638,7 +632,7 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
         raise DomainError("q_maclaurin requires a, b in (0,1] with a + b <= 1")
     n = int(n)
     big_b = beta_fn(a, b)
-    big_r = -_psi_sum(a, b)
+    big_r = _balanced_r0(a, b)  # no (0,1) restriction, unlike ramanujan_R
     f = [1.0]
     for k in range(n):
         f.append(f[-1] * (a + k) * (b + k) / ((a + b + k) * (k + 1.0)))
@@ -659,11 +653,6 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
         "signs": ["+" if c > 0 else ("-" if c < 0 else "0") for c in coeffs],
         "all_positive": all(c > 0 for c in coeffs),
     }
-
-
-def _psi_sum(a, b):
-    # -R(a,b) without the (0,1) restriction of ramanujan_R
-    return digamma_fn(a) + digamma_fn(b) + 2.0 * EULER_GAMMA
 
 
 def _exp_newton(y=4.0, iterations=30) -> dict:

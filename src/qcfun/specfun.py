@@ -118,13 +118,14 @@ def digamma_fn(x: float) -> float:
     """Digamma psi(x) = Gamma'(x)/Gamma(x) for x > 0, absolute error <= 1e-12.
 
     Upward recurrence psi(x+1) = psi(x) + 1/x to x >= 10, then the asymptotic
-    expansion log x - 1/(2x) - sum B_{2k}/(2k x^{2k}).
+    expansion log x - 1/(2x) - sum B_{2k}/(2k x^{2k}); the recurrence terms,
+    log x, -1/(2x) and the tail are added exactly with ``math.fsum``.
     """
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"digamma_fn requires x > 0, got {x}")
-    acc = 0.0
+    terms = []
     while x < 10.0:
-        acc -= 1.0 / x
+        terms.append(-1.0 / x)
         x += 1.0
     inv2 = 1.0 / (x * x)
     tail = 0.0
@@ -132,7 +133,8 @@ def digamma_fn(x: float) -> float:
     for coeff in _PSI_TAIL:
         tail += coeff * p
         p *= inv2
-    return acc + math.log(x) - 0.5 / x - tail
+    terms += (math.log(x), -0.5 / x, -tail)
+    return math.fsum(terms)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -144,13 +146,18 @@ def beta_fn(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+def _balanced_r0(a: float, b: float) -> float:
+    """R(a,b) = 2 psi(1) - psi(a) - psi(b) for any a, b > 0, with no (0,1) check."""
+    return -digamma_fn(a) - digamma_fn(b) - 2.0 * EULER_GAMMA
+
+
 def ramanujan_R(a: float, b: float) -> float:
     """The balanced-case constant R(a,b) = -psi(a) - psi(b) - 2*gamma_E for a, b in (0,1)."""
     if not (0 < a < 1):
         raise DomainError(f"ramanujan_R requires a in (0,1), got {a}")
     if not (0 < b < 1):
         raise DomainError(f"ramanujan_R requires b in (0,1), got {b}")
-    return -digamma_fn(a) - digamma_fn(b) - 2.0 * EULER_GAMMA
+    return _balanced_r0(a, b)
 
 
 def _series(a: float, b: float, c: float, r: float) -> float:
@@ -175,14 +182,40 @@ def _series(a: float, b: float, c: float, r: float) -> float:
     )
 
 
+def _balanced_sums(a: float, b: float, w: float, log_w: float) -> tuple[float, float]:
+    """(F(a,b;a+b;w), B(a,b) F(a,b;a+b;1-w)) from one series, for w in [0, 1/2].
+
+    The two sums share their coefficients c_n = (a,n)(b,n)/(n!)^2:
+
+        S0 = sum_n c_n w^n,    S1 = sum_n c_n w^n [R_n - log w],
+        R_n = 2 psi(n+1) - psi(a+n) - psi(b+n),
+
+    S1 being the balanced connection formula (DLMF 15.8.10).  Both are added
+    exactly with ``math.fsum``; ``log_w`` is passed separately so that it
+    stays exact where w underflows.
+    """
+    r_n = _balanced_r0(a, b)
+    if math.isinf(r_n):
+        raise OverflowSignal(f"R({a}, {b}) overflows double precision")
+    coef, s0, s1 = 1.0, 1.0, r_n - log_w
+    terms0, terms1 = [s0], [s1]
+    for n in range(200):
+        coef *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
+        r_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
+        t1 = coef * (r_n - log_w)
+        terms0.append(coef)
+        terms1.append(t1)
+        s0 += coef
+        s1 += t1
+        if abs(coef) <= 1e-17 * abs(s0) and abs(t1) <= 1e-17 * abs(s1) and n > 1:
+            return math.fsum(terms0), math.fsum(terms1)
+    raise ConvergenceError("zero-balanced connection series stalled")
+
+
 def gauss_F_near_one(a: float, b: float, w: float, log_w: float | None = None) -> float:
     """Zero-balanced F(a,b;a+b;1-w) for small w, from the complement directly.
 
-    Connection formula for the balanced case,
-
-        B(a,b) F = sum_n ((a,n)(b,n)/(n!)^2) [R_n - log w] w^n,
-        R_n = 2 psi(n+1) - psi(a+n) - psi(b+n),
-
+    This is S1 / B(a,b) of :func:`_balanced_sums`, the connection formula
     whose n = 0 term is the R(a,b) - log(1-r) asymptotic.  Taking w as the
     argument keeps log w exact when 1-r is known to more digits than r;
     ``log_w`` may be supplied separately when w itself underflows.
@@ -190,30 +223,10 @@ def gauss_F_near_one(a: float, b: float, w: float, log_w: float | None = None) -
     if log_w is None:
         if not (0.0 < w <= 0.5):
             raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
-        lw = math.log(w)
-    else:
-        if not (0.0 <= w <= 0.5):
-            raise DomainError(f"gauss_F_near_one requires complement in [0, 0.5], got {w}")
-        lw = log_w
-    psa = digamma_fn(a)
-    psb = digamma_fn(b)
-    ps1 = -EULER_GAMMA
-    coef = 1.0
-    wn = 1.0
-    total = 0.0
-    for n in range(200):
-        term = coef * wn * (2.0 * ps1 - psa - psb - lw)
-        total += term
-        if abs(term) <= 1e-18 * abs(total) and n > 2:
-            break
-        coef *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0))
-        wn *= w
-        ps1 += 1.0 / (n + 1.0)
-        psa += 1.0 / (a + n)
-        psb += 1.0 / (b + n)
-    else:
-        raise ConvergenceError("zero-balanced connection series stalled")
-    return total / beta_fn(a, b)
+        log_w = math.log(w)
+    elif not (0.0 <= w <= 0.5):
+        raise DomainError(f"gauss_F_near_one requires complement in [0, 0.5], got {w}")
+    return _balanced_sums(a, b, w, log_w)[1] / beta_fn(a, b)
 
 
 def gauss_F(p: HypergeomParams, r: float) -> float:
@@ -245,8 +258,7 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")
     d = p.c - (p.a + p.b)
     if p.zero_balanced:
-        const = -digamma_fn(p.a) - digamma_fn(p.b) - 2.0 * EULER_GAMMA
-        return AsymptoticClass(BoundaryCase.B, const)
+        return AsymptoticClass(BoundaryCase.B, _balanced_r0(p.a, p.b))
     if d > 0:
         # c > a + b forces c - a > b > 0 and c - b > a > 0, so this is total.
         if max(p.c, d) <= 171.0:

@@ -12,16 +12,20 @@ from qcfun import modulus
 from qcfun import (
     ConvergenceError,
     DomainError,
+    HypergeomParams,
+    OverflowSignal,
     QcfunError,
     UnitRadius,
     agm_product_p,
     gamma2_inv,
+    gauss_F,
     grotzsch_gamma2,
     mu,
     mu_a,
     mu_a_derivative,
     mu_a_inv,
     mu_inv,
+    phi_aK,
     tau2_inv,
     teichmuller_tau2,
 )
@@ -210,6 +214,36 @@ class TestMuA:
         values = [mu_a(a, r / 20.0) for r in range(1, 20)]
         assert all(b < a_ for a_, b in zip(values, values[1:]))
 
+    @given(st.floats(min_value=sys.float_info.min, max_value=0.5),
+           st.floats(min_value=0.224, max_value=0.974))
+    @settings(max_examples=300, deadline=None)
+    def test_fused_series_against_public_quotient(self, a, r):
+        # r^2 and r'^2 both below the 0.95 seam: both F factors by the direct series
+        u = UnitRadius.from_r(r)
+        p = HypergeomParams(a, 1.0 - a, 1.0)
+        f_den = gauss_F(p, r * r)
+        want = math.pi / (2.0 * math.sin(math.pi * a)) * gauss_F(p, u.comp * u.comp) / f_den
+        value, f = modulus._mu_a_parts(a, u)
+        assert abs(value - want) <= 2e-15 * want
+        assert abs(f - f_den) <= 2e-15 * f_den
+
+    @given(st.floats(min_value=sys.float_info.min, max_value=0.5))
+    @settings(max_examples=200, deadline=None)
+    def test_no_increase_where_series_switches_formula(self, a):
+        # the pass runs at w = r^2 up to the last float below 1/sqrt 2 and at w = r'^2 from it on
+        left, right = (UnitRadius.from_r(r) for r in (math.nextafter(SQRT_HALF_VAL, 0.0),
+                                                      SQRT_HALF_VAL))
+        assert left.r <= left.comp and right.r > right.comp
+        assert mu_a(a, left) >= mu_a(a, right)
+
+    @pytest.mark.parametrize("a", [5e-324, 2.2e-311, 5e-309])
+    def test_subnormal_signature_overflow_signalled(self, a):
+        # R(a) ~ 1/a is not a double here, so no mu_a value is either
+        with pytest.raises(OverflowSignal):
+            mu_a(a, 0.5)
+        with pytest.raises(OverflowSignal):
+            mu_a(a, 0.9)
+
     def test_signature_domain(self):
         with pytest.raises(DomainError):
             mu_a(0.0, 0.5)
@@ -303,15 +337,25 @@ class TestMuAInv:
         assert abs(mu_a(a, u) - y) <= 2e-13 * max(1.0, y)
 
     def test_series_evaluations_per_inverse(self, monkeypatch):
+        # one _mu_a_parts call is one pass of the fused series (both F factors)
         calls = []
-        f_zero_balanced = modulus._f_zero_balanced
-        monkeypatch.setattr(modulus, "_f_zero_balanced",
-                            lambda *args: calls.append(1) or f_zero_balanced(*args))
+        mu_a_parts = modulus._mu_a_parts
+        monkeypatch.setattr(modulus, "_mu_a_parts",
+                            lambda *args: calls.append(1) or mu_a_parts(*args))
         for a in (1.0 / 6.0, 0.25, 1.0 / 3.0):
             for y in (0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
                 calls.clear()
                 mu_a_inv(a, y)
-                assert len(calls) <= 12, (a, y, len(calls))
+                assert len(calls) <= 6, (a, y, len(calls))
+
+    @pytest.mark.parametrize("call", [lambda: mu_a_inv(1e-17, 1.0),
+                                      lambda: phi_aK(1e-17, 2.0, 0.5),
+                                      lambda: mu_a_inv(5e-324, 1.0)])
+    def test_tiny_signature_complement_underflows(self, call):
+        # 1 - a rounds to 1.0, so the bracket's R(a) must not check b < 1;
+        # at a = 5e-324, y_sym^2 overflows and the bracket end is NaN
+        with pytest.raises(ConvergenceError, match="underflows"):
+            call()
 
 
 class TestCapacities:

@@ -88,13 +88,25 @@ def test_gauss_f_seam(abc, r):
     assert rel(gauss_F(HypergeomParams(a, b, c), r), want) < 1e-12
 
 
+def mu_a_mp(a, r):
+    a_m, r_m = mp.mpf(a), mp.mpf(r)
+    return mp.pi / (2 * mp.sin(mp.pi * a_m)) * mp.hyp2f1(
+        a_m, 1 - a_m, 1, (1 - r_m) * (1 + r_m)) / mp.hyp2f1(a_m, 1 - a_m, 1, r_m * r_m)
+
+
 @pytest.mark.parametrize("a", [0.01, 1.0 / 6.0, 0.49])
 @pytest.mark.parametrize("r", [0.01, 0.5, 0.999])
 def test_mu_a_extreme_signatures(a, r):
-    a_m, r_m = mp.mpf(a), mp.mpf(r)
-    want = mp.pi / (2 * mp.sin(mp.pi * a_m)) * mp.hyp2f1(
-        a_m, 1 - a_m, 1, (1 - r_m) * (1 + r_m)) / mp.hyp2f1(a_m, 1 - a_m, 1, r_m * r_m)
-    assert rel(mu_a(a, r), want) < 1e-11
+    assert rel(mu_a(a, r), mu_a_mp(a, r)) < 1e-11
+
+
+@pytest.mark.parametrize("a", [1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 1e-3])
+@pytest.mark.parametrize("r_sq", [0.3, 0.5, 0.7, 0.94, 0.96])
+def test_mu_a_fused_series(a, r_sq):
+    # both sides of r = r', where the single series pass changes formula
+    r = math.sqrt(r_sq)
+    want = mu_a_mp(a, r)
+    assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1e-15
 
 
 def test_mu_a_inv_scaled_to_signature():

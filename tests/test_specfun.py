@@ -125,6 +125,12 @@ class TestRamanujanR:
     def test_thirds(self):
         assert ramanujan_R(1.0 / 3.0, 2.0 / 3.0) == pytest.approx(R_THIRDS, abs=1e-12)
 
+    @pytest.mark.parametrize("a,closed", [(0.5, math.log(16.0)), (1.0 / 3.0, 3.0 * math.log(3.0)),
+                                          (0.25, math.log(64.0)), (1.0 / 6.0, math.log(432.0))])
+    def test_signature_closed_forms_within_one_ulp(self, a, closed):
+        # R(a, 1-a) is the leading term of the fused mu_a series: its error moves mu_a(1/sqrt 2)
+        assert abs(ramanujan_R(a, 1.0 - a) - closed) <= math.ulp(closed)
+
     @pytest.mark.parametrize("a,b", [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.5)])
     def test_domain(self, a, b):
         with pytest.raises(DomainError):
