@@ -43,12 +43,6 @@ __all__ = [
     "linearized_g",
 ]
 
-# Below this target modulus the inverse is one ulp from 1 (power-bracket clamp).
-_TINY_MODULUS = 1e-14
-_ONE_MINUS_ULP = math.nextafter(1.0, 0.0)
-_CLAMP = UnitRadius(_ONE_MINUS_ULP, math.sqrt((1.0 - _ONE_MINUS_ULP) * 2.0))
-
-
 def _check_K(K: float, sub_unit_ok: bool) -> float:
     if not (math.isfinite(K) and K > 0):
         raise DomainError(f"dilatation must be positive, got {K}")
@@ -61,31 +55,55 @@ def phi_K(K: float, x) -> UnitRadius:
     """Radial distortion phi_K(r) = mu^{-1}(mu(r)/K), increasing in r and K.
 
     K = 1 is the identity; K in (0,1) gives the inverse function phi_{1/K}^-1,
-    so no separate operation is needed.  When mu(r)/K drops below 1e-14 the
-    result is within one ulp of 1 (the power bracket pins it there) and the
-    clamped value is returned instead of inverting.
+    so no separate operation is needed.  A result whose radius or complement
+    falls below the normal double range raises :class:`ConvergenceError`.
     """
     K = _check_K(K, sub_unit_ok=True)
     u = as_radius(x)
     if K == 1.0:
         return u
-    target = mu(u) / K
-    if target < _TINY_MODULUS:
-        return _CLAMP
-    return mu_inv(target)
+    return mu_inv(_scaled_modulus(mu(u), K, "phi_K"))
 
 
 def phi_aK(a: float, K: float, x) -> UnitRadius:
-    """Generalized distortion phi^a_K(r) = mu_a^{-1}(mu_a(r)/K); phi^(1/2)_K = phi_K."""
+    """Generalized distortion phi^a_K(r) = mu_a^{-1}(mu_a(r)/K); phi^(1/2)_K = phi_K.
+
+    As for phi_K, a radius or complement below the normal double range raises
+    :class:`ConvergenceError`.
+    """
     a = check_signature(a)
     K = _check_K(K, sub_unit_ok=True)
     u = as_radius(x)
     if K == 1.0:
         return u
-    target = mu_a(a, u) / K
-    if target < _TINY_MODULUS:
-        return _CLAMP
-    return mu_a_inv(a, target)
+    return mu_a_inv(a, _scaled_modulus(mu_a(a, u), K, "phi_aK"))
+
+
+def _scaled_modulus(modulus: float, K: float, name: str) -> float:
+    target = modulus / K
+    if math.isinf(target):
+        # a tiny K sends the radius below every double: the inverse underflows
+        raise ConvergenceError(f"{name}: modulus / K = {modulus} / {K} overflows, "
+                               "so the radius underflows double precision")
+    return target
+
+
+def _squared_ratio(K: float, arg: UnitRadius, call) -> float:
+    """u^2/(1-u^2) for u = phi_K(arg), read off the complement channel.
+
+    ``call()`` names the public call in the overflow message; it is formatted
+    only on failure, since two float reprs cost a third of an eta_K2 call.
+    """
+    try:
+        u = phi_K(K, arg)
+    except ConvergenceError as exc:
+        # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
+        raise OverflowSignal(f"{call()} exceeds double precision") from exc
+    ratio = u.r / u.comp
+    value = ratio * ratio
+    if math.isinf(value):
+        raise OverflowSignal(f"{call()} exceeds double precision")
+    return value
 
 
 def eta_K2(K: float, t: float) -> float:
@@ -102,18 +120,7 @@ def eta_K2(K: float, t: float) -> float:
     if t == 0.0:
         return 0.0
     arg = UnitRadius(math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
-    try:
-        u = phi_K(K, arg)
-    except ConvergenceError as exc:
-        # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
-        raise OverflowSignal(f"eta_K2({K}, {t}) exceeds double precision") from exc
-    if u is _CLAMP:
-        raise OverflowSignal(f"eta_K2({K}, {t}) exceeds double precision")
-    ratio = u.r / u.comp
-    value = ratio * ratio
-    if math.isinf(value):
-        raise OverflowSignal(f"eta_K2({K}, {t}) exceeds double precision")
-    return value
+    return _squared_ratio(K, arg, lambda: f"eta_K2({K}, {t})")
 
 
 def lambda_of_K(K: float) -> float:
@@ -122,17 +129,7 @@ def lambda_of_K(K: float) -> float:
     lambda(1) = 1, increasing, and exp(pi(K-1)) <= lambda(K) <= exp(pi(K-1/K)).
     """
     K = _check_K(K, sub_unit_ok=False)
-    try:
-        u = phi_K(K, SQRT_HALF)
-    except ConvergenceError as exc:
-        raise OverflowSignal(f"lambda_of_K({K}) exceeds double precision") from exc
-    if u is _CLAMP:
-        raise OverflowSignal(f"lambda_of_K({K}) exceeds double precision")
-    ratio = u.r / u.comp
-    value = ratio * ratio
-    if math.isinf(value):
-        raise OverflowSignal(f"lambda_of_K({K}) exceeds double precision")
-    return value
+    return _squared_ratio(K, SQRT_HALF, lambda: f"lambda_of_K({K})")
 
 
 def schottky_psi(r: float, t: float) -> float:
@@ -154,8 +151,13 @@ def linearized_g(K: float, x: float) -> float:
     K = _check_K(K, sub_unit_ok=False)
     if not math.isfinite(x):
         raise DomainError(f"linearized_g requires finite x, got {x}")
+    return _logit_conjugate(lambda u: phi_K(K, u), x)
+
+
+def _logit_conjugate(distortion, x: float) -> float:
+    """p(distortion(q(x))) with p = logit, q = p^{-1}, through the complement channel."""
     q = 1.0 / (1.0 + math.exp(-x))
     one_minus_q = 1.0 / (1.0 + math.exp(x))
     arg = UnitRadius(q, math.sqrt(one_minus_q * (1.0 + q)))
-    v = phi_K(K, arg)
+    v = distortion(arg)
     return math.log(v.r) + math.log1p(v.r) - 2.0 * math.log(v.comp)

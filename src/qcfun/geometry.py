@@ -38,8 +38,8 @@ __all__ = [
 INFINITY = object()  # marker for the point at infinity in absolute ratios
 
 _KOCH_MAX_LEVEL = 12
-# ahlfors_constant holds (2n, 2n, 2) float64 differences: a 1.5 GB peak at
-# n = 3072 (Koch level 5), so about 2.7 GB at the cap by the n^2 scaling
+# ahlfors_constant holds an n x n float64 arc table: a 76 MB peak at
+# n = 3072 (Koch level 5), so 134 MB at the cap by the n^2 scaling
 _AHLFORS_MAX_VERTICES = 4096
 
 
@@ -177,23 +177,21 @@ def regular_ngon(n: int, radius: float = 1.0, center=(0.0, 0.0)) -> Polyline:
     return Polyline(pts, closed=True)
 
 
+def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances |p - q| over broadcast (..., 2) point arrays."""
+    d = p - q
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def _diameter(pts: np.ndarray) -> float:
-    if pts.shape[0] == 1:
-        return 0.0
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
-
-
-def _cross_distance_min(a: np.ndarray, b: np.ndarray) -> float:
-    d = a[:, None, :] - b[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).min())
+    return float(_dist(pts[:, None], pts[None]).max())
 
 
 def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
-    gap = _cross_distance_min(e, f)
+    gap = float(_dist(e[:, None], f[None]).min())
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
     return min(_diameter(e), _diameter(f)) / gap
@@ -205,8 +203,9 @@ def ahlfors_constant(curve: Polyline) -> float:
 
     Arc diameters are taken over arc vertices including the split points.
     Near 1 for circle-like curves; grows with fractality and for rooms-and-
-    corridors shapes.  O(n^2) time and memory by running-maximum sweeps;
-    more than 4096 vertices raise :class:`DomainError`.
+    corridors shapes.  O(n^2) time by running-maximum sweeps over one n x n
+    table of arc diameters (n^2 floats, no pairwise tensors); more than 4096
+    vertices raise :class:`DomainError`.
     """
     if not curve.closed:
         raise DomainError("ahlfors_constant is defined for closed curves")
@@ -218,23 +217,23 @@ def ahlfors_constant(curve: Polyline) -> float:
             f"ahlfors_constant accepts at most {_AHLFORS_MAX_VERTICES} vertices, got {n}"
         )
     pts2 = np.concatenate([curve.points, curve.points])
-    diff = pts2[:, None, :] - pts2[None, :, :]
-    d2 = np.sqrt((diff * diff).sum(axis=2))
-    # arc[s, L] = diameter of the vertex run s..s+L (wrapping), L = 0..n-1, by the
+    # arc[L, s] = diameter of the vertex run s..s+L (wrapping), L = 0..n-1, by the
     # interval recurrence diam(s,L) = max(diam(s,L-1), diam(s+1,L-1), |v_s - v_{s+L}|)
     arc = np.zeros((n, n))
     cur = np.zeros(2 * n)
     for length in range(1, n):
         m = 2 * n - length
-        ends = d2[np.arange(m), np.arange(length, 2 * n)]
-        cur = np.maximum(np.maximum(cur[:m], cur[1:m + 1]), ends)
-        arc[:, length] = cur[:n]
-    i, j = np.triu_indices(n, k=1)
-    chord = d2[i, j]
-    if np.any(chord == 0.0):
-        raise DegenerateGeometryError("curve passes through the same point twice")
-    both = np.minimum(arc[i, j - i], arc[j, n - (j - i)])
-    return float((both / chord).max())
+        cur = np.maximum(np.maximum(cur[:m], cur[1:m + 1]), _dist(pts2[:m], pts2[length:]))
+        arc[length] = cur[:n]
+    # the pair (s, s+L) splits the curve into runs of lengths L and n-L
+    best = 0.0
+    for length in range(1, n):
+        chord = _dist(pts2[:n - length], pts2[length:n])
+        if np.any(chord == 0.0):
+            raise DegenerateGeometryError("curve passes through the same point twice")
+        both = np.minimum(arc[length, :n - length], arc[n - length, length:])
+        best = max(best, float((both / chord).max()))
+    return best
 
 
 def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) -> float:
@@ -249,8 +248,7 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     n = curve.n_vertices
     if n < 3:
         raise DomainError("triangle condition needs at least 3 vertices")
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    d = _dist(pts[:, None], pts[None])
     if adjacent_only:
         ac = d[np.arange(n - 2), np.arange(2, n)]
         if np.any(ac == 0.0):
@@ -292,7 +290,7 @@ def linear_approx_delta(E, x, r: float, sweep: int = 720, refine_iters: int = 60
         normal = np.array([-math.sin(phi), math.cos(phi)])
         return float(np.abs(local @ normal).max())
 
-    angles = np.linspace(0.0, math.pi, sweep, endpoint=False)
+    angles = np.arange(sweep) * (math.pi / sweep)
     normals = np.column_stack((-np.sin(angles), np.cos(angles)))
     widths = np.abs(local @ normals.T).max(axis=0)
     k = int(widths.argmin())
@@ -376,7 +374,8 @@ def box_dimension(curve: Polyline, scales) -> float:
     """Box-counting dimension estimate: least-squares slope of log N(s) vs log(1/s).
 
     Edges are densified to spacing <= s/3 at each scale s so the count sees
-    the curve, not just its vertices.  Scales must span at least a decade.
+    the curve, not just its vertices, in one vectorised pass per scale; more
+    than 20 M samples raise :class:`DomainError`.  Scales must span a decade.
     """
     scales = sorted(float(s) for s in scales)
     if len(scales) < 2:
@@ -397,7 +396,8 @@ def box_dimension(curve: Polyline, scales) -> float:
         total = int(m.sum()) + 1
         if total > 20_000_000:
             raise DomainError(f"scale {s} requires too many samples ({total})")
-        t_all = np.concatenate([np.linspace(0.0, 1.0, k, endpoint=False) for k in m])
+        # i * (1/k) for sample i of an edge cut into k, as linspace(0, 1, k, endpoint=False) rounds
+        t_all = (np.arange(total - 1) - np.repeat(np.cumsum(m) - m, m)) * (1.0 / np.repeat(m, m))
         base = np.repeat(cur, m, axis=0)
         step = np.repeat(seg, m, axis=0)
         sample = np.vstack([base + step * t_all[:, None], pts])
@@ -510,8 +510,7 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
     pa = np.hypot(poly[:, 0] - av[0], poly[:, 1] - av[1])
     pb = np.hypot(poly[:, 0] - bv[0], poly[:, 1] - bv[1])
     if mode == "AbsoluteRatio":
-        diff = poly[:, None, :] - poly[None, :, :]
-        cd = np.sqrt((diff * diff).sum(axis=2))
+        cd = _dist(poly[:, None], poly[None])
         ab = float(np.hypot(*(av - bv)))
         ratio = ab * cd / (pa[:, None] * pb[None, :])
         return float(math.log1p(ratio.max()))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .distortion import eta_K2, lambda_of_K, phi_aK, phi_K
+from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
 from .modulus import SQRT_HALF, UnitRadius, agm_product_p, mu, mu_a, mu_inv
@@ -707,11 +707,7 @@ def _exp_linearize_a(a=1.0 / 3.0, K=2.0, xs=None, h=1e-5) -> dict:
         xs = [0.5 * i for i in range(-12, 13)]
 
     def g(x):
-        q = 1.0 / (1.0 + math.exp(-x))
-        one_minus_q = 1.0 / (1.0 + math.exp(x))
-        arg = UnitRadius(q, math.sqrt(one_minus_q * (1.0 + q)))
-        v = phi_aK(a, K, arg)
-        return math.log(v.r) + math.log1p(v.r) - 2.0 * math.log(v.comp)
+        return _logit_conjugate(lambda u: phi_aK(a, K, u), x)
 
     slopes = [(g(x + h) - g(x - h)) / (2.0 * h) for x in xs]
     return {

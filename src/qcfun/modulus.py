@@ -139,6 +139,8 @@ def mu(x) -> float:
     """
     u = as_radius(x)
     if u.r < _SMALL_R:
+        if u.r <= sys.float_info.min:  # 4/r overflows from here down
+            return math.log(4.0) - math.log(u.r)
         return math.log(4.0 / u.r) - 0.25 * u.r * u.r
     # K(r') = pi / (2 AG(1, r)) needs no complement of the complement
     k_prime = math.pi / (2.0 * agm(1.0, u.r))

@@ -227,6 +227,13 @@ class TestTypedErrors:
         assert out == ""
         assert err.startswith("error:") and "underflows" in err
 
+    def test_tiny_dilatation_exit_one(self, capsys):
+        # mu(0.5) / 1e-310 overflows: the radius underflows, a computation failure
+        code, out, err = run_cli(capsys, "eval", "--fn", "phiK", "--K", "1e-310", "--r", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "underflows" in err
+
 
 class TestLazyNumpy:
     SCRIPT = (

@@ -103,8 +103,31 @@ class TestPhiK:
                 assert phi_K(K, r).r == pytest.approx(via_capacity, rel=1e-9)
 
     def test_tiny_modulus_clamp(self):
-        v = phi_K(1e16, 0.9)
-        assert v.r == math.nextafter(1.0, 0.0)
+        # mu(r)/K below the normal range of the dual nome: no clamped 1 - ulp value
+        with pytest.raises(ConvergenceError):
+            phi_K(1e16, 0.9)
+        with pytest.raises(ConvergenceError):
+            phi_K(1e15, 0.5)
+        with pytest.raises(ConvergenceError):
+            phi_aK(1.0 / 3.0, 1e15, 0.5)
+
+    def test_overflowing_target_signalled(self):
+        # mu(0.5)/1e-310 is inf: the radius underflows, not a domain error
+        with pytest.raises(ConvergenceError, match="underflows"):
+            phi_K(1e-310, 0.5)
+        with pytest.raises(ConvergenceError, match="underflows"):
+            phi_aK(1.0 / 3.0, 1e-310, 0.5)
+
+    @given(st.floats(min_value=1.0, max_value=1e300),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=300, deadline=None)
+    def test_large_dilatation_value_or_convergence_error(self, K, r):
+        target = mu(r) / K
+        try:
+            v = phi_K(K, r)
+        except ConvergenceError:
+            return
+        assert abs(mu(v) - target) <= 1e-15 * max(1.0, target)
 
     def test_result_below_normal_range_signalled(self):
         # mu(0.5)/0.001 ~ 2009: the inverse lies far below the smallest double
@@ -199,6 +222,17 @@ class TestEtaK2:
         with pytest.raises(OverflowSignal):
             eta_K2(5.0, 1e140)
 
+    def test_at_one_equals_lambda_exactly(self):
+        for K in (1.5, 2.0, 5.0, 30.0, 100.0):
+            assert eta_K2(K, 1.0) == lambda_of_K(K)
+
+    def test_overflow_names_the_call(self):
+        # the inversion underflows and the signal names the public function
+        with pytest.raises(OverflowSignal, match=r"eta_K2\(1e\+16, 1.0\)"):
+            eta_K2(1e16, 1.0)
+        with pytest.raises(OverflowSignal, match=r"lambda_of_K\(1e\+16\)"):
+            lambda_of_K(1e16)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             eta_K2(0.5, 1.0)
@@ -278,6 +312,10 @@ class TestLinearizedG:
         for x in (-10.0, -3.0, 0.0, 3.0, 10.0):
             slope = (linearized_g(K, x + h) - linearized_g(K, x - h)) / (2.0 * h)
             assert 1.0 / K < slope < K
+
+    def test_underflowing_distortion_signalled(self):
+        with pytest.raises(ConvergenceError):
+            linearized_g(1e16, 0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

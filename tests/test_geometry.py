@@ -1,6 +1,7 @@
 """Quasicircle generators and geometric-constant estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ KOCH4_AHLFORS = 1.527525231651951
 SPIRAL_TRIANGLE_M = 6.4783846884789185
 KOCH6_TIP_DELTA = 0.545544725589981
 KOCH5_THICKNESS = 0.4812352209466188
+# box dimensions recorded before the per-edge sampling was vectorised; pinned exactly
+KOCH7_BOX_THIRDS = 1.2785169975830948
+SPIRAL_BOX = 1.0043454076138305
+NGON12_BOX = 1.027296399963229
 
 
 def spiral_polyline():
@@ -165,9 +170,20 @@ class TestAhlfors:
             ahlfors_constant(touching)
 
     def test_size_guard_names_limit(self):
-        # refused before the quadratic tensors are allocated
+        # refused before the n x n arc table is allocated
         with pytest.raises(DomainError, match="4096"):
             ahlfors_constant(regular_ngon(4097))
+
+    def test_peak_memory_is_one_arc_table(self):
+        # n = 768: the arc table is 4.7 MB; pairwise (2n, 2n, 2) tensors would take 90 MB
+        curve = koch_curve(4)
+        tracemalloc.start()
+        try:
+            ahlfors_constant(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTriangleCondition:
@@ -280,6 +296,13 @@ class TestBoxDimension:
     def test_circle_proxy(self):
         dim = box_dimension(regular_ngon(1000), [0.4 / 2 ** k for k in range(6)])
         assert dim == pytest.approx(1.0, abs=0.05)
+
+    def test_sampling_pinned_exactly(self):
+        # each edge is cut into 4 to 78 samples at these scales, so per-edge
+        # positions i * (1/k) are exercised, on closed and open curves
+        assert box_dimension(koch_curve(7), [3.0 ** -k for k in range(1, 6)]) == KOCH7_BOX_THIRDS
+        assert box_dimension(spiral_polyline(), [1.0, 0.5, 0.2, 0.1, 0.05]) == SPIRAL_BOX
+        assert box_dimension(regular_ngon(12), [0.5, 0.2, 0.1, 0.05, 0.02]) == NGON12_BOX
 
     def test_guards(self):
         seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), closed=False)

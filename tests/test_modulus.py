@@ -95,6 +95,14 @@ class TestMu:
             asymptote = math.log(4.0 / r) - 0.25 * r * r
             assert agm_route == pytest.approx(asymptote, rel=1e-12)
 
+    def test_finite_at_and_below_smallest_normal(self):
+        # 4/r overflows here; mu(r) = log(4/r) to double precision all the same
+        tiny = sys.float_info.min
+        for r in (tiny, 1e-310, 5e-324):
+            assert mu(r) == pytest.approx(math.log(4.0) - math.log(r), rel=1e-15)
+        assert mu(math.nextafter(tiny, 1.0)) == math.log(4.0 / math.nextafter(tiny, 1.0))
+        assert mu(5e-324) > mu(1e-310) > mu(tiny)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
