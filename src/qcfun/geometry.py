@@ -41,6 +41,7 @@ _KOCH_MAX_LEVEL = 12
 # ahlfors_constant holds an n x n float64 arc table: a 76 MB peak at
 # n = 3072 (Koch level 5), so 134 MB at the cap by the n^2 scaling
 _AHLFORS_MAX_VERTICES = 4096
+_PAIR_BLOCK = 1 << 18  # distances per block of _pairwise
 
 
 def _as_points(data, min_points: int, name: str) -> np.ndarray:
@@ -183,15 +184,27 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=-1))
 
 
+def _pairwise(reduce, p: np.ndarray, q: np.ndarray) -> float:
+    """``reduce`` (np.max or np.min) of |p_i - q_j| over all pairs, by row blocks.
+
+    Each block holds about _PAIR_BLOCK distances, so the peak is O(_PAIR_BLOCK)
+    floats and not len(p) * len(q); max and min do not depend on the order,
+    so the result is the one the full table gives.
+    """
+    rows = max(1, _PAIR_BLOCK // len(q))
+    return float(reduce([reduce(_dist(p[i:i + rows, None], q[None]))
+                         for i in range(0, len(p), rows)]))
+
+
 def _diameter(pts: np.ndarray) -> float:
-    return float(_dist(pts[:, None], pts[None]).max())
+    return _pairwise(np.max, pts, pts)
 
 
 def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
-    gap = float(_dist(e[:, None], f[None]).min())
+    gap = _pairwise(np.min, e, f)
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
     return min(_diameter(e), _diameter(f)) / gap

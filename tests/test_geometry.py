@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcfun import geometry
 from qcfun import (
     INFINITY,
     DegenerateGeometryError,
@@ -112,6 +113,28 @@ class TestRelativeSize:
         e = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateGeometryError):
             relative_size(e, e)
+
+    def test_blocks_match_the_full_table(self, monkeypatch):
+        # blocks of 7 distances split both point sets unevenly; max and min are order-free
+        rng = np.random.default_rng(5)
+        e, f = rng.normal(size=(40, 2)), rng.normal(size=(13, 2)) + 6.0
+        full = geometry._dist(e[:, None], f[None])
+        diam = geometry._dist(e[:, None], e[None]).max()
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 7)
+        assert geometry._pairwise(np.min, e, f) == full.min()
+        assert geometry._pairwise(np.max, e, e) == diam
+        assert relative_size(e, f) == min(diam, geometry._dist(f[:, None], f[None]).max()) / full.min()
+
+    def test_diameter_peak_memory(self):
+        # n = 3072: the full n x n x 2 difference tensor peaked at 377 MB
+        curve = koch_curve(5)
+        tracemalloc.start()
+        try:
+            curve.diameter()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestAhlfors:

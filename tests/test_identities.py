@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qcfun import ConvergenceError, DomainError, all_cases, experiment, get_case, residual, run_suite
+from qcfun import ConvergenceError, DomainError, all_cases, experiment, get_case, modulus, residual, run_suite
 from qcfun.identities import A_GRID, CaseKind, K_GRID, R_GRID
 
 EQUALITY_ROSTER = [
@@ -88,6 +88,27 @@ class TestEqualityGrids:
         case = get_case(case_id)
         worst = max(abs(case.fn(*p)) for p in case.default_points)
         assert worst <= case.tolerance
+
+
+class TestRegressionDetection:
+    """The suite fails when a closed-form route drifts by 1e-12 relative."""
+
+    def test_equality_tolerance(self):
+        assert all(c.tolerance == 1e-13 for c in all_cases() if c.kind is CaseKind.Equality)
+
+    def test_cubic_agm_route_drift_fails(self, monkeypatch):
+        # scales mu_a at a = 1/3 only: its y_sym factor is the cubic-AGM route's alone
+        monkeypatch.setattr(modulus, "_Y_SYM_THIRD", modulus._Y_SYM_THIRD * (1.0 + 1e-12))
+        assert not all(rep.passed for rep in run_suite())
+
+    def test_theta_radius_drift_fails(self, monkeypatch):
+        # scales the channel that carries the digits; the radius pair stays consistent
+        theta = modulus._theta_radius
+        monkeypatch.setattr(modulus, "_theta_radius",
+                            lambda y: (theta(y)[0] * (1.0 + 1e-12), theta(y)[1]))
+        reports = run_suite()
+        assert all(rep.error is None for rep in reports)
+        assert not all(rep.passed for rep in reports)
 
 
 class TestInequalityGrids:

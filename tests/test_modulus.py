@@ -45,6 +45,7 @@ P_03 = 3.9076068996875940
 
 SQRT_HALF_VAL = math.sqrt(0.5)
 A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
+CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0)
 
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
 
@@ -94,6 +95,13 @@ class TestMu:
             agm_route = mu(UnitRadius.from_r(r))
             asymptote = math.log(4.0 / r) - 0.25 * r * r
             assert agm_route == pytest.approx(asymptote, rel=1e-12)
+
+    def test_complement_at_and_below_smallest_normal(self):
+        # 4/r' overflows here; mu(r) = pi^2 / (4 log(4/r')) to double precision all the same
+        for c in (5e-324, 1e-310, sys.float_info.min):
+            want = math.pi ** 2 / (4.0 * (math.log(4.0) - math.log(c)))
+            assert mu(UnitRadius.from_comp(c)) == pytest.approx(want, rel=1e-15)
+            assert mu_a(0.5, UnitRadius.from_comp(c)) == pytest.approx(want, rel=1e-15)
 
     def test_finite_at_and_below_smallest_normal(self):
         # 4/r overflows here; mu(r) = log(4/r) to double precision all the same
@@ -157,7 +165,7 @@ class TestMuInv:
 
     def test_complement_below_1e300_returned(self):
         # the complement is 1.5e-304: below 1e-300, above the smallest normal double
-        u, oracle = mu_inv(0.00352), mu_a_inv(0.5, 0.00352)
+        u, oracle = mu_inv(0.00352), modulus._mu_a_newton(0.5, 0.00352)
         for v in (u, oracle):
             assert sys.float_info.min < v.comp < 1e-300
             assert abs(mu(v) - 0.00352) <= 1e-15
@@ -176,7 +184,7 @@ class TestMuInv:
     @given(st.floats(min_value=0.004, max_value=700.0))
     @settings(max_examples=150, deadline=None)
     def test_theta_route_against_newton_oracle(self, y):
-        u, oracle = mu_inv(y), mu_a_inv(0.5, y)
+        u, oracle = mu_inv(y), modulus._mu_a_newton(0.5, y)
         # the smaller channel carries the digits: r above pi/2, the complement below
         got, want = (u.r, oracle.r) if y >= 0.5 * math.pi else (u.comp, oracle.comp)
         assert abs(got - want) <= 1e-11 * want
@@ -231,7 +239,7 @@ class TestMuA:
         p = HypergeomParams(a, 1.0 - a, 1.0)
         f_den = gauss_F(p, r * r)
         want = math.pi / (2.0 * math.sin(math.pi * a)) * gauss_F(p, u.comp * u.comp) / f_den
-        value, f = modulus._mu_a_parts(a, u)
+        value, f = modulus._series_parts(a, u)
         assert abs(value - want) <= 2e-15 * want
         assert abs(f - f_den) <= 2e-15 * f_den
 
@@ -257,6 +265,48 @@ class TestMuA:
             mu_a(0.0, 0.5)
         with pytest.raises(DomainError):
             mu_a(0.6, 0.5)
+
+    @given(st.sampled_from(CLOSED_FORM_SIGNATURES), st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_against_series_oracle(self, a, x, complement):
+        # both channels: x is r, or x is r' so that r comes out near 1
+        u = UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
+        value, f = modulus._mu_a_parts(a, u)
+        want, f_want = modulus._series_parts(a, u)
+        assert abs(value - want) <= 2e-15 * want
+        assert abs(f - f_want) <= 2e-15 * f_want
+
+    def test_closed_forms_run_no_series(self, monkeypatch):
+        calls, newton = [], []
+        sums, solve = modulus._balanced_sums, modulus._mu_a_newton
+        monkeypatch.setattr(modulus, "_balanced_sums",
+                            lambda *args: calls.append(args) or sums(*args))
+        monkeypatch.setattr(modulus, "_mu_a_newton",
+                            lambda a, y: newton.append(a) or solve(a, y))
+        for a in CLOSED_FORM_SIGNATURES:
+            for r in (1e-9, 0.3, SQRT_HALF_VAL, 0.9, UnitRadius.from_comp(1e-12)):
+                mu_a(a, r)
+                mu_a_derivative(a, r)
+            for y in (0.1, 1.0, 3.0, 40.0):
+                mu_a_inv(a, y)
+        assert calls == []
+        assert set(newton) == {1.0 / 3.0}  # theta routes at 1/2 and 1/4
+        mu_a(1.0 / 6.0, 0.5)  # the counter sees the series where it runs
+        assert len(calls) == 1
+
+    def test_quarter_below_normal_radius(self):
+        # r/2 loses digits below the smallest normal double; mu_{1/4}(r) = log(8/r) there
+        for r in (5e-324, 1e-310, sys.float_info.min):
+            assert mu_a(0.25, r) == pytest.approx(math.log(8.0) - math.log(r), rel=1e-15)
+
+    def test_cubic_agm_reaches_no_cap(self):
+        from qcfun.means import _agm3
+        assert _agm3(1.0, 1.0) == 1.0
+        for s in (5e-324 ** (2.0 / 3.0), 1e-300, 1e-16, 0.5, 1.0 - 2.0 ** -52):
+            assert 0.0 < _agm3(1.0, s) < 1.0
+        with pytest.raises(ConvergenceError):
+            _agm3(1.0, math.nan)
 
 
 class TestMuADerivative:
@@ -287,6 +337,37 @@ class TestMuAInv:
     @pytest.mark.parametrize("y", [0.5, 2.0, 7.0])
     def test_reduces_to_mu_inv(self, y):
         assert mu_a_inv(0.5, y).r == pytest.approx(mu_inv(y).r, rel=1e-11)
+
+    @given(st.floats(min_value=0.004, max_value=700.0))
+    @settings(max_examples=150, deadline=None)
+    def test_quarter_theta_route_against_newton_oracle(self, y):
+        try:
+            u = mu_a_inv(0.25, y)
+        except ConvergenceError:
+            # r' ~ k'^2/2 underflows first, below y ~ 0.0069
+            assert y < 0.007
+            return
+        oracle = modulus._mu_a_newton(0.25, y)
+        y_sym = math.pi / math.sqrt(2.0)
+        got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
+        assert abs(got - want) <= 1e-11 * want
+        assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
+
+    @given(st.sampled_from((0.5, 0.25)), st.floats(min_value=0.004, max_value=700.0))
+    @settings(max_examples=300, deadline=None)
+    def test_theta_routes_round_trip(self, a, y):
+        try:
+            u = mu_a_inv(a, y)
+        except ConvergenceError:
+            assert a == 0.25 and y < 0.007
+            return
+        assert abs(mu_a(a, u) - y) <= 1e-15 * max(1.0, y)
+
+    def test_quarter_complement_underflow_signalled(self):
+        # k' from mu_inv is normal here, but r' = k'^2/(1+k^2) is not
+        for y in (0.0069, 0.005):
+            with pytest.raises(ConvergenceError, match="underflows"):
+                mu_a_inv(0.25, y)
 
     @pytest.mark.parametrize("a", A_GRID)
     def test_symmetric_point(self, a):

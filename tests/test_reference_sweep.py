@@ -11,6 +11,7 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
+from qcfun import modulus
 from qcfun import (
     HypergeomParams,
     UnitRadius,
@@ -107,6 +108,17 @@ def test_mu_a_fused_series(a, r_sq):
     r = math.sqrt(r_sq)
     want = mu_a_mp(a, r)
     assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1e-15
+
+
+@pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0])
+@pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12])
+def test_mu_a_closed_forms(a, r):
+    # the closed-form routes: mu, mu at the Landen radius, and the cubic AGM quotient
+    want = mu_a_mp(a, r)
+    assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1.5e-15
+    f_want = mp.hyp2f1(mp.mpf(a), 1 - mp.mpf(a), 1, mp.mpf(r) ** 2)
+    f = modulus._mu_a_parts(a, UnitRadius.from_r(r))[1]
+    assert abs(mp.mpf(f) - f_want) / f_want < 1.5e-15
 
 
 def test_mu_a_inv_scaled_to_signature():
