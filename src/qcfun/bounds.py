@@ -1,18 +1,22 @@
 """Catalog of the explicit distortion constants and bounds.
 
 Each entry is a closed-form (or modulus-expressible) function of its listed
-parameters, evaluated on its stated domain.  The plane entries tied to the
-Teichmuller capacity exist only for n = 2; asking for another dimension
-raises :class:`UnsupportedDimensionError` because no formula exists there.
+parameters, evaluated on its stated domain.  ``_CATALOG`` holds every entry's
+parameter names and formula, once; the CLI builds its ``bounds`` flags from
+it.  A value beyond the double range raises :class:`OverflowSignal`.  The
+plane entries tied to the Teichmuller capacity exist only for n = 2; asking
+for another dimension raises :class:`UnsupportedDimensionError` because no
+formula exists there.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable
 
 from .distortion import phi_K
-from .errors import DomainError, UnsupportedDimensionError
+from .errors import DomainError, OverflowSignal, UnsupportedDimensionError
 from .modulus import tau2_inv, teichmuller_tau2
 from .specfun import gamma_fn
 
@@ -28,36 +32,16 @@ __all__ = [
 
 
 class BoundId(Enum):
-    GehringD2 = "GehringD2"                  # d(2,K) = exp(pi K)
-    VuorinenC2 = "VuorinenC2"                # c(2,K) = 1 + tau2^-1(tau2(1)/K)
-    SeittenrantaS = "SeittenrantaS"          # s(K) = exp(6 (K+1)^2 sqrt(K-1))
-    MoriConstant = "MoriConstant"            # 64^(1 - 1/K)
-    BeurlingAhlforsK = "BeurlingAhlforsK"    # min(M^(3/2), 2M - 1)
-    KuhnauTriangleK = "KuhnauTriangleK"      # sqrt((1+d)/(1-d)), d = |1 - alpha|
-    AgardGehringLower = "AgardGehringLower"  # 1 + (M-1)/4 on (1,2)
-    EtaKnUpper = "EtaKnUpper"                # three-branch quasisymmetry bound
-    HaymanSchottky = "HaymanSchottky"        # exp((pi + log+ t)(1+r)/(1-r))
-    SurfaceArea = "SurfaceArea"              # omega_{n-1} = n pi^(n/2) / Gamma(1 + n/2)
-
-
-# entry -> parameter names, for validation and the CLI
-_SIGNATURES: dict[BoundId, tuple[str, ...]] = {
-    BoundId.GehringD2: ("K",),
-    BoundId.VuorinenC2: ("K",),
-    BoundId.SeittenrantaS: ("K",),
-    BoundId.MoriConstant: ("K",),
-    BoundId.BeurlingAhlforsK: ("M",),
-    BoundId.KuhnauTriangleK: ("alpha",),
-    BoundId.AgardGehringLower: ("M",),
-    BoundId.EtaKnUpper: ("K", "t", "n"),
-    BoundId.HaymanSchottky: ("r", "t"),
-    BoundId.SurfaceArea: ("n",),
-}
-
-
-def bound_signature(bound_id: BoundId) -> tuple[str, ...]:
-    """Parameter names of a catalog entry, in call order."""
-    return _SIGNATURES[bound_id]
+    GehringD2 = "GehringD2"
+    VuorinenC2 = "VuorinenC2"
+    SeittenrantaS = "SeittenrantaS"
+    MoriConstant = "MoriConstant"
+    BeurlingAhlforsK = "BeurlingAhlforsK"
+    KuhnauTriangleK = "KuhnauTriangleK"
+    AgardGehringLower = "AgardGehringLower"
+    EtaKnUpper = "EtaKnUpper"
+    HaymanSchottky = "HaymanSchottky"
+    SurfaceArea = "SurfaceArea"
 
 
 def _require_K(K: float) -> float:
@@ -66,11 +50,27 @@ def _require_K(K: float) -> float:
     return K
 
 
+def _finite(name: str, names: tuple[str, ...], formula: Callable[..., float], params) -> float:
+    """formula(*params), with a value beyond the double range as OverflowSignal."""
+    try:
+        value = formula(*params)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        args = ", ".join(f"{n}={v!r}" for n, v in zip(names, params))
+        raise OverflowSignal(f"{name}({args}) exceeds double precision")
+    return value
+
+
 def surface_area(n: float) -> float:
-    """Surface area omega_{n-1} = n pi^(n/2) / Gamma(1 + n/2) of the unit sphere."""
+    """Surface area omega_{n-1} = n pi^(n/2) / Gamma(1 + n/2) of the unit sphere.
+
+    Gamma(1 + n/2) overflows first, so n > 340 raises :class:`OverflowSignal`.
+    """
     if not (n >= 1 and math.isfinite(n)):
         raise DomainError(f"surface_area requires n >= 1, got {n}")
-    return n * math.pi ** (0.5 * n) / gamma_fn(1.0 + 0.5 * n)
+    gamma = gamma_fn(1.0 + 0.5 * n)
+    return n * math.pi ** (0.5 * n) / gamma
 
 
 def gehring_d2_composite(K: float) -> float:
@@ -78,18 +78,54 @@ def gehring_d2_composite(K: float) -> float:
 
     exp[(K omega_1 / tau_2(1))^(1/(n-1))] with omega_1 = 2 pi and tau_2(1)
     evaluated live; the module self-check pins this against exp(pi K).
+    Above K ~ 225 the value overflows and raises :class:`OverflowSignal`.
     """
     _require_K(K)
-    return math.exp(K * surface_area(2.0) / teichmuller_tau2(1.0))
+    return _finite("gehring_d2_composite", ("K",),
+                   lambda K: math.exp(K * surface_area(2.0) / teichmuller_tau2(1.0)), (K,))
+
+
+def _seittenranta(K: float) -> float:
+    # s(K) = exp(6 (K+1)^2 sqrt(K-1)), past the double range from K ~ 6.25
+    return math.exp(6.0 * (_require_K(K) + 1.0) ** 2 * math.sqrt(K - 1.0))
+
+
+def _beurling_ahlfors(M: float) -> float:
+    # min(M^(3/2), 2M - 1); the power wins only below M = phi^2 ~ 2.618, and
+    # above 4 it is not formed, since it overflows long before 2M - 1 does
+    if not (M >= 1.0 and math.isfinite(M)):
+        raise DomainError(f"BeurlingAhlforsK requires M >= 1, got {M}")
+    if M > 4.0:
+        return 2.0 * M - 1.0
+    return min(M ** 1.5, 2.0 * M - 1.0)
+
+
+def _kuhnau_triangle(alpha: float) -> float:
+    # sqrt((1+d)/(1-d)) with d = 1 - alpha, i.e. sqrt((2-alpha)/alpha); a lower
+    # bound, attained for every least-angle fraction alpha in (0, 1/3].  The
+    # exact scaling by 2^600 keeps the quotient finite below alpha ~ 1e-308.
+    if not (0.0 < alpha <= 1.0 / 3.0):
+        raise DomainError(
+            f"KuhnauTriangleK requires least-angle fraction alpha in (0, 1/3], got {alpha}"
+        )
+    return math.sqrt((2.0 - alpha) / (alpha * 2.0 ** 600)) * 2.0 ** 300
+
+
+def _agard_gehring(M: float) -> float:
+    # 1 + (M-1)/4, stated on M in (1,2)
+    if not (1.0 < M < 2.0):
+        raise DomainError(f"AgardGehringLower is stated only for M in (1,2), got {M}")
+    return 1.0 + 0.25 * (M - 1.0)
 
 
 def _eta_kn_upper(K: float, t: float, n: float) -> float:
+    # s(K) eta(t): the plane distortion at n = 2, a power bracket at n >= 3
     _require_K(K)
     if not (t > 0 and math.isfinite(t)):
         raise DomainError(f"EtaKnUpper requires t > 0, got {t}")
-    if n != int(n) or n < 2:
+    if not (math.isfinite(n) and n == int(n) and n >= 2):
         raise DomainError(f"EtaKnUpper requires integer n >= 2, got {n}")
-    eta1 = math.exp(6.0 * (K + 1.0) ** 2 * math.sqrt(K - 1.0))
+    eta1 = _seittenranta(K)
     if t == 1.0:
         return eta1
     if n == 2:
@@ -106,80 +142,63 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
     return eta1 * lam ** (beta - 1.0) * t ** beta
 
 
+def _hayman_schottky(r: float, t: float) -> float:
+    # exp((pi + log+ t)(1+r)/(1-r))
+    if not (0.0 <= r < 1.0):
+        raise DomainError(f"HaymanSchottky requires r in [0,1), got {r}")
+    if not (t > 0 and math.isfinite(t)):
+        raise DomainError(f"HaymanSchottky requires t > 0, got {t}")
+    log_plus_t = max(0.0, math.log(t))
+    return math.exp((math.pi + log_plus_t) * (1.0 + r) / (1.0 - r))
+
+
+# entry -> (parameter names in call order, formula); each formula checks its own domain
+_CATALOG: dict[BoundId, tuple[tuple[str, ...], Callable[..., float]]] = {
+    # d(2,K) = exp(pi K)
+    BoundId.GehringD2: (("K",), lambda K: math.exp(math.pi * _require_K(K))),
+    # c(2,K) = 1 + tau2^-1(tau2(1)/K)
+    BoundId.VuorinenC2: (("K",), lambda K: 1.0 + tau2_inv(teichmuller_tau2(1.0) / _require_K(K))),
+    BoundId.SeittenrantaS: (("K",), _seittenranta),
+    # 64^(1 - 1/K)
+    BoundId.MoriConstant: (("K",), lambda K: math.exp((1.0 - 1.0 / _require_K(K)) * math.log(64.0))),
+    BoundId.BeurlingAhlforsK: (("M",), _beurling_ahlfors),
+    BoundId.KuhnauTriangleK: (("alpha",), _kuhnau_triangle),
+    BoundId.AgardGehringLower: (("M",), _agard_gehring),
+    BoundId.EtaKnUpper: (("K", "t", "n"), _eta_kn_upper),
+    BoundId.HaymanSchottky: (("r", "t"), _hayman_schottky),
+    BoundId.SurfaceArea: (("n",), surface_area),
+}
+
+
+def bound_signature(bound_id: BoundId) -> tuple[str, ...]:
+    """Parameter names of a catalog entry, in call order."""
+    return _CATALOG[bound_id][0]
+
+
 def bound_value(bound_id: BoundId, params) -> float:
     """Evaluate a catalog entry at an ordered parameter list.
 
-    Raises :class:`DomainError` with an entry-specific message outside the
-    stated domain; dimension-indexed entries only exist at n = 2.
+    Raises :class:`DomainError` for an unknown id, a wrong number of
+    parameters, a non-numeric parameter, or a point outside the entry's
+    stated domain (dimension-indexed entries only exist at n = 2), and
+    :class:`OverflowSignal` when the value exceeds double precision.
     """
     if not isinstance(bound_id, BoundId):
-        bound_id = BoundId(str(bound_id))
-    params = [float(v) for v in params]
-    expected = _SIGNATURES[bound_id]
-    if len(params) != len(expected):
+        try:
+            bound_id = BoundId(str(bound_id))
+        except ValueError:
+            known = ", ".join(b.value for b in BoundId)
+            raise DomainError(f"unknown bound id {bound_id!r}; known ids: {known}") from None
+    names, formula = _CATALOG[bound_id]
+    try:
+        params = [float(v) for v in params]
+    except (TypeError, ValueError):
+        raise DomainError(f"{bound_id.value} takes numeric parameters {names}, got {params!r}") from None
+    if len(params) != len(names):
         raise DomainError(
-            f"{bound_id.value} takes parameters {expected}, got {len(params)} value(s)"
+            f"{bound_id.value} takes parameters {names}, got {len(params)} value(s)"
         )
-
-    if bound_id is BoundId.GehringD2:
-        (K,) = params
-        return math.exp(math.pi * _require_K(K))
-
-    if bound_id is BoundId.VuorinenC2:
-        (K,) = params
-        _require_K(K)
-        return 1.0 + tau2_inv(teichmuller_tau2(1.0) / K)
-
-    if bound_id is BoundId.SeittenrantaS:
-        (K,) = params
-        _require_K(K)
-        return math.exp(6.0 * (K + 1.0) ** 2 * math.sqrt(K - 1.0))
-
-    if bound_id is BoundId.MoriConstant:
-        (K,) = params
-        _require_K(K)
-        return math.exp((1.0 - 1.0 / K) * math.log(64.0))
-
-    if bound_id is BoundId.BeurlingAhlforsK:
-        (M,) = params
-        if not (M >= 1.0 and math.isfinite(M)):
-            raise DomainError(f"BeurlingAhlforsK requires M >= 1, got {M}")
-        return min(M ** 1.5, 2.0 * M - 1.0)
-
-    if bound_id is BoundId.KuhnauTriangleK:
-        (alpha,) = params
-        if not (0.0 < alpha <= 1.0 / 3.0):
-            raise DomainError(
-                f"KuhnauTriangleK requires least-angle fraction alpha in (0, 1/3], got {alpha}"
-            )
-        d = abs(1.0 - alpha)
-        # lower-bound value; equality holds for every alpha in (0, 1/3]
-        return math.sqrt((1.0 + d) / (1.0 - d))
-
-    if bound_id is BoundId.AgardGehringLower:
-        (M,) = params
-        if not (1.0 < M < 2.0):
-            raise DomainError(f"AgardGehringLower is stated only for M in (1,2), got {M}")
-        return 1.0 + 0.25 * (M - 1.0)
-
-    if bound_id is BoundId.EtaKnUpper:
-        K, t, n = params
-        return _eta_kn_upper(K, t, n)
-
-    if bound_id is BoundId.HaymanSchottky:
-        r, t = params
-        if not (0.0 <= r < 1.0):
-            raise DomainError(f"HaymanSchottky requires r in [0,1), got {r}")
-        if not (t > 0 and math.isfinite(t)):
-            raise DomainError(f"HaymanSchottky requires t > 0, got {t}")
-        log_plus_t = max(0.0, math.log(t))
-        return math.exp((math.pi + log_plus_t) * (1.0 + r) / (1.0 - r))
-
-    if bound_id is BoundId.SurfaceArea:
-        (n,) = params
-        return surface_area(n)
-
-    raise DomainError(f"unknown bound id {bound_id!r}")
+    return _finite(bound_id.value, names, formula, params)
 
 
 def gehring_d(n: float, K: float) -> float:

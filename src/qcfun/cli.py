@@ -26,40 +26,30 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _radius_arg(r: float) -> UnitRadius:
-    return UnitRadius.from_r(r)
-
-
-# function registry: name -> (required flags, callable(args) -> float)
+# function registry: name -> (required flags, callable(args) -> float); a table
+# sweeps the last flag
 _EVAL_FNS = {
-    "mu": (("r",), lambda a: modulus.mu(_radius_arg(a.r))),
-    "muA": (("a", "r"), lambda a: modulus.mu_a(a.a, _radius_arg(a.r))),
-    "muADeriv": (("a", "r"), lambda a: modulus.mu_a_derivative(a.a, _radius_arg(a.r))),
+    "mu": (("r",), lambda a: modulus.mu(UnitRadius.from_r(a.r))),
+    "muA": (("a", "r"), lambda a: modulus.mu_a(a.a, UnitRadius.from_r(a.r))),
+    "muADeriv": (("a", "r"), lambda a: modulus.mu_a_derivative(a.a, UnitRadius.from_r(a.r))),
     "K": (("r",), lambda a: ellint_K(a.r)),
     "Kprime": (("r",), lambda a: ellint_Kprime(a.r)),
-    "phiK": (("K", "r"), lambda a: distortion.phi_K(a.K, _radius_arg(a.r)).r),
-    "phiA": (("a", "K", "r"), lambda a: distortion.phi_aK(a.a, a.K, _radius_arg(a.r)).r),
+    "phiK": (("K", "r"), lambda a: distortion.phi_K(a.K, UnitRadius.from_r(a.r)).r),
+    "phiA": (("a", "K", "r"), lambda a: distortion.phi_aK(a.a, a.K, UnitRadius.from_r(a.r)).r),
     "eta": (("K", "t"), lambda a: distortion.eta_K2(a.K, a.t)),
     "lambda": (("K",), lambda a: distortion.lambda_of_K(a.K)),
-    "schottky": (("r", "t"), lambda a: distortion.schottky_psi(a.r, a.t)),
+    "schottky": (("t", "r"), lambda a: distortion.schottky_psi(a.r, a.t)),
     "linearg": (("K", "x"), lambda a: distortion.linearized_g(a.K, a.x)),
-    "agmprod": (("r",), lambda a: modulus.agm_product_p(_radius_arg(a.r))),
+    "agmprod": (("r",), lambda a: modulus.agm_product_p(UnitRadius.from_r(a.r))),
     "gamma2": (("s",), lambda a: modulus.grotzsch_gamma2(a.s)),
     "tau2": (("t",), lambda a: modulus.teichmuller_tau2(a.t)),
 }
 
 _INVERT_FNS = {
     "mu": lambda a: modulus.mu_inv(a.y).r,
-    "muA": lambda a: modulus.mu_a_inv(a.a if a.a is not None else 0.5, a.y).r,
+    "muA": lambda a: modulus.mu_a_inv(a.a, a.y).r,
     "tau2": lambda a: modulus.tau2_inv(a.y),
     "gamma2": lambda a: modulus.gamma2_inv(a.y),
-}
-
-# table sweep variable per function
-_SWEEP_VAR = {
-    "mu": "r", "muA": "r", "K": "r", "Kprime": "r", "phiK": "r", "phiA": "r",
-    "agmprod": "r", "eta": "t", "schottky": "r", "lambda": "K", "linearg": "x",
-    "gamma2": "s", "tau2": "t",
 }
 
 
@@ -86,10 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invert", help="invert mu, muA, tau2 or gamma2")
     p_inv.add_argument("--fn", required=True, choices=sorted(_INVERT_FNS))
     p_inv.add_argument("--y", type=float, required=True)
-    p_inv.add_argument("--a", type=float, help="signature for muA (default 1/2)")
+    p_inv.add_argument("--a", type=float, default=0.5, help="signature for muA (default 1/2)")
 
     p_table = sub.add_parser("table", help="sweep a function over a grid")
-    p_table.add_argument("--fn", required=True, choices=sorted(_SWEEP_VAR))
+    p_table.add_argument("--fn", required=True, choices=sorted(_EVAL_FNS))
     p_table.add_argument("--from", dest="start", type=float, required=True)
     p_table.add_argument("--to", dest="stop", type=float, required=True)
     p_table.add_argument("--step", type=float, required=True)
@@ -115,12 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", choices=sorted(b.value for b in BoundId))
     group.add_argument("--list", action="store_true")
-    p_bounds.add_argument("--K", type=float)
-    p_bounds.add_argument("--M", type=float)
-    p_bounds.add_argument("--alpha", type=float)
-    p_bounds.add_argument("--t", type=float)
-    p_bounds.add_argument("--r", type=float)
-    p_bounds.add_argument("--n", type=float)
+    for name in dict.fromkeys(name for b in BoundId for name in bound_signature(b)):
+        p_bounds.add_argument(f"--{name}", type=float)
 
     p_geom = sub.add_parser("geom", help="generate or check planar curves")
     geom_sub = p_geom.add_subparsers(dest="action", required=True)
@@ -158,8 +144,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    if args.fn == "muA" and args.a is None:
-        args.a = 0.5
     print(_fmt(_INVERT_FNS[args.fn](args)))
     return 0
 
@@ -175,32 +159,28 @@ def _grid_points(start: float, stop: float, step: float) -> list[float]:
 
 
 def _cmd_table(args) -> int:
-    sweep = _SWEEP_VAR[args.fn]
     names, fn = _EVAL_FNS[args.fn]
-    fixed = [n for n in names if n != sweep]
+    *fixed, sweep = names
     _require(args, fixed, args.fn)
     grid = _grid_points(args.start, args.stop, args.step)
-    values = []
+    rows = []  # (formatted value, None) or (None, error message) per grid point
     for v in grid:
         setattr(args, sweep, v)
         try:
-            values.append(_fmt(fn(args)))
+            rows.append((_fmt(fn(args)), None))
         except QcfunError as exc:
-            values.append(f"error: {exc}")
+            rows.append((None, str(exc)))
     if args.format == "csv":
         print(f"{sweep},value,error")
-        for v, res in zip(grid, values):
-            if res.startswith("error: "):
-                print(f"{_fmt(v)},,{res[7:]}")
-            else:
-                print(f"{_fmt(v)},{res},")
+        for v, (value, error) in zip(grid, rows):
+            print(f"{_fmt(v)},{value or ''},{error or ''}")
     else:
         payload = {
             "function": args.fn,
             "params": {n: getattr(args, n) for n in fixed},
             "grid": [_fmt(v) for v in grid],
-            "values": [None if res.startswith("error: ") else res for res in values],
-            "errors": [res[7:] if res.startswith("error: ") else None for res in values],
+            "values": [value for value, _ in rows],
+            "errors": [error for _, error in rows],
         }
         print(json.dumps(payload, indent=2))
     return 0
@@ -258,7 +238,7 @@ def _cmd_bounds(args) -> int:
     names = bound_signature(bound)
     params = []
     for name in names:
-        v = getattr(args, "alpha" if name == "alpha" else name)
+        v = getattr(args, name)
         if v is None:
             if name == "n" and bound is BoundId.EtaKnUpper:
                 v = 2.0
@@ -320,10 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PolylineFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except DomainError as exc:
+    except (PolylineFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except QcfunError as exc:

@@ -21,6 +21,7 @@ Pure functions throughout; safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
 from .modulus import (
@@ -155,9 +156,19 @@ def linearized_g(K: float, x: float) -> float:
 
 
 def _logit_conjugate(distortion, x: float) -> float:
-    """p(distortion(q(x))) with p = logit, q = p^{-1}, through the complement channel."""
-    q = 1.0 / (1.0 + math.exp(-x))
-    one_minus_q = 1.0 / (1.0 + math.exp(x))
+    """p(distortion(q(x))) with p = logit, q = p^{-1}, through the complement channel.
+
+    q and 1 - q are e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|), so no
+    exponential overflows.  Where the smaller one falls below the normal
+    double range (|x| above about 708.4) it has lost digits, and
+    :class:`ConvergenceError` is raised, as :func:`phi_K` does for a radius
+    or complement there.
+    """
+    e = math.exp(-abs(x))
+    small, big = e / (1.0 + e), 1.0 / (1.0 + e)
+    if small < sys.float_info.min:
+        raise ConvergenceError(f"logit inverse q({x}) or its complement underflows double precision")
+    q, one_minus_q = (big, small) if x >= 0.0 else (small, big)
     arg = UnitRadius(q, math.sqrt(one_minus_q * (1.0 + q)))
     v = distortion(arg)
     return math.log(v.r) + math.log1p(v.r) - 2.0 * math.log(v.comp)

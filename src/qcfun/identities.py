@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
-from .modulus import SQRT_HALF, UnitRadius, agm_product_p, mu, mu_a, mu_inv
+from .modulus import SQRT_HALF, UnitRadius, agm_product_p, as_radius, mu, mu_a, mu_inv
 from .specfun import HypergeomParams, _balanced_r0, beta_fn, gauss_F, ramanujan_R
 
 __all__ = [
@@ -185,27 +186,27 @@ def _e5b(r):
 
 
 def _phiid1(s):
-    u = UnitRadius.from_r(s)
+    u = as_radius(s)
     x, y = phi_K(math.sqrt(5.0), u), phi_K(1.0 / math.sqrt(5.0), u)
     prod = x.r * y.r * x.comp * y.comp
     return x.r * y.r + x.comp * y.comp + 2.0 ** (5.0 / 3.0) * prod ** _THIRD - 1.0
 
 
 def _phiid2(s):
-    u = UnitRadius.from_r(s)
+    u = as_radius(s)
     x, y = phi_K(math.sqrt(7.0), u), phi_K(1.0 / math.sqrt(7.0), u)
     return (x.r * y.r) ** 0.25 + (x.comp * y.comp) ** 0.25 - 1.0
 
 
 def _phiid3(s):
-    u = UnitRadius.from_r(s)
+    u = as_radius(s)
     x, y = phi_K(3.0, u), phi_K(3.0, u.swapped)
     rhs = 2.0 ** _THIRD * (u.r * u.r * u.comp * u.comp) ** (1.0 / 24.0)
     return (x.r * y.r) ** 0.25 + (x.comp * y.comp) ** 0.25 - rhs
 
 
 def _phiid4(s):
-    u = UnitRadius.from_r(s)
+    u = as_radius(s)
     x, y = phi_K(math.sqrt(23.0), u), phi_K(1.0 / math.sqrt(23.0), u)
     prod = x.r * x.comp * y.r * y.comp
     return (x.r * y.r) ** 0.25 + (x.comp * y.comp) ** 0.25 + 2.0 ** (2.0 / 3.0) * prod ** (1.0 / 12.0) - 1.0
@@ -220,7 +221,7 @@ def _phiid4_printed(s):
 
 
 def _phiid5(s):
-    u = UnitRadius.from_r(s)
+    u = as_radius(s)
     x = phi_K(math.sqrt(5.0 / 3.0), u)
     y = phi_K(math.sqrt(3.0 / 5.0), u)
     xy, xcyc = x.r * y.r, x.comp * y.comp
@@ -230,38 +231,6 @@ def _phiid5(s):
         - (xy * xcyc) ** 0.25
         - math.sqrt(0.5 * (1.0 + xy + xcyc))
     )
-
-
-def _fixed_u(K):
-    return phi_K(K, SQRT_HALF)
-
-
-def _fixed1():
-    u = _fixed_u(math.sqrt(5.0))
-    m = u.r * u.comp
-    return 2.0 * m + 2.0 ** (5.0 / 3.0) * m ** (2.0 / 3.0) - 1.0
-
-
-def _fixed2():
-    u = _fixed_u(math.sqrt(7.0))
-    return 2.0 * (u.r * u.comp) ** 0.25 - 1.0
-
-
-def _fixed3():
-    u = _fixed_u(3.0)
-    return math.sqrt(u.r) + math.sqrt(u.comp) - 2.0 ** 0.25
-
-
-def _fixed4():
-    u = _fixed_u(math.sqrt(23.0))
-    m = u.r * u.comp
-    return 2.0 * m ** 0.25 + 2.0 ** (2.0 / 3.0) * m ** (1.0 / 6.0) - 1.0
-
-
-def _fixed5():
-    u = _fixed_u(math.sqrt(5.0 / 3.0))
-    m = u.r * u.comp
-    return 2.0 * m ** 0.25 - math.sqrt(m) - math.sqrt(0.5 * (1.0 + 2.0 * m))
 
 
 def _bbg(p, r):
@@ -471,11 +440,13 @@ _register(IdentityCase("PhiId4", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid4,
                             "phiid4_printed experiment); evaluated with x = phi_{sqrt23}(s), "
                             "y = phi_{1/sqrt23}(s)"))
 _register(IdentityCase("PhiId5", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid5, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("Fixed1", CaseKind.Equality, (), (), _fixed1, _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed2", CaseKind.Equality, (), (), _fixed2, _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed3", CaseKind.Equality, (), (), _fixed3, _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed4", CaseKind.Equality, (), (), _fixed4, _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed5", CaseKind.Equality, (), (), _fixed5, _EQ_TOL, ((),)))
+# at the self-dual point s = s' = 1/sqrt 2, y = x', so each composition identity
+# above is its fixed-point relation
+_register(IdentityCase("Fixed1", CaseKind.Equality, (), (), partial(_phiid1, SQRT_HALF), _EQ_TOL, ((),)))
+_register(IdentityCase("Fixed2", CaseKind.Equality, (), (), partial(_phiid2, SQRT_HALF), _EQ_TOL, ((),)))
+_register(IdentityCase("Fixed3", CaseKind.Equality, (), (), partial(_phiid3, SQRT_HALF), _EQ_TOL, ((),)))
+_register(IdentityCase("Fixed4", CaseKind.Equality, (), (), partial(_phiid4, SQRT_HALF), _EQ_TOL, ((),)))
+_register(IdentityCase("Fixed5", CaseKind.Equality, (), (), partial(_phiid5, SQRT_HALF), _EQ_TOL, ((),)))
 _register(IdentityCase("BBG2", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg2, _EQ_TOL, _pts(R_GRID)))
 _register(IdentityCase("BBG5", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg5, _EQ_TOL, _pts(R_GRID)))
 _register(IdentityCase("BBG11", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg11, _EQ_TOL, _pts(R_GRID),

@@ -14,7 +14,6 @@ Pure functions throughout; safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 
 from .errors import ConvergenceError, DivergenceError, DomainError
@@ -140,22 +139,13 @@ def ellint_K_from_comp(comp: float, r: float) -> float:
 
     With the complement known exactly the AGM stays accurate down to 1e-7;
     below that the two-term complement expansion
-    K = L + (c^2/4)(L - 1), L = log(4/c), is exact to O(c^4 L), and the
-    elementary bracket guards it.  ``r`` may be a rounded 1.0 when ``comp``
-    is tiny; only ``comp`` matters then.
+    K = L + (c^2/4)(L - 1), L = log(4/c), is exact to O(c^4 L); L is taken as
+    log 4 - log c, so that 4/c cannot overflow.  ``r`` may be a rounded 1.0
+    when ``comp`` is tiny; only ``comp`` matters then.
     """
     if comp < 1e-7:
-        if comp > sys.float_info.min:
-            log4c = math.log(4.0 / comp)
-        else:  # 4/c overflows from here down
-            log4c = math.log(4.0) - math.log(comp)
-        value = log4c + 0.25 * comp * comp * (log4c - 1.0)
-        r_sq = 1.0 - comp * comp
-        lo = 9.0 / (8.0 + r_sq) * log4c
-        hi = 4.0 / (3.0 + r_sq) * log4c
-        if not (lo * (1.0 - 1e-12) <= value <= hi * (1.0 + 1e-12)):
-            raise ConvergenceError("complement expansion left the elliptic bracket")
-        return value
+        log4c = math.log(4.0) - math.log(comp)
+        return log4c + 0.25 * comp * comp * (log4c - 1.0)
     return math.pi / (2.0 * agm(1.0, comp))
 
 

@@ -42,7 +42,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, OverflowSignal
 from .means import _agm3, agm, comp_radius, ellint_K_from_comp
 from .specfun import _balanced_r0, _balanced_sums
 
@@ -279,12 +279,17 @@ def mu_a_derivative(a: float, x) -> float:
 
     F comes from the same route as :func:`mu_a`, closed form at a = 1/2,
     1/4 and 1/3; its relative error there against mpmath was at most 3.4e-16,
-    5.1e-16 and 7.7e-16 on the samples of :func:`mu_a`.
+    5.1e-16 and 7.7e-16 on the samples of :func:`mu_a`.  A slope beyond the
+    double range raises :class:`OverflowSignal`: at subnormal r, and at r'
+    below about 1e-156 (3e-156 at a = 0.01).
     """
     a = check_signature(a)
     u = as_radius(x)
     _, f_den = _mu_a_parts(a, u)
-    return -1.0 / (u.r * u.comp * u.comp * f_den * f_den)
+    den = u.r * u.comp * u.comp * f_den * f_den
+    if not den > 2.0 ** -1024:  # 1/den overflows exactly from here down (den may be 0)
+        raise OverflowSignal(f"mu_a_derivative({a}, r = {u.r}, r' = {u.comp}) exceeds double precision")
+    return -1.0 / den
 
 
 def mu_a_inv(a: float, y: float) -> UnitRadius:

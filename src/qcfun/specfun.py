@@ -92,14 +92,18 @@ class AsymptoticClass:
 def gamma_fn(x: float) -> float:
     """Gamma function on (0, 171].
 
-    Relative error below 1e-13 on [1e-3, 170]; arguments above 171 overflow
-    double precision and raise :class:`OverflowSignal`.
+    Relative error below 1e-13 on [1e-3, 170]; arguments above 171, and
+    below about 5.6e-309 where Gamma(x) ~ 1/x, overflow double precision and
+    raise :class:`OverflowSignal`.
     """
     if not (x > 0):
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
     if x > 171.0:
         raise OverflowSignal(f"gamma_fn overflows double precision for x = {x} > 171")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowSignal(f"gamma_fn overflows double precision for x = {x}") from None
 
 
 # Bernoulli-number coefficients B_{2k}/(2k) of the de Moivre expansion of psi.
@@ -138,12 +142,19 @@ def digamma_fn(x: float) -> float:
 
 
 def beta_fn(a: float, b: float) -> float:
-    """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), relative error <= 1e-12."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta_fn requires positive arguments, got ({a}, {b})")
-    if a + b <= 170.0:
-        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), relative error <= 1e-12.
+
+    Gamma of an argument below about 5.6e-309, or lgamma above about 2.5e305,
+    overflows double precision and raises :class:`OverflowSignal`.
+    """
+    if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
+    try:
+        if a + b <= 170.0:
+            return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    except OverflowError:
+        raise OverflowSignal(f"beta_fn({a}, {b}) overflows double precision") from None
 
 
 def _balanced_r0(a: float, b: float) -> float:
@@ -218,7 +229,9 @@ def gauss_F_near_one(a: float, b: float, w: float, log_w: float | None = None) -
     This is S1 / B(a,b) of :func:`_balanced_sums`, the connection formula
     whose n = 0 term is the R(a,b) - log(1-r) asymptotic.  Taking w as the
     argument keeps log w exact when 1-r is known to more digits than r;
-    ``log_w`` may be supplied separately when w itself underflows.
+    ``log_w`` may be supplied separately when w itself underflows.  Where
+    the series or the beta normaliser leaves the double range (large a, b)
+    :class:`OverflowSignal` is raised.
     """
     if log_w is None:
         if not (0.0 < w <= 0.5):
@@ -226,7 +239,12 @@ def gauss_F_near_one(a: float, b: float, w: float, log_w: float | None = None) -
         log_w = math.log(w)
     elif not (0.0 <= w <= 0.5):
         raise DomainError(f"gauss_F_near_one requires complement in [0, 0.5], got {w}")
-    return _balanced_sums(a, b, w, log_w)[1] / beta_fn(a, b)
+    s1 = _balanced_sums(a, b, w, log_w)[1]
+    beta = beta_fn(a, b)
+    if not (beta > 0.0 and math.isfinite(s1)):
+        raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "
+                             "B(a,b) leaves double precision")
+    return s1 / beta
 
 
 def gauss_F(p: HypergeomParams, r: float) -> float:
@@ -250,7 +268,8 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
     """Classify the r -> 1 behaviour of F(a,b;c;r) and return the case constant.
 
     Requires a, b, c > 0.  Case A's limit F(a,b;c;1) is evaluated by the Gauss
-    formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).
+    formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).  A gamma ratio
+    that leaves the double range raises :class:`OverflowSignal`.
     """
     if isinstance(p, tuple):
         p = HypergeomParams(*p)
@@ -259,14 +278,17 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
     d = p.c - (p.a + p.b)
     if p.zero_balanced:
         return AsymptoticClass(BoundaryCase.B, _balanced_r0(p.a, p.b))
-    if d > 0:
-        # c > a + b forces c - a > b > 0 and c - b > a > 0, so this is total.
-        if max(p.c, d) <= 171.0:
-            const = gamma_fn(p.c) * gamma_fn(d) / (gamma_fn(p.c - p.a) * gamma_fn(p.c - p.b))
-        else:
-            const = math.exp(
-                math.lgamma(p.c) + math.lgamma(d) - math.lgamma(p.c - p.a) - math.lgamma(p.c - p.b)
-            )
-        return AsymptoticClass(BoundaryCase.A, const)
-    const = beta_fn(p.c, -d) / beta_fn(p.a, p.b)
-    return AsymptoticClass(BoundaryCase.C, const)
+    try:
+        if d > 0:
+            # c > a + b forces c - a > b > 0 and c - b > a > 0, so this is total.
+            if max(p.c, d) <= 171.0:
+                const = gamma_fn(p.c) * gamma_fn(d) / (gamma_fn(p.c - p.a) * gamma_fn(p.c - p.b))
+            else:
+                const = math.exp(
+                    math.lgamma(p.c) + math.lgamma(d) - math.lgamma(p.c - p.a) - math.lgamma(p.c - p.b)
+                )
+            return AsymptoticClass(BoundaryCase.A, const)
+        return AsymptoticClass(BoundaryCase.C, beta_fn(p.c, -d) / beta_fn(p.a, p.b))
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowSignal(f"boundary constant of F{(p.a, p.b, p.c)}: a gamma ratio "
+                             "leaves double precision") from None

@@ -1,12 +1,17 @@
 """Catalog of explicit constants and bounds."""
 
+import decimal
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from qcfun import (
     BoundId,
     DomainError,
+    OverflowSignal,
+    QcfunError,
     UnsupportedDimensionError,
     bound_value,
     eta_K2,
@@ -17,6 +22,7 @@ from qcfun import (
     surface_area,
     vuorinen_c,
 )
+from qcfun.bounds import bound_signature
 
 
 class TestClosedForms:
@@ -91,6 +97,37 @@ class TestEtaKnUpper:
         with pytest.raises(DomainError):
             bound_value(BoundId.EtaKnUpper, [2.0, 1.0, 2.5])
 
+    @pytest.mark.parametrize("t", [1e-6, 0.3, 0.9])
+    def test_plane_branch_below_one_k2_closed_form(self, t):
+        # phi_2(t) = 2 sqrt(t) / (1 + t)
+        expected = math.exp(54.0) * 2.0 * math.sqrt(t) / (1.0 + t)
+        assert bound_value(BoundId.EtaKnUpper, [2.0, t, 2.0]) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1.1, 4.0, 1e6])
+    def test_plane_branch_above_one_k2_closed_form(self, t):
+        # phi_{1/2}(s) is the u with 2 sqrt(u) / (1 + u) = s: sqrt(u) = (1 - sqrt(1 - s^2)) / s
+        s = 1.0 / t
+        root_u = s / (1.0 + math.sqrt((1.0 - s) * (1.0 + s)))
+        expected = math.exp(54.0) / (root_u * root_u)
+        assert bound_value(BoundId.EtaKnUpper, [2.0, t, 2.0]) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_power_bracket_in_space(self, t):
+        K, n = 2.0, 3.0
+        eta1, lam, alpha = math.exp(54.0), 2.0 * math.exp(n - 1.0), K ** (-0.5)
+        power = alpha if t < 1.0 else 1.0 / alpha
+        expected = eta1 * lam ** abs(power - 1.0) * t ** power
+        assert bound_value(BoundId.EtaKnUpper, [K, t, n]) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("params", [
+        [2.0, math.inf, 2.0], [2.0, -1.0, 2.0], [2.0, math.nan, 2.0],
+        [2.0, 0.0, 3.0], [2.0, -1.0, 3.0], [2.0, math.inf, 3.0], [2.0, math.nan, 3.0],
+        [2.0, 0.5, 1.0], [2.0, 0.5, math.nan], [2.0, 0.5, math.inf], [0.5, 0.5, 2.0],
+    ])
+    def test_domain_checks(self, params):
+        with pytest.raises(DomainError):
+            bound_value(BoundId.EtaKnUpper, params)
+
 
 class TestConsistency:
     @pytest.mark.parametrize("K", [1.0, 1.5, 2.0, 3.0, 5.0])
@@ -149,3 +186,112 @@ class TestErrors:
         assert bound_value("MoriConstant", [2.0]) == pytest.approx(8.0, rel=1e-12)
         with pytest.raises(ValueError):
             bound_value("NoSuchBound", [1.0])
+
+    def test_unknown_id_lists_known_ids(self):
+        with pytest.raises(DomainError, match="known ids: GehringD2, VuorinenC2"):
+            bound_value("NoSuchBound", [1.0])
+
+    @pytest.mark.parametrize("params", [["abc"], [None], [1j], 2.0])
+    def test_non_numeric_parameter(self, params):
+        with pytest.raises(DomainError, match="numeric"):
+            bound_value(BoundId.MoriConstant, params)
+
+    @pytest.mark.parametrize("M", [0.5, math.inf, math.nan])
+    def test_beurling_ahlfors_domain(self, M):
+        with pytest.raises(DomainError):
+            bound_value(BoundId.BeurlingAhlforsK, [M])
+
+    @pytest.mark.parametrize("r, t", [(1.0, 1.0), (-0.1, 1.0), (math.nan, 1.0),
+                                      (0.5, 0.0), (0.5, math.inf), (0.5, math.nan)])
+    def test_hayman_domain(self, r, t):
+        with pytest.raises(DomainError):
+            bound_value(BoundId.HaymanSchottky, [r, t])
+
+    @pytest.mark.parametrize("n", [0.5, -1.0, math.inf, math.nan])
+    def test_surface_area_domain(self, n):
+        with pytest.raises(DomainError):
+            surface_area(n)
+
+
+class TestCatalogTable:
+    def test_signatures(self):
+        assert {b: bound_signature(b) for b in BoundId} == {
+            BoundId.GehringD2: ("K",), BoundId.VuorinenC2: ("K",), BoundId.SeittenrantaS: ("K",),
+            BoundId.MoriConstant: ("K",), BoundId.BeurlingAhlforsK: ("M",),
+            BoundId.KuhnauTriangleK: ("alpha",), BoundId.AgardGehringLower: ("M",),
+            BoundId.EtaKnUpper: ("K", "t", "n"), BoundId.HaymanSchottky: ("r", "t"),
+            BoundId.SurfaceArea: ("n",),
+        }
+
+    def test_beurling_ahlfors_linear_branch_past_power_overflow(self):
+        # M^(3/2) overflows above ~2.2e205 while min(M^(3/2), 2M - 1) = 2M - 1 is finite
+        for M in (3e205, 1e206, 1e300):
+            assert bound_value(BoundId.BeurlingAhlforsK, [M]) == 2.0 * M - 1.0
+        assert bound_value(BoundId.BeurlingAhlforsK, [3.0]) == 5.0
+        assert bound_value(BoundId.BeurlingAhlforsK, [2.0]) == 2.0 ** 1.5
+        assert bound_value(BoundId.BeurlingAhlforsK, [4.0]) == 7.0
+
+    def test_kuhnau_exact_and_correctly_rounded(self):
+        assert bound_value(BoundId.KuhnauTriangleK, [0.2]) == 3.0
+        assert bound_value(BoundId.KuhnauTriangleK, [0.25]) == math.sqrt(7.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for alpha in (0.1, 0.3, 1.0 / 3.0, 0.01, 1e-9):
+                a = Fraction(alpha)  # the double exactly
+                exact = (decimal.Decimal((2 - a).numerator * a.denominator)
+                         / decimal.Decimal((2 - a).denominator * a.numerator)).sqrt()
+                assert bound_value(BoundId.KuhnauTriangleK, [alpha]) == float(exact), alpha
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-100, 1e-310, 1e-320, 5e-324])
+    def test_kuhnau_small_alpha(self, alpha):
+        # sqrt((2 - alpha)/alpha) is finite for every positive double alpha
+        expected = math.sqrt(2.0 - alpha) / math.sqrt(alpha)
+        assert bound_value(BoundId.KuhnauTriangleK, [alpha]) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("bound_id, params", [
+        (BoundId.SeittenrantaS, [7.0]),
+        (BoundId.GehringD2, [1000.0]),
+        (BoundId.GehringD2, [1e308]),  # pi K is already inf: no OverflowError on the way
+        (BoundId.EtaKnUpper, [7.0, 1.0, 2.0]),
+        (BoundId.EtaKnUpper, [2.0, 0.5, 1000.0]),
+        (BoundId.HaymanSchottky, [1.0 - 1e-16, 1.0]),
+        (BoundId.BeurlingAhlforsK, [1e308]),
+        (BoundId.VuorinenC2, [300.0]),
+        (BoundId.SurfaceArea, [2000.0]),
+    ])
+    def test_overflow_is_typed(self, bound_id, params):
+        with pytest.raises(OverflowSignal, match=bound_id.value if bound_id is not BoundId.SurfaceArea
+                           else "gamma_fn"):
+            bound_value(bound_id, params)
+
+    def test_overflow_names_entry_and_parameters(self):
+        with pytest.raises(OverflowSignal, match=r"SeittenrantaS\(K=7\.0\) exceeds double precision"):
+            bound_value(BoundId.SeittenrantaS, [7.0])
+
+    def test_seittenranta_last_finite(self):
+        assert math.isfinite(bound_value(BoundId.SeittenrantaS, [6.2]))
+
+    def test_surface_area_gamma_before_power(self):
+        # pi^(n/2) alone overflows from n ~ 1240; Gamma(1 + n/2) is checked first
+        for n in (341.0, 2000.0, 1e12):
+            with pytest.raises(OverflowSignal):
+                surface_area(n)
+        assert surface_area(340.0) > 0.0
+
+    def test_gehring_composite_overflow(self):
+        with pytest.raises(OverflowSignal, match="gehring_d2_composite"):
+            gehring_d2_composite(1000.0)
+
+
+FUZZ = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("bound_id", list(BoundId))
+def test_every_entry_value_or_typed_error(bound_id):
+    """A finite float or a QcfunError at every point of the fuzz grid."""
+    for params in itertools.product(FUZZ, repeat=len(bound_signature(bound_id))):
+        try:
+            value = bound_value(bound_id, list(params))
+        except QcfunError:
+            continue
+        assert isinstance(value, float) and math.isfinite(value), (params, value)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qcfun import linearized_g
 from qcfun.cli import main
 
 MU_HALF = 2.0094593770052853
@@ -103,8 +104,55 @@ class TestTable:
                                "--step", "0.25", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert "diverges" in lines[1]
+        assert lines[1] == "0,,K'(r) diverges at r = 0"
         assert lines[2].endswith(",")  # clean row
+
+    def test_json_error_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--fn", "Kprime", "--from", "0", "--to", "1",
+                               "--step", "0.5", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["values"][0] is None
+        assert payload["errors"] == ["K'(r) diverges at r = 0", None, None]
+
+    @pytest.mark.parametrize("step", ["0", "-0.1"])
+    def test_nonpositive_step_exit_two(self, capsys, step):
+        code, out, err = run_cli(capsys, "table", "--fn", "mu", "--from", "0.1", "--to", "0.9",
+                                 "--step", step)
+        assert code == 2 and out == ""
+        assert "step must be positive" in err
+
+    def test_every_eval_function_tabulates(self, capsys):
+        # a table sweeps the last flag of the eval function
+        code, out, _ = run_cli(capsys, "table", "--fn", "muADeriv", "--a", "0.3", "--from", "0.1",
+                               "--to", "0.9", "--step", "0.4")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "r,value,error" and len(lines) == 4
+        assert all(float(line.split(",")[1]) < 0.0 for line in lines[1:])
+
+    def test_schottky_sweeps_r(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--fn", "schottky", "--t", "2", "--from", "0",
+                               "--to", "0.5", "--step", "0.5")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "r,value,error"
+        assert float(lines[1].split(",")[1]) == pytest.approx(2.0, rel=1e-12)  # psi(0, t) = t
+
+    def test_missing_fixed_flag_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "table", "--fn", "phiK", "--from", "0.1", "--to", "0.9",
+                               "--step", "0.1")
+        assert code == 2 and "--K" in err
+
+    def test_linearg_far_rows_error_and_sweep_continues(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--fn", "linearg", "--K", "2", "--from", "-1000",
+                               "--to", "1000", "--step", "1000")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 4
+        assert lines[1].startswith("-1000,,") and "underflows" in lines[1]
+        assert lines[2] == f"0,{linearized_g(2.0, 0.0):.17g},"
+        assert lines[3].startswith("1000,,") and "underflows" in lines[3]
 
     def test_bad_grid_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "table", "--fn", "mu", "--from", "0.9", "--to", "0.1",
@@ -137,6 +185,9 @@ class TestResiduals:
         code, out, _ = run_cli(capsys, "residuals", "--list")
         assert code == 0
         assert "LJ3" in out and "QiuBracket" in out
+        lines = out.strip().splitlines()
+        assert len(lines) == 39
+        assert "LJ3\tequality\ttol=1e-13" in lines
 
 
 class TestExperimentCli:
@@ -174,6 +225,24 @@ class TestBoundsCli:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--list")
         assert code == 0 and "KuhnauTriangleK" in out
+        assert "EtaKnUpper\tparams: K, t, n" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("--id", "KuhnauTriangleK", "--alpha", "0.2"), "3"),
+        (("--id", "BeurlingAhlforsK", "--M", "3"), "5"),
+        (("--id", "AgardGehringLower", "--M", "1.5"), "1.125"),
+        (("--id", "SurfaceArea", "--n", "2"), f"{2.0 * math.pi:.17g}"),
+        (("--id", "HaymanSchottky", "--r", "0", "--t", "1"), f"{math.exp(math.pi):.17g}"),
+    ])
+    def test_every_signature_flag(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, "bounds", *argv)
+        assert code == 0
+        assert out.strip() == expected
+
+    def test_overflow_exit_one(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--id", "SeittenrantaS", "--K", "7")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: SeittenrantaS(K=7.0) exceeds double precision"]
 
 
 class TestGeomCli:
@@ -233,6 +302,39 @@ class TestTypedErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "underflows" in err
+
+
+class TestModuleEntry:
+    """``python -m qcfun.cli`` runs ``main`` and exits with its code."""
+
+    @staticmethod
+    def _run(*argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import qcfun
+
+        src = str(Path(qcfun.__file__).resolve().parent.parent)
+        return subprocess.run([sys.executable, "-m", "qcfun.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_value(self):
+        proc = self._run("eval", "--fn", "mu", "--r", "0.5")
+        assert proc.returncode == 0
+        assert proc.stdout == f"{MU_HALF:.17g}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--id", "SeittenrantaS", "--K", "7"),
+        ("eval", "--fn", "linearg", "--K", "2", "--x", "1000"),
+    ])
+    def test_typed_failure_exit_one(self, argv):
+        proc = self._run(*argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestLazyNumpy:

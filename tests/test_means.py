@@ -1,6 +1,7 @@
 """Mean values and the complete elliptic integral."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,19 @@ class TestMeans:
             with pytest.raises(DomainError):
                 mean(kind, 1.0, -2.0)
 
+    @pytest.mark.parametrize("lo, gap", [(0.7, 1e-9), (3.0, 3e-7), (1.3, 1e-12), (2.0, 1e-4)])
+    def test_log_mean_close_arguments(self, lo, gap):
+        # hi/lo rounds to about 1e-16 relative, which log(hi/lo) would carry into the
+        # 1e-9 logarithm; log1p((hi - lo)/lo) keeps the difference exact
+        hi = lo * (1.0 + gap)
+        d = Fraction(hi) - Fraction(lo)  # exact
+        x = d / Fraction(lo)
+        # log1p(x) = x - x^2/2 + x^3/3 - ..., summed exactly far past double precision
+        log_ratio = sum((-1) ** (k + 1) * x ** k / k for k in range(1, 80))
+        expected = float(d / log_ratio)
+        assert mean(MeanKind.Logarithmic, lo, hi) == pytest.approx(expected, rel=2e-16)
+        assert mean(MeanKind.Logarithmic, hi, lo) == mean(MeanKind.Logarithmic, lo, hi)
+
     @given(positive, positive)
     @settings(max_examples=60, deadline=None)
     def test_symmetry_and_betweenness(self, x, y):
@@ -97,6 +111,12 @@ class TestMeanMod:
         with pytest.raises(DomainError):
             mean_mod(MeanKind.Arithmetic, -1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("x, y", [(-1.0, 1.0), (1.0, -2.0), (0.0, 1.0), (math.nan, 1.0)])
+    def test_positive_arguments(self, x, y):
+        # an even power would hide the sign: (-1)^2 = 1
+        with pytest.raises(DomainError):
+            mean_mod(MeanKind.Arithmetic, 2.0, x, y)
+
 
 class TestAgm:
     @given(positive, st.floats(min_value=1e-2, max_value=1e2))
@@ -109,6 +129,11 @@ class TestAgm:
 
     def test_tiny_argument(self):
         assert agm(1.0, 1e-280) > 0.0
+
+    @pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -4.0), (math.nan, 1.0)])
+    def test_domain(self, x, y):
+        with pytest.raises(DomainError):
+            agm(x, y)
 
 
 class TestEllintK:

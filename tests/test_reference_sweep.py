@@ -12,6 +12,7 @@ import pytest
 mp = pytest.importorskip("mpmath")
 
 from qcfun import modulus
+from qcfun.means import ellint_K_from_comp
 from qcfun import (
     HypergeomParams,
     UnitRadius,
@@ -69,6 +70,14 @@ def test_mu_complement_channel(c):
 def test_ellint_k_near_one(gap):
     r = 1.0 - gap
     assert rel(ellint_K(r), mp.ellipk(mp.mpf(r) ** 2)) < 1e-15
+
+
+def test_ellint_k_complement_expansion():
+    # K at complement c is K'(c) = pi / (2 AG(1, c)), with no cancellation at any c
+    cs = [10.0 ** (-8 - 292 * i / 400) for i in range(401)] + [3e-300, 1e-300, 2.3e-308, 1e-320]
+    for c in cs:
+        reference = mp.pi / (2 * agm_mp(mp.mpf(1), mp.mpf(c)))
+        assert rel(ellint_K_from_comp(c, 1.0), reference) < 3e-16, c
 
 
 @pytest.mark.parametrize("y", [0.004, 0.05, 1.0, 1.58, 20.0, 500.0])

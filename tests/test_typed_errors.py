@@ -1,0 +1,126 @@
+"""Every public numeric function gives a value or a typed QcfunError.
+
+The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
+every argument.  Results are floats, or the documented UnitRadius /
+AsymptoticClass / HypergeomParams objects.
+"""
+
+import inspect
+import itertools
+import math
+
+import pytest
+
+from qcfun import (
+    ConvergenceError,
+    OverflowSignal,
+    QcfunError,
+    UnitRadius,
+    beta_fn,
+    gamma_fn,
+    linearized_g,
+    mu_a_derivative,
+)
+from qcfun import bounds, distortion, modulus, specfun
+from qcfun.specfun import AsymptoticClass, HypergeomParams
+
+GRID = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
+RESULT_TYPES = (float, UnitRadius, AsymptoticClass, HypergeomParams)
+NOT_FUNCTIONS = {"BoundId", "SQRT_HALF", "EULER_GAMMA", "BoundaryCase", "AsymptoticClass"}
+# bound_value has its own grid, with a finiteness check, in test_bounds.py
+SKIPPED = NOT_FUNCTIONS | {"bound_signature", "bound_value"}
+
+
+def _public_functions():
+    for mod in (bounds, distortion, modulus, specfun):
+        for name in mod.__all__:
+            if name in SKIPPED:
+                continue
+            fn = getattr(mod, name)
+            if name == "gauss_F":
+                yield name, lambda a, b, c, r: specfun.gauss_F(HypergeomParams(a, b, c), r), 4
+            elif name == "hypergeom_boundary":
+                yield name, lambda a, b, c: specfun.hypergeom_boundary(HypergeomParams(a, b, c)), 3
+            elif name == "UnitRadius":
+                yield name, fn, 2
+                yield "UnitRadius.from_r", fn.from_r, 1
+                yield "UnitRadius.from_comp", fn.from_comp, 1
+            else:
+                params = inspect.signature(fn).parameters.values()
+                yield name, fn, sum(p.default is inspect.Parameter.empty for p in params)
+
+
+CASES = list(_public_functions())
+
+
+@pytest.mark.parametrize("name, fn, arity", CASES, ids=[c[0] for c in CASES])
+def test_value_or_typed_error_on_grid(name, fn, arity, monkeypatch):
+    # the direct series gives up with ConvergenceError after _SERIES_CAP terms;
+    # a small cap reaches that exit in microseconds instead of seconds per point
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+    for point in itertools.product(GRID, repeat=arity):
+        try:
+            value = fn(*point)
+        except QcfunError:
+            continue
+        assert isinstance(value, RESULT_TYPES), (name, point, value)
+
+
+def test_grid_covers_every_public_function():
+    names = {c[0].split(".")[0] for c in CASES}
+    expected = {n for mod in (bounds, distortion, modulus, specfun) for n in mod.__all__}
+    assert names == expected - SKIPPED
+
+
+class TestOverflowExits:
+    def test_mu_a_derivative_complement_underflow(self):
+        # r r'^2 F^2 underflows to 0 here: the slope is beyond the double range
+        with pytest.raises(OverflowSignal):
+            mu_a_derivative(0.3, UnitRadius.from_comp(1e-170))
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-310])
+    def test_mu_a_derivative_subnormal_radius(self, r):
+        with pytest.raises(OverflowSignal):
+            mu_a_derivative(0.3, r)
+
+    def test_mu_a_derivative_last_finite_slopes(self):
+        assert mu_a_derivative(0.3, 1e-300) == pytest.approx(-1e300, rel=1e-12)
+        assert math.isfinite(mu_a_derivative(0.5, UnitRadius.from_comp(1e-156)))
+
+    @pytest.mark.parametrize("x", [709.0, -709.0, 710.0, 1000.0, -1000.0, 1e308, -1e308])
+    def test_linearized_g_far_argument(self, x):
+        # q or 1 - q is below the normal double range: e^-709 ~ 1.2e-308
+        with pytest.raises(ConvergenceError):
+            linearized_g(1.0, x)
+
+    @pytest.mark.parametrize("x", [708.0, -708.0])
+    def test_linearized_g_last_normal_argument(self, x):
+        assert linearized_g(1.0, x) == pytest.approx(x, rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-320, 5e-324])
+    def test_gamma_tiny_argument(self, x):
+        with pytest.raises(OverflowSignal):
+            gamma_fn(x)
+        with pytest.raises(OverflowSignal):
+            beta_fn(x, 1.0)
+
+    def test_gamma_near_overflow_edge(self):
+        assert gamma_fn(1e-308) == pytest.approx(1e308, rel=1e-12)
+
+    def test_beta_huge_arguments(self):
+        with pytest.raises(OverflowSignal):
+            beta_fn(1e308, 0.5)
+
+    def test_beta_rejects_infinity(self):
+        with pytest.raises(QcfunError):
+            beta_fn(math.inf, 1.0)
+
+    def test_gauss_f_near_one_normaliser_underflow(self):
+        # B(1000, 1000) ~ 1e-603 underflows; F(1000,1000;2000;1-1e-12) ~ 1.3e604 overflows
+        with pytest.raises(OverflowSignal):
+            specfun.gauss_F_near_one(1000.0, 1000.0, 1e-12)
+
+    @pytest.mark.parametrize("params", [(1000.0, 1000.0, 0.5), (0.5, 0.5, 1e308), (1e-320, 0.5, 1e-320)])
+    def test_hypergeom_boundary_gamma_ratio(self, params):
+        with pytest.raises(OverflowSignal):
+            specfun.hypergeom_boundary(HypergeomParams(*params))
