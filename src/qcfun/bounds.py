@@ -30,6 +30,8 @@ __all__ = [
     "vuorinen_c",
 ]
 
+_LOG2 = math.log(2.0)
+
 
 class BoundId(Enum):
     GehringD2 = "GehringD2"
@@ -85,9 +87,14 @@ def gehring_d2_composite(K: float) -> float:
                    lambda K: math.exp(K * surface_area(2.0) / teichmuller_tau2(1.0)), (K,))
 
 
+def _log_seittenranta(K: float) -> float:
+    # log s(K) = 6 (K+1)^2 sqrt(K-1)
+    return 6.0 * (_require_K(K) + 1.0) ** 2 * math.sqrt(K - 1.0)
+
+
 def _seittenranta(K: float) -> float:
-    # s(K) = exp(6 (K+1)^2 sqrt(K-1)), past the double range from K ~ 6.25
-    return math.exp(6.0 * (_require_K(K) + 1.0) ** 2 * math.sqrt(K - 1.0))
+    # s(K), past the double range from K ~ 6.25
+    return math.exp(_log_seittenranta(K))
 
 
 def _beurling_ahlfors(M: float) -> float:
@@ -125,21 +132,22 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
         raise DomainError(f"EtaKnUpper requires t > 0, got {t}")
     if not (math.isfinite(n) and n == int(n) and n >= 2):
         raise DomainError(f"EtaKnUpper requires integer n >= 2, got {n}")
-    eta1 = _seittenranta(K)
     if t == 1.0:
-        return eta1
+        return _seittenranta(K)
     if n == 2:
+        eta1 = _seittenranta(K)
         if t < 1.0:
             return eta1 * phi_K(K, t).r
         return eta1 / phi_K(1.0 / K, 1.0 / t).r
-    # n >= 3: exact distortion unknown; use the power bracket with the
-    # conservative upper estimate 2 e^(n-1) of the Grotzsch constant.
-    lam = 2.0 * math.exp(n - 1.0)
-    alpha = K ** (1.0 / (1.0 - n))
-    if t < 1.0:
-        return eta1 * lam ** (1.0 - alpha) * t ** alpha
-    beta = 1.0 / alpha
-    return eta1 * lam ** (beta - 1.0) * t ** beta
+    # n >= 3: exact distortion unknown; use the power bracket
+    # s(K) lam^|p-1| t^p with p = K^(1/(1-n)) for t < 1 and its inverse for
+    # t > 1, and the conservative upper estimate lam = 2 e^(n-1) of the
+    # Grotzsch constant.  It is the exp of its logarithm, so that only a value
+    # past the double range overflows; |p - 1| comes from expm1, without
+    # cancellation at large n.
+    log_p = math.log(K) / (n - 1.0) if t > 1.0 else math.log(K) / (1.0 - n)
+    log_lam = _LOG2 + (n - 1.0)
+    return math.exp(_log_seittenranta(K) + abs(math.expm1(log_p)) * log_lam + math.exp(log_p) * math.log(t))
 
 
 def _hayman_schottky(r: float, t: float) -> float:

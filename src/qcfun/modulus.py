@@ -13,14 +13,17 @@ reduces to mu at a = 1/2 and obeys the derivative formula
 
     d mu_a / dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2),
 
-and the duality mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2.  At the
-signatures 1/2, 1/4 and 1/3 mu_a has closed forms: mu itself, mu at a
-Landen-transformed radius, and a quotient of cubic AGMs.  At every other
-signature one series pass at w = min(r^2, r'^2) <= 1/2 gives both F factors
-of mu_a.  Both inverses use the duality to solve only for r <= 1/sqrt 2 and
-exchange the channels below the symmetric value.  The inverse of mu has a
-closed form in Jacobi theta functions, and so has the inverse of mu_a at
-a = 1/2 and 1/4.  At every other signature the inverse of mu_a is one
+and the duality mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2.  mu itself is
+a closed form in the Jacobi nome q = e^(-2 mu(r)) of the smaller channel,
+taken with K(r) from one q-series (:func:`qcfun.means._nome`); the duality
+mu(r) mu(r') = pi^2/4 gives the other channel.  At the signatures 1/2, 1/4
+and 1/3 mu_a has closed forms: mu itself, mu at a Landen-transformed radius,
+and a quotient of cubic AGMs.  At every other signature one series pass at
+w = min(r^2, r'^2) <= 1/2 gives both F factors of mu_a.  Both inverses use
+the duality to solve only for r <= 1/sqrt 2 and exchange the channels below
+the symmetric value.  The inverse of mu has a closed form in Jacobi theta
+functions at the same nome, and so has the inverse of mu_a at a = 1/2 and
+1/4.  At every other signature the inverse of mu_a is one
 safeguarded Newton iteration in t = log(1/r), where mu_a is nearly linear
 with slope 1 / ((1-r^2) F(a,1-a;1;r^2)^2): one evaluation per step gives
 both the value and the slope, and a step leaving the bracket becomes a
@@ -43,7 +46,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
-from .means import _agm3, agm, comp_radius, ellint_K_from_comp
+from .means import _agm3, _nome, comp_radius
 from .specfun import _balanced_r0, _balanced_sums
 
 __all__ = [
@@ -63,9 +66,9 @@ __all__ = [
     "agm_product_p",
 ]
 
-_SMALL_R = 1e-5  # below this, mu follows its log(4/r) - r^2/4 asymptote
 _INV_CAP = 100
 _HALF_PI = 0.5 * math.pi
+_QUARTER_PI_SQ = 0.25 * math.pi * math.pi
 _THIRD = 1.0 / 3.0
 _Y_SYM_THIRD = 0.5 * math.pi / math.sin(math.pi * _THIRD)
 
@@ -88,8 +91,6 @@ class UnitRadius:
             raise DomainError(f"radius must lie in (0,1), got {r}")
         if not (0.0 < c <= 1.0 and math.isfinite(c)):
             raise DomainError(f"radius complement must lie in (0,1), got {c}")
-        if r == 1.0 and c == 1.0:
-            raise DomainError("radius and complement cannot both be 1")
         if abs(r * r + c * c - 1.0) > 1e-12:
             raise DomainError(f"inconsistent radius pair ({r}, {c}): r^2 + comp^2 != 1")
 
@@ -136,11 +137,13 @@ def check_signature(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def mu(x) -> float:
-    """Ring modulus mu(r) = (pi/2) K(r')/K(r), relative error <= 1e-13 on [1e-8, 1-1e-8].
+    """Ring modulus mu(r) = (pi/2) K(r')/K(r), within 2.5 ulp of the true value.
 
-    Branches: the two-term asymptote log(4/r) - r^2/4 below r = 1e-5 (absolute
-    error < 1e-20 there), the AGM quotient in the bulk, and the guarded
-    complement expansion of K once the complement channel drops below 1e-7.
+    One closed form on all of (0,1): mu(r) = -log(q)/2 at the Jacobi nome q
+    of r when r <= r', and mu(r) = pi^2 / (4 mu(r')) otherwise (see
+    :func:`qcfun.means._nome`).  Against mpmath, over 6000 r and r'
+    log-spread and uniform on (0,1) down to 5e-324, the error was at most
+    2.1 ulp with a mean of 0.41 ulp (the AGM quotient: 4.6 and 0.59).
     Endpoints raise :class:`DomainError` (the convention mu(1) = 0 is applied
     by callers that need the closed endpoint).
     """
@@ -149,15 +152,16 @@ def mu(x) -> float:
 
 
 def _mu_k(r: float, comp: float) -> tuple[float, float]:
-    """(mu(r), K(r)) from the two channels of a radius; K is the denominator of mu."""
-    k = ellint_K_from_comp(comp, r)
-    if r < _SMALL_R:
-        if r <= sys.float_info.min:  # 4/r overflows from here down
-            return math.log(4.0) - math.log(r), k
-        return math.log(4.0 / r) - 0.25 * r * r, k
-    # K(r') = pi / (2 AG(1, r)) needs no complement of the complement
-    k_prime = math.pi / (2.0 * agm(1.0, r))
-    return 0.5 * math.pi * k_prime / k, k
+    """(mu(r), K(r)) from the two channels of a radius; K is the denominator of mu.
+
+    The nome is taken at the smaller channel; for r > r' the duality gives
+    mu(r) = pi^2 / (4 mu(r')) and K(r) = mu(r') theta_3(q')^2.
+    """
+    if r <= comp:
+        m, theta_sq = _nome(r, comp)
+        return m, _HALF_PI * theta_sq
+    m, theta_sq = _nome(comp, r)
+    return _QUARTER_PI_SQ / m, m * theta_sq
 
 
 def _theta_radius(y: float) -> tuple[float, float]:
@@ -187,10 +191,10 @@ def mu_inv(y: float) -> UnitRadius:
     after q^16 at y >= pi/2.  For y < pi/2 the same pair is taken at the dual
     y' = pi^2 / (4y), since mu(r') = pi^2 / (4 mu(r)), and the channels are
     exchanged: the complement comes out directly, down to the smallest normal
-    double.  Against the AGM forward map, |mu(r) - y| <= 1e-15 max(1, y) was
-    measured for y from 0.004 to 700.  A radius or complement below the
-    normal double range (y above about 709.8 or below about 0.00348) raises
-    :class:`ConvergenceError`.
+    double.  Against the nome forward map, |mu(r) - y| <= 4.0e-16 max(1, y)
+    was measured over 2000 log-uniform y from 0.004 to 700.  A radius or
+    complement below the normal double range (y above about 709.8 or below
+    about 0.00348) raises :class:`ConvergenceError`.
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_inv requires y > 0, got {y}")
@@ -260,13 +264,13 @@ def mu_a(a: float, x) -> float:
     Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4
     and 1/3 (see :func:`_mu_a_parts`); their relative error against mpmath,
     over 1500 random r per signature from 1e-12 to 1 - 1e-12 on both
-    channels, is at most 4.6e-16, 4.8e-16 and 9.2e-16.  With r or r' below
+    channels, is at most 2.7e-16, 2.7e-16 and 9.2e-16.  With r or r' below
     1e-12, down to 5e-324, the cubic AGM's rounding over its 8 steps reaches
     1.6e-15 at a = 1/3.  Every other signature runs one pass of
     the balanced series at w = min(r^2, r'^2), with relative error at most
     7.8e-16 over 4500 random (a, r), a in [1e-4, 1/2], r in
     [1e-12, 1 - 1e-12].  Between adjacent doubles mu_a rose by one or two
-    ulp for 11, 4 and 26 of 3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and
+    ulp for 11, 7 and 26 of 3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and
     1/3, and for none of 3000 in [0.3, 0.95] or within 40 ulp of 1/sqrt 2.
     At a = 1/2 the value is mu(r), by delegation.
     """
@@ -278,8 +282,8 @@ def mu_a_derivative(a: float, x) -> float:
     """d mu_a/dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2); strictly negative.
 
     F comes from the same route as :func:`mu_a`, closed form at a = 1/2,
-    1/4 and 1/3; its relative error there against mpmath was at most 3.4e-16,
-    5.1e-16 and 7.7e-16 on the samples of :func:`mu_a`.  A slope beyond the
+    1/4 and 1/3; its relative error there against mpmath was at most 3.7e-16,
+    4.3e-16 and 7.7e-16 on the samples of :func:`mu_a`.  A slope beyond the
     double range raises :class:`OverflowSignal`: at subnormal r, and at r'
     below about 1e-156 (3e-156 at a = 0.01).
     """
@@ -298,10 +302,10 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     Closed form at a = 1/2 and 1/4 through the theta-function inverse of mu:
     mu_a_inv(1/2, y) is :func:`mu_inv`, and at a = 1/4 the radius k = mu_inv(y)
     gives r = 2k/(1+k^2) and r' = k'^2/(1+k^2), the inverse Landen map of
-    :func:`mu_a`.  Over 2000 log-uniform y in [0.004, 700],
-    |mu_a(r) - y| <= 5.9e-16 max(1, y) at a = 1/2 and 5.8e-16 max(1, y) at
-    a = 1/4.  Every other signature, 1/3 included, takes the safeguarded
-    Newton iteration of :func:`_mu_a_newton`.  A radius or complement below
+    :func:`mu_a`.  Over 2000 log-uniform y in [0.004, 700] at a = 1/2 and
+    [0.007, 700] at a = 1/4, |mu_a(r) - y| <= 4.0e-16 max(1, y) and
+    4.4e-16 max(1, y).  Every other signature, 1/3 included, takes the
+    safeguarded Newton iteration of :func:`_mu_a_newton`.  A radius or complement below
     the normal double range raises :class:`ConvergenceError`; at a = 1/4
     that includes k, so the limit is y ~ 709.8 as for mu_inv, and r' ~ k'^2/2
     underflows below y ~ 0.0069.

@@ -187,7 +187,11 @@ def _series(a: float, b: float, c: float, r: float) -> float:
         total = t
         n += 1
         if abs(term) <= 1e-17 * abs(total) and n > 4:
-            return total + comp
+            value = total + comp
+            # an infinite term makes comp NaN: the terms have left the double range
+            if math.isnan(value):
+                raise OverflowSignal(f"F({a}, {b}; {c}; {r}) exceeds double precision")
+            return value
     raise ConvergenceError(
         f"hypergeometric series did not converge within {_SERIES_CAP} terms at r = {r}"
     )
@@ -251,7 +255,8 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
     """Gauss hypergeometric F(a,b;c;r) on [0,1).
 
     Direct series (relative error <= 1e-12 within its reach); zero-balanced
-    arguments beyond 0.95 go through the connection formula.
+    arguments beyond 0.95 go through the connection formula.  A value, or a
+    term of the series, beyond the double range raises :class:`OverflowSignal`.
     """
     if isinstance(p, tuple):
         p = HypergeomParams(*p)

@@ -119,6 +119,17 @@ class TestEtaKnUpper:
         expected = eta1 * lam ** abs(power - 1.0) * t ** power
         assert bound_value(BoundId.EtaKnUpper, [K, t, n]) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("params, expected", [
+        ([7.0, 1e-320, 3.0], 1.8969889576440808e288),  # s(7) ~ e^941 is past the double range
+        ([2.0, 0.5, 1000.0], 2.8327953605410976e23),  # so is lam = 2 e^999
+        ([2.0, 0.5, 1e12], 2.8307533032767340e23),  # 1 - p ~ 7e-13 without cancellation
+        ([1.5, 1e-300, 3.0], 6.0482020941882097e-234),
+    ])
+    def test_power_bracket_beyond_overflowing_factors(self, params, expected):
+        # 50-digit mpmath values of s(K) lam^|p-1| t^p; the exp of a logarithm
+        # near 660 keeps about 13 digits
+        assert bound_value(BoundId.EtaKnUpper, params) == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("params", [
         [2.0, math.inf, 2.0], [2.0, -1.0, 2.0], [2.0, math.nan, 2.0],
         [2.0, 0.0, 3.0], [2.0, -1.0, 3.0], [2.0, math.inf, 3.0], [2.0, math.nan, 3.0],
@@ -253,7 +264,7 @@ class TestCatalogTable:
         (BoundId.GehringD2, [1000.0]),
         (BoundId.GehringD2, [1e308]),  # pi K is already inf: no OverflowError on the way
         (BoundId.EtaKnUpper, [7.0, 1.0, 2.0]),
-        (BoundId.EtaKnUpper, [2.0, 0.5, 1000.0]),
+        (BoundId.EtaKnUpper, [7.0, 0.5, 1000.0]),  # s(K) lam^|p-1| t^p ~ 1.1e409
         (BoundId.HaymanSchottky, [1.0 - 1e-16, 1.0]),
         (BoundId.BeurlingAhlforsK, [1e308]),
         (BoundId.VuorinenC2, [300.0]),

@@ -264,6 +264,13 @@ class TestLambda:
         values = [lambda_of_K(K) for K in (1.0, 1.2, 1.7, 2.5, 4.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_square_of_ratio_overflows(self):
+        # u' ~ 4 e^(-pi K/2) is a normal double at K = 300 (about 1e-204), but
+        # (u/u')^2 is not; at K = 200 it is still finite (mpmath, theta functions)
+        with pytest.raises(OverflowSignal, match=r"lambda_of_K\(300\.0\)"):
+            lambda_of_K(300.0)
+        assert lambda_of_K(200.0) == pytest.approx(4.6897618097391277e271, rel=1e-12)
+
 
 class TestSchottky:
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])

@@ -1,6 +1,7 @@
 """Ring modulus, generalized modulus, inverses, capacities, Landen product."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from qcfun import (
     OverflowSignal,
     QcfunError,
     UnitRadius,
+    agm,
     agm_product_p,
     gamma2_inv,
     gauss_F,
@@ -63,6 +65,16 @@ class TestUnitRadius:
         assert u.r == 1.0  # rounds to 1; the complement channel carries the value
         assert u.comp == 1e-20
 
+    @pytest.mark.parametrize("comp", [-math.sqrt(0.75), math.nan])
+    def test_complement_channel_checked(self, comp):
+        # r^2 + comp^2 = 1 holds for -sqrt(3/4), and a NaN fails no comparison
+        with pytest.raises(DomainError, match="complement must lie in"):
+            UnitRadius(0.5, comp)
+
+    def test_zero_complement_rejected(self):
+        with pytest.raises(DomainError, match="complement must lie in"):
+            UnitRadius(1.0, 0.0)
+
     def test_consistency_validation(self):
         with pytest.raises(DomainError):
             UnitRadius(0.5, 0.9)
@@ -89,8 +101,7 @@ class TestMu:
         assert abs(mu(0.01) - math.log(400.0)) < 1e-4
 
     def test_asymptote_matches_agm_route_at_branch(self):
-        # design check: the log(4/r) - r^2/4 branch agrees with the AGM route
-        # where both are trustworthy (just above the switch)
+        # the nome route meets the two-term asymptote log(4/r) - r^2/4 near r = 0
         for r in (1.2e-5, 5e-5, 3e-4):
             agm_route = mu(UnitRadius.from_r(r))
             asymptote = math.log(4.0 / r) - 0.25 * r * r
@@ -115,6 +126,46 @@ class TestMu:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             mu(bad)
+
+    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_nome_route_against_agm_quotient(self, x, comp_channel):
+        # the AGM quotient (pi/2) AG(1, r') / AG(1, r) is the independent route;
+        # on 80000 random radii the two differed by at most 5 ulp, where each
+        # is 2 to 3 ulp off mpmath in opposite directions
+        u = UnitRadius.from_comp(x) if comp_channel else UnitRadius.from_r(x)
+        oracle = 0.5 * math.pi * agm(1.0, u.comp) / agm(1.0, u.r)
+        assert abs(mu(u) - oracle) <= 5.0 * math.ulp(oracle), (u, mu(u), oracle)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 1e-5, 0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("comp_channel", [False, True])
+    def test_nome_duality_switch(self, r, comp_channel):
+        # the nome series are taken at the smaller channel, where q <= e^-pi;
+        # evaluated at the larger one they are wrong far beyond rounding
+        u = UnitRadius.from_comp(r) if comp_channel else UnitRadius.from_r(r)
+        oracle = 0.5 * math.pi * agm(1.0, u.comp) / agm(1.0, u.r)
+        assert abs(mu(u) - oracle) <= 5.0 * math.ulp(oracle)
+
+    def test_adjacent_doubles_monotone(self):
+        # between adjacent doubles mu may rise by rounding only: on both
+        # channels no rise exceeds 2 ulp (the duality maps an ulp of
+        # mu(r') near 4 onto 2 ulp of mu(r) near 0.6), and rises are rare
+        rng = random.Random(20261018)
+        pairs = []
+        for _ in range(2000):
+            x = rng.choice([10.0 ** rng.uniform(-323.0, 0.0), rng.uniform(0.0, 1.0),
+                            1.0 - 10.0 ** rng.uniform(-15.9, 0.0)])
+            if 0.0 < x < math.nextafter(1.0, 0.0):
+                # (smaller radius, next larger radius) on each channel
+                pairs.append((UnitRadius.from_r(x), UnitRadius.from_r(math.nextafter(x, 1.0))))
+            if 5e-324 < x < 1.0:
+                pairs.append((UnitRadius.from_comp(x), UnitRadius.from_comp(math.nextafter(x, 0.0))))
+        rises = 0
+        for lower, upper in pairs:
+            rise = mu(upper) - mu(lower)
+            assert rise <= 2.0 * math.ulp(mu(lower)), (lower, upper)
+            rises += rise > 0.0
+        assert rises <= 0.005 * len(pairs), (rises, len(pairs))
 
     @given(unit_interval, unit_interval)
     @settings(max_examples=60, deadline=None)
@@ -489,6 +540,11 @@ class TestCapacities:
             teichmuller_tau2(0.0)
         with pytest.raises(DomainError):
             tau2_inv(-1.0)
+
+    def test_tau2_rejects_t_below_minus_one(self):
+        # sqrt(t + 1) has no real value there; t in (-1, 0] fails grotzsch_gamma2's s > 1
+        with pytest.raises(DomainError, match="teichmuller_tau2 requires t > 0"):
+            teichmuller_tau2(-2.0)
 
 
 class TestAgmProduct:

@@ -19,6 +19,7 @@ from qcfun import (
     agm_product_p,
     digamma_fn,
     ellint_K,
+    ellint_Kprime,
     eta_K2,
     gauss_F,
     mu,
@@ -55,6 +56,10 @@ def rel(got, want):
     return abs(mp.mpf(got) - want) / max(1, abs(want))
 
 
+def ulps(got, want):
+    return abs(mp.mpf(got) - want) / math.ulp(float(want))
+
+
 @pytest.mark.parametrize("r", [1e-8, 9.9e-6, 1.01e-5, 1e-3, 0.1, 0.5, 0.9, 0.999,
                                1 - 1e-6, 1 - 1e-8])
 def test_mu_radius_channel(r):
@@ -78,6 +83,20 @@ def test_ellint_k_complement_expansion():
     for c in cs:
         reference = mp.pi / (2 * agm_mp(mp.mpf(1), mp.mpf(c)))
         assert rel(ellint_K_from_comp(c, 1.0), reference) < 3e-16, c
+
+
+def test_nome_route_within_docstring_ulps():
+    # mu within 2.5 ulp and K within 4 ulp (the docstrings' bounds), with each
+    # double x taken as the radius and as the complement, from 1e-323 to 0.99
+    xs = [10.0 ** (-323.0 + 323.0 * i / 150) for i in range(150)] + [i / 101 for i in range(1, 101)]
+    worst_mu = worst_k = 0
+    for x in xs:
+        k_x = mp.pi / (2 * agm_mp(mp.mpf(1), mp.sqrt((1 - mp.mpf(x)) * (1 + mp.mpf(x)))))
+        k_xc = mp.pi / (2 * agm_mp(mp.mpf(1), mp.mpf(x)))
+        worst_mu = max(worst_mu, ulps(mu(UnitRadius.from_r(x)), mp.pi / 2 * k_xc / k_x),
+                       ulps(mu(UnitRadius.from_comp(x)), mp.pi / 2 * k_x / k_xc))
+        worst_k = max(worst_k, ulps(ellint_K(x), k_x), ulps(ellint_Kprime(x), k_xc))
+    assert worst_mu <= 2.5 and worst_k <= 4.0, (float(worst_mu), float(worst_k))
 
 
 @pytest.mark.parametrize("y", [0.004, 0.05, 1.0, 1.58, 20.0, 500.0])

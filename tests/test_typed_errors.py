@@ -1,8 +1,8 @@
 """Every public numeric function gives a value or a typed QcfunError.
 
 The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
-every argument.  Results are floats, or the documented UnitRadius /
-AsymptoticClass / HypergeomParams objects.
+every argument.  Results are floats other than NaN, or the documented
+UnitRadius / AsymptoticClass / HypergeomParams objects.
 """
 
 import inspect
@@ -64,6 +64,7 @@ def test_value_or_typed_error_on_grid(name, fn, arity, monkeypatch):
         except QcfunError:
             continue
         assert isinstance(value, RESULT_TYPES), (name, point, value)
+        assert not (isinstance(value, float) and math.isnan(value)), (name, point)
 
 
 def test_grid_covers_every_public_function():
@@ -114,6 +115,12 @@ class TestOverflowExits:
     def test_beta_rejects_infinity(self):
         with pytest.raises(QcfunError):
             beta_fn(math.inf, 1.0)
+
+    def test_gauss_f_series_overflow(self):
+        # F(a, 1000; a; r) = (1 - r)^-1000 = 1e12000; the series terms overflow
+        with pytest.raises(OverflowSignal):
+            specfun.gauss_F(HypergeomParams(1e-320, 1000.0, 1e-320), 1.0 - 1e-12)
+        assert specfun.gauss_F(HypergeomParams(1.0, 100.0, 1.0), 0.9) == pytest.approx(1e100, rel=1e-12)
 
     def test_gauss_f_near_one_normaliser_underflow(self):
         # B(1000, 1000) ~ 1e-603 underflows; F(1000,1000;2000;1-1e-12) ~ 1.3e604 overflows
