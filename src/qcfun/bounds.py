@@ -134,20 +134,19 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
         raise DomainError(f"EtaKnUpper requires integer n >= 2, got {n}")
     if t == 1.0:
         return _seittenranta(K)
+    # the value is the exp of its logarithm, so that only a value past the
+    # double range overflows (s(K) alone does from K ~ 6.25)
     if n == 2:
-        eta1 = _seittenranta(K)
-        if t < 1.0:
-            return eta1 * phi_K(K, t).r
-        return eta1 / phi_K(1.0 / K, 1.0 / t).r
-    # n >= 3: exact distortion unknown; use the power bracket
-    # s(K) lam^|p-1| t^p with p = K^(1/(1-n)) for t < 1 and its inverse for
-    # t > 1, and the conservative upper estimate lam = 2 e^(n-1) of the
-    # Grotzsch constant.  It is the exp of its logarithm, so that only a value
-    # past the double range overflows; |p - 1| comes from expm1, without
-    # cancellation at large n.
-    log_p = math.log(K) / (n - 1.0) if t > 1.0 else math.log(K) / (1.0 - n)
-    log_lam = _LOG2 + (n - 1.0)
-    return math.exp(_log_seittenranta(K) + abs(math.expm1(log_p)) * log_lam + math.exp(log_p) * math.log(t))
+        # s(K) phi_K(t), and s(K) / phi_{1/K}(1/t) for t > 1
+        log_rest = math.log(phi_K(K, t).r) if t < 1.0 else -math.log(phi_K(1.0 / K, 1.0 / t).r)
+    else:
+        # exact distortion unknown; use the power bracket s(K) lam^|p-1| t^p
+        # with p = K^(1/(1-n)) for t < 1 and its inverse for t > 1, and the
+        # conservative upper estimate lam = 2 e^(n-1) of the Grotzsch
+        # constant; |p - 1| comes from expm1, without cancellation at large n
+        log_p = math.log(K) / (n - 1.0) if t > 1.0 else math.log(K) / (1.0 - n)
+        log_rest = abs(math.expm1(log_p)) * (_LOG2 + (n - 1.0)) + math.exp(log_p) * math.log(t)
+    return math.exp(_log_seittenranta(K) + log_rest)
 
 
 def _hayman_schottky(r: float, t: float) -> float:

@@ -9,6 +9,7 @@ failure or suite failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -62,6 +63,12 @@ def _add_param_flags(parser):
     parser.add_argument("--s", type=float, help="argument s > 1")
 
 
+def _experiment_flags() -> dict:
+    """Every experiment parameter name, typed by its default (float or int)."""
+    return {p.name: type(p.default) for fn in identities._EXPERIMENTS.values()
+            for p in inspect.signature(fn).parameters.values()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcfun",
@@ -95,11 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="open-problem observations (never asserted)")
     p_exp.add_argument("--name", required=True, choices=identities.EXPERIMENT_NAMES)
-    p_exp.add_argument("--a", type=float)
-    p_exp.add_argument("--b", type=float)
-    p_exp.add_argument("--K", type=float)
-    p_exp.add_argument("--y", type=float)
-    p_exp.add_argument("--n", type=int)
+    for name, kind in _experiment_flags().items():
+        p_exp.add_argument(f"--{name}", type=kind)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a catalog bound")
     group = p_bounds.add_mutually_exclusive_group(required=True)
@@ -205,25 +209,8 @@ def _cmd_residuals(args) -> int:
     return 0 if all(rep.passed for rep in reports) else FAIL_EXIT
 
 
-_EXPERIMENT_FLAGS = {
-    "q_maclaurin": {"a": "a", "b": "b", "n": "n"},
-    "newton_monotone": {"y": "y", "n": "iterations"},
-    "artanh_ratio": {"K": "K"},
-    "linearize_phi_a": {"a": "a", "K": "K"},
-    "phiid4_printed": {},
-}
-
-
 def _cmd_experiment(args) -> int:
-    allowed = _EXPERIMENT_FLAGS[args.name]
-    params = {}
-    for flag in ("a", "b", "K", "y", "n"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if flag not in allowed:
-            raise DomainError(f"--{flag} is not a parameter of experiment {args.name}")
-        params[allowed[flag]] = value
+    params = {name: getattr(args, name) for name in _experiment_flags() if getattr(args, name) is not None}
     obs = identities.experiment(args.name, **params)
     print(json.dumps(obs, indent=2, default=float))
     return 0

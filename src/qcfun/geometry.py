@@ -41,6 +41,9 @@ _KOCH_MAX_LEVEL = 12
 # ahlfors_constant holds an n x n float64 arc table: a 76 MB peak at
 # n = 3072 (Koch level 5), so 134 MB at the cap by the n^2 scaling
 _AHLFORS_MAX_VERTICES = 4096
+# the full triangle-condition search is cubic in n: about 1 s at n = 1024 on
+# 2 vCPU, and each doubling multiplies the time by about 8
+_TRIANGLE_MAX_VERTICES = 1024
 _PAIR_BLOCK = 1 << 18  # distances per block of _pairwise
 
 
@@ -252,8 +255,10 @@ def ahlfors_constant(curve: Polyline) -> float:
 def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) -> float:
     """Largest (|a-b| + |b-c|) / |a-c| over ordered vertex triples of an open polyline.
 
-    The strongest reading takes every i < j < k; ``adjacent_only`` restricts to
-    consecutive triples.  Equals 1 exactly for monotone collinear points.
+    The strongest reading takes every i < j < k, in O(n^3) time over one
+    n x n distance table; more than 1024 vertices raise :class:`DomainError`.
+    ``adjacent_only`` restricts to consecutive triples, in O(n) time and
+    memory.  Equals 1 exactly for monotone collinear points.
     """
     if curve.closed:
         raise DomainError("triangle_condition_constant applies to open polylines (curves through infinity)")
@@ -261,13 +266,16 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     n = curve.n_vertices
     if n < 3:
         raise DomainError("triangle condition needs at least 3 vertices")
-    d = _dist(pts[:, None], pts[None])
     if adjacent_only:
-        ac = d[np.arange(n - 2), np.arange(2, n)]
+        ac = _dist(pts[:-2], pts[2:])
         if np.any(ac == 0.0):
             raise DegenerateGeometryError("degenerate triple with a = c")
-        m = (d[np.arange(n - 2), np.arange(1, n - 1)] + d[np.arange(1, n - 1), np.arange(2, n)]) / ac
-        return float(m.max())
+        edge = _dist(pts[:-1], pts[1:])
+        return float(((edge[:-1] + edge[1:]) / ac).max())
+    if n > _TRIANGLE_MAX_VERTICES:
+        raise DomainError(f"the full triangle-condition search accepts at most {_TRIANGLE_MAX_VERTICES} "
+                          f"vertices (about 1 s), got {n}; adjacent_only has no limit")
+    d = _dist(pts[:, None], pts[None])
     best = 1.0
     for j in range(1, n - 1):
         left = d[:j, j]

@@ -14,10 +14,12 @@ even when beta ~ 1e-80.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
@@ -56,16 +58,24 @@ class CaseKind(Enum):
 
 @dataclass(frozen=True)
 class IdentityCase:
-    """One registry entry: residual function, parameter domain, grid, tolerance."""
+    """One registry entry: residual function, the domain of each of its
+    parameters, default grid.  The parameter names are those of the function's
+    signature, and the tolerance is that of the kind."""
 
     id: str
     kind: CaseKind
-    params: tuple[str, ...]
-    domains: tuple[tuple[float, float], ...]
     fn: object
-    tolerance: float
+    domains: tuple[tuple[float, float], ...]
     default_points: tuple
     note: str = ""
+
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.fn).parameters)
+
+    @property
+    def tolerance(self) -> float:
+        return _TOLERANCE[self.kind]
 
     def check_point(self, point) -> None:
         if len(point) != len(self.params):
@@ -403,102 +413,78 @@ def _k_over_log_decreasing(r1, r2):
 # ---------------------------------------------------------------------------
 
 def _pts(*axes):
-    out = [()]
-    for axis in axes:
-        out = [p + (v,) for p in out for v in axis]
-    return tuple(out)
+    return tuple(itertools.product(*axes))
 
 
-_R_OPEN = (1e-12, 1.0 - 1e-12)
+_EQ, _INEQ, _MONO = CaseKind.Equality, CaseKind.Inequality, CaseKind.MonotoneProperty
 # every equality case: the default grids measure at most 1.2e-15, and a closed-form
 # or theta route that drifts by 1e-12 relative must fail the suite
-_EQ_TOL = 1e-13
+_TOLERANCE = {_EQ: 1e-13, _INEQ: 1e-11, _MONO: 1e-11}
+
+_R_OPEN = (1e-12, 1.0 - 1e-12)
+_DILATATION = (1e-6, 1e6)
+_SIGNATURE = (1e-6, 0.5)
+_ON_R_GRID = ((_R_OPEN,), _pts(R_GRID))  # one radius in (0, 1) over the default r grid
 _RS_PAIRS = tuple((r, s) for r in R_GRID for s in R_GRID if r <= s)
 _CONSEC = tuple(zip(R_GRID[:-1], R_GRID[1:]))
 
-_CASES: dict[str, IdentityCase] = {}
-
-
-def _register(case: IdentityCase):
-    _CASES[case.id] = case
-
-
-_register(IdentityCase("LJ3", CaseKind.Equality, ("r",), (_R_OPEN,), _lj3, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamanujanE1", CaseKind.Equality, ("r",), (_R_OPEN,), _e1, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamanujanE2", CaseKind.Equality, ("r",), (_R_OPEN,), _e2, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamanujanE3", CaseKind.Equality, ("r",), (_R_OPEN,), _e3, _EQ_TOL, _pts(R_GRID),
-                       note="three-level case (degrees 1,3,9): two nested degree-3 inversions"))
-_register(IdentityCase("RamanujanE4", CaseKind.Equality, ("r",), (_R_OPEN,), _e4, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamanujanE5a", CaseKind.Equality, ("r",), (_R_OPEN,), _e5a, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamanujanE5b", CaseKind.Equality, ("r",), (_R_OPEN,), _e5b, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("PhiId1", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid1, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("PhiId2", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid2, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("PhiId3", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid3, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("PhiId4", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid4, _EQ_TOL, _pts(R_GRID),
-                       note="source prints x = phi_{1/sqrt23}(s), y = phi_{sqrt23}(s'), which collapses "
-                            "to the fixed-point relation (suspected transcription issue; see the "
-                            "phiid4_printed experiment); evaluated with x = phi_{sqrt23}(s), "
-                            "y = phi_{1/sqrt23}(s)"))
-_register(IdentityCase("PhiId5", CaseKind.Equality, ("s",), (_R_OPEN,), _phiid5, _EQ_TOL, _pts(R_GRID)))
-# at the self-dual point s = s' = 1/sqrt 2, y = x', so each composition identity
-# above is its fixed-point relation
-_register(IdentityCase("Fixed1", CaseKind.Equality, (), (), partial(_phiid1, SQRT_HALF), _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed2", CaseKind.Equality, (), (), partial(_phiid2, SQRT_HALF), _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed3", CaseKind.Equality, (), (), partial(_phiid3, SQRT_HALF), _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed4", CaseKind.Equality, (), (), partial(_phiid4, SQRT_HALF), _EQ_TOL, ((),)))
-_register(IdentityCase("Fixed5", CaseKind.Equality, (), (), partial(_phiid5, SQRT_HALF), _EQ_TOL, ((),)))
-_register(IdentityCase("BBG2", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg2, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("BBG5", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg5, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("BBG11", CaseKind.Equality, ("r",), (_R_OPEN,), _bbg11, _EQ_TOL, _pts(R_GRID),
-                       note="degree 11 compounds two deep inversions"))
-_register(IdentityCase("PhiGroup1", CaseKind.Equality, ("K", "r"), ((1e-6, 1e6), _R_OPEN),
-                       _phigroup1, _EQ_TOL, _pts(K_GRID, R_GRID)))
-_register(IdentityCase("PhiGroup2", CaseKind.Equality, ("A", "B", "r"), ((1e-6, 1e6), (1e-6, 1e6), _R_OPEN),
-                       _phigroup2, _EQ_TOL, _pts(K_GRID, K_GRID, R_GRID)))
-_register(IdentityCase("PhiGroup3", CaseKind.Equality, ("K", "r"), ((1e-6, 1e6), _R_OPEN),
-                       _phigroup3, _EQ_TOL, _pts(K_GRID, R_GRID)))
-_register(IdentityCase("PhiGroup4", CaseKind.Equality, ("r",), (_R_OPEN,), _phigroup4, _EQ_TOL, _pts(R_GRID)))
-_register(IdentityCase("RamIdCase", CaseKind.Equality, ("a", "r"), ((1e-6, 1.0 - 1e-6), _R_OPEN),
-                       _ramid, _EQ_TOL, _pts(A_GRID, R_GRID),
-                       note="residual is relative to the right-hand side"))
-_register(IdentityCase("Landen", CaseKind.Equality, ("r",), (_R_OPEN,), _landen, _EQ_TOL, _pts(R_GRID),
-                       note="residual is relative to (1+r)K(r)"))
-
-_register(IdentityCase("LandenIneq", CaseKind.Inequality, ("a", "b", "r"),
-                       ((1e-6, 1.0), (1e-6, 1.0), _R_OPEN), _landen_ineq, 1e-11,
-                       tuple((a, b, r) for (a, b) in AB_PAIRS for r in R_GRID)))
-_register(IdentityCase("MuSub", CaseKind.Inequality, ("a", "r", "s"),
-                       ((1e-6, 0.5), _R_OPEN, _R_OPEN), _mu_sub, 1e-11,
-                       tuple((a, r, s) for a in A_GRID for (r, s) in _RS_PAIRS)))
-_register(IdentityCase("MuSuper", CaseKind.Inequality, ("a", "r", "t"),
-                       ((1e-6, 0.5), _R_OPEN, _R_OPEN), _mu_super, 1e-11,
-                       tuple((a, r, t) for a in A_GRID for (r, t) in _RS_PAIRS)))
-_register(IdentityCase("MuDup", CaseKind.Inequality, ("a", "r"),
-                       ((1e-6, 0.5), _R_OPEN), _mu_dup, 1e-11,
-                       _pts(A_GRID, R_GRID)))
-_register(IdentityCase("MuProd", CaseKind.Inequality, ("a", "r"),
-                       ((1e-6, 0.5), _R_OPEN), _mu_prod, 1e-11,
-                       _pts(A_GRID, R_GRID),
-                       note="slack normalized by the product p; equality throughout at a = 1/2"))
-_register(IdentityCase("MeanChain", CaseKind.Inequality, ("x", "y"),
-                       ((1e-12, 1e12), (1e-12, 1e12)), _mean_chain, 1e-11, XY_PAIRS))
-_register(IdentityCase("KBracketLower", CaseKind.Inequality, ("r",), (_R_OPEN,),
-                       _k_bracket_lower, 1e-11, _pts(R_GRID)))
-_register(IdentityCase("KBracketUpper", CaseKind.Inequality, ("r",), (_R_OPEN,),
-                       _k_bracket_upper, 1e-11, _pts(R_GRID)))
-_register(IdentityCase("LambdaBracketLower", CaseKind.Inequality, ("K",), ((1.0, 1e3),),
-                       _lambda_lower, 1e-11, _pts(LAMBDA_K_GRID)))
-_register(IdentityCase("LambdaBracketUpper", CaseKind.Inequality, ("K",), ((1.0, 1e3),),
-                       _lambda_upper, 1e-11, _pts(LAMBDA_K_GRID)))
-_register(IdentityCase("QiuBracket", CaseKind.Inequality, ("K", "t"), ((1.0, 1e3), (0.0, 1e6)),
-                       _qiu, 1e-11, _pts(K_GRID, T_GRID),
-                       note="equality at K = 1 or t = 0"))
-_register(IdentityCase("MuPlusLog", CaseKind.MonotoneProperty, ("r1", "r2"), (_R_OPEN, _R_OPEN),
-                       _mu_plus_log_decreasing, 1e-11, _CONSEC,
-                       note="mu(r) + log r decreases; slack is the drop across consecutive grid points"))
-_register(IdentityCase("KOverLog", CaseKind.MonotoneProperty, ("r1", "r2"), (_R_OPEN, _R_OPEN),
-                       _k_over_log_decreasing, 1e-11, _CONSEC,
-                       note="K(r)/log(4/r') decreases; slack is the drop across consecutive grid points"))
+# id, kind, residual function, the domain of each of its parameters in order,
+# default grid[, note]
+_TABLE = (
+    ("LJ3", _EQ, _lj3, *_ON_R_GRID),
+    ("RamanujanE1", _EQ, _e1, *_ON_R_GRID),
+    ("RamanujanE2", _EQ, _e2, *_ON_R_GRID),
+    ("RamanujanE3", _EQ, _e3, *_ON_R_GRID,
+     "three-level case (degrees 1,3,9): two nested degree-3 inversions"),
+    ("RamanujanE4", _EQ, _e4, *_ON_R_GRID),
+    ("RamanujanE5a", _EQ, _e5a, *_ON_R_GRID),
+    ("RamanujanE5b", _EQ, _e5b, *_ON_R_GRID),
+    ("PhiId1", _EQ, _phiid1, *_ON_R_GRID),
+    ("PhiId2", _EQ, _phiid2, *_ON_R_GRID),
+    ("PhiId3", _EQ, _phiid3, *_ON_R_GRID),
+    ("PhiId4", _EQ, _phiid4, *_ON_R_GRID,
+     "source prints x = phi_{1/sqrt23}(s), y = phi_{sqrt23}(s'), which collapses "
+     "to the fixed-point relation (suspected transcription issue; see the "
+     "phiid4_printed experiment); evaluated with x = phi_{sqrt23}(s), "
+     "y = phi_{1/sqrt23}(s)"),
+    ("PhiId5", _EQ, _phiid5, *_ON_R_GRID),
+    # at the self-dual point s = s' = 1/sqrt 2, y = x', so each composition
+    # identity above is its fixed-point relation
+    *((f"Fixed{i}", _EQ, partial(fn, SQRT_HALF), (), ((),))
+      for i, fn in enumerate((_phiid1, _phiid2, _phiid3, _phiid4, _phiid5), 1)),
+    ("BBG2", _EQ, _bbg2, *_ON_R_GRID),
+    ("BBG5", _EQ, _bbg5, *_ON_R_GRID),
+    ("BBG11", _EQ, _bbg11, *_ON_R_GRID, "degree 11 compounds two deep inversions"),
+    ("PhiGroup1", _EQ, _phigroup1, (_DILATATION, _R_OPEN), _pts(K_GRID, R_GRID)),
+    ("PhiGroup2", _EQ, _phigroup2, (_DILATATION, _DILATATION, _R_OPEN), _pts(K_GRID, K_GRID, R_GRID)),
+    ("PhiGroup3", _EQ, _phigroup3, (_DILATATION, _R_OPEN), _pts(K_GRID, R_GRID)),
+    ("PhiGroup4", _EQ, _phigroup4, *_ON_R_GRID),
+    ("RamIdCase", _EQ, _ramid, ((1e-6, 1.0 - 1e-6), _R_OPEN), _pts(A_GRID, R_GRID),
+     "residual is relative to the right-hand side"),
+    ("Landen", _EQ, _landen, *_ON_R_GRID, "residual is relative to (1+r)K(r)"),
+    ("LandenIneq", _INEQ, _landen_ineq, ((1e-6, 1.0), (1e-6, 1.0), _R_OPEN),
+     tuple((a, b, r) for (a, b) in AB_PAIRS for r in R_GRID)),
+    ("MuSub", _INEQ, _mu_sub, (_SIGNATURE, _R_OPEN, _R_OPEN),
+     tuple((a, *rs) for a in A_GRID for rs in _RS_PAIRS)),
+    ("MuSuper", _INEQ, _mu_super, (_SIGNATURE, _R_OPEN, _R_OPEN),
+     tuple((a, *rt) for a in A_GRID for rt in _RS_PAIRS)),
+    ("MuDup", _INEQ, _mu_dup, (_SIGNATURE, _R_OPEN), _pts(A_GRID, R_GRID)),
+    ("MuProd", _INEQ, _mu_prod, (_SIGNATURE, _R_OPEN), _pts(A_GRID, R_GRID),
+     "slack normalized by the product p; equality throughout at a = 1/2"),
+    ("MeanChain", _INEQ, _mean_chain, ((1e-12, 1e12), (1e-12, 1e12)), XY_PAIRS),
+    ("KBracketLower", _INEQ, _k_bracket_lower, *_ON_R_GRID),
+    ("KBracketUpper", _INEQ, _k_bracket_upper, *_ON_R_GRID),
+    ("LambdaBracketLower", _INEQ, _lambda_lower, ((1.0, 1e3),), _pts(LAMBDA_K_GRID)),
+    ("LambdaBracketUpper", _INEQ, _lambda_upper, ((1.0, 1e3),), _pts(LAMBDA_K_GRID)),
+    # K <= 40 keeps (16t + 8)^K and b^K inside the double range for t <= 1e6
+    ("QiuBracket", _INEQ, _qiu, ((1.0, 40.0), (0.0, 1e6)), _pts(K_GRID, T_GRID),
+     "equality at K = 1 or t = 0"),
+    ("MuPlusLog", _MONO, _mu_plus_log_decreasing, (_R_OPEN, _R_OPEN), _CONSEC,
+     "mu(r) + log r decreases; slack is the drop across consecutive grid points"),
+    ("KOverLog", _MONO, _k_over_log_decreasing, (_R_OPEN, _R_OPEN), _CONSEC,
+     "K(r)/log(4/r') decreases; slack is the drop across consecutive grid points"),
+)
+_CASES = {row[0]: IdentityCase(*row) for row in _TABLE}
 
 
 def all_cases() -> tuple[IdentityCase, ...]:
@@ -516,10 +502,15 @@ def get_case(case_id: str) -> IdentityCase:
 def residual(case_id: str, point) -> float:
     """Signed residual (equality) or slack (inequality/monotone) of one case at one point.
 
-    Constituent evaluation errors propagate with the case id attached.
+    A point that is not a sequence of numbers, or lies outside the case's
+    domain, raises :class:`DomainError`; constituent evaluation errors
+    propagate with the case id attached.
     """
     case = get_case(case_id)
-    point = tuple(float(v) for v in point)
+    try:
+        point = tuple(float(v) for v in point)
+    except (TypeError, ValueError):
+        raise DomainError(f"{case_id} takes numeric parameters {case.params}, got {point!r}") from None
     case.check_point(point)
     try:
         return case.fn(*point)
@@ -541,30 +532,17 @@ def run_suite(case_ids=None, grid_overrides=None) -> list[ResidualReport]:
     Per-case failures are captured in the report, never raised.  Reports come
     back sorted by case id; evaluation order never affects the numbers.
     """
-    if case_ids is None:
-        cases = all_cases()
-    else:
-        cases = tuple(get_case(cid) for cid in case_ids)
+    cases = all_cases() if case_ids is None else tuple(get_case(cid) for cid in case_ids)
+    overrides = grid_overrides or {}
     reports = []
     for case in cases:
-        points = case.default_points
-        if grid_overrides and any(name in grid_overrides for name in case.params):
-            # replace only the overridden axes; joint structure of the other
-            # coordinates (e.g. admissible parameter pairs) is preserved
-            over = [i for i, name in enumerate(case.params) if name in grid_overrides]
-            keep = [i for i in range(len(case.params)) if i not in over]
-            kept_tuples = list(dict.fromkeys(tuple(p[i] for i in keep) for p in points))
-            new_points = []
-            for base in kept_tuples:
-                combos = _pts(*[tuple(grid_overrides[case.params[i]]) for i in over])
-                for combo in combos:
-                    point = [0.0] * len(case.params)
-                    for slot, i in enumerate(keep):
-                        point[i] = base[slot]
-                    for slot, i in enumerate(over):
-                        point[i] = combo[slot]
-                    new_points.append(tuple(point))
-            points = tuple(new_points)
+        # every default point with its overridden coordinates swept over the
+        # override values; the joint structure of the other coordinates (e.g.
+        # admissible parameter pairs) is preserved, and repeats are dropped
+        points = tuple(dict.fromkeys(
+            q for p in case.default_points
+            for q in itertools.product(*(overrides.get(name, (v,)) for name, v in zip(case.params, p)))
+        ))
         worst = ()
         worst_val = -math.inf
         err = None
@@ -578,13 +556,10 @@ def run_suite(case_ids=None, grid_overrides=None) -> list[ResidualReport]:
                     worst = point
         except Exception as exc:  # noqa: BLE001 - aggregate without aborting the suite
             err = f"{type(exc).__name__}: {exc}"
-        if err is not None:
-            reports.append(ResidualReport(case.id, case.kind.value, _grid_description(case, points),
-                                          len(points), math.nan, worst, case.tolerance, False, err))
-        else:
-            reports.append(ResidualReport(case.id, case.kind.value, _grid_description(case, points),
-                                          len(points), worst_val, worst, case.tolerance,
-                                          worst_val <= case.tolerance))
+            worst_val = math.nan
+        reports.append(ResidualReport(case.id, case.kind.value, _grid_description(case, points),
+                                      len(points), worst_val, worst, case.tolerance,
+                                      worst_val <= case.tolerance, err))
     reports.sort(key=lambda rep: rep.case)
     return reports
 
@@ -593,8 +568,9 @@ def run_suite(case_ids=None, grid_overrides=None) -> list[ResidualReport]:
 # open-problem experiments: observations only, nothing asserted
 # ---------------------------------------------------------------------------
 
-EXPERIMENT_NAMES = ("q_maclaurin", "newton_monotone", "artanh_ratio", "linearize_phi_a",
-                    "phiid4_printed")
+# the largest integer parameter (n) of an experiment: q_maclaurin's
+# coefficient recursion is quadratic in n and takes about 0.04 s at n = 1000
+_MAX_N = 1000
 
 
 def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
@@ -604,7 +580,6 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
     """
     if not (0 < a <= 1 and 0 < b <= 1 and a + b <= 1):
         raise DomainError("q_maclaurin requires a, b in (0,1] with a + b <= 1")
-    n = int(n)
     big_b = beta_fn(a, b)
     big_r = _balanced_r0(a, b)  # no (0,1) restriction, unlike ramanujan_R
     f = [1.0]
@@ -615,11 +590,7 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
     for k in range(n + 1):
         s = big_b * f[k] - sum(den[j] * q[k - j] for j in range(1, k + 1))
         q.append(s / den[0])
-    coeffs = []
-    acc = 0.0
-    for k in range(n + 1):
-        acc += q[k] - (1.0 if k == 0 else 0.0)
-        coeffs.append(acc)
+    coeffs = list(itertools.accumulate(q, initial=-1.0))[1:]  # G's coefficients: partial sums of Q - 1
     return {
         "a": a,
         "b": b,
@@ -629,15 +600,15 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
     }
 
 
-def _exp_newton(y=4.0, iterations=30) -> dict:
-    """Raw (unsafeguarded) Newton iterates for the inverse modulus, from 1/cosh y."""
+def _exp_newton(y=4.0, n=30) -> dict:
+    """At most n raw (unsafeguarded) Newton iterates for the inverse modulus, from 1/cosh y."""
     if not (y > 0.5 * math.pi):
         raise DomainError("the raw Newton iteration is stated for y > pi/2")
     # raises ConvergenceError where the root underflows, before cosh y can overflow
     reference = mu_inv(y).r
     x = 1.0 / math.cosh(y)
     iterates = [x]
-    for _ in range(int(iterations)):
+    for _ in range(n):
         u = UnitRadius(x, comp_radius(x))
         g = agm(1.0, u.comp)
         x_next = x + (mu(u) - y) * x * u.comp * u.comp / (g * g)
@@ -656,18 +627,17 @@ def _exp_newton(y=4.0, iterations=30) -> dict:
     }
 
 
-def _exp_artanh(K=3.0, rs=R_GRID) -> dict:
-    """Samples of g(K,r) = artanh(phi_K(r)) / artanh(r^(1/K)) against the conjectured range."""
-    if K <= 1.0 or K == 2.0:
-        raise DomainError("the conjecture is stated for fixed K > 1, K != 2")
-    values = []
-    for r in rs:
-        u = UnitRadius.from_r(float(r))
-        values.append(math.atanh(phi_K(K, u).r) / math.atanh(r ** (1.0 / K)))
+def _exp_artanh(K=3.0) -> dict:
+    """g(K,r) = artanh(phi_K(r)) / artanh(r^(1/K)) on the r grid against the conjectured range."""
+    # from K ~ 7.55 on phi_K(0.95) rounds to 1, whose artanh is infinite
+    if not (1.0 < K <= 7.5) or K == 2.0:
+        raise DomainError("the conjecture is stated for fixed K > 1, K != 2; "
+                          f"artanh_ratio samples it for K <= 7.5, got {K}")
+    values = [math.atanh(phi_K(K, UnitRadius.from_r(r)).r) / math.atanh(r ** (1.0 / K)) for r in R_GRID]
     lim = 4.0 ** (1.0 - 1.0 / K)
     return {
         "K": K,
-        "r": list(rs),
+        "r": list(R_GRID),
         "g": values,
         "conjectured_range": (min(K, lim), max(K, lim)),
         "monotone_increasing": all(b > a for a, b in zip(values, values[1:])),
@@ -675,10 +645,11 @@ def _exp_artanh(K=3.0, rs=R_GRID) -> dict:
     }
 
 
-def _exp_linearize_a(a=1.0 / 3.0, K=2.0, xs=None, h=1e-5) -> dict:
-    """Finite-difference slopes of the logit-conjugated generalized distortion."""
-    if xs is None:
-        xs = [0.5 * i for i in range(-12, 13)]
+def _exp_linearize_a(a=1.0 / 3.0, K=2.0) -> dict:
+    """Central-difference slopes (step 1e-5) of the logit-conjugated generalized
+    distortion at x = -6, -5.5, ..., 6."""
+    xs = [0.5 * i for i in range(-12, 13)]
+    h = 1e-5
 
     def g(x):
         return _logit_conjugate(lambda u: phi_aK(a, K, u), x)
@@ -687,7 +658,7 @@ def _exp_linearize_a(a=1.0 / 3.0, K=2.0, xs=None, h=1e-5) -> dict:
     return {
         "a": a,
         "K": K,
-        "x": list(xs),
+        "x": xs,
         "slope": slopes,
         "slope_range": (min(slopes), max(slopes)),
         "nondecreasing": all(b >= a_ - 1e-9 for a_, b in zip(slopes, slopes[1:])),
@@ -695,11 +666,11 @@ def _exp_linearize_a(a=1.0 / 3.0, K=2.0, xs=None, h=1e-5) -> dict:
     }
 
 
-def _exp_phiid4_printed(ss=R_GRID) -> dict:
+def _exp_phiid4_printed() -> dict:
     """Residual of the degree-23 composition identity in its printed parameterization."""
-    res = [_phiid4_printed(float(s)) for s in ss]
+    res = [_phiid4_printed(s) for s in R_GRID]
     return {
-        "s": list(ss),
+        "s": list(R_GRID),
         "residual": res,
         "max_abs_residual": max(abs(v) for v in res),
         "note": "printed form collapses to the fixed-point relation (y = x' identically); "
@@ -707,6 +678,8 @@ def _exp_phiid4_printed(ss=R_GRID) -> dict:
     }
 
 
+# name -> function; its keyword parameters are the experiment's parameters,
+# typed by their defaults (the CLI's experiment flags come from them)
 _EXPERIMENTS = {
     "q_maclaurin": _exp_q_maclaurin,
     "newton_monotone": _exp_newton,
@@ -714,12 +687,33 @@ _EXPERIMENTS = {
     "linearize_phi_a": _exp_linearize_a,
     "phiid4_printed": _exp_phiid4_printed,
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def experiment(name: str, **params) -> dict:
-    """Run an open-problem experiment and return its observations (no assertions)."""
+    """Run an open-problem experiment and return its observations (no assertions).
+
+    Parameters are numbers; an integer parameter (``n``) must be a whole
+    number in [0, 1000].  An unknown name or parameter, or a value of the
+    wrong kind, raises :class:`DomainError`.
+    """
     try:
         fn = _EXPERIMENTS[name]
     except KeyError:
         raise DomainError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}") from None
-    return fn(**params)
+    defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    args = {}
+    for key, value in params.items():
+        if key not in defaults:
+            raise DomainError(f"{key} is not a parameter of experiment {name}; "
+                              f"its parameters: {', '.join(defaults) or 'none'}")
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise DomainError(f"experiment {name}: {key} must be a number, got {value!r}") from None
+        if isinstance(defaults[key], int):
+            if not (0 <= value <= _MAX_N and value == int(value)):
+                raise DomainError(f"experiment {name}: {key} must be an integer in [0, {_MAX_N}], got {value}")
+            value = int(value)
+        args[key] = value
+    return fn(**args)

@@ -304,7 +304,7 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     gives r = 2k/(1+k^2) and r' = k'^2/(1+k^2), the inverse Landen map of
     :func:`mu_a`.  Over 2000 log-uniform y in [0.004, 700] at a = 1/2 and
     [0.007, 700] at a = 1/4, |mu_a(r) - y| <= 4.0e-16 max(1, y) and
-    4.4e-16 max(1, y).  Every other signature, 1/3 included, takes the
+    5.8e-16 max(1, y), and at a = 1/4 r^2 + r'^2 = 1 to 5.4e-16.  Every other signature, 1/3 included, takes the
     safeguarded Newton iteration of :func:`_mu_a_newton`.  A radius or complement below
     the normal double range raises :class:`ConvergenceError`; at a = 1/4
     that includes k, so the limit is y ~ 709.8 as for mu_inv, and r' ~ k'^2/2
@@ -318,7 +318,9 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if a == 0.25:
         k = mu_inv(y)
         s = 1.0 + k.r * k.r
-        comp = k.comp * k.comp / s
+        # k'^2 from the smaller channel: (1-k)(1+k) keeps r^2 + r'^2 = 1 to
+        # 5.4e-16 where k'^2 of the theta pair drifts to 1.4e-15
+        comp = (k.comp * k.comp if k.comp < k.r else (1.0 - k.r) * (1.0 + k.r)) / s
         if comp < sys.float_info.min:
             raise ConvergenceError(
                 f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision"

@@ -227,23 +227,18 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float) -> tuple[float, f
     raise ConvergenceError("zero-balanced connection series stalled")
 
 
-def gauss_F_near_one(a: float, b: float, w: float, log_w: float | None = None) -> float:
-    """Zero-balanced F(a,b;a+b;1-w) for small w, from the complement directly.
+def gauss_F_near_one(a: float, b: float, w: float) -> float:
+    """Zero-balanced F(a,b;a+b;1-w) for w in (0, 1/2], from the complement directly.
 
     This is S1 / B(a,b) of :func:`_balanced_sums`, the connection formula
     whose n = 0 term is the R(a,b) - log(1-r) asymptotic.  Taking w as the
-    argument keeps log w exact when 1-r is known to more digits than r;
-    ``log_w`` may be supplied separately when w itself underflows.  Where
-    the series or the beta normaliser leaves the double range (large a, b)
-    :class:`OverflowSignal` is raised.
+    argument keeps log w exact when 1-r is known to more digits than r.
+    Where the series or the beta normaliser leaves the double range (large
+    a, b) :class:`OverflowSignal` is raised.
     """
-    if log_w is None:
-        if not (0.0 < w <= 0.5):
-            raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
-        log_w = math.log(w)
-    elif not (0.0 <= w <= 0.5):
-        raise DomainError(f"gauss_F_near_one requires complement in [0, 0.5], got {w}")
-    s1 = _balanced_sums(a, b, w, log_w)[1]
+    if not (0.0 < w <= 0.5):
+        raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
+    s1 = _balanced_sums(a, b, w, math.log(w))[1]
     beta = beta_fn(a, b)
     if not (beta > 0.0 and math.isfinite(s1)):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "
@@ -258,8 +253,6 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
     arguments beyond 0.95 go through the connection formula.  A value, or a
     term of the series, beyond the double range raises :class:`OverflowSignal`.
     """
-    if isinstance(p, tuple):
-        p = HypergeomParams(*p)
     if not (0.0 <= r < 1.0):
         raise DomainError(f"gauss_F requires r in [0,1), got {r}")
     if r == 0.0:
@@ -276,8 +269,6 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
     formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).  A gamma ratio
     that leaves the double range raises :class:`OverflowSignal`.
     """
-    if isinstance(p, tuple):
-        p = HypergeomParams(*p)
     if p.c <= 0:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")
     d = p.c - (p.a + p.b)
@@ -287,7 +278,9 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
         if d > 0:
             # c > a + b forces c - a > b > 0 and c - b > a > 0, so this is total.
             if max(p.c, d) <= 171.0:
-                const = gamma_fn(p.c) * gamma_fn(d) / (gamma_fn(p.c - p.a) * gamma_fn(p.c - p.b))
+                # two quotients of finite gammas: the product of two gammas
+                # overflows from c ~ 150 on where the ratio is finite
+                const = gamma_fn(p.c) / gamma_fn(p.c - p.a) * (gamma_fn(d) / gamma_fn(p.c - p.b))
             else:
                 const = math.exp(
                     math.lgamma(p.c) + math.lgamma(d) - math.lgamma(p.c - p.a) - math.lgamma(p.c - p.b)

@@ -18,6 +18,7 @@ from qcfun import (
     gehring_d,
     gehring_d2_composite,
     lambda_of_K,
+    phi_K,
     schottky_psi,
     surface_area,
     vuorinen_c,
@@ -129,6 +130,17 @@ class TestEtaKnUpper:
         # 50-digit mpmath values of s(K) lam^|p-1| t^p; the exp of a logarithm
         # near 660 keeps about 13 digits
         assert bound_value(BoundId.EtaKnUpper, params) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("K, t", [(6.5, 1e-300), (6.5, 1e-250), (6.3, 1e-100)])
+    def test_plane_branch_beyond_overflowing_seittenranta(self, K, t):
+        # s(K) alone is past the double range from K ~ 6.25; the product is not.
+        # Reference: s(K) in 40 decimal digits times the library's phi_K(t)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            k = decimal.Decimal(K)
+            s = (6 * (k + 1) ** 2 * (k - 1).sqrt()).exp()
+            expected = float(s * decimal.Decimal(phi_K(K, t).r))
+        assert bound_value(BoundId.EtaKnUpper, [K, t, 2.0]) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("params", [
         [2.0, math.inf, 2.0], [2.0, -1.0, 2.0], [2.0, math.nan, 2.0],

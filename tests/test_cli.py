@@ -1,12 +1,13 @@
 """Command-line interface: parsing, determinism, exit codes, formats."""
 
+import inspect
 import json
 import math
 
 import pytest
 
-from qcfun import linearized_g
-from qcfun.cli import main
+from qcfun import identities, linearized_g
+from qcfun.cli import _build_parser, main
 
 MU_HALF = 2.0094593770052853
 
@@ -206,6 +207,28 @@ class TestExperimentCli:
         code, _, err = run_cli(capsys, "experiment", "--name", "phiid4_printed", "--K", "2")
         assert code == 2 and "not a parameter" in err
 
+    @pytest.mark.parametrize("name, flag, value", [
+        ("q_maclaurin", "a", "0.3"), ("q_maclaurin", "b", "0.4"), ("q_maclaurin", "n", "7"),
+        ("newton_monotone", "y", "5"), ("newton_monotone", "n", "3"),
+        ("artanh_ratio", "K", "5"), ("linearize_phi_a", "a", "0.25"), ("linearize_phi_a", "K", "3"),
+    ])
+    def test_every_experiment_flag(self, capsys, name, flag, value):
+        # each flag reaches the experiment's parameter of the same name, typed by its default
+        code, out, _ = run_cli(capsys, "experiment", "--name", name, f"--{flag}", value)
+        assert code == 0
+        kind = type(inspect.signature(identities._EXPERIMENTS[name]).parameters[flag].default)
+        expected = identities.experiment(name, **{flag: kind(value)})
+        assert out == json.dumps(expected, indent=2, default=float) + "\n"
+
+    def test_flag_types_from_defaults(self):
+        args = _build_parser().parse_args(["experiment", "--name", "q_maclaurin", "--a", "1", "--b", "1",
+                                           "--n", "7", "--y", "5", "--K", "3"])
+        assert [type(getattr(args, f)) for f in "abnyK"] == [float, float, int, float, float]
+
+    def test_integer_flag_limit_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "experiment", "--name", "q_maclaurin", "--n", "1001")
+        assert code == 2 and "1000" in err
+
 
 class TestBoundsCli:
     def test_value(self, capsys):
@@ -279,6 +302,15 @@ class TestGeomCli:
                                "--property", "triangle")
         assert code == 0
         assert json.loads(out)["triangle"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+    def test_check_triangle_vertex_limit_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{i % 2}\n" for i in range(1025)))
+        code, _, err = run_cli(capsys, "geom", "check", "--in", str(path), "--property", "triangle")
+        assert code == 2 and "1024" in err
+        code, out, _ = run_cli(capsys, "geom", "check", "--in", str(path), "--property", "triangle",
+                               "--adjacent-only")
+        assert code == 0 and json.loads(out)["triangle"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_malformed_csv_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"

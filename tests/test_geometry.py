@@ -227,9 +227,38 @@ class TestTriangleCondition:
         sp = spiral_polyline()
         assert triangle_condition_constant(sp, adjacent_only=True) <= triangle_condition_constant(sp)
 
+    def test_adjacent_reading_matches_distance_table(self):
+        sp = spiral_polyline()
+        p = sp.points
+        d = np.sqrt(((p[:, None] - p[None]) ** 2).sum(axis=-1))
+        i = np.arange(sp.n_vertices - 2)
+        expected = float(((d[i, i + 1] + d[i + 1, i + 2]) / d[i, i + 2]).max())
+        assert triangle_condition_constant(sp, adjacent_only=True) == expected
+
+    def test_adjacent_reading_in_linear_memory(self):
+        n = 50_000
+        x = np.linspace(0.0, 1.0, n)
+        zigzag = Polyline(np.column_stack((x, 1e-5 * (np.arange(n) % 2))), closed=False)
+        tracemalloc.start()
+        try:
+            triangle_condition_constant(zigzag, adjacent_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # an n x n table would be 20 GB
+
+    def test_full_search_vertex_limit(self):
+        x = np.linspace(0.0, 1.0, 1025)
+        long = Polyline(np.column_stack((x, np.sin(7.0 * x))), closed=False)
+        with pytest.raises(DomainError, match="1024"):
+            triangle_condition_constant(long)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             triangle_condition_constant(koch_curve(1))
+        collinear_back = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), closed=False)
+        with pytest.raises(DegenerateGeometryError):
+            triangle_condition_constant(collinear_back, adjacent_only=True)
         back = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [2.0, 1.0]][:3]),
                         closed=False)
         with pytest.raises(DegenerateGeometryError):

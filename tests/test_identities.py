@@ -5,7 +5,8 @@ import math
 import pytest
 
 from qcfun import ConvergenceError, DomainError, all_cases, experiment, get_case, modulus, residual, run_suite
-from qcfun.identities import A_GRID, CaseKind, K_GRID, R_GRID
+from qcfun import SQRT_HALF
+from qcfun.identities import A_GRID, EXPERIMENT_NAMES, CaseKind, K_GRID, R_GRID
 
 EQUALITY_ROSTER = [
     "LJ3",
@@ -49,6 +50,33 @@ class TestRegistry:
             residual("LJ3", (1.5,))
         with pytest.raises(DomainError):
             residual("LJ3", (0.3, 0.4))
+
+    def test_case_domain_is_checked(self):
+        # phi_K accepts K = 1e7; the case's stated domain does not
+        with pytest.raises(DomainError, match="outside"):
+            residual("PhiGroup1", (1e7, 0.3))
+
+    @pytest.mark.parametrize("point", [("abc",), (None,), 0.5, None])
+    def test_non_numeric_point(self, point):
+        with pytest.raises(DomainError, match="numeric"):
+            residual("LJ3", point)
+
+    def test_params_from_signature(self):
+        assert get_case("PhiGroup2").params == ("A", "B", "r")
+        assert get_case("MuSuper").params == ("a", "r", "t")
+        assert get_case("Fixed1").params == ()
+        for case in all_cases():
+            assert len(case.domains) == len(case.params), case.id
+            assert all(len(p) == len(case.params) for p in case.default_points), case.id
+
+    def test_tolerance_from_kind(self):
+        expected = {CaseKind.Equality: 1e-13, CaseKind.Inequality: 1e-11, CaseKind.MonotoneProperty: 1e-11}
+        assert all(case.tolerance == expected[case.kind] for case in all_cases())
+
+    @pytest.mark.parametrize("i", range(1, 6))
+    def test_fixed_cases_are_composition_identities_at_self_dual_point(self, i):
+        # SQRT_HALF carries its complement exactly; a float point would not
+        assert residual(f"Fixed{i}", ()) == get_case(f"PhiId{i}").fn(SQRT_HALF)
 
 
 class TestSpotResiduals:
@@ -153,10 +181,24 @@ class TestRunSuite:
         assert reports[0].n_points == 3
         assert reports[0].passed
 
+    def test_grid_override_keeps_joint_coordinates(self):
+        # every (a, r, s) with a from the default grid, r and s from the override;
+        # the signature axis keeps its four values once each
+        (rep,) = run_suite(["MuSub"], {"r": [0.2, 0.4, 0.6], "s": [0.2, 0.4, 0.6]})
+        assert rep.n_points == len(A_GRID) * 9
+        assert rep.grid == f"{rep.n_points} point(s) over (a, r, s)"
+        (rep,) = run_suite(["PhiGroup2"], {"r": [0.5]})
+        assert rep.n_points == len(K_GRID) ** 2
+
+    def test_grid_description(self):
+        assert run_suite(["Fixed1"])[0].grid == "single evaluation"
+        assert run_suite(["LJ3"])[0].grid == f"{len(R_GRID)} point(s) over (r)"
+
     def test_error_aggregation(self):
         reports = run_suite(["LJ3", "Fixed1"], {"r": [1.5]})
         by_case = {rep.case: rep for rep in reports}
         assert by_case["LJ3"].error is not None
+        assert math.isnan(by_case["LJ3"].max_residual)
         assert not by_case["LJ3"].passed
         assert by_case["Fixed1"].passed  # unaffected case still evaluated
 
@@ -211,6 +253,51 @@ class TestExperiments:
     def test_unknown_experiment(self):
         with pytest.raises(DomainError):
             experiment("no_such_experiment")
+
+    @pytest.mark.parametrize("name, params", [
+        ("phiid4_printed", {"K": 2.0}),
+        ("artanh_ratio", {"y": 2.0}),
+        ("newton_monotone", {"iterations": 5}),
+        ("linearize_phi_a", {"h": 1e-3}),
+    ])
+    def test_unknown_parameter(self, name, params):
+        with pytest.raises(DomainError, match="not a parameter"):
+            experiment(name, **params)
+
+    @pytest.mark.parametrize("value", ["abc", None, [1.0]])
+    def test_non_numeric_parameter(self, value):
+        with pytest.raises(DomainError, match="must be a number"):
+            experiment("artanh_ratio", K=value)
+
+    @pytest.mark.parametrize("name", ["newton_monotone", "q_maclaurin"])
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -1, 2.5, 1001, 1e9])
+    def test_integer_parameter_bounded(self, name, n):
+        with pytest.raises(DomainError, match=r"integer in \[0, 1000\]"):
+            experiment(name, n=n)
+
+    def test_integer_parameter_limits(self):
+        assert len(experiment("q_maclaurin", n=0)["coefficients"]) == 1
+        assert len(experiment("q_maclaurin", n=1000.0)["coefficients"]) == 1001
+        assert len(experiment("newton_monotone", y=4.0, n=0)["iterates"]) == 1
+        assert len(experiment("newton_monotone", y=4.0, n=2.0)["iterates"]) == 3
+
+    @pytest.mark.parametrize("a, b", [(0.7, 0.7), (1.5, 0.25), (0.0, 0.5)])
+    def test_q_maclaurin_domain(self, a, b):
+        with pytest.raises(DomainError, match="a \\+ b <= 1"):
+            experiment("q_maclaurin", a=a, b=b)
+
+    @pytest.mark.parametrize("K", [2.0, 1.0, 0.5, 7.6, math.nan])
+    def test_artanh_ratio_domain(self, K):
+        with pytest.raises(DomainError, match="K != 2"):
+            experiment("artanh_ratio", K=K)
+
+    def test_artanh_ratio_largest_dilatation(self):
+        # phi_K(0.95) rounds to 1 from K ~ 7.55 on
+        assert all(math.isfinite(g) for g in experiment("artanh_ratio", K=7.5)["g"])
+
+    def test_names_are_the_table(self):
+        assert EXPERIMENT_NAMES == ("q_maclaurin", "newton_monotone", "artanh_ratio",
+                                    "linearize_phi_a", "phiid4_printed")
 
 
 def test_grids_match_stated_defaults():

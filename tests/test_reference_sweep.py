@@ -6,6 +6,7 @@ complement at fixed dps just like doubles do.
 """
 
 import math
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from qcfun import modulus
 from qcfun.means import ellint_K_from_comp
 from qcfun import (
     HypergeomParams,
+    beta_fn,
+    hypergeom_boundary,
     UnitRadius,
     agm_product_p,
     digamma_fn,
@@ -194,6 +197,32 @@ def test_eta_large_t_complement_reference():
 def test_digamma_reference():
     for x in (1e-3, 0.07, 2.345, 9.99, 10.01, 170.0):
         assert rel(digamma_fn(x), mp.digamma(mp.mpf(x))) < 1e-13
+
+
+def test_beta_gamma_route_below_170():
+    # Gamma(a)Gamma(b)/Gamma(a+b) is within 1e-15 of the rounded arguments'
+    # value; the lgamma route, about 1e-13 off near a + b = 170, fails this
+    rng = random.Random(2024)
+    for _ in range(200):
+        a = rng.uniform(80.0, 85.0)
+        b = rng.uniform(80.0, 170.0 - a)
+        want = mp.gamma(a) * mp.gamma(b) / mp.gamma(a + b)  # a + b as rounded
+        assert abs(beta_fn(a, b) / want - 1) < 1e-14
+
+
+def test_boundary_gamma_route_below_171():
+    # case A constant Gamma(c)Gamma(d)/(Gamma(c-a)Gamma(c-b)), d = c-a-b, for
+    # c up to 171, where products of two gammas overflow and the lgamma
+    # route is about 3e-13 off
+    rng = random.Random(7)
+    for _ in range(300):
+        c = rng.uniform(1.0, 171.0)
+        d = rng.uniform(0.05, c - 0.1)
+        a = rng.uniform(0.025, c - d - 0.025)
+        p = HypergeomParams(a, c - d - a, c)
+        d = p.c - (p.a + p.b)  # the differences as the library rounds them
+        want = mp.gamma(p.c) * mp.gamma(d) / (mp.gamma(p.c - p.a) * mp.gamma(p.c - p.b))
+        assert abs(hypergeom_boundary(p).constant / want - 1) < 1e-14
 
 
 def test_product_reference():

@@ -24,6 +24,7 @@ from qcfun import (
     hypergeom_boundary,
     ramanujan_R,
 )
+from qcfun import specfun
 from qcfun.specfun import gauss_F_near_one
 
 # frozen oracle values
@@ -141,6 +142,11 @@ class TestGaussF:
     def test_at_zero(self):
         assert gauss_F(HypergeomParams(0.7, 1.3, 2.1), 0.0) == 1.0
 
+    def test_at_zero_with_overflowing_coefficients(self, monkeypatch):
+        # (a)(b) = inf and inf * 0 = nan: the series would run to its cap
+        monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+        assert gauss_F(HypergeomParams(1e308, 1e308, 1.0), 0.0) == 1.0
+
     def test_elliptic_value(self):
         assert gauss_F(HypergeomParams(0.5, 0.5, 1.0), 0.25) == pytest.approx(F_HALF_QUARTER, rel=1e-12)
 
@@ -179,6 +185,11 @@ class TestGaussF:
         below = gauss_F(p, 0.9499999999)
         above = gauss_F(p, 0.9500000001)
         assert below == pytest.approx(above, rel=1e-9)
+
+    @pytest.mark.parametrize("w", [0.0, -1e-300, 0.5000001, math.nan])
+    def test_near_one_domain(self, w):
+        with pytest.raises(DomainError):
+            gauss_F_near_one(0.5, 0.5, w)
 
     def test_near_one_complement_channel(self):
         # log(1-r) supplied through the complement stays exact for tiny complements
@@ -225,7 +236,8 @@ class TestBoundary:
         assert cls.constant == pytest.approx(1.0, rel=1e-13)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        # the check names hypergeom_boundary; without it beta_fn rejects its own arguments
+        with pytest.raises(DomainError, match="hypergeom_boundary requires c > 0"):
             hypergeom_boundary(HypergeomParams(0.5, 0.5, -1.5))
 
 

@@ -2,7 +2,8 @@
 
 The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
 every argument.  Results are floats other than NaN, or the documented
-UnitRadius / AsymptoticClass / HypergeomParams objects.
+UnitRadius / AsymptoticClass / HypergeomParams objects; every residual-suite
+case and every experiment parameter is swept the same way.
 """
 
 import inspect
@@ -21,7 +22,7 @@ from qcfun import (
     linearized_g,
     mu_a_derivative,
 )
-from qcfun import bounds, distortion, modulus, specfun
+from qcfun import bounds, distortion, identities, modulus, specfun
 from qcfun.specfun import AsymptoticClass, HypergeomParams
 
 GRID = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
@@ -71,6 +72,34 @@ def test_grid_covers_every_public_function():
     names = {c[0].split(".")[0] for c in CASES}
     expected = {n for mod in (bounds, distortion, modulus, specfun) for n in mod.__all__}
     assert names == expected - SKIPPED
+
+
+@pytest.mark.parametrize("case", identities.all_cases(), ids=lambda c: c.id)
+def test_residual_value_or_typed_error_on_grid(case, monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+    for point in itertools.product(GRID, repeat=len(case.params)):
+        try:
+            value = identities.residual(case.id, point)
+        except QcfunError:
+            continue
+        assert isinstance(value, float), (case.id, point, value)
+    with pytest.raises(QcfunError):
+        identities.residual(case.id, ("x",) * max(1, len(case.params)))
+
+
+EXPERIMENT_PARAMS = [(name, p) for name, fn in identities._EXPERIMENTS.items()
+                     for p in inspect.signature(fn).parameters] + [("phiid4_printed", "K")]
+
+
+@pytest.mark.parametrize("name, param", EXPERIMENT_PARAMS, ids=[f"{n}.{p}" for n, p in EXPERIMENT_PARAMS])
+def test_experiment_value_or_typed_error_on_grid(name, param, monkeypatch):
+    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+    for value in GRID + ("x", None):
+        try:
+            obs = identities.experiment(name, **{param: value})
+        except QcfunError:
+            continue
+        assert isinstance(obs, dict), (name, param, value)
 
 
 class TestOverflowExits:
