@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+# tau_2(1), the library's own value (1.9999999999999998), evaluated once
+_TAU2_ONE = teichmuller_tau2(1.0)
 
 
 class BoundId(Enum):
@@ -79,12 +81,12 @@ def gehring_d2_composite(K: float) -> float:
     """The linear-dilatation constant assembled from its n = 2 ingredients.
 
     exp[(K omega_1 / tau_2(1))^(1/(n-1))] with omega_1 = 2 pi and tau_2(1)
-    evaluated live; the module self-check pins this against exp(pi K).
+    from the library's modulus; the module self-check pins this against exp(pi K).
     Above K ~ 225 the value overflows and raises :class:`OverflowSignal`.
     """
     _require_K(K)
     return _finite("gehring_d2_composite", ("K",),
-                   lambda K: math.exp(K * surface_area(2.0) / teichmuller_tau2(1.0)), (K,))
+                   lambda K: math.exp(K * surface_area(2.0) / _TAU2_ONE), (K,))
 
 
 def _log_seittenranta(K: float) -> float:
@@ -134,18 +136,23 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
         raise DomainError(f"EtaKnUpper requires integer n >= 2, got {n}")
     if t == 1.0:
         return _seittenranta(K)
-    # the value is the exp of its logarithm, so that only a value past the
-    # double range overflows (s(K) alone does from K ~ 6.25)
+    # from here on s(K), past the double range from K ~ 6.25, is never formed
+    # alone, so only a value past the double range overflows
     if n == 2:
-        # s(K) phi_K(t), and s(K) / phi_{1/K}(1/t) for t > 1
-        log_rest = math.log(phi_K(K, t).r) if t < 1.0 else -math.log(phi_K(1.0 / K, 1.0 / t).r)
-    else:
-        # exact distortion unknown; use the power bracket s(K) lam^|p-1| t^p
-        # with p = K^(1/(1-n)) for t < 1 and its inverse for t > 1, and the
-        # conservative upper estimate lam = 2 e^(n-1) of the Grotzsch
-        # constant; |p - 1| comes from expm1, without cancellation at large n
-        log_p = math.log(K) / (n - 1.0) if t > 1.0 else math.log(K) / (1.0 - n)
-        log_rest = abs(math.expm1(log_p)) * (_LOG2 + (n - 1.0)) + math.exp(log_p) * math.log(t)
+        # s(K) phi_K(t), and s(K) / phi_{1/K}(1/t) for t > 1, as half phi half
+        # with half = sqrt s(K) >= 1: phi keeps its rounding, which
+        # exp(log s(K) + log phi) loses to the rounding of a sum near 132
+        half = math.exp(0.5 * _log_seittenranta(K))
+        if t < 1.0:
+            return half * phi_K(K, t).r * half
+        return half / phi_K(1.0 / K, 1.0 / t).r * half
+    # exact distortion unknown; use the power bracket s(K) lam^|p-1| t^p
+    # with p = K^(1/(1-n)) for t < 1 and its inverse for t > 1, and the
+    # conservative upper estimate lam = 2 e^(n-1) of the Grotzsch
+    # constant; |p - 1| comes from expm1, without cancellation at large n;
+    # the value is the exp of its logarithm
+    log_p = math.log(K) / (n - 1.0) if t > 1.0 else math.log(K) / (1.0 - n)
+    log_rest = abs(math.expm1(log_p)) * (_LOG2 + (n - 1.0)) + math.exp(log_p) * math.log(t)
     return math.exp(_log_seittenranta(K) + log_rest)
 
 
@@ -164,7 +171,7 @@ _CATALOG: dict[BoundId, tuple[tuple[str, ...], Callable[..., float]]] = {
     # d(2,K) = exp(pi K)
     BoundId.GehringD2: (("K",), lambda K: math.exp(math.pi * _require_K(K))),
     # c(2,K) = 1 + tau2^-1(tau2(1)/K)
-    BoundId.VuorinenC2: (("K",), lambda K: 1.0 + tau2_inv(teichmuller_tau2(1.0) / _require_K(K))),
+    BoundId.VuorinenC2: (("K",), lambda K: 1.0 + tau2_inv(_TAU2_ONE / _require_K(K))),
     BoundId.SeittenrantaS: (("K",), _seittenranta),
     # 64^(1 - 1/K)
     BoundId.MoriConstant: (("K",), lambda K: math.exp((1.0 - 1.0 / _require_K(K)) * math.log(64.0))),

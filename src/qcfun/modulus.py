@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
 from .means import _agm3, _nome, comp_radius
@@ -73,46 +73,71 @@ _THIRD = 1.0 / 3.0
 _Y_SYM_THIRD = 0.5 * math.pi / math.sin(math.pi * _THIRD)
 
 
-@dataclass(frozen=True)
-class UnitRadius:
+class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
     """A radius r in (0,1) packaged with its complement sqrt(1 - r^2).
 
     Either channel may round to 1.0 in double precision while the other still
     carries the information (r = 1 - 1e-40 is representable as comp ~ 1.4e-20).
     Operations read whichever channel is well conditioned.
+
+    A pair is a tuple (r, comp), so it unpacks and compares equal to the plain
+    tuple.  The public constructors validate: ``UnitRadius(r, comp)`` (and
+    ``_make``/``_replace``) checks both channels and r^2 + comp^2 = 1, and
+    ``from_r``/``from_comp`` check their one channel before forming the other.
+    Pairs the library forms itself, where those checks can never fire (a
+    complement of a checked channel, exchanged channels, the theta inverses
+    after their underflow guard), are built by the trusted :func:`_pair`, so
+    each public call validates its radius once.
     """
 
-    r: float
-    comp: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        r, c = self.r, self.comp
+    def __new__(cls, r: float, comp: float) -> "UnitRadius":
         if not (0.0 < r <= 1.0 and math.isfinite(r)):
             raise DomainError(f"radius must lie in (0,1), got {r}")
-        if not (0.0 < c <= 1.0 and math.isfinite(c)):
-            raise DomainError(f"radius complement must lie in (0,1), got {c}")
-        if abs(r * r + c * c - 1.0) > 1e-12:
-            raise DomainError(f"inconsistent radius pair ({r}, {c}): r^2 + comp^2 != 1")
+        if not (0.0 < comp <= 1.0 and math.isfinite(comp)):
+            raise DomainError(f"radius complement must lie in (0,1), got {comp}")
+        if abs(r * r + comp * comp - 1.0) > 1e-12:
+            raise DomainError(f"inconsistent radius pair ({r}, {comp}): r^2 + comp^2 != 1")
+        return tuple.__new__(cls, (r, comp))
+
+    @classmethod
+    def _make(cls, iterable) -> "UnitRadius":
+        # the namedtuple default skips __new__; route it (and _replace) through the checks
+        return cls(*iterable)
 
     @classmethod
     def from_r(cls, r: float) -> "UnitRadius":
-        if not (0.0 < r < 1.0):
-            raise DomainError(f"radius must lie strictly in (0,1), got {r}")
-        return cls(r, comp_radius(r))
+        # r in (0,1) gives comp = sqrt((1-r)(1+r)) in (0,1], and r^2 + comp^2 = 1 to rounding
+        return _pair(_checked_r(r), comp_radius(r))
 
     @classmethod
     def from_comp(cls, comp: float) -> "UnitRadius":
         if not (0.0 < comp < 1.0):
             raise DomainError(f"radius complement must lie strictly in (0,1), got {comp}")
-        return cls(comp_radius(comp), comp)
+        # as in from_r, with the channels exchanged
+        return _pair(comp_radius(comp), comp)
 
     @property
     def swapped(self) -> "UnitRadius":
         """The complementary radius r' as a UnitRadius (channels exchanged)."""
-        return UnitRadius(self.comp, self.r)
+        # every check of a pair is symmetric in its channels
+        return _pair(self.comp, self.r)
 
     def __float__(self) -> float:
         return self.r
+
+
+def _pair(r: float, comp: float) -> UnitRadius:
+    """The pair (r, comp) without checks, for channels the caller has already guaranteed."""
+    return tuple.__new__(UnitRadius, (r, comp))
+
+
+def _checked_r(r: float) -> float:
+    """r itself, checked to lie strictly in (0,1) (a NaN fails the check)."""
+    if not (0.0 < r < 1.0):
+        raise DomainError(f"radius must lie strictly in (0,1), got {r}")
+    return r
 
 
 SQRT_HALF = UnitRadius(math.sqrt(0.5), math.sqrt(0.5))
@@ -147,8 +172,10 @@ def mu(x) -> float:
     Endpoints raise :class:`DomainError` (the convention mu(1) = 0 is applied
     by callers that need the closed endpoint).
     """
-    u = as_radius(x)
-    return _mu_k(u.r, u.comp)[0]
+    if isinstance(x, UnitRadius):
+        return _mu_k(x.r, x.comp)[0]
+    r = _checked_r(float(x))  # the one check; no pair is formed
+    return _mu_k(r, comp_radius(r))[0]
 
 
 def _mu_k(r: float, comp: float) -> tuple[float, float]:
@@ -204,15 +231,19 @@ def mu_inv(y: float) -> UnitRadius:
         raise ConvergenceError(
             f"mu_inv({y}): the radius or its complement underflows double precision"
         )
-    return UnitRadius(big, small) if dual else UnitRadius(small, big)
+    # past the guard both channels lie in [2.2e-308, 1], and theta_3^4 = theta_2^4 + theta_4^4
+    return _pair(big, small) if dual else _pair(small, big)
 
 
 # ---------------------------------------------------------------------------
 # generalized modulus mu_a
 # ---------------------------------------------------------------------------
 
-def _mu_a_parts(a: float, u: UnitRadius) -> tuple[float, float]:
+def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[float, float]:
     """(mu_a(r), F(a,1-a;1;r^2)); the F factor is reused by Newton steps.
+
+    ``big_r`` is R(a, 1-a) when the caller has it (an inverse evaluates it
+    once for all its steps); the series route computes it otherwise.
 
     Closed forms at the signatures 1/2, 1/4 and 1/3, the balanced series
     (:func:`_series_parts`) at every other a:
@@ -238,10 +269,10 @@ def _mu_a_parts(a: float, u: UnitRadius) -> tuple[float, float]:
     if a == _THIRD:
         ag_comp = _agm3(1.0, u.comp ** (2.0 / 3.0))
         return _Y_SYM_THIRD * ag_comp / _agm3(1.0, u.r ** (2.0 / 3.0)), 1.0 / ag_comp
-    return _series_parts(a, u)
+    return _series_parts(a, u, big_r)
 
 
-def _series_parts(a: float, u: UnitRadius) -> tuple[float, float]:
+def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[float, float]:
     """:func:`_mu_a_parts` by one pass of the balanced series, for every a.
 
     With S0 = F(a,1-a;1;w) and S1 = 2 y_sym F(a,1-a;1;1-w) at w = min(r^2, r'^2),
@@ -249,8 +280,10 @@ def _series_parts(a: float, u: UnitRadius) -> tuple[float, float]:
     the route of every signature without a closed form, and the test oracle
     of the closed forms.
     """
+    if big_r is None:
+        big_r = _balanced_r0(a, 1.0 - a)
     small = min(u.r, u.comp)
-    s0, s1 = _balanced_sums(a, 1.0 - a, small * small, 2.0 * math.log(small))
+    s0, s1 = _balanced_sums(a, 1.0 - a, small * small, 2.0 * math.log(small), big_r)
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
     # mu_a >= y_sym exactly where r <= r'; the clamps keep it monotone there
     if u.r <= u.comp:
@@ -325,7 +358,8 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
             raise ConvergenceError(
                 f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision"
             )
-        return UnitRadius(2.0 * k.r / s, comp)
+        # past the guard comp lies in [2.2e-308, 1], 0 < 2k/(1+k^2) <= 1, and r^2 + comp^2 = 1 to 5.4e-16
+        return _pair(2.0 * k.r / s, comp)
     return _mu_a_newton(a, y)
 
 
@@ -359,7 +393,7 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
         )
     for _ in range(_INV_CAP):
         u = UnitRadius.from_r(math.exp(-t))
-        value, f_den = _mu_a_parts(a, u)
+        value, f_den = _mu_a_parts(a, u, big_r)
         if value < target:
             lo = t
         else:
@@ -387,7 +421,7 @@ def grotzsch_gamma2(s: float) -> float:
     """
     if not (s > 1.0 and math.isfinite(s)):
         raise DomainError(f"grotzsch_gamma2 requires s > 1, got {s}")
-    return 2.0 * math.pi / mu(UnitRadius.from_r(1.0 / s))
+    return 2.0 * math.pi / mu(1.0 / s)
 
 
 def teichmuller_tau2(t: float) -> float:

@@ -197,7 +197,7 @@ def _series(a: float, b: float, c: float, r: float) -> float:
     )
 
 
-def _balanced_sums(a: float, b: float, w: float, log_w: float) -> tuple[float, float]:
+def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tuple[float, float]:
     """(F(a,b;a+b;w), B(a,b) F(a,b;a+b;1-w)) from one series, for w in [0, 1/2].
 
     The two sums share their coefficients c_n = (a,n)(b,n)/(n!)^2:
@@ -207,9 +207,10 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float) -> tuple[float, f
 
     S1 being the balanced connection formula (DLMF 15.8.10).  Both are added
     exactly with ``math.fsum``; ``log_w`` is passed separately so that it
-    stays exact where w underflows.
+    stays exact where w underflows, and ``r0`` = R(a,b) = R_0 so that a
+    caller summing many series at one (a, b) evaluates it once.
     """
-    r_n = _balanced_r0(a, b)
+    r_n = r0
     if math.isinf(r_n):
         raise OverflowSignal(f"R({a}, {b}) overflows double precision")
     coef, s0, s1 = 1.0, 1.0, r_n - log_w
@@ -238,7 +239,7 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
     """
     if not (0.0 < w <= 0.5):
         raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
-    s1 = _balanced_sums(a, b, w, math.log(w))[1]
+    s1 = _balanced_sums(a, b, w, math.log(w), _balanced_r0(a, b))[1]
     beta = beta_fn(a, b)
     if not (beta > 0.0 and math.isfinite(s1)):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "

@@ -18,6 +18,7 @@ from qcfun import (
     gehring_d,
     gehring_d2_composite,
     lambda_of_K,
+    mu,
     phi_K,
     schottky_psi,
     surface_area,
@@ -141,6 +142,24 @@ class TestEtaKnUpper:
             s = (6 * (k + 1) ** 2 * (k - 1).sqrt()).exp()
             expected = float(s * decimal.Decimal(phi_K(K, t).r))
         assert bound_value(BoundId.EtaKnUpper, [K, t, 2.0]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("K, t", [(2.965570334907797, 0.7734442303215842),
+                                      (2.93212639138825, 0.7435805396535033)])
+    def test_plane_branch_keeps_phi_rounding(self, K, t):
+        # phi_K(t) lies near 1 here, where the mu residual needs its last digits;
+        # exp(log s(K) + log phi) rounded a sum near 132 and moved the value by
+        # 61 and 49 ulp (1.1e-14 relative).  Reference: the exp of the same
+        # float log s(K), in 40 decimal digits, times the library's phi_K(t)
+        log_s = 6.0 * (K + 1.0) ** 2 * math.sqrt(K - 1.0)
+        phi = phi_K(K, t).r
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            s = decimal.Decimal(log_s).exp()
+            expected = float(s * decimal.Decimal(phi))
+        value = bound_value(BoundId.EtaKnUpper, [K, t, 2.0])
+        assert value == pytest.approx(expected, rel=2e-15)
+        # the mu residual of the radius the value implies, as phi_K promises it
+        assert abs(mu(float(decimal.Decimal(value) / s)) - mu(t) / K) <= 1e-13
 
     @pytest.mark.parametrize("params", [
         [2.0, math.inf, 2.0], [2.0, -1.0, 2.0], [2.0, math.nan, 2.0],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcfun import modulus
+from qcfun import distortion, modulus
 from qcfun import (
     ConvergenceError,
     DomainError,
@@ -19,6 +19,7 @@ from qcfun import (
     UnitRadius,
     agm,
     agm_product_p,
+    eta_K2,
     gamma2_inv,
     gauss_F,
     grotzsch_gamma2,
@@ -27,6 +28,7 @@ from qcfun import (
     mu_a_derivative,
     mu_a_inv,
     mu_inv,
+    phi_K,
     phi_aK,
     tau2_inv,
     teichmuller_tau2,
@@ -86,6 +88,98 @@ class TestUnitRadius:
             UnitRadius.from_r(1.0)
         with pytest.raises(DomainError):
             UnitRadius.from_r(-0.2)
+
+    def test_tuple_behaviour(self):
+        u = UnitRadius(0.6, 0.8)
+        assert repr(u) == "UnitRadius(r=0.6, comp=0.8)"
+        assert float(u) == 0.6
+        assert u == (0.6, 0.8) and tuple(u) == (0.6, 0.8)
+        r, comp = u
+        assert (r, comp) == (u.r, u.comp) == (0.6, 0.8)
+        assert hash(u) == hash((0.6, 0.8))
+
+    def test_immutable(self):
+        u = UnitRadius(0.6, 0.8)
+        with pytest.raises(AttributeError):
+            u.r = 0.5
+        with pytest.raises(AttributeError):
+            u.extra = 1.0  # slotted: no instance dictionary
+        assert not hasattr(u, "__dict__")
+
+    def test_make_and_replace_validate(self):
+        assert UnitRadius._make([0.6, 0.8]) == UnitRadius(0.6, 0.8)
+        assert UnitRadius(0.6, 0.8)._replace(r=0.8, comp=0.6) == UnitRadius(0.8, 0.6)
+        with pytest.raises(DomainError, match="inconsistent"):
+            UnitRadius(0.6, 0.8)._replace(r=0.5)
+        with pytest.raises(DomainError, match="radius must lie"):
+            UnitRadius._make([2.0, 0.8])
+
+
+class TestTrustedPairs:
+    """Pairs formed without the constructor's checks all pass them.
+
+    Seeded samplers, not Hypothesis, so that the inputs do not depend on the
+    numeric literals of the package.  Each returned radius is rebuilt through
+    the public constructor, which must accept it unchanged.
+    """
+
+    @staticmethod
+    def revalidate(u):
+        assert type(u) is UnitRadius
+        assert UnitRadius(u.r, u.comp) == u
+        assert UnitRadius(u.comp, u.r) == u.swapped
+
+    @staticmethod
+    def log_spread(rng, n, lo, hi):
+        return [math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(n)]
+
+    def test_mu_inv(self):
+        rng = random.Random(1201)
+        half_pi = 0.5 * math.pi
+        ys = self.log_spread(rng, 400, 0.0035, half_pi) + self.log_spread(rng, 400, half_pi, 709.0)
+        for y in ys + [0.0035, math.nextafter(half_pi, 0.0), half_pi, 709.0]:
+            self.revalidate(mu_inv(y))
+
+    @pytest.mark.parametrize("a", A_GRID)
+    def test_mu_a_inv(self, a):
+        rng = random.Random(1202)
+        y_sym = 0.5 * math.pi / math.sin(math.pi * a)
+        n = 200 if a in (0.25, 0.5) else 40  # the Newton signatures cost tens of microseconds
+        y_lo = y_sym * y_sym / 700.0  # the dual of 700, where the complement nears underflow
+        ys = self.log_spread(rng, n, y_lo, y_sym) + self.log_spread(rng, n, y_sym, 700.0)
+        for y in ys + [y_lo, y_sym, 700.0]:
+            self.revalidate(mu_a_inv(a, y))
+
+    def test_distortions(self):
+        rng = random.Random(1203)
+        for _ in range(300):
+            K = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+            x = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
+            u = UnitRadius.from_comp(x) if rng.random() < 0.5 else UnitRadius.from_r(x)
+            for call in (lambda: phi_K(K, u), lambda: phi_aK(rng.choice(A_GRID), K, u)):
+                try:
+                    v = call()
+                except ConvergenceError:  # the radius or its complement underflows
+                    continue
+                self.revalidate(v)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 0.5, 1.0 - 2.0 ** -53])
+    def test_single_channel_constructors(self, x):
+        for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
+            self.revalidate(u)
+            self.revalidate(u.swapped)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-300, 1.0, 1e300, 1.7e308])
+    def test_eta_argument(self, t, monkeypatch):
+        seen = []
+        real = distortion.phi_K
+        monkeypatch.setattr(distortion, "phi_K", lambda K, x: seen.append(x) or real(K, x))
+        try:
+            eta_K2(2.0, t)
+        except OverflowSignal:  # u^2 / (1 - u^2) past the double range, after the pair is formed
+            pass
+        assert len(seen) == 1
+        self.revalidate(seen[0])
 
 
 class TestMu:

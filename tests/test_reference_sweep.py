@@ -15,6 +15,7 @@ mp = pytest.importorskip("mpmath")
 from qcfun import modulus
 from qcfun.means import ellint_K_from_comp
 from qcfun import (
+    ConvergenceError,
     HypergeomParams,
     beta_fn,
     hypergeom_boundary,
@@ -25,6 +26,7 @@ from qcfun import (
     ellint_Kprime,
     eta_K2,
     gauss_F,
+    lambda_of_K,
     mu,
     mu_a,
     mu_a_inv,
@@ -177,6 +179,64 @@ def test_phi_against_reference_bisection(Kd):
     for r in (0.05, 0.5):
         want = _phi_mp(mp.mpf(Kd), r)
         assert rel(phi_K(Kd, r).r, want) < 5e-12
+
+
+EPS = 2.0 ** -52
+
+
+def _inv_mp(y):
+    """(r, r') with mu(r) = y, by theta functions at the nome of the larger of y and its dual."""
+    if y < mp.pi / 2:
+        comp, r = _inv_mp(mp.pi ** 2 / (4 * y))
+        return r, comp
+    q = mp.exp(-2 * y)
+    t3 = mp.jtheta(3, 0, q)
+    return (mp.jtheta(2, 0, q) / t3) ** 2, (mp.jtheta(4, 0, q) / t3) ** 2
+
+
+def _rel_err(got, want):
+    return abs(mp.mpf(got) / want - 1)
+
+
+def _mu_mp_of_m(m):
+    """mu at the radius sqrt(m), for an exact m in (0,1)."""
+    return mp.pi / 2 * mp.ellipk(1 - m) / mp.ellipk(m)
+
+
+def test_phi_condition_scaled_accuracy():
+    # phi_K's docstring: radius within 4 eps max(1, y), complement within
+    # 4 eps max(1, y*), y = mu(r)/K and y* = pi^2/(4y), on both input channels
+    rng = random.Random(912)
+    for _ in range(300):
+        K = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+        x = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
+        if rng.random() < 0.5:
+            u, y = UnitRadius.from_comp(x), mu_mp_from_comp(x) / K
+        else:
+            u, y = UnitRadius.from_r(x), mu_mp_from_r(x) / K
+        try:
+            v = phi_K(K, u)
+        except ConvergenceError:  # the radius or its complement underflows
+            continue
+        r, comp = _inv_mp(y)
+        assert _rel_err(v.r, r) <= 4 * EPS * max(1, y), (K, x)
+        assert _rel_err(v.comp, comp) <= 4 * EPS * max(1, mp.pi ** 2 / (4 * y)), (K, x)
+
+
+def test_eta_and_lambda_condition_scaled_accuracy():
+    # the docstrings' 12 eps max(1, y, y*), with y the modulus of u and y* of its complement
+    rng = random.Random(913)
+    for _ in range(300):
+        K = math.exp(rng.uniform(0.0, math.log(50.0)))
+        t = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        y = _mu_mp_of_m(mp.mpf(t) / (1 + mp.mpf(t))) / K
+        r, comp = _inv_mp(y)
+        bound = 12 * EPS * max(1, y, mp.pi ** 2 / (4 * y))
+        assert _rel_err(eta_K2(K, t), (r / comp) ** 2) <= bound, (K, t)
+    for _ in range(300):
+        K = math.exp(rng.uniform(0.0, math.log(200.0)))
+        r, comp = _inv_mp(mp.pi / (2 * mp.mpf(K)))
+        assert _rel_err(lambda_of_K(K), (r / comp) ** 2) <= 12 * EPS * max(1, mp.pi * K / 2), K
 
 
 def test_eta_large_t_complement_reference():
