@@ -44,7 +44,8 @@ _AHLFORS_MAX_VERTICES = 4096
 # the full triangle-condition search is cubic in n: about 1 s at n = 1024 on
 # 2 vCPU, and each doubling multiplies the time by about 8
 _TRIANGLE_MAX_VERTICES = 1024
-_PAIR_BLOCK = 1 << 18  # distances per block of _pairwise
+_BOX_MAX_SAMPLES = 20_000_000  # box_dimension's densified samples at one scale
+_PAIR_BLOCK = 1 << 18  # table entries per row block of _blockwise
 
 
 def _as_points(data, min_points: int, name: str) -> np.ndarray:
@@ -135,7 +136,7 @@ class Polyline:
 
 @dataclass(frozen=True)
 class HyperplaneFit:
-    """Best line through a base point: unit direction and normalized deviation delta."""
+    """Best line through a base point: unit direction, its angle in [0, pi), and normalized deviation delta."""
 
     base: tuple[float, float]
     direction: tuple[float, float]
@@ -187,27 +188,27 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt((d * d).sum(axis=-1))
 
 
-def _pairwise(reduce, p: np.ndarray, q: np.ndarray) -> float:
-    """``reduce`` (np.max or np.min) of |p_i - q_j| over all pairs, by row blocks.
+def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
+    """``reduce`` (np.max or np.min) of the n_rows x n_cols table whose rows
+    i:j ``block(i, j)`` returns, one row block at a time.
 
-    Each block holds about _PAIR_BLOCK distances, so the peak is O(_PAIR_BLOCK)
-    floats and not len(p) * len(q); max and min do not depend on the order,
+    Each block holds about _PAIR_BLOCK entries, so the peak is O(_PAIR_BLOCK)
+    floats and not n_rows * n_cols; max and min do not depend on the order,
     so the result is the one the full table gives.
     """
-    rows = max(1, _PAIR_BLOCK // len(q))
-    return float(reduce([reduce(_dist(p[i:i + rows, None], q[None]))
-                         for i in range(0, len(p), rows)]))
+    rows = max(1, _PAIR_BLOCK // n_cols)
+    return float(reduce([reduce(block(i, i + rows)) for i in range(0, n_rows, rows)]))
 
 
 def _diameter(pts: np.ndarray) -> float:
-    return _pairwise(np.max, pts, pts)
+    return _blockwise(np.max, len(pts), len(pts), lambda i, j: _dist(pts[i:j, None], pts[None]))
 
 
 def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
-    gap = _pairwise(np.min, e, f)
+    gap = _blockwise(np.min, len(e), len(f), lambda i, j: _dist(e[i:j, None], f[None]))
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
     return min(_diameter(e), _diameter(f)) / gap
@@ -288,13 +289,16 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     return best
 
 
-def linear_approx_delta(E, x, r: float, sweep: int = 720, refine_iters: int = 60) -> HyperplaneFit:
+def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
     """Smallest normalized slab width delta with E inside B(x, r) lying within
-    distance delta*r of a line through x.
+    distance delta*r of a line through x; exact up to rounding.
 
-    Minimizes over the line angle by a coarse sweep plus golden-section
-    refinement of the best bracket (the objective is piecewise-smooth in the
-    angle with period pi).
+    The half-width max_i |<p_i - x, n>| over the local points is the support
+    function of the hull of those points and their reflections through x, a
+    polygon symmetric about x, whose least value over unit normals n is taken
+    at an edge normal.  So delta*r is the least distance from x to a hull edge
+    line, and ``direction`` is that edge's unit vector with angle in [0, pi)
+    (Houle & Toussaint, IEEE PAMI 10, 1988).
     """
     pts = _as_points(E, 2, "E")
     x = np.asarray(x, dtype=float)
@@ -306,46 +310,22 @@ def linear_approx_delta(E, x, r: float, sweep: int = 720, refine_iters: int = 60
     local = d[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 2:
         raise DomainError("insufficient local points inside B(x, r)")
-
-    def width(phi):
-        normal = np.array([-math.sin(phi), math.cos(phi)])
-        return float(np.abs(local @ normal).max())
-
-    angles = np.arange(sweep) * (math.pi / sweep)
-    normals = np.column_stack((-np.sin(angles), np.cos(angles)))
-    widths = np.abs(local @ normals.T).max(axis=0)
-    k = int(widths.argmin())
-    lo = angles[k] - math.pi / sweep
-    hi = angles[k] + math.pi / sweep
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    dd = lo + inv_phi * (hi - lo)
-    fc, fd = width(c), width(dd)
-    for _ in range(refine_iters):
-        if fc < fd:
-            hi, dd, fd = dd, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = width(c)
-        else:
-            lo, c, fc = c, dd, fd
-            dd = lo + inv_phi * (hi - lo)
-            fd = width(dd)
-    phi = 0.5 * (lo + hi)
-    return HyperplaneFit(base=(float(x[0]), float(x[1])),
-                         direction=(math.cos(phi), math.sin(phi)),
-                         delta=width(phi) / r)
+    base = (float(x[0]), float(x[1]))
+    hull = _convex_hull(np.concatenate((local, -local)))
+    if not hull:  # every local point is x itself, so every line through x fits
+        return HyperplaneFit(base=base, direction=(1.0, 0.0), delta=0.0)
+    # distance |p x e| / |e| from x to the line through hull vertex p along edge e
+    width, ex, ey = min((abs(px * (qy - py) - py * (qx - px)) / math.hypot(qx - px, qy - py), qx - px, qy - py)
+                        for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]))
+    phi = math.atan2(ey, ex) % math.pi
+    return HyperplaneFit(base=base, direction=(math.cos(phi), math.sin(phi)), delta=width / r)
 
 
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    """Andrew's monotone chain; returns hull vertices in counterclockwise order."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    sorted_pts = pts[order]
-    uniq = [sorted_pts[0]]
-    for p in sorted_pts[1:]:
-        if p[0] != uniq[-1][0] or p[1] != uniq[-1][1]:
-            uniq.append(p)
-    if len(uniq) <= 2:
-        return np.array(uniq)
+def _convex_hull(pts: np.ndarray) -> list:
+    """Andrew's monotone chain over Python floats; the hull vertices as [x, y]
+    lists in counterclockwise order, none for a single distinct point."""
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    uniq = srt[:1] + [p for p, q in zip(srt[1:], srt) if p != q]
 
     def build(seq):
         out = []
@@ -359,9 +339,7 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = build(uniq)
-    upper = build(uniq[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return build(uniq)[:-1] + build(uniq[::-1])[:-1]
 
 
 def thickness_constant(E, x, r: float) -> float:
@@ -379,10 +357,8 @@ def thickness_constant(E, x, r: float) -> float:
     local = pts[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 3:
         raise DomainError("insufficient local points inside B(x, r)")
-    hull = _convex_hull(local)
+    hull = np.array(_convex_hull(local))
     h = hull.shape[0]
-    if h < 3:
-        return 0.0
     best = 0.0
     for i in range(h - 2):
         u = hull[i + 1:] - hull[i]
@@ -415,7 +391,7 @@ def box_dimension(curve: Polyline, scales) -> float:
     for s in scales:
         m = np.maximum(1, np.ceil(lengths / (s / 3.0)).astype(int))
         total = int(m.sum()) + 1
-        if total > 20_000_000:
+        if total > _BOX_MAX_SAMPLES:
             raise DomainError(f"scale {s} requires too many samples ({total})")
         # i * (1/k) for sample i of an edge cut into k, as linspace(0, 1, k, endpoint=False) rounds
         t_all = (np.arange(total - 1) - np.repeat(np.cumsum(m) - m, m)) * (1.0 / np.repeat(m, m))
@@ -459,41 +435,21 @@ def abs_ratio(a, b, c, d) -> float:
 
 
 def rho_disk(a, b) -> float:
-    """Hyperbolic distance in the unit disk via the geodesic-endpoint absolute ratio.
+    """Hyperbolic distance rho(a, b) = 2 artanh(|a-b| / |1 - conj(a) b|) in the unit disk.
 
-    The circle through a, b orthogonal to the unit circle meets it at the
-    geodesic endpoints a*, b*; rho = log |a*, a, b, b*|.  Diameters (a, b
-    collinear with 0) use the endpoint pair +/- u directly.
+    With s = |1 - conj(a) b| = sqrt(|a-b|^2 + (1-|a|^2)(1-|b|^2)) this is
+    log1p(2|a-b|(|a-b| + s) / ((1-|a|^2)(1-|b|^2))), each 1 - |z|^2 formed as
+    (1-|z|)(1+|z|) (Beardon, The Geometry of Discrete Groups, 1983, 7.2).
+    Relative error within 4 eps / min(1-|a|^2, 1-|b|^2), eps = 2^-52.
     """
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av @ av >= 1.0 or bv @ bv >= 1.0:
+    ax, ay = map(float, a)
+    bx, by = map(float, b)
+    na, nb = math.hypot(ax, ay), math.hypot(bx, by)
+    if not (na < 1.0 and nb < 1.0):
         raise DomainError("rho_disk requires points strictly inside the unit disk")
-    if np.all(av == bv):
-        return 0.0
-    cross = av[0] * bv[1] - av[1] * bv[0]
-    if abs(cross) <= 1e-14 * max(1.0, float(np.hypot(*av)) * float(np.hypot(*bv))):
-        u = bv - av
-        u = u / np.hypot(*u)
-        e1, e2 = u, -u
-    else:
-        # center z of the orthogonal circle solves 2 z.a = 1+|a|^2, 2 z.b = 1+|b|^2
-        mat = 2.0 * np.array([av, bv])
-        rhs = np.array([1.0 + av @ av, 1.0 + bv @ bv])
-        z = np.linalg.solve(mat, rhs)
-        nz = float(np.hypot(*z))
-        zhat = z / nz
-        zperp = np.array([-zhat[1], zhat[0]])
-        off = math.sqrt(max(0.0, 1.0 - 1.0 / (nz * nz)))
-        e1 = zhat / nz + off * zperp
-        e2 = zhat / nz - off * zperp
-    if np.hypot(*(e1 - av)) <= np.hypot(*(e1 - bv)):
-        a_star, b_star = e1, e2
-    else:
-        a_star, b_star = e2, e1
-    num = np.hypot(*(a_star - bv)) * np.hypot(*(av - b_star))
-    den = np.hypot(*(a_star - av)) * np.hypot(*(bv - b_star))
-    return float(math.log(num / den))
+    chord = math.hypot(ax - bx, ay - by)
+    gap = (1.0 - na) * (1.0 + na) * ((1.0 - nb) * (1.0 + nb))
+    return math.log1p(2.0 * chord * (chord + math.sqrt(chord * chord + gap)) / gap)
 
 
 def _point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
@@ -523,18 +479,18 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     poly = boundary.points
-    for name, p in (("a", av), ("b", bv)):
-        if not _point_in_polygon(p, poly):
-            raise DomainError(f"point {name} must lie strictly inside the boundary")
-    if np.all(av == bv):
-        return 0.0
     pa = np.hypot(poly[:, 0] - av[0], poly[:, 1] - av[1])
     pb = np.hypot(poly[:, 0] - bv[0], poly[:, 1] - bv[1])
+    for name, p, dists in (("a", av, pa), ("b", bv, pb)):
+        # the crossing test counts some vertices as inside; a vertex is on the boundary
+        if not _point_in_polygon(p, poly) or dists.min() == 0.0:
+            raise DomainError(f"point {name} must lie strictly inside the boundary")
     if mode == "AbsoluteRatio":
-        cd = _dist(poly[:, None], poly[None])
+        # sup over (c, d) of |a - b| |c - d| / (|c - a| |d - b|), one row block of c at a time
         ab = float(np.hypot(*(av - bv)))
-        ratio = ab * cd / (pa[:, None] * pb[None, :])
-        return float(math.log1p(ratio.max()))
+        n = len(poly)
+        return math.log1p(_blockwise(np.max, n, n, lambda i, j: ab * _dist(poly[i:j, None], poly[None])
+                                     / (pa[i:j, None] * pb[None, :])))
     # Apollonian: sup over (c, d) of log(|c-a| |b-d| / (|c-b| |a-d|)) -- the
     # ratio factorizes, so the sup is a product of two one-dimensional sups
     sup_c = (pa / pb).max()

@@ -151,7 +151,10 @@ def beta_fn(a: float, b: float) -> float:
         raise DomainError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
     try:
         if a + b <= 170.0:
-            return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+            # the larger gamma over Gamma(a+b) first: Gamma(a)Gamma(b) overflows
+            # where one argument is tiny, as at B(160, 1e-300) = 1e300
+            lo, hi = sorted((a, b))
+            return math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
         return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
     except OverflowError:
         raise OverflowSignal(f"beta_fn({a}, {b}) overflows double precision") from None
@@ -208,7 +211,10 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tup
     S1 being the balanced connection formula (DLMF 15.8.10).  Both are added
     exactly with ``math.fsum``; ``log_w`` is passed separately so that it
     stays exact where w underflows, and ``r0`` = R(a,b) = R_0 so that a
-    caller summing many series at one (a, b) evaluates it once.
+    caller summing many series at one (a, b) evaluates it once.  A weight
+    R_n - log w < 0 (R(a,b) < 0 for a, b above about 1) would cancel, so a
+    term below -eps S1 raises :class:`ConvergenceError`; for a + b = 1 every
+    weight is positive.
     """
     r_n = r0
     if math.isinf(r_n):
@@ -224,6 +230,10 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tup
         s0 += coef
         s1 += t1
         if abs(coef) <= 1e-17 * abs(s0) and abs(t1) <= 1e-17 * abs(s1) and n > 1:
+            # a negative term above eps S1 is a negative weight, not rounding of R_n
+            if min(terms1) < -1e-16 * s1:
+                raise ConvergenceError(f"zero-balanced connection series at ({a}, {b}) has a "
+                                       "negative term R_n - log w and cancels")
             return math.fsum(terms0), math.fsum(terms1)
     raise ConvergenceError("zero-balanced connection series stalled")
 
@@ -234,12 +244,20 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
     This is S1 / B(a,b) of :func:`_balanced_sums`, the connection formula
     whose n = 0 term is the R(a,b) - log(1-r) asymptotic.  Taking w as the
     argument keeps log w exact when 1-r is known to more digits than r.
-    Where the series or the beta normaliser leaves the double range (large
-    a, b) :class:`OverflowSignal` is raised.
+    Where that series has a negative term or stalls (a, b above about 1),
+    the direct series at 1 - w is summed instead, if its about 40 / w
+    positive terms fit the series cap, and :class:`ConvergenceError` is
+    raised otherwise.  Where the series or the beta normaliser leaves the
+    double range (large a, b) :class:`OverflowSignal` is raised.
     """
     if not (0.0 < w <= 0.5):
         raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
-    s1 = _balanced_sums(a, b, w, math.log(w), _balanced_r0(a, b))[1]
+    try:
+        s1 = _balanced_sums(a, b, w, math.log(w), _balanced_r0(a, b))[1]
+    except ConvergenceError:
+        if w * _SERIES_CAP < 40.0:
+            raise
+        return _series(a, b, a + b, 1.0 - w)
     beta = beta_fn(a, b)
     if not (beta > 0.0 and math.isfinite(s1)):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "
@@ -251,7 +269,7 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
     """Gauss hypergeometric F(a,b;c;r) on [0,1).
 
     Direct series (relative error <= 1e-12 within its reach); zero-balanced
-    arguments beyond 0.95 go through the connection formula.  A value, or a
+    arguments beyond 0.95 go through :func:`gauss_F_near_one`.  A value, or a
     term of the series, beyond the double range raises :class:`OverflowSignal`.
     """
     if not (0.0 <= r < 1.0):

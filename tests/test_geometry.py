@@ -1,7 +1,9 @@
 """Quasicircle generators and geometric-constant estimators."""
 
 import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +44,45 @@ def spiral_polyline():
     t = np.linspace(0.0, 4.0 * math.pi, 120)
     pts = np.column_stack([np.exp(0.1 * t) * np.cos(t), np.exp(0.1 * t) * np.sin(t)])
     return Polyline(pts, closed=False)
+
+
+def slab_oracle(E, x, r):
+    """Least slab half-width through x over r, by every candidate direction in integer arithmetic.
+
+    The half-width max_k |p_k x u| / |u| over directions u is least where u
+    runs along p_i - p_j or p_i + p_j (two |sin| arcs cross) or along p_i
+    (one vanishes).  The local differences p = e - x are scaled to integers,
+    so every cross product and comparison is exact.
+    """
+    d = np.asarray(E, dtype=float) - np.asarray(x, dtype=float)
+    loc = d[np.hypot(d[:, 0], d[:, 1]) <= r].tolist()
+    scale = max(Fraction(v).denominator for p in loc for v in p)
+    pts = [(int(Fraction(px) * scale), int(Fraction(py) * scale)) for px, py in loc]
+    pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+    cands = [(px - qx, py - qy) for (px, py), (qx, qy) in pairs]
+    cands += [(px + qx, py + qy) for (px, py), (qx, qy) in pairs] + pts
+    best = None  # (c^2, |u|^2) of the least c / |u| so far
+    for ux, uy in cands:
+        n2 = ux * ux + uy * uy
+        if n2:
+            c = max(abs(px * uy - py * ux) for px, py in pts)
+            if best is None or c * c * best[1] < best[0] * n2:
+                best = (c * c, n2)
+    return 0.0 if best is None else math.sqrt(Fraction(best[0], best[1] * scale * scale)) / r
+
+
+def rho_by_geodesic_endpoints(a, b):
+    """log |a*, a, b, b*|, a* and b* the ends of the geodesic through a and b (a, b not on one diameter)."""
+    av, bv = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # center z of the orthogonal circle solves 2 z.a = 1 + |a|^2, 2 z.b = 1 + |b|^2
+    z = np.linalg.solve(2.0 * np.array([av, bv]), np.array([1.0 + av @ av, 1.0 + bv @ bv]))
+    nz = float(np.hypot(*z))
+    zhat = z / nz
+    off = math.sqrt(1.0 - 1.0 / (nz * nz)) * np.array([-zhat[1], zhat[0]])
+    e1, e2 = zhat / nz + off, zhat / nz - off
+    if np.hypot(*(e1 - av)) > np.hypot(*(e1 - bv)):
+        e1, e2 = e2, e1
+    return math.log(abs_ratio(e1, av, bv, e2))
 
 
 def _shoelace(pts):
@@ -86,6 +127,11 @@ class TestKoch:
         with pytest.raises(DomainError):
             koch_curve(2, 90.0)
 
+    @pytest.mark.parametrize("n,radius", [(2, 1.0), (2.5, 1.0), (5, 0.0), (5, -1.0)])
+    def test_ngon_guards(self, n, radius):
+        with pytest.raises(DomainError):
+            regular_ngon(n, radius)
+
 
 class TestRelativeSize:
     def test_unit_segments(self):
@@ -114,6 +160,12 @@ class TestRelativeSize:
         with pytest.raises(DegenerateGeometryError):
             relative_size(e, e)
 
+    @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((3, 3)), np.empty((0, 2)),
+                                        [[0.0, 0.0], [math.nan, 1.0]], [[0.0, 0.0], [math.inf, 1.0]]])
+    def test_point_set_guards(self, points):
+        with pytest.raises(DomainError):
+            relative_size(points, np.array([[5.0, 5.0]]))
+
     def test_blocks_match_the_full_table(self, monkeypatch):
         # blocks of 7 distances split both point sets unevenly; max and min are order-free
         rng = np.random.default_rng(5)
@@ -121,8 +173,8 @@ class TestRelativeSize:
         full = geometry._dist(e[:, None], f[None])
         diam = geometry._dist(e[:, None], e[None]).max()
         monkeypatch.setattr(geometry, "_PAIR_BLOCK", 7)
-        assert geometry._pairwise(np.min, e, f) == full.min()
-        assert geometry._pairwise(np.max, e, e) == diam
+        assert geometry._blockwise(np.min, 40, 13, lambda i, j: geometry._dist(e[i:j, None], f[None])) == full.min()
+        assert geometry._diameter(e) == diam
         assert relative_size(e, f) == min(diam, geometry._dist(f[:, None], f[None]).max()) / full.min()
 
     def test_diameter_peak_memory(self):
@@ -256,6 +308,8 @@ class TestTriangleCondition:
     def test_guards(self):
         with pytest.raises(DomainError):
             triangle_condition_constant(koch_curve(1))
+        with pytest.raises(DomainError, match="3 vertices"):
+            triangle_condition_constant(Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), closed=False))
         collinear_back = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), closed=False)
         with pytest.raises(DegenerateGeometryError):
             triangle_condition_constant(collinear_back, adjacent_only=True)
@@ -277,6 +331,43 @@ class TestLinearApproxDelta:
         pts = np.array([[-1.0, 0.0], [0.0, h], [1.0, 0.0]])
         fit = linear_approx_delta(pts, (0.0, h), r)
         assert fit.delta == pytest.approx(h / r, rel=1e-9)
+
+    def test_exact_against_candidate_directions(self):
+        # seeded local sets of Koch curves and point clouds, and Koch tips at three edges
+        rng = random.Random(61)
+        sets = []
+        for _ in range(16):
+            E = koch_curve(3, rng.uniform(45.0, 70.0)).points
+            sets.append((E, E[rng.randrange(len(E))], rng.uniform(0.08, 0.25)))
+        for _ in range(8):
+            E = np.array([[rng.gauss(0.0, 1.0), rng.gauss(0.0, 0.3)] for _ in range(rng.randrange(3, 25))])
+            sets.append((E, E[rng.randrange(len(E))], rng.uniform(0.5, 3.0)))
+        for level in (5, 6):
+            k = koch_curve(level)
+            edge = float(k.edge_lengths()[0])
+            sets += [(k.points, k.points[i], 3.0 * edge) for i in (2, 6, 4 ** level + 2)]
+        for E, x, r in sets:
+            fit = linear_approx_delta(E, x, r)
+            exact = slab_oracle(E, x, r)
+            assert abs(fit.delta - exact) <= 1e-14 * max(exact, 1e-3)
+            # the fitted line's own slab has that half-width, and its angle lies in [0, pi)
+            (dx, dy), d = fit.direction, E - np.asarray(x)
+            local = d[np.hypot(d[:, 0], d[:, 1]) <= r]
+            assert abs(np.abs(local @ np.array([-dy, dx])).max() / r - fit.delta) <= 1e-12
+            assert math.hypot(dx, dy) == pytest.approx(1.0, abs=1e-15)
+            assert dy > 0.0 or (dy == 0.0 and dx > 0.0)
+
+    def test_direction_angle_in_half_turn(self):
+        # the least edge of the reflected hull runs from (1, 0.1) to (-1, 0.1): angle pi, given as 0
+        pts = np.array([[0.0, 0.0], [1.0, 0.1], [-1.0, -0.1], [1.0, -0.1]])
+        fit = linear_approx_delta(pts, (0.0, 0.0), 2.0)
+        assert fit.delta == pytest.approx(0.05, rel=1e-15)
+        assert fit.direction == (1.0, 0.0)
+
+    def test_single_distinct_local_point(self):
+        # the base point twice: every line through x fits exactly
+        fit = linear_approx_delta(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]), (0.0, 0.0), 1.0)
+        assert fit.delta == 0.0 and fit.direction == (1.0, 0.0)
 
     def test_koch_regression_and_brute_force_oracle(self):
         k6 = koch_curve(6)
@@ -305,10 +396,12 @@ class TestLinearApproxDelta:
         pts = np.array([[0.0, 0.0], [5.0, 0.0]])
         with pytest.raises(DomainError):
             linear_approx_delta(pts, (0.0, 0.0), 1.0)  # only one local point
-        with pytest.raises(DomainError):
-            linear_approx_delta(pts, (0.3, 0.0), 1.0)  # base not in the set
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="base point"):
+            linear_approx_delta(pts, (0.3, 0.0), 1.0)
+        with pytest.raises(DomainError, match="radius"):
             linear_approx_delta(pts, (0.0, 0.0), -1.0)
+        with pytest.raises(DomainError, match="radius"):  # two local points at r = 0
+            linear_approx_delta(np.array([[0.0, 0.0], [0.0, 0.0]]), (0.0, 0.0), 0.0)
 
 
 class TestThickness:
@@ -333,6 +426,12 @@ class TestThickness:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError):
             thickness_constant(pts, (0.0, 0.0), 0.5)  # only one local point
+        with pytest.raises(DomainError, match="radius"):
+            thickness_constant(pts, (0.0, 0.0), -1.0)
+
+    @pytest.mark.parametrize("pts", [[[0.5, 0.5]] * 3, [[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]])
+    def test_fewer_than_three_hull_points(self, pts):
+        assert thickness_constant(pts, (1.0, 1.0), 3.0) == 0.0
 
 
 class TestBoxDimension:
@@ -358,12 +457,19 @@ class TestBoxDimension:
 
     def test_guards(self):
         seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), closed=False)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least 2 scales"):
             box_dimension(seg, [0.1])
         with pytest.raises(DomainError):
             box_dimension(seg, [0.1, 0.05])  # spans less than a decade
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="positive"):
             box_dimension(seg, [0.1, -0.001])
+
+    def test_sample_limit(self, monkeypatch):
+        # scale 0.001 cuts the unit segment into 3000 samples
+        seg = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]), closed=False)
+        monkeypatch.setattr(geometry, "_BOX_MAX_SAMPLES", 2000)
+        with pytest.raises(DomainError, match="too many samples"):
+            box_dimension(seg, [0.1, 0.001])
 
 
 class TestAbsRatio:
@@ -428,9 +534,19 @@ class TestRhoDisk:
             denom = math.sqrt(chord * chord + (1.0 - a @ a) * (1.0 - b @ b))
             assert lhs == pytest.approx(2.0 * math.atanh(chord / denom), rel=1e-10)
 
+    def test_geodesic_endpoint_absolute_ratio(self):
+        # the second algorithm: rho = log |a*, a, b, b*| through the endpoints of the geodesic
+        rng = random.Random(405)
+        for _ in range(40):
+            a = [rng.uniform(-0.6, 0.6) for _ in range(2)]
+            b = [rng.uniform(-0.6, 0.6) for _ in range(2)]
+            assert rho_disk(a, b) == pytest.approx(rho_by_geodesic_endpoints(a, b), rel=1e-12)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             rho_disk((1.0, 0.0), (0.0, 0.0))
+        with pytest.raises(DomainError):
+            rho_disk((0.0, 0.0), (0.6, -0.8))
 
 
 class TestBoundaryMetric:
@@ -452,6 +568,38 @@ class TestBoundaryMetric:
         assert v1 >= 0.0
         assert v1 == pytest.approx(v2, rel=1e-12)
 
+    def test_absolute_ratio_blocks_match_the_full_table(self, monkeypatch):
+        # blocks of 7 ratios split the 48 boundary vertices unevenly; the sup is order-free
+        curve = koch_curve(2)
+        poly = curve.points
+        a, b = np.array([0.45, 0.3]), np.array([0.6, 0.25])
+        pa = np.hypot(poly[:, 0] - a[0], poly[:, 1] - a[1])
+        pb = np.hypot(poly[:, 0] - b[0], poly[:, 1] - b[1])
+        ratio = float(np.hypot(*(a - b))) * geometry._dist(poly[:, None], poly[None]) / (pa[:, None] * pb[None, :])
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 7)
+        assert boundary_metric_estimate(curve, a, b, "AbsoluteRatio") == math.log1p(ratio.max())
+        assert boundary_metric_estimate(curve, a, b, "Apollonian") == math.log((pa / pb).max() * (pb / pa).max())
+
+    def test_absolute_ratio_peak_memory(self):
+        # n = 3072: the n x n distance and ratio tables peaked at 377.5 MB
+        curve = koch_curve(5)
+        tracemalloc.start()
+        try:
+            boundary_metric_estimate(curve, (0.5, 0.29), (0.4, 0.2), "AbsoluteRatio")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+
+    def test_boundary_vertex_is_not_inside(self):
+        # the crossing test counts this vertex as inside; |c - a| = 0 there gave NaN or inf
+        ngon = regular_ngon(64)
+        for mode in ("AbsoluteRatio", "Apollonian"):
+            with pytest.raises(DomainError, match="point a"):
+                boundary_metric_estimate(ngon, ngon.points[20], (0.0, 0.0), mode)
+            with pytest.raises(DomainError, match="point b"):
+                boundary_metric_estimate(ngon, (0.0, 0.0), ngon.points[20], mode)
+
     def test_guards(self):
         ngon = regular_ngon(64)
         with pytest.raises(DomainError):
@@ -460,6 +608,8 @@ class TestBoundaryMetric:
             boundary_metric_estimate(ngon, (0.0, 0.0), (0.5, 0.0), "Poincare")
         with pytest.raises(DomainError):
             boundary_metric_estimate(spiral_polyline(), (0.0, 0.0), (0.5, 0.0), "Apollonian")
+        with pytest.raises(DomainError, match="closed"):
+            boundary_metric_estimate(Polyline(ngon.points, closed=False), (0.0, 0.0), (0.5, 0.0), "Apollonian")
 
 
 class TestPolylineCsv:
@@ -493,3 +643,18 @@ class TestPolylineCsv:
     def test_too_few_vertices(self):
         with pytest.raises(PolylineFormatError):
             Polyline.from_csv_text("x,y\n0,0\n")
+
+    def test_blank_lines_skipped(self):
+        poly = Polyline.from_csv_text("x,y\n0,0\n\n1,0\n\n0,1\n")
+        assert poly.points.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    def test_wrong_field_count_among_good_rows(self):
+        with pytest.raises(PolylineFormatError) as err:
+            Polyline.from_csv_text("x,y\n0,0\n1,1,1\n2,0\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("pts,closed", [([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], False),
+                                            ([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], True)])
+    def test_coincident_consecutive_vertices(self, pts, closed):
+        with pytest.raises(DomainError, match="coincident"):
+            Polyline(np.array(pts), closed=closed)

@@ -14,6 +14,7 @@ mp = pytest.importorskip("mpmath")
 
 from qcfun import modulus
 from qcfun.means import ellint_K_from_comp
+from qcfun.specfun import gauss_F_near_one
 from qcfun import (
     ConvergenceError,
     HypergeomParams,
@@ -32,6 +33,8 @@ from qcfun import (
     mu_a_inv,
     mu_inv,
     phi_K,
+    QcfunError,
+    rho_disk,
 )
 
 mp.mp.dps = 50
@@ -297,3 +300,52 @@ def test_product_reference():
                 break
             rn = 2 * mp.sqrt(rn) / (1 + rn)
         assert rel(agm_product_p(r), mp.e ** logp) < 1e-12
+
+
+def test_balanced_gauss_f_sweep():
+    # a, b log-spread over (0, 60]: within 1e-12, or a typed error; for a, b
+    # above about 1 the connection series has negative terms R_n - log w
+    rng = random.Random(1313)
+    for _ in range(300):
+        a = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+        b = math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+        w = 10.0 ** rng.uniform(-12.0, math.log10(0.5))
+        r = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+        p = HypergeomParams(a, b, a + b)
+        for got, want in ((lambda: gauss_F_near_one(a, b, w), lambda: mp.hyp2f1(a, b, p.c, 1 - mp.mpf(w))),
+                          (lambda: gauss_F(p, r), lambda: mp.hyp2f1(a, b, p.c, r))):
+            try:
+                value = got()
+            except QcfunError:
+                continue
+            assert abs(value / want() - 1) < 1e-12, (a, b, w, r)
+
+
+def _rho_mp(a, b):
+    a, b = mp.mpc(*a), mp.mpc(*b)
+    return 2 * mp.atanh(abs(a - b) / abs(1 - mp.conj(a) * b))
+
+
+def _on_circle(rng, radius):
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    return radius * math.cos(t), radius * math.sin(t)
+
+
+def test_rho_disk_condition_scaled_accuracy():
+    # the docstring's 4 eps / min(1 - |a|^2, 1 - |b|^2), on interior pairs,
+    # pairs nearly on one diameter, pairs near the circle and close pairs
+    rng = random.Random(1314)
+    for _ in range(200):
+        t, e = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(-16.0, -10.0)
+        s1, s2 = rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)
+        a = _on_circle(rng, rng.uniform(0.0, 0.99))
+        step = _on_circle(rng, 10.0 ** rng.uniform(-12.0, -4.0))
+        for p, q in ((_on_circle(rng, rng.uniform(0.0, 0.9)), _on_circle(rng, rng.uniform(0.0, 0.9))),
+                     ((s1 * math.cos(t), s1 * math.sin(t)), (s2 * math.cos(t + e), s2 * math.sin(t + e))),
+                     (_on_circle(rng, 1.0 - 10.0 ** rng.uniform(-12.0, -2.0)),
+                      _on_circle(rng, 1.0 - 10.0 ** rng.uniform(-12.0, -2.0))),
+                     (a, (a[0] + step[0], a[1] + step[1]))):
+            want = _rho_mp(p, q)
+            gap = min(1 - mp.mpf(p[0]) ** 2 - mp.mpf(p[1]) ** 2, 1 - mp.mpf(q[0]) ** 2 - mp.mpf(q[1]) ** 2)
+            assert abs(rho_disk(p, q) / want - 1) <= 4 * EPS / gap, (p, q)
+

@@ -5,6 +5,7 @@ raw partial sums, closed reflection formulas) and frozen here.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,11 @@ class TestBeta:
     def test_symmetry(self):
         assert beta_fn(0.3, 1.7) == pytest.approx(beta_fn(1.7, 0.3), rel=1e-15)
 
+    @pytest.mark.parametrize("a,b", [(160.0, 1e-300), (1e-300, 160.0)])
+    def test_one_tiny_argument(self, a, b):
+        # Gamma(160) Gamma(1e-300) overflows though B = 1e300 (mpmath 9.99999999999999975e299)
+        assert beta_fn(a, b) == pytest.approx(1e300, rel=1e-15)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_fn(0.0, 1.0)
@@ -190,6 +196,29 @@ class TestGaussF:
     def test_near_one_domain(self, w):
         with pytest.raises(DomainError):
             gauss_F_near_one(0.5, 0.5, w)
+
+    @pytest.mark.parametrize("a,b,w,want", [
+        # 30-digit mpmath; the connection series has a negative term R_n - log w in each
+        (50.0, 50.0, 1.0 - 0.951, 3392045799965546791862.89706597),
+        (10.0, 10.0, 0.5, 24.0747365657313657616414247408),
+        (20.0, 20.0, 0.5, 571.610378148181545100583722713),
+        (1000.0, 1000.0, 0.5, 3.50833628904319072591749372607e+137),
+        (0.1, 50.0, 0.3, 1.12743319477258610815565259722),  # only R_1 < log w
+    ])
+    def test_near_one_negative_connection_terms(self, a, b, w, want):
+        assert gauss_F_near_one(a, b, w) == pytest.approx(want, rel=1e-14)
+
+    def test_balanced_large_parameters_past_the_seam(self):
+        # F(50, 50; 100; .951) by the connection series was 3e3 relative off
+        value = gauss_F(HypergeomParams(50.0, 50.0, 100.0), 0.951)
+        assert value == pytest.approx(3392045799965546791862.89706597, rel=1e-14)
+
+    def test_near_one_refuses_a_direct_series_past_the_cap(self):
+        # R(1000, 1000) = -15.0 < log w: about 40 / w = 4e7 direct terms, refused up front
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="negative term"):
+            gauss_F_near_one(1000.0, 1000.0, 1e-6)
+        assert time.perf_counter() - start < 0.5
 
     def test_near_one_complement_channel(self):
         # log(1-r) supplied through the complement stays exact for tiny complements
