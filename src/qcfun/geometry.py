@@ -185,9 +185,8 @@ def regular_ngon(n: int, radius: float = 1.0, center=(0.0, 0.0)) -> Polyline:
 def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distances |p - q| over broadcast (..., 2) point arrays.
 
-    dx*dx + dy*dy is the sum over the last axis of the squared difference,
-    bit for bit, without the (..., 2) difference array and its strided sum:
-    about 5x faster on row blocks.
+    dx*dx + dy*dy has the bits of the sum over the last axis of the squared
+    difference, without that (..., 2) array and its strided reduction.
     """
     dx = p[..., 0] - q[..., 0]
     dy = p[..., 1] - q[..., 1]
