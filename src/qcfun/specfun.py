@@ -213,8 +213,8 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tup
     stays exact where w underflows, and ``r0`` = R(a,b) = R_0 so that a
     caller summing many series at one (a, b) evaluates it once.  A weight
     R_n - log w < 0 (R(a,b) < 0 for a, b above about 1) would cancel, so a
-    term below -eps S1 raises :class:`ConvergenceError`; for a + b = 1 every
-    weight is positive.
+    term below -eps S1 raises :class:`ConvergenceError`; where a, b <= 1, as
+    for a + b = 1, every weight is positive.
     """
     r_n = r0
     if math.isinf(r_n):
@@ -230,8 +230,9 @@ def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tup
         s0 += coef
         s1 += t1
         if abs(coef) <= 1e-17 * abs(s0) and abs(t1) <= 1e-17 * abs(s1) and n > 1:
-            # a negative term above eps S1 is a negative weight, not rounding of R_n
-            if min(terms1) < -1e-16 * s1:
+            # R_n falls to 0 where a, b <= 1, so only a or b above 1 gives a negative
+            # weight; a negative term above eps S1 is one, not rounding of R_n
+            if (a > 1.0 or b > 1.0) and min(terms1) < -1e-16 * s1:
                 raise ConvergenceError(f"zero-balanced connection series at ({a}, {b}) has a "
                                        "negative term R_n - log w and cancels")
             return math.fsum(terms0), math.fsum(terms1)
