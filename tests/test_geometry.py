@@ -358,7 +358,7 @@ class TestLinearApproxDelta:
             assert dy > 0.0 or (dy == 0.0 and dx > 0.0)
 
     def test_direction_angle_in_half_turn(self):
-        # the least edge of the reflected hull runs from (1, 0.1) to (-1, 0.1): angle pi, given as 0
+        # the least edges of the reflected hull are its horizontal sides, one of them at angle pi
         pts = np.array([[0.0, 0.0], [1.0, 0.1], [-1.0, -0.1], [1.0, -0.1]])
         fit = linear_approx_delta(pts, (0.0, 0.0), 2.0)
         assert fit.delta == pytest.approx(0.05, rel=1e-15)
