@@ -47,7 +47,7 @@ from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
 from .means import _agm3, _nome, comp_radius
-from .specfun import _balanced_r0, _balanced_sums
+from .specfun import _balanced_r0, _hyp_sums
 
 __all__ = [
     "UnitRadius",
@@ -283,7 +283,7 @@ def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[
     if big_r is None:
         big_r = _balanced_r0(a, 1.0 - a)
     small = min(u.r, u.comp)
-    s0, s1 = _balanced_sums(a, 1.0 - a, small * small, 2.0 * math.log(small), big_r)
+    s0, s1, _ = _hyp_sums(a, 1.0 - a, 1.0, small * small, big_r, 2.0 * math.log(small))
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
     # mu_a >= y_sym exactly where r <= r'; the clamps keep it monotone there
     if u.r <= u.comp:

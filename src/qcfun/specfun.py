@@ -12,7 +12,8 @@ constant
     R(a,b) = -psi(a) - psi(b) - 2*gamma_E,    R(1/2,1/2) = log 16,
 
 and near r = 1 the balanced series is summed through the connection formula
-whose leading term is (R(a,b) - log(1-r)) / B(a,b).
+whose leading term is (R(a,b) - log(1-r)) / B(a,b).  One loop,
+:func:`_hyp_sums`, sums both series.
 
 All functions are pure and thread-safe.
 """
@@ -42,7 +43,7 @@ __all__ = [
 # Euler-Mascheroni constant, 30 significant digits.
 EULER_GAMMA = 0.577215664901532860606512090082
 
-_SERIES_CAP = 2_000_000
+_SERIES_CAP = 4_500_000  # F(.5,.5;2;1-4.5e-6) needs 4.1e6 terms to a tail below 2^-55 of the sum
 _ZB_SWITCH = 0.95  # balanced series switches to the connection formula above this argument
 
 
@@ -92,9 +93,9 @@ class AsymptoticClass:
 def gamma_fn(x: float) -> float:
     """Gamma function on (0, 171].
 
-    Relative error below 1e-13 on [1e-3, 170]; arguments above 171, and
-    below about 5.6e-309 where Gamma(x) ~ 1/x, overflow double precision and
-    raise :class:`OverflowSignal`.
+    Relative error below 1e-15 (6.7e-16 measured against mpmath on 8000
+    seeded x in [1e-300, 171]); arguments above 171, and below about
+    5.6e-309 where Gamma(x) ~ 1/x, overflow and raise :class:`OverflowSignal`.
     """
     if not (x > 0):
         raise DomainError(f"gamma_fn requires x > 0, got {x}")
@@ -119,9 +120,11 @@ _PSI_TAIL = (
 
 
 def digamma_fn(x: float) -> float:
-    """Digamma psi(x) = Gamma'(x)/Gamma(x) for x > 0, absolute error <= 1e-12.
+    """Digamma psi(x) = Gamma'(x)/Gamma(x) for x > 0.
 
-    Upward recurrence psi(x+1) = psi(x) + 1/x to x >= 10, then the asymptotic
+    Absolute error within 1e-15 max(1, |psi(x)|) (5.6e-16 measured against
+    mpmath on 8000 seeded x in [1e-300, 1e300] and about the root).  Upward
+    recurrence psi(x+1) = psi(x) + 1/x to x >= 10, then the asymptotic
     expansion log x - 1/(2x) - sum B_{2k}/(2k x^{2k}); the recurrence terms,
     log x, -1/(2x) and the tail are added exactly with ``math.fsum``.
     """
@@ -141,21 +144,42 @@ def digamma_fn(x: float) -> float:
     return math.fsum(terms)
 
 
-def beta_fn(a: float, b: float) -> float:
-    """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), relative error <= 1e-12.
+def _log_gamma_ratio(x: float, d: float) -> float:
+    """log Gamma(x+d)/Gamma(x) for x > 0, d >= 0, with no lgamma-sized cancellation.
 
-    Gamma of an argument below about 5.6e-309, or lgamma above about 2.5e305,
-    overflows double precision and raises :class:`OverflowSignal`.
+    For x >= 10, d log x + (x+d-1/2) log1p(d/x) - d + mu(x+d) - mu(x), mu the
+    Stirling remainder 1/(12x) - 1/(360x^3) + ... (DiDonato & Morris, ACM
+    TOMS 18, 1992, ``algdiv``); below 10 the lgamma difference.
+    """
+    if x < 10.0:
+        return math.lgamma(x + d) - math.lgamma(x)
+
+    def mu(y):
+        s = 1.0 / (y * y)
+        return (1.0 / 12.0 - s * (1.0 / 360.0 - s * (1.0 / 1260.0 - s / 1680.0))) / y
+
+    return d * math.log(x) + (x + d - 0.5) * math.log1p(d / x) - d + (mu(x + d) - mu(x))
+
+
+def beta_fn(a: float, b: float) -> float:
+    """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b).
+
+    Relative error within 8 eps max(1, |log B|, (a+b) log(a+b)), eps = 2^-52;
+    the last term is rounding a + b (against mpmath on 4000 seeded pairs:
+    1.2 eps of it for a + b <= 170, 3.0 eps max(1, |log B|) above).  Above
+    170, B = Gamma(min)/(Gamma(a+b)/Gamma(max)) with the ratio from
+    :func:`_log_gamma_ratio`.  A value beyond the double range, as where
+    one argument is below about 5.6e-309, raises :class:`OverflowSignal`.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
+    lo, hi = sorted((a, b))
     try:
         if a + b <= 170.0:
             # the larger gamma over Gamma(a+b) first: Gamma(a)Gamma(b) overflows
             # where one argument is tiny, as at B(160, 1e-300) = 1e300
-            lo, hi = sorted((a, b))
             return math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
-        return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        return math.exp(math.lgamma(lo) - _log_gamma_ratio(hi, lo))
     except OverflowError:
         raise OverflowSignal(f"beta_fn({a}, {b}) overflows double precision") from None
 
@@ -174,93 +198,117 @@ def ramanujan_R(a: float, b: float) -> float:
     return _balanced_r0(a, b)
 
 
-def _series(a: float, b: float, c: float, r: float) -> float:
-    """Direct hypergeometric series with Neumaier-compensated summation."""
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    n = 0
-    while n < _SERIES_CAP:
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * r
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        n += 1
-        if abs(term) <= 1e-17 * abs(total) and n > 4:
-            value = total + comp
-            # an infinite term makes comp NaN: the terms have left the double range
-            if math.isnan(value):
-                raise OverflowSignal(f"F({a}, {b}; {c}; {r}) exceeds double precision")
-            return value
-    raise ConvergenceError(
-        f"hypergeometric series did not converge within {_SERIES_CAP} terms at r = {r}"
-    )
+def _refuse_past_cap(a: float, b: float, c: float, z: float, eps: float) -> None:
+    """Raise where :func:`_hyp_sums` would need more than N = _SERIES_CAP terms (c > 0).
 
-
-def _balanced_sums(a: float, b: float, w: float, log_w: float, r0: float) -> tuple[float, float]:
-    """(F(a,b;a+b;w), B(a,b) F(a,b;a+b;1-w)) from one series, for w in [0, 1/2].
-
-    The two sums share their coefficients c_n = (a,n)(b,n)/(n!)^2:
-
-        S0 = sum_n c_n w^n,    S1 = sum_n c_n w^n [R_n - log w],
-        R_n = 2 psi(n+1) - psi(a+n) - psi(b+n),
-
-    S1 being the balanced connection formula (DLMF 15.8.10).  Both are added
-    exactly with ``math.fsum``; ``log_w`` is passed separately so that it
-    stays exact where w underflows, and ``r0`` = R(a,b) = R_0 so that a
-    caller summing many series at one (a, b) evaluates it once.  A weight
-    R_n - log w < 0 (R(a,b) < 0 for a, b above about 1) would cancel, so a
-    term below -eps S1 raises :class:`ConvergenceError`; where a, b <= 1, as
-    for a + b = 1, every weight is positive.
+    t_(n+1) >= t_n while (1-z) n^2 + (c+1-z(a+b)) n + c-zab <= 0: the largest
+    term is t_0 = 1 or t_p, p one past the larger root, and no stop comes
+    before p.  Past it t_n >= t_N and (n+1) t_(n+1) >= N t_N, so none comes
+    before N while t_N > eps S G/(N z), with S = min(N t_p, F(a,b;c;1)) >= S_n
+    and G = N(1-z) + |c-a-b| + |(c-a)(c-b)|/(1+c) >= n - x.
     """
-    r_n = r0
-    if math.isinf(r_n):
+    cap = float(_SERIES_CAP)
+    if not z < 1.0:
+        raise ConvergenceError(f"F({a}, {b}; {c}; {z}): the series does not converge at 1")
+    g, h, k = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
+    root = math.sqrt(max(h * h - 4.0 * g * k, 0.0))
+    root = -2.0 * k / (h + root) if h > 0.0 else (root - h) / (2.0 * g)
+    p = 0.0 if not root >= 0.0 else cap if not root < cap else math.floor(root) + 1.0
+
+    lgr = _log_gamma_ratio
+
+    def log_term(n):
+        return lgr(a, n) + lgr(b, n) - lgr(c, n) - math.lgamma(n + 1.0) + n * math.log(z)
+
+    peak = max(log_term(p), 0.0)
+    if peak > 709.78:  # log of the largest double
+        raise OverflowSignal(f"F({a}, {b}; {c}; {z}): a series term exceeds double precision")
+    log_s = math.log(cap) + peak
+    if c > a + b:
+        log_s = min(log_s, lgr(c - a, a) - lgr(c - a - b, a))
+    spread = cap * g + abs(c - a - b) + abs((c - a) * (c - b)) / (1.0 + c)
+    if p == cap or log_term(cap) > log_s + math.log(eps * spread / (cap * z)):
+        raise ConvergenceError(f"F({a}, {b}; {c}; {z}) needs more than {_SERIES_CAP} series terms")
+
+
+def _hyp_sums(a: float, b: float, c: float, z: float, r0: float | None = None,
+              log_z: float = 0.0) -> tuple[float, float, int]:
+    """(S0, S1, n): F(a,b;c;z) and, given r0 = R(a,b), the connection sum, in one pass.
+
+    Kahan-compensated sums over t_n = (a,n)(b,n)/((c,n) n!) z^n; n counts the
+    terms.  With r0 (c = 1, z = w <= 1/2), S1 = sum t_n (R_n - log w), R_n =
+    2 psi(n+1) - psi(a+n) - psi(b+n), is B(a,b) F(a,b;a+b;1-w) (DLMF 15.8.10;
+    ``log_z`` stays exact where w underflows), and a weight R_n - log w < 0
+    (a or b above about 1) would cancel: it raises :class:`ConvergenceError`.
+    Once rho = t_(n+1)/t_n < 1, the rest after t_n is at most t_n q/(1-q),
+    q = max(rho, z), and for c > 0 also t_n x/(n-x) once x = (n+1) rho < n,
+    as k t_k then falls by at least (n-x) t_k a step (the bound near z = 1
+    where c > a + b).  The pass stops when either is below 2^-55 S0 and the
+    first, times |R_(n+1)| - log w, below 2^-55 S1.  What needs more than
+    _SERIES_CAP terms is refused before the loop (:func:`_refuse_past_cap`);
+    a sum beyond the double range raises :class:`OverflowSignal`.
+    """
+    eps, weighted, signed = 2.0 ** -55, r0 is not None, c <= 0.0
+    if z > 0.999 and c > 0.0:  # below, a run past the cap overflows first
+        _refuse_past_cap(a, b, c, z, eps)
+    if weighted and math.isinf(r0):  # R(a,b) ~ 1/a at subnormal a: S1 would be NaN and never stop
         raise OverflowSignal(f"R({a}, {b}) overflows double precision")
-    coef, s0, s1 = 1.0, 1.0, r_n - log_w
-    terms0, terms1 = [s0], [s1]
-    for n in range(200):
-        coef *= (a + n) * (b + n) / ((n + 1.0) * (n + 1.0)) * w
-        r_n += 2.0 / (n + 1.0) - 1.0 / (a + n) - 1.0 / (b + n)
-        t1 = coef * (r_n - log_w)
-        terms0.append(coef)
-        terms1.append(t1)
-        s0 += coef
-        s1 += t1
-        if abs(coef) <= 1e-17 * abs(s0) and abs(t1) <= 1e-17 * abs(s1) and n > 1:
-            # R_n falls to 0 where a, b <= 1, so only a or b above 1 gives a negative
-            # weight; a negative term above eps S1 is one, not rounding of R_n
-            if (a > 1.0 or b > 1.0) and min(terms1) < -1e-16 * s1:
+    r_n, term, s0, s1, e0, e1 = r0, 1.0, 0.0, 0.0, 0.0, 0.0
+    for n in range(_SERIES_CAP):
+        t = s0 + (y := term - e0)
+        s0, e0 = t, (t - s0) - y
+        m = n + 1.0
+        if weighted:
+            y = term * (r_n - log_z)
+            if y < 0.0 and y < -eps * s1:
                 raise ConvergenceError(f"zero-balanced connection series at ({a}, {b}) has a "
                                        "negative term R_n - log w and cancels")
-            return math.fsum(terms0), math.fsum(terms1)
-    raise ConvergenceError("zero-balanced connection series stalled")
+            t = s1 + (y := y - e1)
+            s1, e1 = t, (t - s1) - y
+            r_n += 2.0 / m - 1.0 / (a + n) - 1.0 / (b + n)
+        rho = (a + n) / m * ((b + n) / (c + n)) * z
+        if signed or term * rho <= eps * s0:  # both tests below need t_(n+1) <= eps S0
+            if term == 0.0 or not math.isfinite(s0):  # 0 from here on, or past the double range
+                break
+            q = rho if rho > z else z
+            tol = eps * (1.0 - q)
+            if signed:  # the terms keep one sign from n = -c on
+                done = abs(term) * q <= tol * abs(s0) and n + c > 0.0
+            else:
+                x = m * rho
+                done = term * q <= tol * s0 or x < n and term * x <= eps * (n - x) * s0
+            if done and (not weighted or term * q * (abs(r_n) - log_z) <= tol * s1):
+                break
+        term *= rho
+    else:
+        raise ConvergenceError(f"F({a}, {b}; {c}; {z}) did not converge within {_SERIES_CAP} terms")
+    s0, s1 = s0 - e0, s1 - e1
+    if not math.isfinite(s0 + s1):
+        raise OverflowSignal(f"F({a}, {b}; {c}; {z}) exceeds double precision")
+    return s0, s1, n + 1
 
 
 def gauss_F_near_one(a: float, b: float, w: float) -> float:
     """Zero-balanced F(a,b;a+b;1-w) for w in (0, 1/2], from the complement directly.
 
-    This is S1 / B(a,b) of :func:`_balanced_sums`, the connection formula
-    whose n = 0 term is the R(a,b) - log(1-r) asymptotic.  Taking w as the
-    argument keeps log w exact when 1-r is known to more digits than r.
-    Where that series has a negative term or stalls (a, b above about 1),
-    the direct series at 1 - w is summed instead, if its about 40 / w
-    positive terms fit the series cap, and :class:`ConvergenceError` is
-    raised otherwise.  Where the series or the beta normaliser leaves the
-    double range (large a, b) :class:`OverflowSignal` is raised.
+    S1 / B(a,b) of :func:`_hyp_sums`, whose n = 0 term is the R(a,b) - log w
+    asymptotic; log w stays exact when 1-r is known to more digits than r.
+    Where S1 has a negative term (a, b above about 1) or overflows (R(a,b)
+    at subnormal a), the direct series at 1 - w runs instead; where that
+    fails too, the :class:`ConvergenceError` names both.  B(a,b), or S1 / B,
+    beyond the double range raises :class:`OverflowSignal`.
     """
     if not (0.0 < w <= 0.5):
         raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
     try:
-        s1 = _balanced_sums(a, b, w, math.log(w), _balanced_r0(a, b))[1]
-    except ConvergenceError:
-        if w * _SERIES_CAP < 40.0:
-            raise
-        return _series(a, b, a + b, 1.0 - w)
+        s1 = _hyp_sums(a, b, 1.0, w, _balanced_r0(a, b), math.log(w))[1]
+    except (ConvergenceError, OverflowSignal) as connection:
+        try:
+            return _hyp_sums(a, b, a + b, 1.0 - w)[0]
+        except (ConvergenceError, OverflowSignal) as direct:
+            raise ConvergenceError(f"{connection}; the direct series at 1 - w: {direct}") from None
     beta = beta_fn(a, b)
-    if not (beta > 0.0 and math.isfinite(s1)):
+    if not (beta > 0.0 and math.isfinite(s1 / beta)):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "
                              "B(a,b) leaves double precision")
     return s1 / beta
@@ -269,9 +317,13 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
 def gauss_F(p: HypergeomParams, r: float) -> float:
     """Gauss hypergeometric F(a,b;c;r) on [0,1).
 
-    Direct series (relative error <= 1e-12 within its reach); zero-balanced
-    arguments beyond 0.95 go through :func:`gauss_F_near_one`.  A value, or a
-    term of the series, beyond the double range raises :class:`OverflowSignal`.
+    Direct series (:func:`_hyp_sums`); zero-balanced arguments beyond 0.95
+    go through :func:`gauss_F_near_one`.  Relative error within
+    2 eps max(1, 1/(1-r)), eps = 2^-52, from rounding in the term products
+    (1.07 measured on 300 seeded (a, b, c, r), a, b in [.1, 4],
+    |c - a - b| in [.1, 3], 1 - r down to 3e-5).  A series that needs more
+    than _SERIES_CAP terms raises :class:`ConvergenceError` before it runs,
+    and a value or term beyond the double range :class:`OverflowSignal`.
     """
     if not (0.0 <= r < 1.0):
         raise DomainError(f"gauss_F requires r in [0,1), got {r}")
@@ -279,15 +331,16 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
         return 1.0
     if p.zero_balanced and r > _ZB_SWITCH:
         return gauss_F_near_one(p.a, p.b, 1.0 - r)
-    return _series(p.a, p.b, p.c, r)
+    return _hyp_sums(p.a, p.b, p.c, r)[0]
 
 
 def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
     """Classify the r -> 1 behaviour of F(a,b;c;r) and return the case constant.
 
     Requires a, b, c > 0.  Case A's limit F(a,b;c;1) is evaluated by the Gauss
-    formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)).  A gamma ratio
-    that leaves the double range raises :class:`OverflowSignal`.
+    formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)), for c above 171 as
+    exp of two :func:`_log_gamma_ratio` values.  A gamma ratio that leaves
+    the double range raises :class:`OverflowSignal`.
     """
     if p.c <= 0:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")
@@ -302,9 +355,12 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
                 # overflows from c ~ 150 on where the ratio is finite
                 const = gamma_fn(p.c) / gamma_fn(p.c - p.a) * (gamma_fn(d) / gamma_fn(p.c - p.b))
             else:
-                const = math.exp(
-                    math.lgamma(p.c) + math.lgamma(d) - math.lgamma(p.c - p.a) - math.lgamma(p.c - p.b)
-                )
+                # Gamma(c)/Gamma(c-m) over Gamma(d+m)/Gamma(d), m = min(a, b); both ratios
+                # overflow (inf - inf) only for a, b above about 1e305, where F(a,b;c;1) does too
+                m = min(p.a, p.b)
+                const = math.exp(_log_gamma_ratio(p.c - m, m) - _log_gamma_ratio(d, m))
+                if math.isnan(const):
+                    raise OverflowError
             return AsymptoticClass(BoundaryCase.A, const)
         return AsymptoticClass(BoundaryCase.C, beta_fn(p.c, -d) / beta_fn(p.a, p.b))
     except (OverflowError, ZeroDivisionError):

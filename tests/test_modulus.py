@@ -424,8 +424,8 @@ class TestMuA:
 
     def test_closed_forms_run_no_series(self, monkeypatch):
         calls, newton = [], []
-        sums, solve = modulus._balanced_sums, modulus._mu_a_newton
-        monkeypatch.setattr(modulus, "_balanced_sums",
+        sums, solve = modulus._hyp_sums, modulus._mu_a_newton
+        monkeypatch.setattr(modulus, "_hyp_sums",
                             lambda *args: calls.append(args) or sums(*args))
         monkeypatch.setattr(modulus, "_mu_a_newton",
                             lambda a, y: newton.append(a) or solve(a, y))

@@ -12,7 +12,7 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from qcfun import modulus
+from qcfun import modulus, specfun
 from qcfun.means import ellint_K_from_comp
 from qcfun.specfun import gauss_F_near_one
 from qcfun import (
@@ -23,6 +23,7 @@ from qcfun import (
     UnitRadius,
     agm_product_p,
     digamma_fn,
+    gamma_fn,
     ellint_K,
     ellint_Kprime,
     eta_K2,
@@ -118,11 +119,110 @@ def test_mu_inv_against_reference_modulus(y):
 @pytest.mark.parametrize("r", [0.5, 0.9499, 0.9501])
 def test_gauss_f_seam(abc, r):
     a, b, c = abc
-    balanced = abs(c - a - b) < 1e-12
-    if not balanced and r > 0.95:
-        pytest.skip("direct series only below the seam for unbalanced parameters")
     want = mp.hyp2f1(mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(r))
     assert rel(gauss_F(HypergeomParams(a, b, c), r), want) < 1e-12
+
+
+def test_gauss_f_condition_scaled_accuracy():
+    # the docstring's 2 eps max(1, 1/(1-r)): rounding in the term products, and no
+    # truncated tail above 2^-55 of the sum
+    rng = random.Random(1416)
+    for _ in range(40):
+        a, b = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
+        c = a + b + rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+        r = 1.0 - math.exp(rng.uniform(math.log(3e-5), math.log(0.1))) if rng.random() < 0.8 else rng.uniform(0.0, 0.9)
+        want = mp.hyp2f1(a, b, c, r)
+        assert _rel_err(gauss_F(HypergeomParams(a, b, c), r), want) <= 2 * EPS * max(1, 1 / (1 - r)), (a, b, c, r)
+
+
+def test_gauss_f_no_truncated_tail_near_one():
+    # c - a - b in [1.5, 3]: the terms' rounding stays small, so what is left is the
+    # truncated tail; the last-term stop left about 1e-17/(1-r) (7.7e-14 at .9999)
+    rng = random.Random(1415)
+    for _ in range(8):
+        a, b = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+        c = a + b + rng.uniform(1.5, 3.0)
+        for r in (0.99, 0.999, 0.9999):
+            assert _rel_err(gauss_F(HypergeomParams(a, b, c), r), mp.hyp2f1(a, b, c, r)) < 2e-15, (a, b, c, r)
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: gauss_F(HypergeomParams(1.0, 1.0, 100.0), 1 - 1e-8), lambda: mp.hyp2f1(1, 1, 100, 1 - 1e-8)),
+    (lambda: gauss_F(HypergeomParams(2.0, 3.0, 40.0), 1 - 1e-12), lambda: mp.hyp2f1(2, 3, 40, 1 - 1e-12)),
+    (lambda: gauss_F(HypergeomParams(0.3, 0.4, 1.2), 1 - 2e-5), lambda: mp.hyp2f1(0.3, 0.4, 1.2, 1 - 2e-5)),
+    (lambda: gauss_F_near_one(150.0, 150.0, 2e-5), lambda: mp.hyp2f1(150, 150, 300, 1 - mp.mpf(2e-5))),
+    (lambda: gauss_F_near_one(1000.0, 1000.0, 0.5), lambda: mp.hyp2f1(1000, 1000, 2000, 0.5)),
+], ids=["c-large-1e-8", "c-large-1e-12", "1.2-million-terms", "direct-fallback-1.4-million-terms", "1000-1000"])
+def test_gauss_f_reach_against_reference(call, want):
+    # inputs the 1e-17 last-term rule answered stay answered: the term budget counts
+    # the polynomial factor n^(a+b-c-1) of the first two, and the rest fit the cap
+    value, reference = call(), want()
+    assert _rel_err(value, reference) <= 2 * EPS * max(1, 5e4), float(reference)
+
+
+def _tails(a, b, w, n):
+    """mpmath sum over k >= n of t_k and of t_k (R_k - log w), t_k = (a,k)(b,k)/(k!)^2 w^k."""
+    a, b, w = mp.mpf(a), mp.mpf(b), mp.mpf(w)
+    term, k, rest0, rest1 = mp.rf(a, n) * mp.rf(b, n) / mp.factorial(n) ** 2 * w ** n, n, 0, 0
+    while term > mp.mpf(10) ** -45:
+        rest0 += term
+        rest1 += term * (2 * mp.digamma(k + 1) - mp.digamma(a + k) - mp.digamma(b + k) - mp.log(w))
+        term *= (a + k) * (b + k) / (k + 1) ** 2 * w
+        k += 1
+    return rest0, rest1
+
+
+def test_balanced_pass_bounds_the_rest_of_both_sums():
+    # a = b = 1.24: the weights R_n - log w rise from 0.03 to 0.8, so S1's rest outlasts
+    # S0's; a stop on S0 alone would leave 1.9 times the tolerance in S1
+    a, w = 1.24, 0.45
+    s0, s1, n = specfun._hyp_sums(a, a, 1.0, w, specfun._balanced_r0(a, a), math.log(w))
+    rest0, rest1 = _tails(a, a, w, n)
+    assert rest0 <= 2.0 ** -55 * s0 and rest1 <= 2.0 ** -55 * s1, (float(rest0 / s0), float(rest1 / s1))
+
+
+def test_gamma_and_digamma_claims():
+    # gamma_fn: 1e-15 relative; digamma_fn: 1e-15 max(1, |psi|) absolute
+    rng = random.Random(1417)
+    for _ in range(400):
+        x = math.exp(rng.uniform(math.log(1e-300), math.log(171.0)))
+        assert _rel_err(gamma_fn(x), mp.gamma(x)) < 1e-15, x
+        y = math.exp(rng.uniform(math.log(1e-300), math.log(1e300)))
+        want = mp.digamma(y)
+        assert abs(digamma_fn(y) - want) < 1e-15 * max(1, abs(want)), y
+
+
+def _beta_mp(a, b):
+    with mp.workdps(40 + int(math.log10(max(a, b, 10.0)))):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return +mp.exp(mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b))
+
+
+def test_beta_condition_scaled_accuracy():
+    # the docstring's 8 eps max(1, |log B|, (a+b) log(a+b)); above a + b = 170 the
+    # lgamma difference was 101% off at (1e15, .5) and B(1e308, .5) overflowed
+    rng = random.Random(1418)
+    pairs = [(1e3, 0.5), (1e10, 0.5), (1e15, 0.5), (1e17, 2.0), (1e308, 0.5), (160.0, 1e-300)]
+    for _ in range(150):
+        a = rng.uniform(1e-3, 169.0)  # the gamma route
+        pairs.append((a, rng.uniform(1e-3, 170.0 - a)))
+        pairs.append((math.exp(rng.uniform(math.log(85.0), math.log(1e300))),  # the ratio route
+                      math.exp(rng.uniform(math.log(1e-3), math.log(1e300)))))
+    for a, b in pairs:
+        want = _beta_mp(a, b)
+        if not 1e-300 < want < 1e300:
+            continue
+        bound = 8 * EPS * max(1, abs(float(mp.log(want))), (a + b) * math.log(a + b))
+        assert _rel_err(beta_fn(a, b), want) <= bound, (a, b)
+
+
+@pytest.mark.parametrize("abc", [(2.0, 3.0, 1e14), (0.5, 0.5, 1e10), (0.5, 0.5, 1e308), (3.0, 150.0, 400.0)])
+def test_boundary_gamma_ratio_above_171(abc):
+    # the lgamma difference was 6.1e-5 off at (.5, .5, 1e10), 65% at (2, 3, 1e14), overflowed at 1e308
+    a, b, c = map(mp.mpf, abc)
+    with mp.workdps(40 + int(math.log10(abc[2]))):
+        want = +mp.exp(mp.loggamma(c) + mp.loggamma(c - a - b) - mp.loggamma(c - a) - mp.loggamma(c - b))
+    assert _rel_err(hypergeom_boundary(HypergeomParams(*abc)).constant, want) < 1e-14
 
 
 def mu_a_mp(a, r):

@@ -4,6 +4,7 @@ Derived expected values were computed with independent oracles (AGM iteration,
 raw partial sums, closed reflection formulas) and frozen here.
 """
 
+import itertools
 import math
 import time
 
@@ -18,6 +19,7 @@ from qcfun import (
     DomainError,
     HypergeomParams,
     OverflowSignal,
+    QcfunError,
     beta_fn,
     digamma_fn,
     gamma_fn,
@@ -148,9 +150,8 @@ class TestGaussF:
     def test_at_zero(self):
         assert gauss_F(HypergeomParams(0.7, 1.3, 2.1), 0.0) == 1.0
 
-    def test_at_zero_with_overflowing_coefficients(self, monkeypatch):
+    def test_at_zero_with_overflowing_coefficients(self):
         # (a)(b) = inf and inf * 0 = nan: the series would run to its cap
-        monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
         assert gauss_F(HypergeomParams(1e308, 1e308, 1.0), 0.0) == 1.0
 
     def test_elliptic_value(self):
@@ -225,6 +226,77 @@ class TestGaussF:
         value = gauss_F_near_one(0.5, 0.5, 1e-30)
         expected = (math.log(16.0) + 30.0 * math.log(10.0)) / math.pi
         assert value == pytest.approx(expected, rel=1e-13)
+
+
+class TestSeriesBudget:
+    # each needs far more than _SERIES_CAP terms; the last-term rule summed 2 million
+    # of them first (1.2-2.1 s) and then raised
+    @pytest.mark.parametrize("abc, r", [((0.3, 0.4, 1.2), 1.0 - 1e-8), ((0.5, 0.5, 2.0), 1.0 - 1e-12),
+                                        ((1.0, 1.0, 2.5), 1.0 - 1e-8), ((0.7, 0.8, 1.2), 1.0 - 1e-9),
+                                        ((1e-12, 0.5, 1.0), 1.0 - 1e-12)])
+    def test_refused_before_the_loop(self, abc, r):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="needs more than"):
+            gauss_F(HypergeomParams(*abc), r)
+        assert time.perf_counter() - start < 0.05
+
+    def test_budget_keeps_the_polynomial_factor(self):
+        # z^n alone would refuse both: n^(a+b-c-1) ends the series in a few hundred terms
+        assert gauss_F(HypergeomParams(1.0, 1.0, 100.0), 1.0 - 1e-8) == pytest.approx(1.0102040815285083, rel=1e-15)
+        assert gauss_F(HypergeomParams(2.0, 3.0, 40.0), 1.0 - 1e-12) == pytest.approx(1.1761904761902686, rel=1e-15)
+
+    def test_tiny_terms_end_the_series(self):
+        # t_n ~ 1e-12 / n^2 with z = 1 - 1e-12: the bound t_n x/(n - x) stops the series after
+        # about 1e4 terms, where t_n z/(1 - z) alone would need 1e8; terms ~ 1e-320 stop at once
+        assert gauss_F(HypergeomParams(1.0, 1e-12, 2.0), 1.0 - 1e-12) == pytest.approx(1.000000000001, rel=1e-15)
+        assert gauss_F(HypergeomParams(2.0, 1e-320, 1.0), 1.0 - 1e-12) == 1.0
+        # the first ratio underflows to 0 and the next ones exceed 1: every later term is 0
+        assert gauss_F(HypergeomParams(1e308, 1e-320, 1e12), 0.5) == 1.0
+
+    @pytest.mark.parametrize("abc, r, want", [
+        # 30-digit mpmath; the terms change sign until c + n > 0
+        ((0.5, 0.5, -0.5), 0.3, 0.68298777676251067307557425409),
+        ((0.5, 0.5, -2.5), 0.3, 0.92551813014348383140746899903),
+        ((1.5, 0.7, -1.3), 0.6, 75.7882410381700167584686522428),
+    ])
+    def test_negative_c(self, abc, r, want):
+        assert gauss_F(HypergeomParams(*abc), r) == pytest.approx(want, rel=1e-15)
+
+    def test_terms_past_the_double_range(self):
+        # F(1, 1000; 1; .9) = 10^1000: the terms overflow inside the loop
+        with pytest.raises(OverflowSignal):
+            gauss_F(HypergeomParams(1.0, 1000.0, 1.0), 0.9)
+
+    def test_overflowing_coefficients_pair_in_the_ratio(self):
+        # (a+n)(b+n) and (c+n)(n+1) overflow alike: F(2, b; b; z) = (1-z)^-2
+        assert gauss_F(HypergeomParams(2.0, 1e308, 1e308), 0.5) == 4.0
+        # the connection series has a negative term; F(1/2, b; b; 1/2) = sqrt 2
+        assert gauss_F_near_one(0.5, 1e308, 0.5) == pytest.approx(math.sqrt(2.0), rel=2e-16)
+
+    @pytest.mark.parametrize("a, b", [(1e-310, 10.0), (1e-320, 1000.0), (1000.0, 1e-320)])
+    def test_near_one_falls_back_where_r_overflows(self, a, b):
+        # R(a, b) ~ 1/a is not a double, so neither is S1; F(a, b; b; 1/2) = 2^a = 1.  At
+        # (1e-320, 1000) the terms of S0 stall at 5e-324 and S1 could not stop before the cap
+        start = time.perf_counter()
+        assert gauss_F_near_one(a, b, 0.5) == 1.0
+        assert time.perf_counter() - start < 0.05
+
+    def test_near_one_at_subnormal_complement_is_bounded(self):
+        # 1 - 1e-320 rounds to 1: the direct fallback is refused, not run to the cap
+        grid = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308)
+        for a, b in itertools.product(grid, repeat=2):
+            start = time.perf_counter()
+            try:
+                gauss_F_near_one(a, b, 1e-320)
+            except QcfunError:
+                pass
+            assert time.perf_counter() - start < 0.05, (a, b)
+
+    def test_cap_exhausted_is_typed(self, monkeypatch):
+        # past the budget check (z <= 0.999), a series longer than the cap still ends typed
+        monkeypatch.setattr(specfun, "_SERIES_CAP", 50)
+        with pytest.raises(ConvergenceError, match="did not converge within 50 terms"):
+            gauss_F(HypergeomParams(0.5, 0.5, 2.0), 0.99)
 
 
 class TestBoundary:

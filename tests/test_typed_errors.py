@@ -55,10 +55,7 @@ CASES = list(_public_functions())
 
 
 @pytest.mark.parametrize("name, fn, arity", CASES, ids=[c[0] for c in CASES])
-def test_value_or_typed_error_on_grid(name, fn, arity, monkeypatch):
-    # the direct series gives up with ConvergenceError after _SERIES_CAP terms;
-    # a small cap reaches that exit in microseconds instead of seconds per point
-    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+def test_value_or_typed_error_on_grid(name, fn, arity):
     for point in itertools.product(GRID, repeat=arity):
         try:
             value = fn(*point)
@@ -75,8 +72,7 @@ def test_grid_covers_every_public_function():
 
 
 @pytest.mark.parametrize("case", identities.all_cases(), ids=lambda c: c.id)
-def test_residual_value_or_typed_error_on_grid(case, monkeypatch):
-    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+def test_residual_value_or_typed_error_on_grid(case):
     for point in itertools.product(GRID, repeat=len(case.params)):
         try:
             value = identities.residual(case.id, point)
@@ -92,8 +88,7 @@ EXPERIMENT_PARAMS = [(name, p) for name, fn in identities._EXPERIMENTS.items()
 
 
 @pytest.mark.parametrize("name, param", EXPERIMENT_PARAMS, ids=[f"{n}.{p}" for n, p in EXPERIMENT_PARAMS])
-def test_experiment_value_or_typed_error_on_grid(name, param, monkeypatch):
-    monkeypatch.setattr(specfun, "_SERIES_CAP", 2000)
+def test_experiment_value_or_typed_error_on_grid(name, param):
     for value in GRID + ("x", None):
         try:
             obs = identities.experiment(name, **{param: value})
@@ -138,8 +133,9 @@ class TestOverflowExits:
         assert gamma_fn(1e-308) == pytest.approx(1e308, rel=1e-12)
 
     def test_beta_huge_arguments(self):
+        # B(1e308, 1e-320) ~ 1e320; B(1e308, 0.5) = 1.77e-154 is a value (test_reference_sweep)
         with pytest.raises(OverflowSignal):
-            beta_fn(1e308, 0.5)
+            beta_fn(1e308, 1e-320)
 
     def test_beta_rejects_infinity(self):
         with pytest.raises(QcfunError):
@@ -156,7 +152,15 @@ class TestOverflowExits:
         with pytest.raises(OverflowSignal):
             specfun.gauss_F_near_one(1000.0, 1000.0, 1e-12)
 
-    @pytest.mark.parametrize("params", [(1000.0, 1000.0, 0.5), (0.5, 0.5, 1e308), (1e-320, 0.5, 1e-320)])
+    def test_gauss_f_near_one_quotient_overflow(self):
+        # B(510, 510) = 1.4e-308 is a double, F(510, 510; 1020; 1 - 1e-7) = 1.87e308 is not (mpmath)
+        with pytest.raises(OverflowSignal):
+            specfun.gauss_F_near_one(510.0, 510.0, 1e-7)
+
+    # F(500, 1000; 1500.000001; 1) = e^970.6 and F(4e307, 4e307; 1e308; 1) = e^(2.9e307)
+    # (mpmath); at c = 1e308 the case A constant of (.5, .5) is 1
+    @pytest.mark.parametrize("params", [(1000.0, 1000.0, 0.5), (500.0, 1000.0, 1500.000001),
+                                        (1e-320, 0.5, 1e-320), (4e307, 4e307, 1e308)])
     def test_hypergeom_boundary_gamma_ratio(self, params):
         with pytest.raises(OverflowSignal):
             specfun.hypergeom_boundary(HypergeomParams(*params))
