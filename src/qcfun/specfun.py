@@ -44,6 +44,7 @@ __all__ = [
 EULER_GAMMA = 0.577215664901532860606512090082
 
 _SERIES_CAP = 4_500_000  # F(.5,.5;2;1-4.5e-6) needs 4.1e6 terms to a tail below 2^-55 of the sum
+_EPS = 2.0 ** -55  # the series stops once a bound of its rest is below _EPS of each sum
 _ZB_SWITCH = 0.95  # balanced series switches to the connection formula above this argument
 
 
@@ -198,19 +199,29 @@ def ramanujan_R(a: float, b: float) -> float:
     return _balanced_r0(a, b)
 
 
-def _refuse_past_cap(a: float, b: float, c: float, z: float, eps: float) -> None:
-    """Raise where :func:`_hyp_sums` would need more than N = _SERIES_CAP terms (c > 0).
+def _exact_ratio(p: float, q: float, r: float, s: float, t: float) -> float:
+    """p q r / (s t) with no intermediate overflow or underflow; +-inf past the double range."""
+    (fp, ep), (fq, eq), (fr, er), (fs, es), (ft, et) = map(math.frexp, (p, q, r, s, t))
+    f, e = math.frexp(fp * fq * fr / (fs * ft))
+    e += ep + eq + er - es - et
+    return math.ldexp(f, e) if e <= 1024 else math.copysign(math.inf, f)
 
-    t_(n+1) >= t_n while (1-z) n^2 + (c+1-z(a+b)) n + c-zab <= 0: the largest
-    term is t_0 = 1 or t_p, p one past the larger root, and no stop comes
-    before p.  Past it t_n >= t_N and (n+1) t_(n+1) >= N t_N, so none comes
-    before N while t_N > eps S G/(N z), with S = min(N t_p, F(a,b;c;1)) >= S_n
-    and G = N(1-z) + |c-a-b| + |(c-a)(c-b)|/(1+c) >= n - x.
+
+def _refuse_past_cap(a: float, b: float, c: float, z: float, n0: int, log_t0: float, s: float) -> None:
+    """Raise where :func:`_hyp_sums` cannot stop from term n0 on, within N = _SERIES_CAP - n0.
+
+    From n0 (0, or the first n with c + n > 0) the sum is t0 (s + sum_k u_k),
+    u_k = (a',k)(b',k)/((c',k)(d,k)) z^k, with a', b', c' = a, b, c shifted by
+    n0 and d = n0 + 1.  u_(k+1) >= u_k while (1-z) k^2 + (c'+d-z(a'+b')) k +
+    c'd-za'b' <= 0: the largest term is u_0 = 1 or u_p, p one past the larger
+    root, and no stop comes before p.  Past it u_k >= u_N, and for n0 = 0
+    (k+1) u_(k+1) >= N u_N, so none comes before N while u_N > _EPS S G/(N z),
+    with S = min(s + N u_p, F(a,b;c;1)) >= |S_k|/t0 and G = N(1-z) + |c'-a'-b'|
+    + |(c'-a')(c'-b')|/(1+c') >= k - x.
     """
-    cap = float(_SERIES_CAP)
-    if not z < 1.0:
-        raise ConvergenceError(f"F({a}, {b}; {c}; {z}): the series does not converge at 1")
-    g, h, k = 1.0 - z, c + 1.0 - z * (a + b), c - z * a * b
+    cap, d = float(_SERIES_CAP - n0), n0 + 1.0
+    a1, b1, c1 = a + n0, b + n0, c + n0
+    g, h, k = 1.0 - z, c1 + d - z * (a1 + b1), c1 * d - z * a1 * b1
     root = math.sqrt(max(h * h - 4.0 * g * k, 0.0))
     root = -2.0 * k / (h + root) if h > 0.0 else (root - h) / (2.0 * g)
     p = 0.0 if not root >= 0.0 else cap if not root < cap else math.floor(root) + 1.0
@@ -218,16 +229,16 @@ def _refuse_past_cap(a: float, b: float, c: float, z: float, eps: float) -> None
     lgr = _log_gamma_ratio
 
     def log_term(n):
-        return lgr(a, n) + lgr(b, n) - lgr(c, n) - math.lgamma(n + 1.0) + n * math.log(z)
+        return lgr(a1, n) + lgr(b1, n) - lgr(c1, n) - lgr(d, n) + n * math.log(z)
 
     peak = max(log_term(p), 0.0)
-    if peak > 709.78:  # log of the largest double
+    if log_t0 + peak > 709.78:  # log of the largest double
         raise OverflowSignal(f"F({a}, {b}; {c}; {z}): a series term exceeds double precision")
-    log_s = math.log(cap) + peak
+    log_s = peak + math.log(cap + s * math.exp(-peak))
     if c > a + b:
         log_s = min(log_s, lgr(c - a, a) - lgr(c - a - b, a))
-    spread = cap * g + abs(c - a - b) + abs((c - a) * (c - b)) / (1.0 + c)
-    if p == cap or log_term(cap) > log_s + math.log(eps * spread / (cap * z)):
+    spread = cap * g + abs(c1 - a1 - b1) + abs((c1 - a1) * (c1 - b1)) / (1.0 + c1)
+    if p == cap or log_term(cap) > log_s + math.log(_EPS * spread / (cap * z)):
         raise ConvergenceError(f"F({a}, {b}; {c}; {z}) needs more than {_SERIES_CAP} series terms")
 
 
@@ -243,16 +254,28 @@ def _hyp_sums(a: float, b: float, c: float, z: float, r0: float | None = None,
     Once rho = t_(n+1)/t_n < 1, the rest after t_n is at most t_n q/(1-q),
     q = max(rho, z), and for c > 0 also t_n x/(n-x) once x = (n+1) rho < n,
     as k t_k then falls by at least (n-x) t_k a step (the bound near z = 1
-    where c > a + b).  The pass stops when either is below 2^-55 S0 and the
-    first, times |R_(n+1)| - log w, below 2^-55 S1.  What needs more than
-    _SERIES_CAP terms is refused before the loop (:func:`_refuse_past_cap`);
-    a sum beyond the double range raises :class:`OverflowSignal`.
+    where c > a + b).  The pass stops when either is below _EPS S0 and the
+    first, times |R_(n+1)| - log w, below _EPS S1.  With a, b, |c| in
+    [1e-100, 1e100] no quotient or product inside rho leaves the normal
+    range unless rho does; outside, rho comes from :func:`_exact_ratio`.  A
+    sum beyond the double range raises :class:`OverflowSignal`.
+
+    Term budget: for c > 0, rho_k < z e^((a+b)/k) <= sqrt z from k = 2(a+b)/L
+    on, L = log(1/z), so S0 stops within U = (2(a+b) - 2 log(_EPS (1 - sqrt z)))/L
+    + 2 terms.  Where U exceeds _SERIES_CAP, :func:`_refuse_past_cap` runs
+    before the loop; for c < 0 it runs once c + n > 0.  Inputs between its
+    lower bound and U, as F(1, 1.662e7; 1.66e7; .999), still run to the cap.
     """
-    eps, weighted, signed = 2.0 ** -55, r0 is not None, c <= 0.0
-    if z > 0.999 and c > 0.0:  # below, a run past the cap overflows first
-        _refuse_past_cap(a, b, c, z, eps)
+    eps, weighted, signed = _EPS, r0 is not None, c <= 0.0
+    if not signed and (z > 0.5 or a + b > 1e6):  # else U <= 2.9 (a+b) + 120 < _SERIES_CAP
+        if not z < 1.0:
+            raise ConvergenceError(f"F({a}, {b}; {c}; {z}): the series does not converge at 1")
+        if 2.0 * (a + b - math.log(eps * (1.0 - math.sqrt(z)))) > (2.0 - _SERIES_CAP) * math.log(z):
+            _refuse_past_cap(a, b, c, z, 0, 0.0, 0.0)
     if weighted and math.isinf(r0):  # R(a,b) ~ 1/a at subnormal a: S1 would be NaN and never stop
         raise OverflowSignal(f"R({a}, {b}) overflows double precision")
+    exact = not (1e-100 < a < 1e100 and 1e-100 < b < 1e100 and 1e-200 < c * c < 1e200)
+    careful = signed or exact  # every step goes through the stop test
     r_n, term, s0, s1, e0, e1 = r0, 1.0, 0.0, 0.0, 0.0, 0.0
     for n in range(_SERIES_CAP):
         t = s0 + (y := term - e0)
@@ -267,12 +290,16 @@ def _hyp_sums(a: float, b: float, c: float, z: float, r0: float | None = None,
             s1, e1 = t, (t - s1) - y
             r_n += 2.0 / m - 1.0 / (a + n) - 1.0 / (b + n)
         rho = (a + n) / m * ((b + n) / (c + n)) * z
-        if signed or term * rho <= eps * s0:  # both tests below need t_(n+1) <= eps S0
+        if careful or term * rho <= eps * s0:  # t_(n+1) <= eps S0 is needed for a stop
             if term == 0.0 or not math.isfinite(s0):  # 0 from here on, or past the double range
                 break
+            if exact:
+                rho = _exact_ratio(a + n, b + n, z, c + n, m)
             q = rho if rho > z else z
             tol = eps * (1.0 - q)
             if signed:  # the terms keep one sign from n = -c on
+                if n + c > 0.0 >= c + n - 1.0:
+                    _refuse_past_cap(a, b, c, z, n, math.log(abs(term)), abs(s0 / term))
                 done = abs(term) * q <= tol * abs(s0) and n + c > 0.0
             else:
                 x = m * rho
@@ -296,10 +323,13 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
     Where S1 has a negative term (a, b above about 1) or overflows (R(a,b)
     at subnormal a), the direct series at 1 - w runs instead; where that
     fails too, the :class:`ConvergenceError` names both.  B(a,b), or S1 / B,
-    beyond the double range raises :class:`OverflowSignal`.
+    beyond the double range raises :class:`OverflowSignal`, as does a + b
+    (then min(a, b) > 1e291 and F > e^(min(a, b)/4)).
     """
     if not (0.0 < w <= 0.5):
         raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
+    if not math.isfinite(a + b):
+        raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): a + b exceeds double precision")
     try:
         s1 = _hyp_sums(a, b, 1.0, w, _balanced_r0(a, b), math.log(w))[1]
     except (ConvergenceError, OverflowSignal) as connection:
@@ -321,9 +351,10 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
     go through :func:`gauss_F_near_one`.  Relative error within
     2 eps max(1, 1/(1-r)), eps = 2^-52, from rounding in the term products
     (1.07 measured on 300 seeded (a, b, c, r), a, b in [.1, 4],
-    |c - a - b| in [.1, 3], 1 - r down to 3e-5).  A series that needs more
-    than _SERIES_CAP terms raises :class:`ConvergenceError` before it runs,
-    and a value or term beyond the double range :class:`OverflowSignal`.
+    |c - a - b| in [.1, 3], 1 - r down to 3e-5).  A series that provably
+    needs more than _SERIES_CAP terms raises :class:`ConvergenceError` before
+    it runs (:func:`_hyp_sums`), and a value or term beyond the double range
+    :class:`OverflowSignal`.
     """
     if not (0.0 <= r < 1.0):
         raise DomainError(f"gauss_F requires r in [0,1), got {r}")

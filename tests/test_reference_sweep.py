@@ -178,7 +178,7 @@ def test_balanced_pass_bounds_the_rest_of_both_sums():
     a, w = 1.24, 0.45
     s0, s1, n = specfun._hyp_sums(a, a, 1.0, w, specfun._balanced_r0(a, a), math.log(w))
     rest0, rest1 = _tails(a, a, w, n)
-    assert rest0 <= 2.0 ** -55 * s0 and rest1 <= 2.0 ** -55 * s1, (float(rest0 / s0), float(rest1 / s1))
+    assert rest0 <= specfun._EPS * s0 and rest1 <= specfun._EPS * s1, (float(rest0 / s0), float(rest1 / s1))
 
 
 def test_gamma_and_digamma_claims():

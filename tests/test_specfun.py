@@ -6,6 +6,7 @@ raw partial sums, closed reflection formulas) and frozen here.
 
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -250,8 +251,23 @@ class TestSeriesBudget:
         # about 1e4 terms, where t_n z/(1 - z) alone would need 1e8; terms ~ 1e-320 stop at once
         assert gauss_F(HypergeomParams(1.0, 1e-12, 2.0), 1.0 - 1e-12) == pytest.approx(1.000000000001, rel=1e-15)
         assert gauss_F(HypergeomParams(2.0, 1e-320, 1.0), 1.0 - 1e-12) == 1.0
-        # the first ratio underflows to 0 and the next ones exceed 1: every later term is 0
-        assert gauss_F(HypergeomParams(1e308, 1e-320, 1e12), 0.5) == 1.0
+
+    @pytest.mark.parametrize("abc", [(1e308, 1e-320, 1e12), (1e-320, 1e308, 1e12)])
+    def test_extreme_ratio_is_formed_exactly(self, abc):
+        # b/c = 1e-332 is not a double, but t_1 = 5e-25 and t_2 = 1.25e271 are: t_3 overflows
+        with pytest.raises(OverflowSignal):
+            gauss_F(HypergeomParams(*abc), 0.5)
+
+    @pytest.mark.parametrize("abc, r, want", [
+        # F(a, b; a; r) = (1-r)^-b; b/c = .5/1e-320 is not a double, t_1 = a b r/c is
+        ((1e-320, 0.5, 1e-320), 0.5, math.sqrt(2.0)),
+        ((1e-320, 1000.0, 1e-320), 0.5, 2.0 ** 1000),
+        ((1e-320, 1e12, 1e-320), 1e-12, 2.7182818284604044),
+        # F = 1 + a b r/c + ... with a b r/c = 5e-13 (mpmath: 1.0000000000005)
+        ((1e-12, 0.5, 1e-320), 1e-320, 1.0000000000005),
+    ])
+    def test_subnormal_c_ratio(self, abc, r, want):
+        assert gauss_F(HypergeomParams(*abc), r) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("abc, r, want", [
         # 30-digit mpmath; the terms change sign until c + n > 0
@@ -292,11 +308,52 @@ class TestSeriesBudget:
                 pass
             assert time.perf_counter() - start < 0.05, (a, b)
 
+    @pytest.mark.parametrize("w", [0.5, 1e-12])
+    def test_near_one_with_a_plus_b_past_the_double_range(self, w):
+        # a + b = inf made (b+n)/(c+n) = 0 and the direct fallback returned 1.0; F(1e308, 1e308;
+        # 2e308; 1-w) > e^(2.5e307) overflows
+        with pytest.raises(OverflowSignal):
+            gauss_F_near_one(1e308, 1e308, w)
+
+    def test_budget_agrees_with_the_loop(self, monkeypatch):
+        # at a 400-term cap: a refusal means the loop needs more terms, and where the check is
+        # skipped the loop stops within the cap
+        calls, check = [], specfun._refuse_past_cap
+        monkeypatch.setattr(specfun, "_refuse_past_cap", lambda *args: calls.append(args) or check(*args))
+        rng = random.Random(14)
+        for _ in range(300):
+            a, b = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
+            c = a + b + rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+            if c <= 0.0:
+                c = -rng.uniform(0.05, 2.95)  # the terms change sign until c + n > 0
+            z = 1.0 - 10.0 ** rng.uniform(-3.5, -0.5)
+            monkeypatch.setattr(specfun, "_SERIES_CAP", 400)
+            calls.clear()
+            try:
+                specfun._hyp_sums(a, b, c, z)
+                outcome = "value"
+            except ConvergenceError as exc:
+                outcome = "refused" if "needs more than" in str(exc) else "capped"
+            checked = bool(calls)
+            monkeypatch.setattr(specfun, "_SERIES_CAP", 10**6)
+            n = specfun._hyp_sums(a, b, c, z)[2]
+            assert (outcome == "value") == (n <= 400), (a, b, c, z, outcome, n)
+            assert checked or outcome == "value", (a, b, c, z, n)
+
     def test_cap_exhausted_is_typed(self, monkeypatch):
-        # past the budget check (z <= 0.999), a series longer than the cap still ends typed
+        # no stop comes before c + n > 0, past a 50-term cap: the loop reaches its cap exit
         monkeypatch.setattr(specfun, "_SERIES_CAP", 50)
         with pytest.raises(ConvergenceError, match="did not converge within 50 terms"):
-            gauss_F(HypergeomParams(0.5, 0.5, 2.0), 0.99)
+            gauss_F(HypergeomParams(0.5, 0.5, -60.5), 0.5)
+
+    @pytest.mark.parametrize("abc, r", [((0.5, 0.5, -0.5), 1.0 - 1e-8), ((0.5, 0.5, -2.5), 1.0 - 1e-9),
+                                        ((1.5, 0.7, -1.3), 1.0 - 1e-7)])
+    def test_negative_c_refused_once_the_terms_keep_one_sign(self, abc, r):
+        # the budget runs on the rest from c + n > 0; before it, these ran all 4.5 million terms
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match=r"F\(%s, %s; %s; .*needs more than" % abc):
+            gauss_F(HypergeomParams(*abc), r)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestBoundary:
