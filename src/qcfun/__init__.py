@@ -20,9 +20,11 @@ Layers, bottom up:
   estimators;
 * :mod:`qcfun.cli` -- the ``qcfun`` command.
 
-Everything is pure-functional and thread-safe.  Only :mod:`qcfun.geometry`
-needs numpy; its names resolve on first use, so ``import qcfun`` does not
-load numpy.
+Everything is pure-functional and thread-safe.  The numeric core (specfun
+through bounds) loads with the package.  :mod:`qcfun.identities` and
+:mod:`qcfun.geometry` (the only layer that needs numpy) load on first use of
+one of their names, or of the submodule itself, so ``import qcfun`` loads
+neither.
 """
 
 import importlib
@@ -39,16 +41,6 @@ from .errors import (
     PolylineFormatError,
     QcfunError,
     UnsupportedDimensionError,
-)
-from .identities import (
-    CaseKind,
-    IdentityCase,
-    ResidualReport,
-    all_cases,
-    experiment,
-    get_case,
-    residual,
-    run_suite,
 )
 from .means import MeanKind, agm, ellint_K, ellint_Kprime, mean, mean_mod
 from .modulus import (
@@ -80,28 +72,42 @@ from .specfun import (
 
 __version__ = "0.1.0"
 
-_GEOMETRY_NAMES = frozenset({
-    "INFINITY",
-    "HyperplaneFit",
-    "Polyline",
-    "abs_ratio",
-    "ahlfors_constant",
-    "boundary_metric_estimate",
-    "box_dimension",
-    "chordal_dist",
-    "koch_curve",
-    "linear_approx_delta",
-    "regular_ngon",
-    "relative_size",
-    "rho_disk",
-    "thickness_constant",
-    "triangle_condition_constant",
-})
+# name -> submodule, imported by __getattr__ on first use
+_LAZY = {
+    **dict.fromkeys((
+        "CaseKind",
+        "IdentityCase",
+        "ResidualReport",
+        "all_cases",
+        "experiment",
+        "get_case",
+        "residual",
+        "run_suite",
+    ), "identities"),
+    **dict.fromkeys((
+        "INFINITY",
+        "HyperplaneFit",
+        "Polyline",
+        "abs_ratio",
+        "ahlfors_constant",
+        "boundary_metric_estimate",
+        "box_dimension",
+        "chordal_dist",
+        "koch_curve",
+        "linear_approx_delta",
+        "regular_ngon",
+        "relative_size",
+        "rho_disk",
+        "thickness_constant",
+        "triangle_condition_constant",
+    ), "geometry"),
+}
 
 
 def __getattr__(name):
-    """Import :mod:`qcfun.geometry` (and numpy) when one of its names is first used."""
-    if name == "geometry" or name in _GEOMETRY_NAMES:
-        geometry = importlib.import_module(".geometry", __name__)
-        return geometry if name == "geometry" else getattr(geometry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Import a lazy submodule when it, or one of its names in ``_LAZY``, is first used."""
+    module = name if name in ("identities", "geometry") else _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)

@@ -12,8 +12,8 @@ formula exists there.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
 from .distortion import phi_K
 from .errors import DomainError, OverflowSignal, UnsupportedDimensionError

@@ -4,16 +4,19 @@ Subcommands: eval, invert, table, residuals, experiment, bounds, geom.
 Output is deterministic (no environment dependence, fixed 17-significant-digit
 numbers in tables).  Exit codes: 0 success / suite all-pass, 1 computational
 failure or suite failure, 2 usage or domain error.
+
+A command imports only what it runs: the residual suite (with ``inspect``
+for the experiment flags), numpy and ``json`` load in the commands that use
+them, so ``eval``, ``invert``, ``bounds`` and a csv ``table`` start on the
+numeric core alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import json
 import sys
 
-from . import distortion, identities, modulus
+from . import distortion, modulus
 from .bounds import BoundId, bound_signature, bound_value
 from .errors import DomainError, PolylineFormatError, QcfunError
 from .means import ellint_K, ellint_Kprime
@@ -65,11 +68,20 @@ def _add_param_flags(parser):
 
 def _experiment_flags() -> dict:
     """Every experiment parameter name, typed by its default (float or int)."""
+    import inspect
+
+    from . import identities
+
     return {p.name: type(p.default) for fn in identities._EXPERIMENTS.values()
             for p in inspect.signature(fn).parameters.values()}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qcfun`` parser, with the experiment options only where ``command`` is experiment or None.
+
+    Those options are read off the residual suite, which no other command
+    loads, and only the experiment command's own help shows them.
+    """
     parser = argparse.ArgumentParser(
         prog="qcfun",
         description="Special functions of plane quasiconformal map theory",
@@ -101,9 +113,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--grid", help="from:to:step override for the r/s axis")
 
     p_exp = sub.add_parser("experiment", help="open-problem observations (never asserted)")
-    p_exp.add_argument("--name", required=True, choices=identities.EXPERIMENT_NAMES)
-    for name, kind in _experiment_flags().items():
-        p_exp.add_argument(f"--{name}", type=kind)
+    if command in (None, "experiment"):
+        from .identities import EXPERIMENT_NAMES
+
+        p_exp.add_argument("--name", required=True, choices=EXPERIMENT_NAMES)
+        for name, kind in _experiment_flags().items():
+            p_exp.add_argument(f"--{name}", type=kind)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a catalog bound")
     group = p_bounds.add_mutually_exclusive_group(required=True)
@@ -179,6 +194,8 @@ def _cmd_table(args) -> int:
         for v, (value, error) in zip(grid, rows):
             print(f"{_fmt(v)},{value or ''},{error or ''}")
     else:
+        import json
+
         payload = {
             "function": args.fn,
             "params": {n: getattr(args, n) for n in fixed},
@@ -191,6 +208,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_residuals(args) -> int:
+    import json
+
+    from . import identities
+
     if args.list:
         for case in identities.all_cases():
             print(f"{case.id}\t{case.kind.value}\ttol={case.tolerance:g}")
@@ -210,6 +231,10 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    import json
+
+    from . import identities
+
     params = {name: getattr(args, name) for name in _experiment_flags() if getattr(args, name) is not None}
     obs = identities.experiment(args.name, **params)
     print(json.dumps(obs, indent=2, default=float))
@@ -237,6 +262,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_geom(args) -> int:
+    import json
+
     from . import geometry  # the only command that needs numpy
 
     if args.action == "generate":
@@ -283,7 +310,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option but -h, so the first word is the command; with
+    # none, argparse stops at the top level, which shows no experiment option
+    parser = _build_parser(next((word for word in argv if not word.startswith("-")), ""))
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -45,6 +45,10 @@ __all__ = [
     "linearized_g",
 ]
 
+# mu(1/sqrt 2), the library's own value (pi/2 to rounding), evaluated once
+_MU_SQRT_HALF = mu(SQRT_HALF)
+
+
 def _check_K(K: float, sub_unit_ok: bool) -> float:
     if not (math.isfinite(K) and K > 0):
         raise DomainError(f"dilatation must be positive, got {K}")
@@ -98,14 +102,14 @@ def _scaled_modulus(modulus: float, K: float, name: str) -> float:
     return target
 
 
-def _squared_ratio(K: float, arg: UnitRadius, call) -> float:
-    """u^2/(1-u^2) for u = phi_K(arg), read off the complement channel.
+def _squared_ratio(radius, call) -> float:
+    """u^2/(1-u^2) for u = radius(), read off the complement channel.
 
     ``call()`` names the public call in the overflow message; it is formatted
     only on failure, since two float reprs cost a third of an eta_K2 call.
     """
     try:
-        u = phi_K(K, arg)
+        u = radius()
     except ConvergenceError as exc:
         # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
         raise OverflowSignal(f"{call()} exceeds double precision") from exc
@@ -138,7 +142,7 @@ def eta_K2(K: float, t: float) -> float:
     # for every finite t > 0 both channels lie in (0,1] (t/(1+t) >= 5e-324 and
     # 1/(1+t) >= 5.6e-309), and they are the radius and complement of sqrt(t/(1+t))
     arg = _pair(math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
-    return _squared_ratio(K, arg, lambda: f"eta_K2({K}, {t})")
+    return _squared_ratio(lambda: phi_K(K, arg), lambda: f"eta_K2({K}, {t})")
 
 
 def lambda_of_K(K: float) -> float:
@@ -148,10 +152,12 @@ def lambda_of_K(K: float) -> float:
     As :func:`eta_K2` at t = 1, with y = pi/(2K) and y* = pi K/2, the
     relative error is at most 12 eps max(1, pi K/2) (eps = 2^-52); against
     40-digit mpmath, over 40000 K log-uniform in [1, 200], the factor was at
-    most 6.5.
+    most 6.5.  phi_K(K, 1/sqrt(2)) = mu^-1(mu(1/sqrt(2))/K) with the modulus
+    hoisted, so each call is one inverse.
     """
     K = _check_K(K, sub_unit_ok=False)
-    return _squared_ratio(K, SQRT_HALF, lambda: f"lambda_of_K({K})")
+    return _squared_ratio(lambda: SQRT_HALF if K == 1.0 else mu_inv(_MU_SQRT_HALF / K),
+                          lambda: f"lambda_of_K({K})")
 
 
 def schottky_psi(r: float, t: float) -> float:

@@ -381,9 +381,10 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
     as the oracle of the theta routes.
     """
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-    big_r = _balanced_r0(a, 1.0 - a)
     dual = y < y_sym
     target = y_sym * y_sym / y if dual else y
+    # an infinite target fails the guard below whatever R is, and R overflows for a < 5.6e-309
+    big_r = _balanced_r0(a, 1.0 - a) if target < math.inf else 0.0
     # log(sqrt 2) rounds up, so e^-t <= r' here and the channels stay monotone across y_sym
     t = lo = max(target - 0.5 * big_r, math.log(math.sqrt(2.0)))
     hi = target

@@ -21,7 +21,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
@@ -48,28 +48,32 @@ _EPS = 2.0 ** -55  # the series stops once a bound of its rest is below _EPS of 
 _ZB_SWITCH = 0.95  # balanced series switches to the connection formula above this argument
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    """Parameter triple (a, b, c) of F(a,b;c;r).
+class HypergeomParams(namedtuple("HypergeomParams", ("a", "b", "c"))):
+    """Parameter triple (a, b, c) of F(a,b;c;r); a tuple, equal to the plain one.
 
-    Requires a > 0, b > 0 and c not a non-positive integer.
+    Requires a > 0, b > 0 and c not a non-positive integer (``_make`` and
+    ``_replace`` check too).  Zero-balanced means c == a + b exactly.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise DomainError(f"hypergeometric parameter a must be positive, got {self.a}")
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise DomainError(f"hypergeometric parameter b must be positive, got {self.b}")
-        if not math.isfinite(self.c) or (self.c <= 0 and self.c == int(self.c)):
-            raise DomainError(f"hypergeometric parameter c must avoid 0, -1, -2, ..., got {self.c}")
+    def __new__(cls, a: float, b: float, c: float) -> "HypergeomParams":
+        if not (a > 0 and math.isfinite(a)):
+            raise DomainError(f"hypergeometric parameter a must be positive, got {a}")
+        if not (b > 0 and math.isfinite(b)):
+            raise DomainError(f"hypergeometric parameter b must be positive, got {b}")
+        if not math.isfinite(c) or (c <= 0 and c == int(c)):
+            raise DomainError(f"hypergeometric parameter c must avoid 0, -1, -2, ..., got {c}")
+        return tuple.__new__(cls, (a, b, c))
+
+    @classmethod
+    def _make(cls, iterable) -> "HypergeomParams":
+        # the namedtuple default skips __new__; route it (and _replace) through the checks
+        return cls(*iterable)
 
     @property
     def zero_balanced(self) -> bool:
-        return abs(self.c - (self.a + self.b)) <= 1e-12 * max(1.0, abs(self.c))
+        return self.c == self.a + self.b
 
 
 class BoundaryCase(Enum):
@@ -78,8 +82,7 @@ class BoundaryCase(Enum):
     C = "C"  # c < a + b: power blow-up
 
 
-@dataclass(frozen=True)
-class AsymptoticClass:
+class AsymptoticClass(namedtuple("AsymptoticClass", ("case", "constant"))):
     """Boundary classification of F(a,b;c;r) as r -> 1 with its case constant.
 
     Case A: constant is the finite limit F(a,b;c;1).
@@ -87,8 +90,7 @@ class AsymptoticClass:
     Case C: constant is D = B(c, a+b-c)/B(a,b), governing F ~ D (1-r)^(c-a-b).
     """
 
-    case: BoundaryCase
-    constant: float
+    __slots__ = ()
 
 
 def gamma_fn(x: float) -> float:
@@ -109,15 +111,8 @@ def gamma_fn(x: float) -> float:
 
 
 # Bernoulli-number coefficients B_{2k}/(2k) of the de Moivre expansion of psi.
-_PSI_TAIL = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+_PSI_TAIL = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0, -691.0 / 32760.0,
+             1.0 / 12.0)
 
 
 def digamma_fn(x: float) -> float:
@@ -127,10 +122,13 @@ def digamma_fn(x: float) -> float:
     mpmath on 8000 seeded x in [1e-300, 1e300] and about the root).  Upward
     recurrence psi(x+1) = psi(x) + 1/x to x >= 10, then the asymptotic
     expansion log x - 1/(2x) - sum B_{2k}/(2k x^{2k}); the recurrence terms,
-    log x, -1/(2x) and the tail are added exactly with ``math.fsum``.
+    log x, -1/(2x) and the tail are added exactly with ``math.fsum``.  Below
+    about 5.6e-309, where psi(x) ~ -1/x, it raises :class:`OverflowSignal`.
     """
     if not (x > 0 and math.isfinite(x)):
         raise DomainError(f"digamma_fn requires x > 0, got {x}")
+    if 1.0 / x == math.inf:
+        raise OverflowSignal(f"digamma_fn({x}) overflows double precision")
     terms = []
     while x < 10.0:
         terms.append(-1.0 / x)
@@ -186,8 +184,11 @@ def beta_fn(a: float, b: float) -> float:
 
 
 def _balanced_r0(a: float, b: float) -> float:
-    """R(a,b) = 2 psi(1) - psi(a) - psi(b) for any a, b > 0, with no (0,1) check."""
-    return -digamma_fn(a) - digamma_fn(b) - 2.0 * EULER_GAMMA
+    """R(a,b) = 2 psi(1) - psi(a) - psi(b) for any a, b > 0; no (0,1) check, finite or OverflowSignal."""
+    r0 = -digamma_fn(a) - digamma_fn(b) - 2.0 * EULER_GAMMA
+    if math.isinf(r0):
+        raise OverflowSignal(f"R({a}, {b}) overflows double precision")
+    return r0
 
 
 def ramanujan_R(a: float, b: float) -> float:
@@ -272,8 +273,6 @@ def _hyp_sums(a: float, b: float, c: float, z: float, r0: float | None = None,
             raise ConvergenceError(f"F({a}, {b}; {c}; {z}): the series does not converge at 1")
         if 2.0 * (a + b - math.log(eps * (1.0 - math.sqrt(z)))) > (2.0 - _SERIES_CAP) * math.log(z):
             _refuse_past_cap(a, b, c, z, 0, 0.0, 0.0)
-    if weighted and math.isinf(r0):  # R(a,b) ~ 1/a at subnormal a: S1 would be NaN and never stop
-        raise OverflowSignal(f"R({a}, {b}) overflows double precision")
     exact = not (1e-100 < a < 1e100 and 1e-100 < b < 1e100 and 1e-200 < c * c < 1e200)
     careful = signed or exact  # every step goes through the stop test
     r_n, term, s0, s1, e0, e1 = r0, 1.0, 0.0, 0.0, 0.0, 0.0
@@ -316,7 +315,7 @@ def _hyp_sums(a: float, b: float, c: float, z: float, r0: float | None = None,
 
 
 def gauss_F_near_one(a: float, b: float, w: float) -> float:
-    """Zero-balanced F(a,b;a+b;1-w) for w in (0, 1/2], from the complement directly.
+    """Zero-balanced F(a,b;a+b;1-w) for a, b > 0 and w in (0, 1/2], from the complement directly.
 
     S1 / B(a,b) of :func:`_hyp_sums`, whose n = 0 term is the R(a,b) - log w
     asymptotic; log w stays exact when 1-r is known to more digits than r.
@@ -326,8 +325,8 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
     beyond the double range raises :class:`OverflowSignal`, as does a + b
     (then min(a, b) > 1e291 and F > e^(min(a, b)/4)).
     """
-    if not (0.0 < w <= 0.5):
-        raise DomainError(f"gauss_F_near_one requires complement in (0, 0.5], got {w}")
+    if not (0.0 < w <= 0.5 and a > 0.0 and b > 0.0):
+        raise DomainError(f"gauss_F_near_one requires a, b > 0 and w in (0, 0.5], got ({a}, {b}, {w})")
     if not math.isfinite(a + b):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): a + b exceeds double precision")
     try:
@@ -370,8 +369,8 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
 
     Requires a, b, c > 0.  Case A's limit F(a,b;c;1) is evaluated by the Gauss
     formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)), for c above 171 as
-    exp of two :func:`_log_gamma_ratio` values.  A gamma ratio that leaves
-    the double range raises :class:`OverflowSignal`.
+    exp of two :func:`_log_gamma_ratio` values.  A gamma ratio, or R(a,b),
+    that leaves the double range raises :class:`OverflowSignal`.
     """
     if p.c <= 0:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")

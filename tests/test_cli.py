@@ -380,7 +380,11 @@ class TestLazyNumpy:
         "assert 'numpy' in sys.modules\n"
     )
 
-    def test_light_paths_leave_numpy_unloaded(self):
+    HEAVY = ("qcfun.identities", "qcfun.geometry", "numpy", "dataclasses", "inspect", "json")
+
+    @staticmethod
+    def fresh(script):
+        """Stdout of ``script`` run by a fresh interpreter."""
         import os
         import subprocess
         import sys
@@ -389,7 +393,52 @@ class TestLazyNumpy:
         import qcfun
 
         src = str(Path(qcfun.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == f"{MU_HALF:.17g}"
+        return proc.stdout
+
+    def test_light_paths_leave_numpy_unloaded(self):
+        assert self.fresh(self.SCRIPT).strip() == f"{MU_HALF:.17g}"
+
+    def test_light_command_loads_the_core_alone(self):
+        # as `python -m qcfun.cli eval --fn mu --r .5`, then the heavy modules it left loaded
+        report = f"print(*[m for m in {self.HEAVY!r} if m in sys.modules])\n"
+        out = self.fresh(
+            "import runpy, sys\n"
+            "sys.argv = ['qcfun', 'eval', '--fn', 'mu', '--r', '.5']\n"
+            "try:\n"
+            "    runpy.run_module('qcfun.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "assert 'qcfun.bounds' in sys.modules\n" + report)
+        bare = self.fresh("import sys\n" + report).split()
+        value, *loaded = out.split()
+        assert value == f"{MU_HALF:.17g}"
+        assert [m for m in loaded if m not in bare] == []
+
+    def test_lazy_submodules_resolve(self):
+        out = self.fresh(
+            "import sys, qcfun\n"
+            "assert 'qcfun.identities' not in sys.modules\n"
+            "assert len(qcfun.identities.all_cases()) > 0\n"
+            "assert qcfun.run_suite is qcfun.identities.run_suite\n"
+            "assert qcfun.geometry.regular_ngon is qcfun.regular_ngon\n"
+            "assert 'numpy' in sys.modules\n"
+            "try:\n"
+            "    qcfun.no_such_name\n"
+            "except AttributeError:\n"
+            "    print('ok')\n")
+        assert out == "ok\n"
+
+    @pytest.mark.parametrize("command", [None, "eval", "invert", "table", "residuals", "experiment",
+                                         "bounds", "geom"])
+    def test_help_matches_the_full_parser(self, command, capsys):
+        # main builds the experiment options only for that command; no help text may change
+        argv = ["--help"] if command is None else [command, "--help"]
+        with pytest.raises(SystemExit):
+            main(argv)
+        light = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(argv)
+        assert light == capsys.readouterr().out

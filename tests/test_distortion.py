@@ -1,6 +1,7 @@
 """Distortion functions, quasisymmetry, linear dilatation, Schottky, linearization."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +271,24 @@ class TestLambda:
         with pytest.raises(OverflowSignal, match=r"lambda_of_K\(300\.0\)"):
             lambda_of_K(300.0)
         assert lambda_of_K(200.0) == pytest.approx(4.6897618097391277e271, rel=1e-12)
+
+    def test_hoisted_modulus_bit_for_bit(self):
+        # the hoisted mu(1/sqrt 2) must give exactly (u.r/u.comp)^2 for u = phi_K(K, 1/sqrt 2),
+        # or OverflowSignal where that square (or u.comp) leaves the double range
+        rng = random.Random(16)
+        Ks = [1.0, 1.0 + 2.0 ** -52, 2.0, 226.0, 226.3, 500.0, 1e16, 1e308]
+        Ks += [math.exp(rng.uniform(0.0, math.log(400.0))) for _ in range(2000)]
+        for K in Ks:
+            try:
+                u = phi_K(K, SQRT_HALF)
+                want = (u.r / u.comp) * (u.r / u.comp)
+            except ConvergenceError:
+                want = math.inf
+            if math.isinf(want):
+                with pytest.raises(OverflowSignal):
+                    lambda_of_K(K)
+            else:
+                assert lambda_of_K(K) == want, K
 
 
 class TestSchottky:

@@ -26,6 +26,8 @@ from qcfun import (
     gamma_fn,
     gauss_F,
     hypergeom_boundary,
+    mu_a,
+    mu_a_derivative,
     ramanujan_R,
 )
 from qcfun import specfun
@@ -93,6 +95,15 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma_fn(-3.0)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 5.5e-309])
+    def test_pole_overflow_is_typed(self, x):
+        # psi(x) ~ -1/x leaves the double range below about 5.6e-309
+        with pytest.raises(OverflowSignal, match="digamma_fn"):
+            digamma_fn(x)
+
+    def test_last_finite_near_pole(self):
+        assert digamma_fn(1e-308) == pytest.approx(-1e308, rel=1e-15)
+
     @given(st.floats(min_value=0.01, max_value=60.0))
     @settings(max_examples=50, deadline=None)
     def test_recurrence(self, x):
@@ -146,6 +157,19 @@ class TestRamanujanR:
         with pytest.raises(DomainError):
             ramanujan_R(a, b)
 
+    @pytest.mark.parametrize("a,b", [(1e-320, 0.5), (0.5, 1e-320), (1e-308, 1e-308)])
+    def test_overflow_is_typed(self, a, b):
+        # each psi is finite at 1e-308, but R ~ 1/a + 1/b is not
+        with pytest.raises(OverflowSignal):
+            ramanujan_R(a, b)
+
+    @pytest.mark.parametrize("call", [lambda: mu_a(1e-320, 0.5), lambda: mu_a_derivative(1e-320, 0.5),
+                                      lambda: hypergeom_boundary(HypergeomParams(1e-320, 0.5, 0.5))])
+    def test_subnormal_signature_overflows(self, call):
+        # the forward series and case B need R(a, b), which overflows here
+        with pytest.raises(OverflowSignal):
+            call()
+
 
 class TestGaussF:
     def test_at_zero(self):
@@ -181,6 +205,28 @@ class TestGaussF:
         with pytest.raises(DomainError):
             HypergeomParams(0.5, 0.5, -2.0)
 
+    def test_params_tuple_validates_every_constructor(self):
+        p = HypergeomParams(0.5, 0.5, 1.0)
+        assert p == (0.5, 0.5, 1.0) and repr(p) == "HypergeomParams(a=0.5, b=0.5, c=1.0)"
+        assert p._replace(c=2.0) == (0.5, 0.5, 2.0) and HypergeomParams._make((1.0, 2.0, 3.0)).c == 3.0
+        with pytest.raises(DomainError):
+            p._replace(c=-1.0)
+        with pytest.raises(DomainError):
+            HypergeomParams._make((0.5, math.nan, 1.0))
+        with pytest.raises(AttributeError):
+            p.a = 2.0
+        with pytest.raises(AttributeError):
+            p.d = 2.0
+
+    def test_zero_balanced_is_exact(self):
+        assert HypergeomParams(0.25, 0.75, 1.0).zero_balanced
+        # c - a - b = 0.5 here, yet within 1e-12 c: the balanced route gave 859894.17
+        # against the true 1000011.06; the direct series is refused before it runs
+        p = HypergeomParams(0.5, 1e12, 1e12)
+        assert not p.zero_balanced
+        with pytest.raises(ConvergenceError):
+            gauss_F(p, 1.0 - 1e-12)
+
     def test_balanced_branch_matches_series_oracle(self):
         # validates the near-1 connection coefficients against raw summation at 0.97
         for a in (0.5, 1.0 / 3.0, 1.0 / 6.0):
@@ -198,6 +244,12 @@ class TestGaussF:
     def test_near_one_domain(self, w):
         with pytest.raises(DomainError):
             gauss_F_near_one(0.5, 0.5, w)
+
+    @pytest.mark.parametrize("a,b", [(1e-320, -1.0), (-1.0, 1e-320), (0.5, 0.0), (math.nan, 0.5)])
+    def test_near_one_parameter_domain(self, a, b):
+        # an overflowing R(1e-320, .) must not send b = -1 to the direct series
+        with pytest.raises(DomainError):
+            gauss_F_near_one(a, b, 0.25)
 
     @pytest.mark.parametrize("a,b,w,want", [
         # 30-digit mpmath; the connection series has a negative term R_n - log w in each

@@ -1,7 +1,7 @@
 """Every public numeric function gives a value or a typed QcfunError.
 
 The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
-every argument.  Results are floats other than NaN, or the documented
+every argument.  Results are finite floats (neither NaN nor +-inf), or the documented
 UnitRadius / AsymptoticClass / HypergeomParams objects; every residual-suite
 case and every experiment parameter is swept the same way.
 """
@@ -62,7 +62,7 @@ def test_value_or_typed_error_on_grid(name, fn, arity):
         except QcfunError:
             continue
         assert isinstance(value, RESULT_TYPES), (name, point, value)
-        assert not (isinstance(value, float) and math.isnan(value)), (name, point)
+        assert not (isinstance(value, float) and not math.isfinite(value)), (name, point, value)
 
 
 def test_grid_covers_every_public_function():
