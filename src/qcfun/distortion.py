@@ -11,6 +11,12 @@ lambda(K) = eta_{K,2}(1), the Schottky supremum psi(r,t) = eta_{M,2}(t) with
 M = (1+r)/(1-r), and the logit-conjugated linearization
 g(x) = p(phi_K(q(x))) whose derivative increases through (1/K, K).
 
+phi_K, eta_{K,2} and lambda(K) share one nome pass
+(:func:`qcfun.modulus._phi_pair`): the log nome of the smaller channel of r
+is scaled by 1/K or by K, and the theta functions are evaluated once at the
+scaled nome, so mu(r) and the inverse are never formed as two separate
+calls.  phi^a_K composes mu_a and its inverse.
+
 ``phi_K``/``phi_aK`` return :class:`~qcfun.modulus.UnitRadius` so the
 complement 1 - phi^2 stays available at full precision; eta and the
 linearization read that channel instead of subtracting from 1.
@@ -24,16 +30,16 @@ import math
 import sys
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
+from .means import comp_radius
 from .modulus import (
     SQRT_HALF,
     UnitRadius,
-    _pair,
+    _checked_r,
+    _phi_pair,
     as_radius,
     check_signature,
-    mu,
     mu_a,
     mu_a_inv,
-    mu_inv,
 )
 
 __all__ = [
@@ -44,9 +50,6 @@ __all__ = [
     "schottky_psi",
     "linearized_g",
 ]
-
-# mu(1/sqrt 2), the library's own value (pi/2 to rounding), evaluated once
-_MU_SQRT_HALF = mu(SQRT_HALF)
 
 
 def _check_K(K: float, sub_unit_ok: bool) -> float:
@@ -64,19 +67,25 @@ def phi_K(K: float, x) -> UnitRadius:
     so no separate operation is needed.  A result whose radius or complement
     falls below the normal double range raises :class:`ConvergenceError`.
 
+    One nome pass: the log nome log q of the smaller channel of r is scaled
+    by 1/K (r <= r') or K (r > r'), and the theta functions are evaluated
+    once, at q^(1/K) or q'^K, or at the dual nome where that modulus is below
+    pi/2 (:func:`qcfun.modulus._phi_pair`).  mu_inv(mu(r)/K) is the same map
+    through the public functions, and the tests' oracle.
+
     Accuracy is condition-scaled.  With y = mu(r)/K the modulus of the result
     and y* = pi^2/(4y) that of its complement, the radius is within
     4 eps max(1, y) and the complement within 4 eps max(1, y*) relative
     (eps = 2^-52): the inverse turns an absolute error in y into a relative
-    one in r ~ 4 e^-y.  Against 40-digit mpmath, over 40000 draws with K
-    log-uniform in [0.02, 50] and r or r' log-uniform in [1e-12, 1/2], the
-    factor was at most 2.6 on either channel.
+    one in r ~ 4 e^-y.  Against 40-digit mpmath, over three seeded sets of
+    40000 draws with K log-uniform in [0.02, 50] and r or r' log-uniform in
+    [1e-12, 1/2], the factor was at most 2.6 on either channel.
     """
     K = _check_K(K, sub_unit_ok=True)
-    if K == 1.0:
-        return as_radius(x)
-    # mu checks a float radius itself, without forming a pair
-    return mu_inv(_scaled_modulus(mu(x), K, "phi_K"))
+    if isinstance(x, UnitRadius):
+        return _phi_pair(K, x[0], x[1])
+    r = _checked_r(float(x))  # the one check; the pair is formed by the result only
+    return _phi_pair(K, r, comp_radius(r))
 
 
 def phi_aK(a: float, K: float, x) -> UnitRadius:
@@ -90,34 +99,23 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
     u = as_radius(x)
     if K == 1.0:
         return u
-    return mu_a_inv(a, _scaled_modulus(mu_a(a, u), K, "phi_aK"))
-
-
-def _scaled_modulus(modulus: float, K: float, name: str) -> float:
+    modulus = mu_a(a, u)
     target = modulus / K
     if math.isinf(target):
         # a tiny K sends the radius below every double: the inverse underflows
-        raise ConvergenceError(f"{name}: modulus / K = {modulus} / {K} overflows, "
+        raise ConvergenceError(f"phi_aK: modulus / K = {modulus} / {K} overflows, "
                                "so the radius underflows double precision")
-    return target
+    return mu_a_inv(a, target)
 
 
-def _squared_ratio(radius, call) -> float:
-    """u^2/(1-u^2) for u = radius(), read off the complement channel.
-
-    ``call()`` names the public call in the overflow message; it is formatted
-    only on failure, since two float reprs cost a third of an eta_K2 call.
-    """
+def _squared_ratio(K: float, r: float, comp: float) -> float:
+    """u^2/(1-u^2) for u = phi_K(r), read off the complement channel; inf past the double range."""
     try:
-        u = radius()
-    except ConvergenceError as exc:
-        # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
-        raise OverflowSignal(f"{call()} exceeds double precision") from exc
-    ratio = u.r / u.comp
-    value = ratio * ratio
-    if math.isinf(value):
-        raise OverflowSignal(f"{call()} exceeds double precision")
-    return value
+        u, u_comp = _phi_pair(K, r, comp)
+    except ConvergenceError:
+        return math.inf  # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
+    ratio = u / u_comp
+    return ratio * ratio
 
 
 def eta_K2(K: float, t: float) -> float:
@@ -126,13 +124,14 @@ def eta_K2(K: float, t: float) -> float:
     eta_{1,2}(t) = t, eta(0) = 0; increasing in both arguments.  1 - u^2 is
     read off the complement channel of the inversion, so no cancellation
     occurs for u near 1; a complement too small to square raises
-    :class:`OverflowSignal`.
+    :class:`OverflowSignal`.  u comes from the one nome pass of
+    :func:`phi_K`, at the pair (sqrt(t/(1+t)), sqrt(1/(1+t))).
 
     The relative error is at most 12 eps max(1, y, y*) (eps = 2^-52), with
     y = mu(sqrt(t/(1+t)))/K the modulus of u and y* = pi^2/(4y) that of its
-    complement, as for :func:`phi_K`.  Against 40-digit mpmath, over 40000
-    draws with K log-uniform in [1, 50] and t in [1e-6, 1e6], the factor was
-    at most 7.1.
+    complement, as for :func:`phi_K`.  Against 40-digit mpmath, over three
+    seeded sets of 40000 draws with K and t log-uniform in [1, 50] and
+    [1e-6, 1e6], the factor was at most 6.7.
     """
     K = _check_K(K, sub_unit_ok=False)
     if not (t >= 0.0 and math.isfinite(t)):
@@ -141,23 +140,28 @@ def eta_K2(K: float, t: float) -> float:
         return 0.0
     # for every finite t > 0 both channels lie in (0,1] (t/(1+t) >= 5e-324 and
     # 1/(1+t) >= 5.6e-309), and they are the radius and complement of sqrt(t/(1+t))
-    arg = _pair(math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
-    return _squared_ratio(lambda: phi_K(K, arg), lambda: f"eta_K2({K}, {t})")
+    value = _squared_ratio(K, math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
+    if math.isinf(value):
+        raise OverflowSignal(f"eta_K2({K}, {t}) exceeds double precision")
+    return value
 
 
 def lambda_of_K(K: float) -> float:
     """Sharp linear-dilatation bound lambda(K) = u^2/(1-u^2), u = phi_K(1/sqrt(2)).
 
     lambda(1) = 1, increasing, and exp(pi(K-1)) <= lambda(K) <= exp(pi(K-1/K)).
-    As :func:`eta_K2` at t = 1, with y = pi/(2K) and y* = pi K/2, the
-    relative error is at most 12 eps max(1, pi K/2) (eps = 2^-52); against
-    40-digit mpmath, over 40000 K log-uniform in [1, 200], the factor was at
-    most 6.5.  phi_K(K, 1/sqrt(2)) = mu^-1(mu(1/sqrt(2))/K) with the modulus
-    hoisted, so each call is one inverse.
+    u comes from the one nome pass of :func:`phi_K` at the pair
+    (1/sqrt 2, 1/sqrt 2), the pair eta_K2(K, 1) forms, so the two agree to
+    the bit.  As :func:`eta_K2` at t = 1, with y = pi/(2K) and y* = pi K/2,
+    the relative error is at most 12 eps max(1, pi K/2) (eps = 2^-52);
+    against 40-digit mpmath, over three seeded sets of 40000 K log-uniform in
+    [1, 200], the factor was at most 5.5.
     """
     K = _check_K(K, sub_unit_ok=False)
-    return _squared_ratio(lambda: SQRT_HALF if K == 1.0 else mu_inv(_MU_SQRT_HALF / K),
-                          lambda: f"lambda_of_K({K})")
+    value = _squared_ratio(K, SQRT_HALF[0], SQRT_HALF[1])
+    if math.isinf(value):
+        raise OverflowSignal(f"lambda_of_K({K}) exceeds double precision")
+    return value
 
 
 def schottky_psi(r: float, t: float) -> float:

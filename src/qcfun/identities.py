@@ -25,7 +25,7 @@ from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
 from .modulus import SQRT_HALF, UnitRadius, agm_product_p, as_radius, mu, mu_a, mu_inv
-from .specfun import HypergeomParams, _balanced_r0, beta_fn, gauss_F, ramanujan_R
+from .specfun import _ZB_SWITCH, HypergeomParams, _balanced_r0, beta_fn, gauss_F, gauss_F_near_one, ramanujan_R
 
 __all__ = [
     "CaseKind",
@@ -315,7 +315,8 @@ def _landen_ineq(a, b, r):
     p = HypergeomParams(a, b, a + b)
     rhs = (1.0 + r) * gauss_F(p, r * r)
     s = _landen_ascend(r)
-    lhs = gauss_F(p, s.r * s.r)
+    # above the balanced seam F is read off the exact complement (1-r)/(1+r), where s^2 may round to 1
+    lhs = gauss_F(p, s.r * s.r) if s.r * s.r <= _ZB_SWITCH else gauss_F_near_one(a, b, s.comp * s.comp)
     return (rhs - lhs) / max(1.0, rhs)
 
 

@@ -132,7 +132,8 @@ def comp_radius(r: float) -> float:
     return math.sqrt((1.0 - r) * (1.0 + r))
 
 
-def _nome(k: float, kc: float, with_mu: bool = True) -> tuple[float, float]:
+def _nome(k: float, kc: float, with_mu: bool = True,
+          with_theta: bool = True) -> tuple[float, float]:
     """(mu(k), theta_3(q)^2) at the nome q of the channel k <= kc, so K(k) = (pi/2) theta_3^2.
 
     lambda is formed as k^2 / (2 (1 + k') (1 + sqrt k')^2), without the
@@ -142,13 +143,20 @@ def _nome(k: float, kc: float, with_mu: bool = True) -> tuple[float, float]:
     - log(q/lambda)) / 2 - log k takes log k directly, so subnormal k needs no
     guard, and sums its terms exactly (``math.fsum``).  With ``with_mu``
     false the first entry is NaN and no logarithm is taken, so k = 0 gives
-    theta_3 = 1.
+    theta_3 = 1.  With ``with_theta`` false the second entry is NaN and
+    mu = -log(q)/2 is taken as (log den - log1p(tail)) / 2 - log k, den the
+    denominator of lambda: two logarithms and a log1p, and no logarithm of
+    lambda, which underflows below k ~ 1e-154.  This is the log nome that
+    the distortion pass scales (:func:`qcfun.modulus._phi_pair`).
     """
     s = math.sqrt(kc)
-    lam = k * k / (2.0 * (1.0 + kc) * ((1.0 + s) * (1.0 + s)))
+    den = 2.0 * (1.0 + kc) * ((1.0 + s) * (1.0 + s))
+    lam = k * k / den
     l4 = lam * lam
     l4 *= l4
     tail = l4 * (2.0 + l4 * (15.0 + 150.0 * l4))  # q = lambda (1 + tail)
+    if not with_theta:
+        return 0.5 * (math.log(den) - math.log1p(tail)) - math.log(k), math.nan
     q = lam + lam * tail
     q3 = q * q * q
     d = 2.0 * q * (1.0 + q3 * (1.0 + q3 * q * q))  # theta_3 - 1

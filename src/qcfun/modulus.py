@@ -23,12 +23,14 @@ w = min(r^2, r'^2) <= 1/2 gives both F factors of mu_a.  Both inverses use
 the duality to solve only for r <= 1/sqrt 2 and exchange the channels below
 the symmetric value.  The inverse of mu has a closed form in Jacobi theta
 functions at the same nome, and so has the inverse of mu_a at a = 1/2 and
-1/4.  At every other signature the inverse of mu_a is one
-safeguarded Newton iteration in t = log(1/r), where mu_a is nearly linear
-with slope 1 / ((1-r^2) F(a,1-a;1;r^2)^2): one evaluation per step gives
-both the value and the slope, and a step leaving the bracket becomes a
-bisection, so termination does not depend on whether the raw iteration
-converges.
+1/4.  One theta routine (:func:`_theta_radius`) serves mu_inv and the
+distortion pass :func:`_phi_pair`, which scales the log nome of r by K and
+so composes mu and mu_inv without forming either.  At every other
+signature the inverse of mu_a is one safeguarded Newton iteration in
+t = log(1/r), where mu_a is nearly linear with slope
+1 / ((1-r^2) F(a,1-a;1;r^2)^2): one evaluation per step gives both the
+value and the slope, and a step leaving the bracket becomes a bisection, so
+termination does not depend on whether the raw iteration converges.
 
 Radii travel as :class:`UnitRadius` pairs (r, sqrt(1-r^2)).  Keeping the
 complement as a first-class channel is what lets values down to the smallest
@@ -70,6 +72,7 @@ _INV_CAP = 100
 _HALF_PI = 0.5 * math.pi
 _QUARTER_PI_SQ = 0.25 * math.pi * math.pi
 _THIRD = 1.0 / 3.0
+_MIN_NORMAL = sys.float_info.min
 _Y_SYM_THIRD = 0.5 * math.pi / math.sin(math.pi * _THIRD)
 
 
@@ -191,23 +194,38 @@ def _mu_k(r: float, comp: float) -> tuple[float, float]:
     return _QUARTER_PI_SQ / m, m * theta_sq
 
 
-def _theta_radius(y: float) -> tuple[float, float]:
-    """(theta_2^2, theta_4^2) / theta_3^2 at the nome q = e^(-2y), for y >= pi/2.
+def _theta_radius(y: float, swap: bool) -> UnitRadius:
+    """mu_inv(y), with its channels exchanged when ``swap``: the one theta inverse.
 
-    With q <= e^-pi the series stop at q^16: the first dropped term,
-    q^20 <= e^(-20 pi), lies below 1e-27.  theta_2 = 2 q^(1/4) sum q^(n(n+1))
-    carries q^(1/4) = e^(-y/2) as a factor, so r ~ 4 e^-y keeps full relative
-    precision however small it is.
+    r = theta_2(q)^2 / theta_3(q)^2 and r' = theta_4(q)^2 / theta_3(q)^2 at
+    the nome q = e^(-2y) (DLMF 20.2, 22.2), all from the one exponential
+    e = e^(-y/2) = q^(1/4).  Below pi/2 the pair is taken at the dual
+    y' = pi^2 / (4y), since mu(r') = pi^2 / (4 mu(r)), and the channels are
+    exchanged, so the series always run at q <= e^-pi and stop at q^16: the
+    first dropped term, q^20 <= e^(-20 pi), lies below 1e-27.
+    theta_2 = 2 q^(1/4) sum q^(n(n+1)) carries e as a factor, so the small
+    channel ~ 4 e^-y keeps full relative precision however small it is.  A
+    channel below the normal double range raises :class:`ConvergenceError`.
     """
-    q = math.exp(-2.0 * y)
-    q2, q4 = q * q, q ** 4
+    if y < _HALF_PI:
+        y = _QUARTER_PI_SQ / y
+        swap = not swap
+    e = math.exp(-0.5 * y)
+    q = e * e
+    q *= q
+    q2 = q * q
+    q4 = q2 * q2
     t2 = 1.0 + q2 * (1.0 + q4 * (1.0 + q2 * q4))
     even = 1.0 + 2.0 * q4 * (1.0 + q4 * q4 * q4)
     odd = 2.0 * q * (1.0 + q4 * q4)
-    t3, t4 = even + odd, even - odd
-    s = 2.0 * math.exp(-0.5 * y) * t2 / t3
-    c = t4 / t3
-    return s * s, c * c
+    t3 = even + odd
+    s = 2.0 * e * t2 / t3
+    c = (even - odd) / t3
+    small = s * s
+    if small < _MIN_NORMAL:
+        raise ConvergenceError(f"the radius or its complement at modulus {y} underflows double precision")
+    # past the guard both channels lie in [2.2e-308, 1], and theta_3^4 = theta_2^4 + theta_4^4
+    return tuple.__new__(UnitRadius, (c * c, small) if swap else (small, c * c))
 
 
 def mu_inv(y: float) -> UnitRadius:
@@ -215,24 +233,38 @@ def mu_inv(y: float) -> UnitRadius:
 
     With the nome q = e^(-2y), r = theta_2(q)^2 / theta_3(q)^2 and
     r' = theta_4(q)^2 / theta_3(q)^2 (DLMF 20.2, 22.2), with the series cut
-    after q^16 at y >= pi/2.  For y < pi/2 the same pair is taken at the dual
-    y' = pi^2 / (4y), since mu(r') = pi^2 / (4 mu(r)), and the channels are
-    exchanged: the complement comes out directly, down to the smallest normal
-    double.  Against the nome forward map, |mu(r) - y| <= 4.0e-16 max(1, y)
-    was measured over 2000 log-uniform y from 0.004 to 700.  A radius or
-    complement below the normal double range (y above about 709.8 or below
-    about 0.00348) raises :class:`ConvergenceError`.
+    after q^16 at y >= pi/2, all from the one exponential e^(-y/2) = q^(1/4).
+    For y < pi/2 the same pair is taken at the dual y' = pi^2 / (4y), since
+    mu(r') = pi^2 / (4 mu(r)), and the channels are exchanged: the complement
+    comes out directly, down to the smallest normal double.  Against the nome
+    forward map, |mu(r) - y| <= 4.0e-16 max(1, y) was measured over 2000
+    log-uniform y from 0.004 to 700, and 6.4e-16 max(1, y) over 200000,
+    near y = pi/2, where the forward map's own error of up to 2.1 ulp
+    dominates.  A radius or complement below the normal double range (y
+    above about 709.8 or below about 0.00348) raises
+    :class:`ConvergenceError`.
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_inv requires y > 0, got {y}")
-    dual = y < 0.5 * math.pi
-    small, big = _theta_radius(math.pi * math.pi / (4.0 * y) if dual else y)
-    if small < sys.float_info.min:
-        raise ConvergenceError(
-            f"mu_inv({y}): the radius or its complement underflows double precision"
-        )
-    # past the guard both channels lie in [2.2e-308, 1], and theta_3^4 = theta_2^4 + theta_4^4
-    return _pair(big, small) if dual else _pair(small, big)
+    return _theta_radius(y, False)
+
+
+def _phi_pair(K: float, r: float, comp: float) -> UnitRadius:
+    """phi_K at the radius pair (r, comp): mu_inv(mu(r)/K) in one nome pass, for K > 0.
+
+    The log nome of the smaller channel k, log q = 2 log k - log den
+    + log1p(tail) = -2 mu(k) (:func:`qcfun.means._nome`), takes two
+    logarithms and a log1p.  For r <= r' the target is mu(r)/K = mu(k)/K,
+    so e^(-y/2) = q^(1/(4K)); for r > r' the result's complement has modulus
+    K mu(r') = K mu(k), so e^(-y/2) = q'^(K/4) and the channels are exchanged.
+    Where that modulus falls below pi/2, :func:`_theta_radius` takes its dual,
+    so the theta series run on whichever side is well conditioned.
+    """
+    if K == 1.0:
+        return _pair(r, comp)
+    if r <= comp:
+        return _theta_radius(_nome(r, comp, with_theta=False)[0] / K, False)
+    return _theta_radius(_nome(comp, r, with_theta=False)[0] * K, True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcfun import modulus
 from qcfun import (
     ConvergenceError,
     DomainError,
@@ -20,6 +21,7 @@ from qcfun import (
     lambda_of_K,
     linearized_g,
     mu,
+    mu_inv,
     phi_K,
     phi_aK,
     schottky_psi,
@@ -155,6 +157,64 @@ class TestPhiK:
             phi_K(2.0, 1.5)
 
 
+class TestNomePass:
+    """The one nome pass of phi_K against mu_inv(mu(r)/K), the public composition."""
+
+    EPS = 2.0 ** -52
+    HALF_PI = 0.5 * math.pi
+
+    def check(self, K, u):
+        # each channel within the sum of the two routes' 4 eps max(1, y) bounds
+        got = modulus._phi_pair(K, u.r, u.comp)
+        assert phi_K(K, u) == got
+        y = mu(u) / K
+        want = mu_inv(y)
+        assert abs(got.r / want.r - 1.0) <= 8.0 * self.EPS * max(1.0, y), (K, u)
+        assert abs(got.comp / want.comp - 1.0) <= 8.0 * self.EPS * max(1.0, 0.25 * math.pi ** 2 / y), (K, u)
+        # which of the four cases ran: the smaller input channel, and the side of pi/2
+        return u.r <= u.comp, y >= self.HALF_PI
+
+    @staticmethod
+    def around(x, deltas=(1e-9, 1e-5, 1e-2, 0.25)):
+        # x, 1 to 4 ulp either side, and x (1 +- delta)
+        points = [x]
+        for direction in (0.0, math.inf):
+            v = x
+            for _ in range(4):
+                v = math.nextafter(v, direction)
+                points.append(v)
+        return points + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]
+
+    def test_four_cases_seeded(self):
+        rng = random.Random(1717)
+        seen = {}
+        for _ in range(4000):
+            # y and y* stay below 700, so neither route underflows
+            K = math.exp(rng.uniform(math.log(0.05), math.log(20.0)))
+            x = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
+            u = UnitRadius.from_comp(x) if rng.random() < 0.5 else UnitRadius.from_r(x)
+            case = self.check(K, u)
+            seen[case] = seen.get(case, 0) + 1
+        assert len(seen) == 4 and min(seen.values()) > 200, seen
+
+    def test_seam_r_equals_complement(self):
+        seen = set()
+        for r in self.around(math.sqrt(0.5)):
+            u = UnitRadius.from_r(r)
+            for K in (0.3, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 1.5, 7.0):
+                seen.add(self.check(K, u))
+        assert len(seen) == 4
+
+    def test_seam_target_at_half_pi(self):
+        # K = 2 mu(r) / pi puts the target modulus at pi/2, on either input channel
+        seen = set()
+        for x in (1e-12, 1e-3, 0.3, 0.7):
+            for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
+                for K in self.around(mu(u) / self.HALF_PI):
+                    seen.add(self.check(K, u))
+        assert len(seen) == 4
+
+
 class TestPhiAK:
     def test_reduces_to_phi_K(self):
         for K in (1.5, 2.0, 5.0):
@@ -273,8 +333,9 @@ class TestLambda:
         assert lambda_of_K(200.0) == pytest.approx(4.6897618097391277e271, rel=1e-12)
 
     def test_hoisted_modulus_bit_for_bit(self):
-        # the hoisted mu(1/sqrt 2) must give exactly (u.r/u.comp)^2 for u = phi_K(K, 1/sqrt 2),
-        # or OverflowSignal where that square (or u.comp) leaves the double range
+        # lambda_of_K's nome pass at the (1/sqrt 2, 1/sqrt 2) pair must give exactly
+        # (u.r/u.comp)^2 for u = phi_K(K, 1/sqrt 2), or OverflowSignal where that
+        # square (or u.comp) leaves the double range
         rng = random.Random(16)
         Ks = [1.0, 1.0 + 2.0 ** -52, 2.0, 226.0, 226.3, 500.0, 1e16, 1e308]
         Ks += [math.exp(rng.uniform(0.0, math.log(400.0))) for _ in range(2000)]

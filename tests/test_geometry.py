@@ -600,10 +600,51 @@ class TestBoundaryMetric:
             with pytest.raises(DomainError, match="point b"):
                 boundary_metric_estimate(ngon, (0.0, 0.0), ngon.points[20], mode)
 
+    def test_edge_midpoints(self):
+        # the float midpoint of an edge lies on it, or just off it to either side; the
+        # rounded crossing abscissa counted 30 of the 64 as inside, and the estimate
+        # returned 3.73 where the metric is infinite.  Both orientations: the crossing
+        # rule alone puts a point on an edge outside a counterclockwise polygon only.
+        ngon = regular_ngon(64)
+        points = ngon.points
+        on = 0
+        for i in range(len(points)):
+            p, q = points[i], points[(i + 1) % len(points)]
+            mid = 0.5 * (p + q)
+            px, py = Fraction(p[0]), Fraction(p[1])
+            side = ((Fraction(q[0]) - px) * (Fraction(mid[1]) - py)
+                    - (Fraction(q[1]) - py) * (Fraction(mid[0]) - px))
+            on += side == 0
+            for curve in (ngon, Polyline(points[::-1].copy(), closed=True)):
+                if side > 0:  # strictly inside
+                    assert math.isfinite(boundary_metric_estimate(curve, mid, (0.0, 0.0), "Apollonian"))
+                else:
+                    with pytest.raises(DomainError, match="point a"):
+                        boundary_metric_estimate(curve, mid, (0.0, 0.0), "AbsoluteRatio")
+        assert on >= 16
+
+    def test_exact_orientation_matches_rationals(self):
+        # points within an ulp of an edge, where the float determinant cannot decide
+        rng = random.Random(1720)
+        poly = koch_curve(2).points
+        for _ in range(200):
+            i = rng.randrange(len(poly))
+            p, q = poly[i], poly[(i + 1) % len(poly)]
+            t = rng.random()
+            pt = np.array([math.nextafter(p[0] + t * (q[0] - p[0]), rng.choice((-1.0, 2.0))),
+                           p[1] + t * (q[1] - p[1])])
+            sign = geometry._edge_orientation(pt, poly)
+            for j, (a, b) in enumerate(zip(poly, np.roll(poly, -1, axis=0))):
+                ax, ay = Fraction(a[0]), Fraction(a[1])
+                exact = ((Fraction(b[0]) - ax) * (Fraction(pt[1]) - ay)
+                         - (Fraction(b[1]) - ay) * (Fraction(pt[0]) - ax))
+                assert sign[j] == (exact > 0) - (exact < 0), (i, j)
+
     def test_guards(self):
         ngon = regular_ngon(64)
-        with pytest.raises(DomainError):
-            boundary_metric_estimate(ngon, (2.0, 0.0), (0.0, 0.0), "AbsoluteRatio")
+        for outside in ((2.0, 0.0), (math.nan, 0.0), (0.0, -math.inf)):
+            with pytest.raises(DomainError):
+                boundary_metric_estimate(ngon, outside, (0.0, 0.0), "AbsoluteRatio")
         with pytest.raises(DomainError):
             boundary_metric_estimate(ngon, (0.0, 0.0), (0.5, 0.0), "Poincare")
         with pytest.raises(DomainError):

@@ -130,10 +130,16 @@ class TestRegressionDetection:
         assert not all(rep.passed for rep in run_suite())
 
     def test_theta_radius_drift_fails(self, monkeypatch):
-        # scales the channel that carries the digits; the radius pair stays consistent
+        # scales the smaller channel, the one that carries the digits, in mu_inv and
+        # in the nome pass of phi_K, eta_K2 and lambda_of_K; the pair stays consistent
         theta = modulus._theta_radius
-        monkeypatch.setattr(modulus, "_theta_radius",
-                            lambda y: (theta(y)[0] * (1.0 + 1e-12), theta(y)[1]))
+
+        def drifted(y, swap):
+            r, comp = theta(y, swap)
+            if r <= comp:
+                return modulus._pair(r * (1.0 + 1e-12), comp)
+            return modulus._pair(r, comp * (1.0 + 1e-12))
+        monkeypatch.setattr(modulus, "_theta_radius", drifted)
         reports = run_suite()
         assert all(rep.error is None for rep in reports)
         assert not all(rep.passed for rep in reports)
@@ -155,6 +161,13 @@ class TestInequalityGrids:
         for r in (0.2, 0.6):
             assert abs(residual("MuDup", (0.5, r))) <= 1e-9
             assert abs(residual("MuProd", (0.5, r))) <= 1e-10
+
+    def test_landen_endpoint_grid(self):
+        # at r = 1 - 1e-12 the Landen image 2 sqrt(r)/(1+r) rounds to 1; its complement does not
+        endpoints = [1e-12, 1e-8, 1e-4, 1.0 - 1e-4, 1.0 - 1e-8, 1.0 - 1e-12]
+        (rep,) = run_suite(["LandenIneq"], {"r": endpoints})
+        assert rep.error is None and rep.passed, rep
+        assert rep.n_points == 4 * len(endpoints)
 
     def test_k_bracket_strict(self):
         assert min(get_case("KBracketLower").fn(r) for r in R_GRID) > 0.0

@@ -171,15 +171,16 @@ class TestTrustedPairs:
 
     @pytest.mark.parametrize("t", [5e-324, 1e-300, 1.0, 1e300, 1.7e308])
     def test_eta_argument(self, t, monkeypatch):
+        # the channels eta_K2 hands to the nome pass must form a valid pair
         seen = []
-        real = distortion.phi_K
-        monkeypatch.setattr(distortion, "phi_K", lambda K, x: seen.append(x) or real(K, x))
+        real = distortion._phi_pair
+        monkeypatch.setattr(distortion, "_phi_pair", lambda K, r, comp: seen.append((r, comp)) or real(K, r, comp))
         try:
             eta_K2(2.0, t)
         except OverflowSignal:  # u^2 / (1 - u^2) past the double range, after the pair is formed
             pass
         assert len(seen) == 1
-        self.revalidate(seen[0])
+        self.revalidate(UnitRadius(*seen[0]))
 
 
 class TestMu:

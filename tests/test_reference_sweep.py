@@ -225,6 +225,29 @@ def test_boundary_gamma_ratio_above_171(abc):
     assert _rel_err(hypergeom_boundary(HypergeomParams(*abc)).constant, want) < 1e-14
 
 
+@pytest.mark.parametrize("d", [10.0, 10.5, 12.0, 40.0])
+def test_boundary_case_a_stirling_remainder(d):
+    # c > 171 takes Gamma(d+m)/Gamma(d) from the Stirling remainder at x = d; cut
+    # after x^-7 it was up to 6.6e-13 off at d = 10.  Dyadic a, b make c - a - b = d exact.
+    rng = random.Random(1719)
+    for _ in range(40):
+        a, b = rng.randint(32, 128) / 64, rng.randint(170 * 64, 400 * 64) / 64
+        c = a + b + d
+        with mp.workdps(50):
+            A, B, C = map(mp.mpf, (a, b, c))
+            want = mp.exp(mp.loggamma(C) + mp.loggamma(C - A - B) - mp.loggamma(C - A) - mp.loggamma(C - B))
+            assert _rel_err(hypergeom_boundary(HypergeomParams(a, b, c)).constant, want) < 1e-14, (a, b, c)
+
+
+def test_log_gamma_ratio_route_switch():
+    # below x = 10 the lgamma difference is within 2.7e-15 here, where the Stirling
+    # remainder's first dropped term, 1/(156 x^13), is 1.2e-14 at x = 8
+    for x in (8.0, 9.9375, 10.0):
+        for d in (1.5, 2.0, 3.0):
+            want = mp.loggamma(mp.mpf(x) + d) - mp.loggamma(x)
+            assert abs(specfun._log_gamma_ratio(x, d) - want) < 5e-15, (x, d)
+
+
 def mu_a_mp(a, r):
     a_m, r_m = mp.mpf(a), mp.mpf(r)
     return mp.pi / (2 * mp.sin(mp.pi * a_m)) * mp.hyp2f1(
