@@ -47,6 +47,10 @@ class BoundId(Enum):
     HaymanSchottky = "HaymanSchottky"
     SurfaceArea = "SurfaceArea"
 
+    # members are singletons that compare by identity, so the identity hash
+    # keys the catalog; Enum's own hashes the name in Python on every lookup
+    __hash__ = object.__hash__
+
 
 def _require_K(K: float) -> float:
     if not (K >= 1.0 and math.isfinite(K)):
@@ -54,16 +58,10 @@ def _require_K(K: float) -> float:
     return K
 
 
-def _finite(name: str, names: tuple[str, ...], formula: Callable[..., float], params) -> float:
-    """formula(*params), with a value beyond the double range as OverflowSignal."""
-    try:
-        value = formula(*params)
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        args = ", ".join(f"{n}={v!r}" for n, v in zip(names, params))
-        raise OverflowSignal(f"{name}({args}) exceeds double precision")
-    return value
+def _overflow(name: str, names: tuple[str, ...], params) -> OverflowSignal:
+    """The error for an entry whose value at ``params`` is beyond the double range."""
+    args = ", ".join(f"{n}={v!r}" for n, v in zip(names, params))
+    return OverflowSignal(f"{name}({args}) exceeds double precision")
 
 
 def surface_area(n: float) -> float:
@@ -85,8 +83,13 @@ def gehring_d2_composite(K: float) -> float:
     Above K ~ 225 the value overflows and raises :class:`OverflowSignal`.
     """
     _require_K(K)
-    return _finite("gehring_d2_composite", ("K",),
-                   lambda K: math.exp(K * surface_area(2.0) / _TAU2_ONE), (K,))
+    try:
+        value = math.exp(K * surface_area(2.0) / _TAU2_ONE)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:  # also where the exponent itself overflows
+        raise _overflow("gehring_d2_composite", ("K",), (K,))
+    return value
 
 
 def _log_seittenranta(K: float) -> float:
@@ -212,7 +215,13 @@ def bound_value(bound_id: BoundId, params) -> float:
         raise DomainError(
             f"{bound_id.value} takes parameters {names}, got {len(params)} value(s)"
         )
-    return _finite(bound_id.value, names, formula, params)
+    try:
+        value = formula(*params)
+    except OverflowError:
+        value = math.inf
+    if abs(value) == math.inf:
+        raise _overflow(bound_id.value, names, params)
+    return value
 
 
 def gehring_d(n: float, K: float) -> float:

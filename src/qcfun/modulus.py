@@ -14,23 +14,18 @@ reduces to mu at a = 1/2 and obeys the derivative formula
     d mu_a / dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2),
 
 and the duality mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2.  mu itself is
-a closed form in the Jacobi nome q = e^(-2 mu(r)) of the smaller channel,
-taken with K(r) from one q-series (:func:`qcfun.means._nome`); the duality
+the log of the Jacobi nome q = e^(-2 mu(r)) of the smaller channel, with no
+theta series (:func:`qcfun.means._nome`); the duality
 mu(r) mu(r') = pi^2/4 gives the other channel.  At the signatures 1/2, 1/4
 and 1/3 mu_a has closed forms: mu itself, mu at a Landen-transformed radius,
 and a quotient of cubic AGMs.  At every other signature one series pass at
 w = min(r^2, r'^2) <= 1/2 gives both F factors of mu_a.  Both inverses use
-the duality to solve only for r <= 1/sqrt 2 and exchange the channels below
-the symmetric value.  The inverse of mu has a closed form in Jacobi theta
-functions at the same nome, and so has the inverse of mu_a at a = 1/2 and
-1/4.  One theta routine (:func:`_theta_radius`) serves mu_inv and the
-distortion pass :func:`_phi_pair`, which scales the log nome of r by K and
-so composes mu and mu_inv without forming either.  At every other
-signature the inverse of mu_a is one safeguarded Newton iteration in
-t = log(1/r), where mu_a is nearly linear with slope
-1 / ((1-r^2) F(a,1-a;1;r^2)^2): one evaluation per step gives both the
-value and the slope, and a step leaving the bracket becomes a bisection, so
-termination does not depend on whether the raw iteration converges.
+the duality to solve only for r <= 1/sqrt 2.  mu_inv, and mu_a_inv at
+a = 1/2 and 1/4, are closed forms in theta functions from one routine
+(:func:`_theta_radius`), which also serves the distortion pass
+:func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
+mu_inv without forming either.  Every other signature takes the
+safeguarded Newton iteration of :func:`_mu_a_newton`.
 
 Radii travel as :class:`UnitRadius` pairs (r, sqrt(1-r^2)).  Keeping the
 complement as a first-class channel is what lets values down to the smallest
@@ -165,33 +160,26 @@ def check_signature(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def mu(x) -> float:
-    """Ring modulus mu(r) = (pi/2) K(r')/K(r), within 2.5 ulp of the true value.
+    """Ring modulus mu(r) = (pi/2) K(r')/K(r), within 3 ulp of the true value.
 
-    One closed form on all of (0,1): mu(r) = -log(q)/2 at the Jacobi nome q
-    of r when r <= r', and mu(r) = pi^2 / (4 mu(r')) otherwise (see
-    :func:`qcfun.means._nome`).  Against mpmath, over 6000 r and r'
-    log-spread and uniform on (0,1) down to 5e-324, the error was at most
-    2.1 ulp with a mean of 0.41 ulp (the AGM quotient: 4.6 and 0.59).
+    One closed form on all of (0,1), with no theta series: mu(r) = -log(q)/2
+    at the Jacobi nome q of r when r <= r', and pi^2 / (4 mu(r')) otherwise
+    (:func:`qcfun.means._nome`).  Against 60-digit mpmath, over 6000 x
+    log-spread down to 5e-324 and uniform on (0,1), each as r and as r', the
+    error was at most 2.51 ulp (at r = 0.9546243998171448, the roundings of
+    r', mu(r'), pi^2/4 and the division) with a mean of 0.38 ulp (the AGM
+    quotient: 4.6 and 0.59).
     Endpoints raise :class:`DomainError` (the convention mu(1) = 0 is applied
     by callers that need the closed endpoint).
     """
     if isinstance(x, UnitRadius):
-        return _mu_k(x.r, x.comp)[0]
-    r = _checked_r(float(x))  # the one check; no pair is formed
-    return _mu_k(r, comp_radius(r))[0]
-
-
-def _mu_k(r: float, comp: float) -> tuple[float, float]:
-    """(mu(r), K(r)) from the two channels of a radius; K is the denominator of mu.
-
-    The nome is taken at the smaller channel; for r > r' the duality gives
-    mu(r) = pi^2 / (4 mu(r')) and K(r) = mu(r') theta_3(q')^2.
-    """
+        r, comp = x
+    else:
+        r = _checked_r(float(x))  # the one check; no pair is formed
+        comp = comp_radius(r)
     if r <= comp:
-        m, theta_sq = _nome(r, comp)
-        return m, _HALF_PI * theta_sq
-    m, theta_sq = _nome(comp, r)
-    return _QUARTER_PI_SQ / m, m * theta_sq
+        return _nome(r, comp, with_theta=False)[0]
+    return _QUARTER_PI_SQ / _nome(comp, r, with_theta=False)[0]
 
 
 def _theta_radius(y: float, swap: bool) -> UnitRadius:
@@ -231,18 +219,15 @@ def _theta_radius(y: float, swap: bool) -> UnitRadius:
 def mu_inv(y: float) -> UnitRadius:
     """Inverse modulus: the radius with mu(r) = y, in closed form by theta functions.
 
-    With the nome q = e^(-2y), r = theta_2(q)^2 / theta_3(q)^2 and
-    r' = theta_4(q)^2 / theta_3(q)^2 (DLMF 20.2, 22.2), with the series cut
-    after q^16 at y >= pi/2, all from the one exponential e^(-y/2) = q^(1/4).
-    For y < pi/2 the same pair is taken at the dual y' = pi^2 / (4y), since
-    mu(r') = pi^2 / (4 mu(r)), and the channels are exchanged: the complement
-    comes out directly, down to the smallest normal double.  Against the nome
-    forward map, |mu(r) - y| <= 4.0e-16 max(1, y) was measured over 2000
-    log-uniform y from 0.004 to 700, and 6.4e-16 max(1, y) over 200000,
-    near y = pi/2, where the forward map's own error of up to 2.1 ulp
-    dominates.  A radius or complement below the normal double range (y
-    above about 709.8 or below about 0.00348) raises
-    :class:`ConvergenceError`.
+    r = theta_2(q)^2 / theta_3(q)^2 and r' = theta_4(q)^2 / theta_3(q)^2 at
+    the nome q = e^(-2y), or at the dual y' = pi^2 / (4y) with the channels
+    exchanged for y < pi/2 (:func:`_theta_radius`): the complement comes out
+    directly, down to the smallest normal double.  Against the nome forward
+    map, |mu(r) - y| <= 4.0e-16 max(1, y) was measured over 2000 log-uniform
+    y from 0.004 to 700, and 7.2e-16 max(1, y) over 200000 near y = pi/2,
+    where the forward map's own error of up to 2.51 ulp dominates.  A radius
+    or complement below the normal double range (y above about 709.8 or
+    below about 0.00348) raises :class:`ConvergenceError`.
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_inv requires y > 0, got {y}")
@@ -252,11 +237,11 @@ def mu_inv(y: float) -> UnitRadius:
 def _phi_pair(K: float, r: float, comp: float) -> UnitRadius:
     """phi_K at the radius pair (r, comp): mu_inv(mu(r)/K) in one nome pass, for K > 0.
 
-    The log nome of the smaller channel k, log q = 2 log k - log den
-    + log1p(tail) = -2 mu(k) (:func:`qcfun.means._nome`), takes two
-    logarithms and a log1p.  For r <= r' the target is mu(r)/K = mu(k)/K,
-    so e^(-y/2) = q^(1/(4K)); for r > r' the result's complement has modulus
-    K mu(r') = K mu(k), so e^(-y/2) = q'^(K/4) and the channels are exchanged.
+    The log nome log q = -2 mu(k) of the smaller channel k needs no theta
+    series (:func:`qcfun.means._nome`).  For r <= r' the target is mu(r)/K =
+    mu(k)/K, so e^(-y/2) = q^(1/(4K)); for r > r' the result's complement
+    has modulus K mu(r') = K mu(k), so e^(-y/2) = q'^(K/4) and the channels
+    are exchanged.
     Where that modulus falls below pi/2, :func:`_theta_radius` takes its dual,
     so the theta series run on whichever side is well conditioned.
     """
@@ -280,7 +265,8 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     Closed forms at the signatures 1/2, 1/4 and 1/3, the balanced series
     (:func:`_series_parts`) at every other a:
 
-    * a = 1/2: mu_a = mu and F = (2/pi) K(r).
+    * a = 1/2: mu_a = mu and F = (2/pi) K(r): theta_3(q)^2, or
+      (2/pi) mu(r') theta_3(q')^2 for r > r' (:func:`qcfun.means._nome`).
     * a = 1/4: mu_a(r) = mu(k) with the Landen radius k = r/(1+r'),
       k' = sqrt(2r'/(1+r')), and F = (2/pi) K(k) sqrt(2/(1+r'))
       (Berndt, Bhargava and Garvan, Trans. AMS 347, 1995).  Both channels
@@ -290,14 +276,16 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
       mu_a = y_sym AG3(1, r'^(2/3)) / AG3(1, r^(2/3)) and F = 1/AG3(1, r'^(2/3)).
     """
     if a == 0.5:
-        value, k = _mu_k(u.r, u.comp)
-        return value, k / _HALF_PI
+        if u.r <= u.comp:
+            return _nome(u.r, u.comp)
+        m, theta_sq = _nome(u.comp, u.r)
+        return _QUARTER_PI_SQ / m, m * theta_sq / _HALF_PI
     if a == 0.25:
         if u.r <= sys.float_info.min:  # r/2 would lose digits; mu_{1/4} = log(8/r) here
             return math.log(8.0) - math.log(u.r), 1.0
         s = 1.0 + u.comp
-        value, k = _mu_k(u.r / s, math.sqrt(2.0 * u.comp / s))
-        return value, k / _HALF_PI * math.sqrt(2.0 / s)
+        value, f = _mu_a_parts(0.5, _pair(u.r / s, math.sqrt(2.0 * u.comp / s)))
+        return value, f * math.sqrt(2.0 / s)
     if a == _THIRD:
         ag_comp = _agm3(1.0, u.comp ** (2.0 / 3.0))
         return _Y_SYM_THIRD * ag_comp / _agm3(1.0, u.r ** (2.0 / 3.0)), 1.0 / ag_comp

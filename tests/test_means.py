@@ -44,6 +44,13 @@ class TestMeans:
         assert mean(MeanKind.Arithmetic, 2.0, 4.0) == 3.0
         assert mean(MeanKind.Geometric, 2.0, 8.0) == pytest.approx(4.0, rel=1e-15)
 
+    def test_far_from_one(self):
+        # the sum, the product and the ratio leave the double range here
+        assert mean(MeanKind.Arithmetic, 1e308, 1e308) == 1e308
+        assert mean(MeanKind.Geometric, 1e200, 1e200) == pytest.approx(1e200, rel=1e-15)
+        assert mean(MeanKind.Geometric, 1e-200, 1e-200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+        assert mean(MeanKind.Logarithmic, 1e308, 1e-308) == pytest.approx(1e308 / (616 * math.log(10.0)), rel=1e-14)
+
     def test_domain(self):
         for kind in MeanKind:
             with pytest.raises(DomainError):
@@ -129,6 +136,20 @@ class TestAgm:
 
     def test_tiny_argument(self):
         assert agm(1.0, 1e-280) > 0.0
+
+    @pytest.mark.parametrize("x, y", [(1e200, 2e200), (1e-200, 2e-200), (1e-170, 3e-170), (1e300, 1e-5)])
+    def test_far_from_one_by_homogeneity(self, x, y):
+        # a product a_n b_n over- or underflows here: agm(1e200, 2e200) was inf,
+        # agm(1e-200, 2e-200) 49% off and agm(1e-170, 3e-170) a ConvergenceError
+        assert agm(x, y) == pytest.approx(x * agm(1.0, y / x), rel=1e-15, abs=0.0)
+
+    def test_infinite_and_subnormal_pairs(self):
+        # the quadratic tail would give inf/inf = NaN at infinity
+        assert agm(math.inf, 1.0) == math.inf
+        assert agm(5e-324, 5e-324) == 5e-324
+        # y/x underflows: AG(x, y) = x pi / (2 log(4x/y))
+        assert agm(1.0, 5e-324) == pytest.approx(math.pi / (2.0 * (math.log(4.0) + 1074 * math.log(2.0))),
+                                                  rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -4.0), (math.nan, 1.0)])
     def test_domain(self, x, y):

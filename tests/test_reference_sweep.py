@@ -21,6 +21,7 @@ from qcfun import (
     beta_fn,
     hypergeom_boundary,
     UnitRadius,
+    agm,
     agm_product_p,
     digamma_fn,
     gamma_fn,
@@ -95,8 +96,10 @@ def test_ellint_k_complement_expansion():
 
 
 def test_nome_route_within_docstring_ulps():
-    # mu within 2.5 ulp and K within 4 ulp (the docstrings' bounds), with each
-    # double x taken as the radius and as the complement, from 1e-323 to 0.99
+    # mu within 2.5 ulp and K within 4 ulp on this grid, with each double x
+    # taken as the radius and as the complement, from 1e-323 to 0.99 (mu's
+    # docstring states 3 ulp, for the 2.51 ulp that the seeded sweep below
+    # checks at r = 0.9546243998171448)
     xs = [10.0 ** (-323.0 + 323.0 * i / 150) for i in range(150)] + [i / 101 for i in range(1, 101)]
     worst_mu = worst_k = 0
     for x in xs:
@@ -106,6 +109,44 @@ def test_nome_route_within_docstring_ulps():
                        ulps(mu(UnitRadius.from_comp(x)), mp.pi / 2 * k_x / k_xc))
         worst_k = max(worst_k, ulps(ellint_K(x), k_x), ulps(ellint_Kprime(x), k_xc))
     assert worst_mu <= 2.5 and worst_k <= 4.0, (float(worst_mu), float(worst_k))
+
+
+def test_nome_route_seeded_sweep():
+    # the docstrings' bounds, mu within 3 ulp and K within 4 ulp, on seeded radii
+    # log-spread down to 5e-324 and uniform on (0,1), each as r and as r', and at
+    # the worst r of a 12000-value sweep, where the larger channel's pi^2/(4 m) is 2.51 ulp off
+    rng = random.Random(1919)
+    xs = [math.exp(rng.uniform(math.log(5e-324), 0.0)) for _ in range(150)]
+    xs += [rng.uniform(0.0, 1.0) for _ in range(150)] + [0.9546243998171448]
+    for x in xs:
+        k_x = mp.pi / (2 * agm_mp(mp.mpf(1), mp.sqrt((1 - mp.mpf(x)) * (1 + mp.mpf(x)))))
+        k_xc = mp.pi / (2 * agm_mp(mp.mpf(1), mp.mpf(x)))
+        assert ulps(mu(UnitRadius.from_r(x)), mp.pi / 2 * k_xc / k_x) <= 3.0, x
+        assert ulps(mu(UnitRadius.from_comp(x)), mp.pi / 2 * k_x / k_xc) <= 3.0, x
+        assert ulps(ellint_K(x), k_x) <= 4.0 and ulps(ellint_Kprime(x), k_xc) <= 4.0, x
+
+
+def test_agm_far_from_one():
+    # both arguments log-spread over 1e-300...1e300: scaled by a power of two
+    # where a product a_n b_n would leave the normal range, and the log route
+    # where y/x underflows; 2.8 ulp was the worst over 4000 such pairs
+    rng = random.Random(1920)
+    for _ in range(300):
+        x, y = 10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300)
+        assert ulps(agm(x, y), mp.agm(x, y)) <= 4.0, (x, y)
+
+
+@pytest.mark.parametrize("gaps", [(1e-6, 1e-4), (1e-4, 1e-2)])
+def test_agm_quadratic_tail(gaps):
+    # pairs (s, s (1 - g)) with g in each band and s from e^-5 to e^5: the tail
+    # closes them at once below 4e-3 and after one step above, within 2 eps
+    # relative.  With the tail from a gap of 1e-2 a, its first dropped term,
+    # 11 d^6/256, reaches 3 eps in the upper band
+    rng = random.Random(1921)
+    for _ in range(200):
+        g = math.exp(rng.uniform(math.log(gaps[0]), math.log(gaps[1])))
+        s = math.exp(rng.uniform(-5.0, 5.0))
+        assert _rel_err(agm(s, s * (1.0 - g)), mp.agm(s, s * (1.0 - g))) <= 2 * EPS, (s, g)
 
 
 @pytest.mark.parametrize("y", [0.004, 0.05, 1.0, 1.58, 20.0, 500.0])
