@@ -20,7 +20,6 @@ from . import distortion, modulus
 from .bounds import BoundId, bound_signature, bound_value
 from .errors import DomainError, PolylineFormatError, QcfunError
 from .means import ellint_K, ellint_Kprime
-from .modulus import UnitRadius
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -30,40 +29,41 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-# function registry: name -> (required flags, callable(args) -> float); a table
-# sweeps the last flag
+# parameter flag -> help, in the order eval and table list them
+_PARAM_FLAGS = {
+    "r": "radius in (0,1)",
+    "K": "dilatation",
+    "a": "signature in (0, 1/2]; 1/2 when omitted",
+    "t": "auxiliary argument t",
+    "x": "real argument",
+    "s": "argument s > 1",
+}
+
+# function registry, as the bounds catalog: name -> (flag names, function of
+# those floats in that order); a table sweeps the last flag
 _EVAL_FNS = {
-    "mu": (("r",), lambda a: modulus.mu(UnitRadius.from_r(a.r))),
-    "muA": (("a", "r"), lambda a: modulus.mu_a(a.a, UnitRadius.from_r(a.r))),
-    "muADeriv": (("a", "r"), lambda a: modulus.mu_a_derivative(a.a, UnitRadius.from_r(a.r))),
-    "K": (("r",), lambda a: ellint_K(a.r)),
-    "Kprime": (("r",), lambda a: ellint_Kprime(a.r)),
-    "phiK": (("K", "r"), lambda a: distortion.phi_K(a.K, UnitRadius.from_r(a.r)).r),
-    "phiA": (("a", "K", "r"), lambda a: distortion.phi_aK(a.a, a.K, UnitRadius.from_r(a.r)).r),
-    "eta": (("K", "t"), lambda a: distortion.eta_K2(a.K, a.t)),
-    "lambda": (("K",), lambda a: distortion.lambda_of_K(a.K)),
-    "schottky": (("t", "r"), lambda a: distortion.schottky_psi(a.r, a.t)),
-    "linearg": (("K", "x"), lambda a: distortion.linearized_g(a.K, a.x)),
-    "agmprod": (("r",), lambda a: modulus.agm_product_p(UnitRadius.from_r(a.r))),
-    "gamma2": (("s",), lambda a: modulus.grotzsch_gamma2(a.s)),
-    "tau2": (("t",), lambda a: modulus.teichmuller_tau2(a.t)),
+    "mu": (("r",), modulus.mu),
+    "muA": (("a", "r"), modulus.mu_a),
+    "muADeriv": (("a", "r"), modulus.mu_a_derivative),
+    "K": (("r",), ellint_K),
+    "Kprime": (("r",), ellint_Kprime),
+    "phiK": (("K", "r"), lambda K, r: distortion.phi_K(K, r).r),
+    "phiA": (("a", "K", "r"), lambda a, K, r: distortion.phi_aK(a, K, r).r),
+    "eta": (("K", "t"), distortion.eta_K2),
+    "lambda": (("K",), distortion.lambda_of_K),
+    "schottky": (("t", "r"), lambda t, r: distortion.schottky_psi(r, t)),
+    "linearg": (("K", "x"), distortion.linearized_g),
+    "agmprod": (("r",), modulus.agm_product_p),
+    "gamma2": (("s",), modulus.grotzsch_gamma2),
+    "tau2": (("t",), modulus.teichmuller_tau2),
 }
 
 _INVERT_FNS = {
-    "mu": lambda a: modulus.mu_inv(a.y).r,
-    "muA": lambda a: modulus.mu_a_inv(a.a, a.y).r,
-    "tau2": lambda a: modulus.tau2_inv(a.y),
-    "gamma2": lambda a: modulus.gamma2_inv(a.y),
+    "mu": (("y",), lambda y: modulus.mu_inv(y).r),
+    "muA": (("a", "y"), lambda a, y: modulus.mu_a_inv(a, y).r),
+    "tau2": (("y",), modulus.tau2_inv),
+    "gamma2": (("y",), modulus.gamma2_inv),
 }
-
-
-def _add_param_flags(parser):
-    parser.add_argument("--r", type=float, help="radius in (0,1)")
-    parser.add_argument("--K", type=float, help="dilatation")
-    parser.add_argument("--a", type=float, help="signature in (0, 1/2]; 1/2 when omitted")
-    parser.add_argument("--t", type=float, help="auxiliary argument t")
-    parser.add_argument("--x", type=float, help="real argument")
-    parser.add_argument("--s", type=float, help="argument s > 1")
 
 
 def _experiment_flags() -> dict:
@@ -90,7 +90,6 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate one function at one point")
     p_eval.add_argument("--fn", required=True, choices=sorted(_EVAL_FNS))
-    _add_param_flags(p_eval)
 
     p_inv = sub.add_parser("invert", help="invert mu, muA, tau2 or gamma2")
     p_inv.add_argument("--fn", required=True, choices=sorted(_INVERT_FNS))
@@ -103,7 +102,9 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     p_table.add_argument("--to", dest="stop", type=float, required=True)
     p_table.add_argument("--step", type=float, required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_param_flags(p_table)
+    for p in (p_eval, p_table):
+        for name, text in _PARAM_FLAGS.items():
+            p.add_argument(f"--{name}", type=float, default=0.5 if name == "a" else None, help=text)
 
     p_res = sub.add_parser("residuals", help="run the identity suite")
     group = p_res.add_mutually_exclusive_group(required=True)
@@ -149,21 +150,18 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _require(args, names, fn_name):
+def _flag_values(args, names, what: str) -> list[float]:
+    """The values of the flags ``names``, in order; a missing one raises DomainError."""
     for name in names:
         if getattr(args, name) is None:
-            raise DomainError(f"--{name} is required for --fn {fn_name}")
+            raise DomainError(f"--{name} is required for {what}")
+    return [getattr(args, name) for name in names]
 
 
 def _cmd_eval(args) -> int:
-    names, fn = _EVAL_FNS[args.fn]
-    _require(args, names, args.fn)
-    print(_fmt(fn(args)))
-    return 0
-
-
-def _cmd_invert(args) -> int:
-    print(_fmt(_INVERT_FNS[args.fn](args)))
+    """eval and invert: one registry function at the point its flags give."""
+    names, fn = (_EVAL_FNS if args.command == "eval" else _INVERT_FNS)[args.fn]
+    print(_fmt(fn(*_flag_values(args, names, f"--fn {args.fn}"))))
     return 0
 
 
@@ -180,13 +178,12 @@ def _grid_points(start: float, stop: float, step: float) -> list[float]:
 def _cmd_table(args) -> int:
     names, fn = _EVAL_FNS[args.fn]
     *fixed, sweep = names
-    _require(args, fixed, args.fn)
+    params = _flag_values(args, fixed, f"--fn {args.fn}")
     grid = _grid_points(args.start, args.stop, args.step)
     rows = []  # (formatted value, None) or (None, error message) per grid point
     for v in grid:
-        setattr(args, sweep, v)
         try:
-            rows.append((_fmt(fn(args)), None))
+            rows.append((_fmt(fn(*params, v)), None))
         except QcfunError as exc:
             rows.append((None, str(exc)))
     if args.format == "csv":
@@ -198,7 +195,7 @@ def _cmd_table(args) -> int:
 
         payload = {
             "function": args.fn,
-            "params": {n: getattr(args, n) for n in fixed},
+            "params": dict(zip(fixed, params)),
             "grid": [_fmt(v) for v in grid],
             "values": [value for value, _ in rows],
             "errors": [error for _, error in rows],
@@ -247,17 +244,9 @@ def _cmd_bounds(args) -> int:
             print(f"{b.value}\tparams: {', '.join(bound_signature(b))}")
         return 0
     bound = BoundId(args.id)
-    names = bound_signature(bound)
-    params = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            if name == "n" and bound is BoundId.EtaKnUpper:
-                v = 2.0
-            else:
-                raise DomainError(f"--{name} is required for bound {bound.value}")
-        params.append(v)
-    print(_fmt(bound_value(bound, params)))
+    if bound is BoundId.EtaKnUpper and args.n is None:
+        args.n = 2.0  # the plane case
+    print(_fmt(bound_value(bound, _flag_values(args, bound_signature(bound), f"bound {bound.value}"))))
     return 0
 
 
@@ -300,7 +289,7 @@ def _cmd_geom(args) -> int:
 
 _COMMANDS = {
     "eval": _cmd_eval,
-    "invert": _cmd_invert,
+    "invert": _cmd_eval,
     "table": _cmd_table,
     "residuals": _cmd_residuals,
     "experiment": _cmd_experiment,

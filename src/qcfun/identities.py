@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
@@ -85,32 +86,16 @@ class IdentityCase:
                 raise DomainError(f"{self.id}: parameter {name}={value} outside [{lo}, {hi}]")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(namedtuple("ResidualReport", ("case", "kind", "grid", "n_points", "max_residual",
+                                                   "worst_point", "tolerance", "passed", "error"),
+                                 defaults=(None,))):
     """Grid summary of one case; pass means max residual (or violation) within tolerance."""
 
-    case: str
-    kind: str
-    grid: str
-    n_points: int
-    max_residual: float
-    worst_point: tuple
-    tolerance: float
-    passed: bool
-    error: str | None = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "kind": self.kind,
-            "grid": self.grid,
-            "n_points": self.n_points,
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point),
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "error": self.error,
-        }
+        """The fields in order, keyed by their names, with ``pass`` for ``passed``."""
+        return {"pass" if name == "passed" else name: value for name, value in zip(self._fields, self)}
 
 
 def _landen_ascend(r: float) -> UnitRadius:

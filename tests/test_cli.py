@@ -51,6 +51,35 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "--fn", "muA", "--a", "0.25", "--r", "0.3")
         assert code == 0 and float(out) > 0
 
+    @pytest.mark.parametrize("fn, flags", [
+        ("muA", ("--r", "0.3")), ("muADeriv", ("--r", "0.3")), ("phiA", ("--K", "2", "--r", "0.3")),
+    ])
+    def test_signature_defaults_to_half(self, capsys, fn, flags):
+        code, out, _ = run_cli(capsys, "eval", "--fn", fn, *flags)
+        assert code == 0
+        assert out == run_cli(capsys, "eval", "--fn", fn, "--a", "0.5", *flags)[1]
+
+    @pytest.mark.parametrize("fn, flags, message", [
+        ("muA", ("--a", "0.9"), "signature must lie in (0, 1/2], got 0.9"),
+        ("muADeriv", ("--a", "0.9"), "signature must lie in (0, 1/2], got 0.9"),
+        ("phiK", ("--K", "-1"), "dilatation must be positive, got -1.0"),
+        ("phiA", ("--a", "0.9", "--K", "-1"), "signature must lie in (0, 1/2], got 0.9"),
+    ])
+    def test_parameter_checked_before_radius(self, capsys, fn, flags, message):
+        # the flags go to the library function as floats, so its own first check reports
+        code, out, err = run_cli(capsys, "eval", "--fn", fn, *flags, "--r", "1.5")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fn", ["mu", "muA", "muADeriv", "K", "Kprime", "phiK", "phiA", "eta",
+                                    "lambda", "schottky", "linearg", "agmprod", "gamma2", "tau2"])
+    def test_every_missing_flag_names_itself(self, capsys, fn):
+        from qcfun.cli import _EVAL_FNS
+
+        first = next(name for name in _EVAL_FNS[fn][0] if name != "a")  # the signature defaults to 1/2
+        code, out, err = run_cli(capsys, "eval", "--fn", fn)
+        assert code == 2 and out == ""
+        assert err == f"error: --{first} is required for --fn {fn}\n"
 
 class TestInvert:
     def test_mu_round_trip(self, capsys):
@@ -144,6 +173,14 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--fn", "phiK", "--from", "0.1", "--to", "0.9",
                                "--step", "0.1")
         assert code == 2 and "--K" in err
+
+    def test_signature_defaults_to_half(self, capsys):
+        args = ("table", "--fn", "phiA", "--K", "2", "--from", "0.1", "--to", "0.9", "--step", "0.4",
+                "--format", "json")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert json.loads(out)["params"] == {"a": 0.5, "K": 2.0}
+        assert out == run_cli(capsys, *args, "--a", "0.5")[1]
 
     def test_linearg_far_rows_error_and_sweep_continues(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--fn", "linearg", "--K", "2", "--from", "-1000",
