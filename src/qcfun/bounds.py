@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
-# tau_2(1), the library's own value (1.9999999999999998), evaluated once
+# tau_2(1), the library's own value (exactly 2.0), evaluated once
 _TAU2_ONE = teichmuller_tau2(1.0)
 
 

@@ -610,7 +610,12 @@ class TestCapacities:
         assert values[-1] < 2.0
 
     def test_tau2_at_one(self):
-        assert teichmuller_tau2(1.0) == pytest.approx(2.0, rel=1e-13)
+        assert teichmuller_tau2(1.0) == 2.0
+
+    @pytest.mark.parametrize("t, value", [(1e-17, 26.68489516312176), (1e-300, 441.52644412887787)])
+    def test_tau2_below_the_rounding_of_one_plus_t(self, t, value):
+        # t + 1 rounds to 1 here; the complement channel is formed from t itself
+        assert teichmuller_tau2(t) == pytest.approx(value, rel=1e-15)
 
     def test_tau2_at_three(self):
         assert teichmuller_tau2(3.0) == pytest.approx(TAU2_3, rel=1e-13)

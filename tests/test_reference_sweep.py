@@ -29,6 +29,7 @@ from qcfun import (
     ellint_Kprime,
     eta_K2,
     gauss_F,
+    grotzsch_gamma2,
     lambda_of_K,
     mu,
     mu_a,
@@ -37,6 +38,7 @@ from qcfun import (
     phi_K,
     QcfunError,
     rho_disk,
+    teichmuller_tau2,
 )
 
 mp.mp.dps = 50
@@ -404,6 +406,26 @@ def test_eta_and_lambda_condition_scaled_accuracy():
         K = math.exp(rng.uniform(0.0, math.log(200.0)))
         r, comp = _inv_mp(mp.pi / (2 * mp.mpf(K)))
         assert _rel_err(lambda_of_K(K), (r / comp) ** 2) <= 12 * EPS * max(1, mp.pi * K / 2), K
+
+
+def _mu_mp_of_squares(r_sq, comp_sq):
+    """mu at the radius with r^2 = r_sq and r'^2 = comp_sq, each given exactly."""
+    return mp.pi / 2 * agm_mp(mp.mpf(1), mp.sqrt(comp_sq)) / agm_mp(mp.mpf(1), mp.sqrt(r_sq))
+
+
+def test_capacities_seeded_sweep():
+    # the docstrings' 2 eps: tau_2 with t log-spread on [1e-300, 1e300], gamma_2
+    # with s - 1 log-spread from 2^-52 to 1e100, and both at the ends of the doubles
+    rng = random.Random(1316)
+    ts = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(1000)] + [5e-324, 1e-17, 1.0, 1.7976931348623157e308]
+    for t in ts:
+        tm = mp.mpf(t)
+        assert _rel_err(teichmuller_tau2(t), mp.pi / _mu_mp_of_squares(1 / (1 + tm), tm / (1 + tm))) <= 2 * EPS, t
+    ss = [1.0 + 2.0 ** rng.uniform(-52.0, math.log2(1e100)) for _ in range(1000)]
+    for s in ss + [1.0 + EPS, 1.0 + 1e-10, 1.7976931348623157e308]:
+        sm = mp.mpf(s)
+        want = 2 * mp.pi / _mu_mp_of_squares(1 / sm ** 2, (sm - 1) * (sm + 1) / sm ** 2)
+        assert _rel_err(grotzsch_gamma2(s), want) <= 2 * EPS, s
 
 
 def test_eta_large_t_complement_reference():
