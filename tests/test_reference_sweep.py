@@ -31,6 +31,8 @@ from qcfun import (
     gauss_F,
     grotzsch_gamma2,
     lambda_of_K,
+    MeanKind,
+    mean_mod,
     mu,
     mu_a,
     mu_a_inv,
@@ -535,3 +537,33 @@ def test_rho_disk_condition_scaled_accuracy():
             gap = min(1 - mp.mpf(p[0]) ** 2 - mp.mpf(p[1]) ** 2, 1 - mp.mpf(q[0]) ** 2 - mp.mpf(q[1]) ** 2)
             assert abs(rho_disk(p, q) / want - 1) <= 4 * EPS / gap, (p, q)
 
+
+
+def _log_mean_of_one_mp(kind, u):
+    """log M(1, e^u) at enough digits that the 1 + O(u) of a small u keeps 40 of its own."""
+    with mp.workdps(int(50 + max(0, -mp.log10(-u)))):
+        if kind is MeanKind.Arithmetic:
+            return +mp.log1p(mp.expm1(u) / 2)
+        if kind is MeanKind.Logarithmic:
+            return +mp.log(mp.expm1(u) / u)
+        return +mp.log(mp.agm(1, mp.exp(u)))
+
+
+@pytest.mark.parametrize("log_t", [3.0, 300.0])
+def test_mean_mod_seeded_sweep(log_t):
+    # the docstring's 2 eps (1 + |log(x/y)|): x and y log-spread over [1e-300, 1e300], a
+    # fifth of them close, t log-spread over [1e-3, 1e3] and over [1e-300, 1e300]
+    rng = random.Random(1317 + int(log_t))
+    for kind in (MeanKind.Arithmetic, MeanKind.Logarithmic, MeanKind.ArithmeticGeometric):
+        # and at the ends of the doubles, where M_t is far below max(x, y) e^-708
+        ends = [(1e-6, 1.7976931348623157e308, 5e-324), (1e-200, 1e308, 5e-324), (1e300, 1e308, 1e-308)]
+        for draw in range(300 + len(ends)):
+            t = 10.0 ** rng.uniform(-log_t, log_t)
+            x = 10.0 ** rng.uniform(-300.0, 300.0)
+            y = x * (1.0 + 10.0 ** rng.uniform(-15.0, 0.0)) if rng.random() < 0.2 else 10.0 ** rng.uniform(-300.0, 300.0)
+            if draw >= 300:
+                t, x, y = ends[draw - 300]
+            hi, lo = max(mp.mpf(x), mp.mpf(y)), min(mp.mpf(x), mp.mpf(y))
+            want = hi * mp.exp(_log_mean_of_one_mp(kind, t * mp.log(lo / hi)) / t)
+            bound = 2 * EPS * (1 + abs(math.log(x) - math.log(y)))
+            assert _rel_err(mean_mod(kind, t, x, y), want) <= bound, (kind, t, x, y)

@@ -2,10 +2,13 @@
 
 The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
 every argument.  Results are finite floats (neither NaN nor +-inf), or the documented
-UnitRadius / AsymptoticClass / HypergeomParams objects; every residual-suite
-case and every experiment parameter is swept the same way.
+UnitRadius / AsymptoticClass / HypergeomParams objects; a mean is inf exactly
+where an argument is (AG(inf, y) = inf), and each mean kind is swept on its
+own.  Every residual-suite case and every experiment parameter is swept the
+same way.
 """
 
+import functools
 import inspect
 import itertools
 import math
@@ -22,23 +25,27 @@ from qcfun import (
     linearized_g,
     mu_a_derivative,
 )
-from qcfun import bounds, distortion, identities, modulus, specfun
+from qcfun import bounds, distortion, identities, means, modulus, specfun
 from qcfun.specfun import AsymptoticClass, HypergeomParams
 
 GRID = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
 RESULT_TYPES = (float, UnitRadius, AsymptoticClass, HypergeomParams)
-NOT_FUNCTIONS = {"BoundId", "SQRT_HALF", "EULER_GAMMA", "BoundaryCase", "AsymptoticClass"}
+NOT_FUNCTIONS = {"BoundId", "SQRT_HALF", "EULER_GAMMA", "BoundaryCase", "AsymptoticClass", "MeanKind"}
+MODULES = (bounds, distortion, means, modulus, specfun)
 # bound_value has its own grid, with a finiteness check, in test_bounds.py
 SKIPPED = NOT_FUNCTIONS | {"bound_signature", "bound_value"}
 
 
 def _public_functions():
-    for mod in (bounds, distortion, modulus, specfun):
+    for mod in MODULES:
         for name in mod.__all__:
             if name in SKIPPED:
                 continue
             fn = getattr(mod, name)
-            if name == "gauss_F":
+            if name in ("mean", "mean_mod"):
+                for kind in means.MeanKind:
+                    yield f"{name}.{kind.name}", functools.partial(fn, kind), 3 if name == "mean_mod" else 2
+            elif name == "gauss_F":
                 yield name, lambda a, b, c, r: specfun.gauss_F(HypergeomParams(a, b, c), r), 4
             elif name == "hypergeom_boundary":
                 yield name, lambda a, b, c: specfun.hypergeom_boundary(HypergeomParams(a, b, c)), 3
@@ -62,12 +69,17 @@ def test_value_or_typed_error_on_grid(name, fn, arity):
         except QcfunError:
             continue
         assert isinstance(value, RESULT_TYPES), (name, point, value)
-        assert not (isinstance(value, float) and not math.isfinite(value)), (name, point, value)
+        if not isinstance(value, float):
+            continue
+        if name.split(".")[0] in means.__all__:
+            assert not math.isnan(value) and math.isinf(value) == (math.inf in point), (name, point, value)
+        else:
+            assert math.isfinite(value), (name, point, value)
 
 
 def test_grid_covers_every_public_function():
     names = {c[0].split(".")[0] for c in CASES}
-    expected = {n for mod in (bounds, distortion, modulus, specfun) for n in mod.__all__}
+    expected = {n for mod in MODULES for n in mod.__all__}
     assert names == expected - SKIPPED
 
 
