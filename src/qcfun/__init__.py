@@ -76,6 +76,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "CaseKind",
+        "EXPERIMENT_NAMES",
         "IdentityCase",
         "ResidualReport",
         "all_cases",

@@ -138,7 +138,7 @@ class Polyline:
 
 @dataclass(frozen=True)
 class HyperplaneFit:
-    """Best line through a base point: unit direction, its angle in [0, pi), and normalized deviation delta."""
+    """Best line through a base point: the base point, the line's unit direction, and the normalized deviation delta."""
 
     base: tuple[float, float]
     direction: tuple[float, float]

@@ -468,6 +468,14 @@ class TestLazyNumpy:
             "    print('ok')\n")
         assert out == "ok\n"
 
+    def test_lazy_names_are_the_submodules_exports(self):
+        import qcfun
+        from qcfun import geometry
+
+        assert qcfun._LAZY == {**dict.fromkeys(identities.__all__, "identities"),
+                               **dict.fromkeys(geometry.__all__, "geometry")}
+        assert qcfun.EXPERIMENT_NAMES is identities.EXPERIMENT_NAMES
+
     @pytest.mark.parametrize("command", [None, "eval", "invert", "table", "residuals", "experiment",
                                          "bounds", "geom"])
     def test_help_matches_the_full_parser(self, command, capsys):
