@@ -144,9 +144,9 @@ def mean_mod(kind: MeanKind, t: float, x: float, y: float) -> float:
 
     Formed homogeneously, so no power overflows: with hi = max(x, y) and
     u = t log(min(x, y)/hi) <= 0, M_t = hi exp(g(u)/t) at g(u) = log M(1, e^u)
-    (:func:`_log_mean_of_one`).  G_t = G for every t, and so is M_t of equal
-    or infinite arguments; below the normal range of t (2.2e-308), where
-    M_t/G - 1 < t log(x/y)^2 / 8 < 1e-301, G is returned.
+    (:func:`_log_mean_of_one`), and M_t(x, x) = x exactly.  G_t = G for every
+    t, and M_t = G = inf where an argument is inf; below the normal range of
+    t (2.2e-308), where M_t/G - 1 < t log(x/y)^2 / 8 < 1e-301, G is returned.
     The relative error is at most 2 eps (1 + |log(x/y)|) (eps = 2^-52): the
     roundings of log(x/y) and of the exponent are what scale it.  Against
     mpmath, over nine seeded sets of 3000 (t, x, y) per kind with x and y
@@ -162,7 +162,7 @@ def mean_mod(kind: MeanKind, t: float, x: float, y: float) -> float:
     if not isinstance(kind, MeanKind):
         raise DomainError(f"unknown mean kind {kind!r}")
     hi, lo = (x, y) if x > y else (y, x)
-    if kind is MeanKind.Geometric or t < _MIN_NORMAL or hi == lo or hi == math.inf:
+    if kind is MeanKind.Geometric or t < _MIN_NORMAL or hi == math.inf:
         return mean(MeanKind.Geometric, x, y)
     ratio = lo / hi
     # where lo/hi leaves the normal range, log hi - log lo >= 708 cancels nothing

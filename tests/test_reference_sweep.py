@@ -538,7 +538,6 @@ def test_rho_disk_condition_scaled_accuracy():
             assert abs(rho_disk(p, q) / want - 1) <= 4 * EPS / gap, (p, q)
 
 
-
 def _log_mean_of_one_mp(kind, u):
     """log M(1, e^u) at enough digits that the 1 + O(u) of a small u keeps 40 of its own."""
     with mp.workdps(int(50 + max(0, -mp.log10(-u)))):
@@ -549,20 +548,21 @@ def _log_mean_of_one_mp(kind, u):
         return +mp.log(mp.agm(1, mp.exp(u)))
 
 
+def _mean_mod_point(rng, log_t):
+    """(t, x, y): t log-spread over [10^-log_t, 10^log_t], x and y over [1e-300, 1e300], a fifth of y close to x."""
+    x = 10.0 ** rng.uniform(-300.0, 300.0)
+    y = x * (1.0 + 10.0 ** rng.uniform(-15.0, 0.0)) if rng.random() < 0.2 else 10.0 ** rng.uniform(-300.0, 300.0)
+    return 10.0 ** rng.uniform(-log_t, log_t), x, y
+
+
 @pytest.mark.parametrize("log_t", [3.0, 300.0])
 def test_mean_mod_seeded_sweep(log_t):
-    # the docstring's 2 eps (1 + |log(x/y)|): x and y log-spread over [1e-300, 1e300], a
-    # fifth of them close, t log-spread over [1e-3, 1e3] and over [1e-300, 1e300]
+    # the docstring's 2 eps (1 + |log(x/y)|), with t over [1e-3, 1e3] and over
+    # [1e-300, 1e300], and at the ends of the doubles, where M_t is far below max(x, y) e^-708
     rng = random.Random(1317 + int(log_t))
+    ends = [(1e-6, 1.7976931348623157e308, 5e-324), (1e-200, 1e308, 5e-324), (1e300, 1e308, 1e-308)]
     for kind in (MeanKind.Arithmetic, MeanKind.Logarithmic, MeanKind.ArithmeticGeometric):
-        # and at the ends of the doubles, where M_t is far below max(x, y) e^-708
-        ends = [(1e-6, 1.7976931348623157e308, 5e-324), (1e-200, 1e308, 5e-324), (1e300, 1e308, 1e-308)]
-        for draw in range(300 + len(ends)):
-            t = 10.0 ** rng.uniform(-log_t, log_t)
-            x = 10.0 ** rng.uniform(-300.0, 300.0)
-            y = x * (1.0 + 10.0 ** rng.uniform(-15.0, 0.0)) if rng.random() < 0.2 else 10.0 ** rng.uniform(-300.0, 300.0)
-            if draw >= 300:
-                t, x, y = ends[draw - 300]
+        for t, x, y in [_mean_mod_point(rng, log_t) for _ in range(300)] + ends:
             hi, lo = max(mp.mpf(x), mp.mpf(y)), min(mp.mpf(x), mp.mpf(y))
             want = hi * mp.exp(_log_mean_of_one_mp(kind, t * mp.log(lo / hi)) / t)
             bound = 2 * EPS * (1 + abs(math.log(x) - math.log(y)))
