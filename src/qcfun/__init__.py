@@ -7,9 +7,9 @@ Layers, bottom up:
 * :mod:`qcfun.means` -- mean values and the complete elliptic integral via
   the arithmetic-geometric mean;
 * :mod:`qcfun.modulus` -- the plane ring modulus mu, its generalized
-  signature version mu_a, their inverses (theta functions for mu,
-  safeguarded Newton for mu_a), planar capacities, and the
-  ascending-Landen product;
+  signature version mu_a, their inverses (theta functions for mu and for
+  mu_a at a = 1/2, 1/4 and 1/6, safeguarded Newton at every other a),
+  planar capacities, and the ascending-Landen product;
 * :mod:`qcfun.distortion` -- distortion functions phi_K and phi^a_K, the
   quasisymmetry function, the linear-dilatation bound, the Schottky bound,
   and the logit linearization;
@@ -20,17 +20,16 @@ Layers, bottom up:
   estimators;
 * :mod:`qcfun.cli` -- the ``qcfun`` command.
 
-Everything is pure-functional and thread-safe.  The numeric core (specfun
-through bounds) loads with the package.  :mod:`qcfun.identities` and
-:mod:`qcfun.geometry` (the only layer that needs numpy) load on first use of
-one of their names, or of the submodule itself, so ``import qcfun`` loads
-neither.
+Everything is pure-functional and thread-safe.  ``import qcfun`` loads only
+:mod:`qcfun.errors`, whose exceptions it names directly.  Every other public
+name, and each layer itself, loads on first use: ``qcfun.mu`` imports
+:mod:`qcfun.modulus` (and the layers below it), stores ``mu`` in the package
+namespace, and is a plain attribute lookup from then on.  So ``qcfun.ellint_K``
+loads the means layer alone, and only :mod:`qcfun.geometry` needs numpy.
 """
 
 import importlib
 
-from .bounds import BoundId, bound_value, gehring_d, gehring_d2_composite, surface_area, vuorinen_c
-from .distortion import eta_K2, lambda_of_K, linearized_g, phi_aK, phi_K, schottky_psi
 from .errors import (
     ComputationError,
     ConvergenceError,
@@ -42,73 +41,54 @@ from .errors import (
     QcfunError,
     UnsupportedDimensionError,
 )
-from .means import MeanKind, agm, ellint_K, ellint_Kprime, mean, mean_mod
-from .modulus import (
-    SQRT_HALF,
-    UnitRadius,
-    agm_product_p,
-    gamma2_inv,
-    grotzsch_gamma2,
-    mu,
-    mu_a,
-    mu_a_derivative,
-    mu_a_inv,
-    mu_inv,
-    tau2_inv,
-    teichmuller_tau2,
-)
-from .specfun import (
-    EULER_GAMMA,
-    AsymptoticClass,
-    BoundaryCase,
-    HypergeomParams,
-    beta_fn,
-    digamma_fn,
-    gamma_fn,
-    gauss_F,
-    hypergeom_boundary,
-    ramanujan_R,
-)
 
 __version__ = "0.1.0"
 
-# name -> submodule, imported by __getattr__ on first use
+# public name -> submodule, each submodule's __all__ in layer order; __getattr__
+# imports the submodule on first use of one of its names
 _LAZY = {
-    **dict.fromkeys((
-        "CaseKind",
-        "EXPERIMENT_NAMES",
-        "IdentityCase",
-        "ResidualReport",
-        "all_cases",
-        "experiment",
-        "get_case",
-        "residual",
-        "run_suite",
-    ), "identities"),
-    **dict.fromkeys((
-        "INFINITY",
-        "HyperplaneFit",
-        "Polyline",
-        "abs_ratio",
-        "ahlfors_constant",
-        "boundary_metric_estimate",
-        "box_dimension",
-        "chordal_dist",
-        "koch_curve",
-        "linear_approx_delta",
-        "regular_ngon",
-        "relative_size",
-        "rho_disk",
-        "thickness_constant",
-        "triangle_condition_constant",
-    ), "geometry"),
+    **dict.fromkeys(("EULER_GAMMA", "HypergeomParams", "BoundaryCase", "AsymptoticClass", "gamma_fn",
+                     "digamma_fn", "beta_fn", "ramanujan_R", "gauss_F", "gauss_F_near_one",
+                     "hypergeom_boundary"), "specfun"),
+    **dict.fromkeys(("MeanKind", "agm", "mean", "mean_mod", "ellint_K", "ellint_Kprime"), "means"),
+    **dict.fromkeys(("UnitRadius", "SQRT_HALF", "as_radius", "check_signature", "mu", "mu_inv", "mu_a",
+                     "mu_a_derivative", "mu_a_inv", "grotzsch_gamma2", "teichmuller_tau2", "tau2_inv",
+                     "gamma2_inv", "agm_product_p"), "modulus"),
+    **dict.fromkeys(("phi_K", "phi_aK", "eta_K2", "lambda_of_K", "schottky_psi", "linearized_g"),
+                    "distortion"),
+    **dict.fromkeys(("BoundId", "bound_value", "bound_signature", "surface_area", "gehring_d2_composite",
+                     "gehring_d", "vuorinen_c"), "bounds"),
+    **dict.fromkeys(("CaseKind", "IdentityCase", "ResidualReport", "all_cases", "get_case", "residual",
+                     "run_suite", "experiment", "EXPERIMENT_NAMES"), "identities"),
+    **dict.fromkeys(("INFINITY", "Polyline", "HyperplaneFit", "koch_curve", "regular_ngon", "relative_size",
+                     "ahlfors_constant", "triangle_condition_constant", "linear_approx_delta",
+                     "thickness_constant", "box_dimension", "chordal_dist", "abs_ratio", "rho_disk",
+                     "boundary_metric_estimate"), "geometry"),
 }
+_SUBMODULES = frozenset(_LAZY.values())
+
+# a star import binds the errors and the numeric core; the residual suite and
+# geometry (which needs numpy) are reached by name
+__all__ = [
+    "ComputationError",
+    "ConvergenceError",
+    "DegenerateGeometryError",
+    "DivergenceError",
+    "DomainError",
+    "OverflowSignal",
+    "PolylineFormatError",
+    "QcfunError",
+    "UnsupportedDimensionError",
+    *(name for name, module in _LAZY.items() if module not in ("identities", "geometry")),
+]
 
 
 def __getattr__(name):
-    """Import a lazy submodule when it, or one of its names in ``_LAZY``, is first used."""
-    module = name if name in ("identities", "geometry") else _LAZY.get(name)
+    """Import a layer when it, or one of its names in ``_LAZY``, is first used; keep the name."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)  # which binds it in the package
+    module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    loaded = importlib.import_module(f".{module}", __name__)
-    return loaded if module == name else getattr(loaded, name)
+    globals()[name] = value = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value

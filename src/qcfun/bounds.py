@@ -102,6 +102,14 @@ def _seittenranta(K: float) -> float:
     return math.exp(_log_seittenranta(K))
 
 
+def _vuorinen_c2(K: float) -> float:
+    # c(2,K) = 1 + tau2^-1(tau2(1)/K); tau2^-1 leaves the double range from K ~ 227
+    try:
+        return 1.0 + tau2_inv(_TAU2_ONE / _require_K(K))
+    except OverflowSignal:
+        return math.inf  # bound_value names the entry
+
+
 def _beurling_ahlfors(M: float) -> float:
     # min(M^(3/2), 2M - 1); the power wins only below M = phi^2 ~ 2.618, and
     # above 4 it is not formed, since it overflows long before 2M - 1 does
@@ -173,8 +181,7 @@ def _hayman_schottky(r: float, t: float) -> float:
 _CATALOG: dict[BoundId, tuple[tuple[str, ...], Callable[..., float]]] = {
     # d(2,K) = exp(pi K)
     BoundId.GehringD2: (("K",), lambda K: math.exp(math.pi * _require_K(K))),
-    # c(2,K) = 1 + tau2^-1(tau2(1)/K)
-    BoundId.VuorinenC2: (("K",), lambda K: 1.0 + tau2_inv(_TAU2_ONE / _require_K(K))),
+    BoundId.VuorinenC2: (("K",), _vuorinen_c2),
     BoundId.SeittenrantaS: (("K",), _seittenranta),
     # 64^(1 - 1/K)
     BoundId.MoriConstant: (("K",), lambda K: math.exp((1.0 - 1.0 / _require_K(K)) * math.log(64.0))),

@@ -5,10 +5,11 @@ Output is deterministic (no environment dependence, fixed 17-significant-digit
 numbers in tables).  Exit codes: 0 success / suite all-pass, 1 computational
 failure or suite failure, 2 usage or domain error.
 
-A command imports only what it runs: the residual suite (with ``inspect``
-for the experiment flags), numpy and ``json`` load in the commands that use
-them, so ``eval``, ``invert``, ``bounds`` and a csv ``table`` start on the
-numeric core alone.
+A command imports only the layers it runs: the parser needs none of them
+(the bounds and experiment options are built only for their own command and
+for the full help), a registry row loads its function's layer when it is
+called, so ``eval --fn K`` loads the means layer alone, and the residual
+suite, numpy and ``json`` load in the commands that use them.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import distortion, modulus
-from .bounds import BoundId, bound_signature, bound_value
+import qcfun as qc  # each public name loads its layer on first use
+
 from .errors import DomainError, PolylineFormatError, QcfunError
-from .means import ellint_K, ellint_Kprime
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -42,45 +42,43 @@ _PARAM_FLAGS = {
 # function registry, as the bounds catalog: name -> (flag names, function of
 # those floats in that order); a table sweeps the last flag
 _EVAL_FNS = {
-    "mu": (("r",), modulus.mu),
-    "muA": (("a", "r"), modulus.mu_a),
-    "muADeriv": (("a", "r"), modulus.mu_a_derivative),
-    "K": (("r",), ellint_K),
-    "Kprime": (("r",), ellint_Kprime),
-    "phiK": (("K", "r"), lambda K, r: distortion.phi_K(K, r).r),
-    "phiA": (("a", "K", "r"), lambda a, K, r: distortion.phi_aK(a, K, r).r),
-    "eta": (("K", "t"), distortion.eta_K2),
-    "lambda": (("K",), distortion.lambda_of_K),
-    "schottky": (("t", "r"), lambda t, r: distortion.schottky_psi(r, t)),
-    "linearg": (("K", "x"), distortion.linearized_g),
-    "agmprod": (("r",), modulus.agm_product_p),
-    "gamma2": (("s",), modulus.grotzsch_gamma2),
-    "tau2": (("t",), modulus.teichmuller_tau2),
+    "mu": (("r",), lambda r: qc.mu(r)),
+    "muA": (("a", "r"), lambda a, r: qc.mu_a(a, r)),
+    "muADeriv": (("a", "r"), lambda a, r: qc.mu_a_derivative(a, r)),
+    "K": (("r",), lambda r: qc.ellint_K(r)),
+    "Kprime": (("r",), lambda r: qc.ellint_Kprime(r)),
+    "phiK": (("K", "r"), lambda K, r: qc.phi_K(K, r).r),
+    "phiA": (("a", "K", "r"), lambda a, K, r: qc.phi_aK(a, K, r).r),
+    "eta": (("K", "t"), lambda K, t: qc.eta_K2(K, t)),
+    "lambda": (("K",), lambda K: qc.lambda_of_K(K)),
+    "schottky": (("t", "r"), lambda t, r: qc.schottky_psi(r, t)),
+    "linearg": (("K", "x"), lambda K, x: qc.linearized_g(K, x)),
+    "agmprod": (("r",), lambda r: qc.agm_product_p(r)),
+    "gamma2": (("s",), lambda s: qc.grotzsch_gamma2(s)),
+    "tau2": (("t",), lambda t: qc.teichmuller_tau2(t)),
 }
 
 _INVERT_FNS = {
-    "mu": (("y",), lambda y: modulus.mu_inv(y).r),
-    "muA": (("a", "y"), lambda a, y: modulus.mu_a_inv(a, y).r),
-    "tau2": (("y",), modulus.tau2_inv),
-    "gamma2": (("y",), modulus.gamma2_inv),
+    "mu": (("y",), lambda y: qc.mu_inv(y).r),
+    "muA": (("a", "y"), lambda a, y: qc.mu_a_inv(a, y).r),
+    "tau2": (("y",), lambda y: qc.tau2_inv(y)),
+    "gamma2": (("y",), lambda y: qc.gamma2_inv(y)),
 }
 
 
 def _experiment_flags() -> dict:
     """Every experiment parameter name, typed by its default (float or int)."""
-    import inspect
-
     from . import identities
 
-    return {p.name: type(p.default) for fn in identities._EXPERIMENTS.values()
-            for p in inspect.signature(fn).parameters.values()}
+    return {name: type(default) for fn in identities._EXPERIMENTS.values()
+            for name, default in identities._experiment_defaults(fn).items()}
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qcfun`` parser, with the experiment options only where ``command`` is experiment or None.
+    """The ``qcfun`` parser; the experiment and bounds options only where ``command`` is theirs or None.
 
-    Those options are read off the residual suite, which no other command
-    loads, and only the experiment command's own help shows them.
+    Those options are read off the residual suite and the bounds catalog,
+    which no other command loads, and only their own command's help shows them.
     """
     parser = argparse.ArgumentParser(
         prog="qcfun",
@@ -122,11 +120,14 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
             p_exp.add_argument(f"--{name}", type=kind)
 
     p_bounds = sub.add_parser("bounds", help="evaluate a catalog bound")
-    group = p_bounds.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", choices=sorted(b.value for b in BoundId))
-    group.add_argument("--list", action="store_true")
-    for name in dict.fromkeys(name for b in BoundId for name in bound_signature(b)):
-        p_bounds.add_argument(f"--{name}", type=float)
+    if command in (None, "bounds"):
+        from .bounds import BoundId, bound_signature
+
+        group = p_bounds.add_mutually_exclusive_group(required=True)
+        group.add_argument("--id", choices=sorted(b.value for b in BoundId))
+        group.add_argument("--list", action="store_true")
+        for name in dict.fromkeys(name for b in BoundId for name in bound_signature(b)):
+            p_bounds.add_argument(f"--{name}", type=float)
 
     p_geom = sub.add_parser("geom", help="generate or check planar curves")
     geom_sub = p_geom.add_subparsers(dest="action", required=True)
@@ -239,6 +240,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BoundId, bound_signature, bound_value
+
     if args.list:
         for b in BoundId:
             print(f"{b.value}\tparams: {', '.join(bound_signature(b))}")
@@ -301,7 +304,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top level takes no option but -h, so the first word is the command; with
-    # none, argparse stops at the top level, which shows no experiment option
+    # none, argparse stops at the top level, which shows no command's options
     parser = _build_parser(next((word for word in argv if not word.startswith("-")), ""))
     args = parser.parse_args(argv)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,21 +62,28 @@ def _as_points(data, min_points: int, name: str) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class Polyline:
-    """Ordered plane points; closed polylines treat last -> first as an edge."""
+class Polyline(namedtuple("Polyline", ("points", "closed"))):
+    """Ordered plane points; closed polylines treat last -> first as an edge.
 
-    points: np.ndarray
-    closed: bool = True
+    A polyline is a tuple (points, closed).  The points are a read-only copy
+    of the input, checked on construction, ``_make`` and ``_replace`` included.
+    """
 
-    def __post_init__(self):
-        pts = _as_points(self.points, 2, "polyline").copy()
+    __slots__ = ()
+
+    def __new__(cls, points, closed: bool = True) -> "Polyline":
+        pts = _as_points(points, 2, "polyline").copy()
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        nxt = np.roll(pts, -1, axis=0) if self.closed else pts[1:]
-        cur = pts if self.closed else pts[:-1]
+        nxt = np.roll(pts, -1, axis=0) if closed else pts[1:]
+        cur = pts if closed else pts[:-1]
         if np.any(np.all(cur == nxt, axis=1)):
             raise DomainError("polyline has coincident consecutive vertices")
+        return tuple.__new__(cls, (pts, closed))
+
+    @classmethod
+    def _make(cls, iterable) -> "Polyline":
+        # the namedtuple default skips __new__; route it (and _replace) through the checks
+        return cls(*iterable)
 
     @property
     def n_vertices(self) -> int:
@@ -136,7 +144,7 @@ class Polyline:
         return cls(np.array(rows), closed=closed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # a dataclass, so that dataclasses.replace applies (perfbench's self-test uses it)
 class HyperplaneFit:
     """Best line through a base point: the base point, the line's unit direction, and the normalized deviation delta."""
 

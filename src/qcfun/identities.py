@@ -14,13 +14,11 @@ even when beta ~ 1e-80.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cache, partial
 
 from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
@@ -57,33 +55,39 @@ class CaseKind(Enum):
     MonotoneProperty = "monotone"
 
 
-@dataclass(frozen=True)
-class IdentityCase:
+class IdentityCase(namedtuple("IdentityCase", ("id", "kind", "fn", "domains", "default_points", "note"),
+                              defaults=("",))):
     """One registry entry: residual function, the domain of each of its
     parameters, default grid.  The parameter names are those of the function's
     signature, and the tolerance is that of the kind."""
 
-    id: str
-    kind: CaseKind
-    fn: object
-    domains: tuple[tuple[float, float], ...]
-    default_points: tuple
-    note: str = ""
+    __slots__ = ()
 
-    @cached_property
+    @property
     def params(self) -> tuple[str, ...]:
-        return tuple(inspect.signature(self.fn).parameters)
+        return _params(self.fn)
 
     @property
     def tolerance(self) -> float:
         return _TOLERANCE[self.kind]
 
     def check_point(self, point) -> None:
-        if len(point) != len(self.params):
-            raise DomainError(f"{self.id} expects {len(self.params)} parameter(s), got {len(point)}")
-        for name, value, (lo, hi) in zip(self.params, point, self.domains):
+        params = self.params
+        if len(point) != len(params):
+            raise DomainError(f"{self.id} expects {len(params)} parameter(s), got {len(point)}")
+        for name, value, (lo, hi) in zip(params, point, self.domains):
             if not (lo <= value <= hi):
                 raise DomainError(f"{self.id}: parameter {name}={value} outside [{lo}, {hi}]")
+
+
+@cache  # one entry per case function; the suite reads them at every point
+def _params(fn) -> tuple[str, ...]:
+    """The positional parameter names of ``fn``; of a partial, those its arguments leave open."""
+    bound = 0
+    if isinstance(fn, partial):
+        fn, bound = fn.func, len(fn.args)
+    code = fn.__code__
+    return code.co_varnames[bound:code.co_argcount]
 
 
 class ResidualReport(namedtuple("ResidualReport", ("case", "kind", "grid", "n_points", "max_residual",
@@ -613,13 +617,29 @@ def _exp_newton(y=4.0, n=30) -> dict:
     }
 
 
+def _artanh_ratio(K: float, r: float) -> float:
+    """artanh(phi_K(r)) / artanh(r^(1/K)), each artanh read without cancellation.
+
+    For s = phi_K(r) > s', artanh s = log1p(s) - log s' from the complement
+    channel, which keeps its digits where s rounds to 1; below, s' carries
+    too few of them and artanh takes s itself.  With rho = r^(1/K),
+    artanh rho = (log1p(rho) - log(1 - rho)) / 2 with 1 - rho = -expm1(log(r)/K).
+    """
+    s = phi_K(K, UnitRadius.from_r(r))
+    log_rho = math.log(r) / K
+    num = math.atanh(s.r) if s.r <= s.comp else math.log1p(s.r) - math.log(s.comp)
+    return num / (0.5 * (math.log1p(math.exp(log_rho)) - math.log(-math.expm1(log_rho))))
+
+
 def _exp_artanh(K=3.0) -> dict:
-    """g(K,r) = artanh(phi_K(r)) / artanh(r^(1/K)) on the r grid against the conjectured range."""
-    # from K ~ 7.55 on phi_K(0.95) rounds to 1, whose artanh is infinite
-    if not (1.0 < K <= 7.5) or K == 2.0:
-        raise DomainError("the conjecture is stated for fixed K > 1, K != 2; "
-                          f"artanh_ratio samples it for K <= 7.5, got {K}")
-    values = [math.atanh(phi_K(K, UnitRadius.from_r(r)).r) / math.atanh(r ** (1.0 / K)) for r in R_GRID]
+    """g(K,r) = artanh(phi_K(r)) / artanh(r^(1/K)) on the r grid against the conjectured range.
+
+    Every finite K > 1 but 2 is sampled; from where the complement of
+    phi_K(0.95) underflows (K ~ 281.1) on, :class:`ConvergenceError` is raised.
+    """
+    if not (1.0 < K < math.inf) or K == 2.0:
+        raise DomainError(f"the conjecture is stated for fixed finite K > 1, K != 2, got {K}")
+    values = [_artanh_ratio(K, r) for r in R_GRID]
     lim = 4.0 ** (1.0 - 1.0 / K)
     return {
         "K": K,
@@ -676,6 +696,11 @@ _EXPERIMENTS = {
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
+def _experiment_defaults(fn) -> dict:
+    """Parameter name -> default of an experiment function (every parameter has one)."""
+    return dict(zip(_params(fn), fn.__defaults__ or ()))
+
+
 def experiment(name: str, **params) -> dict:
     """Run an open-problem experiment and return its observations (no assertions).
 
@@ -687,7 +712,7 @@ def experiment(name: str, **params) -> dict:
         fn = _EXPERIMENTS[name]
     except KeyError:
         raise DomainError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}") from None
-    defaults = {p.name: p.default for p in inspect.signature(fn).parameters.values()}
+    defaults = _experiment_defaults(fn)
     args = {}
     for key, value in params.items():
         if key not in defaults:

@@ -16,12 +16,13 @@ reduces to mu at a = 1/2 and obeys the derivative formula
 and the duality mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2.  mu itself is
 the log of the Jacobi nome q = e^(-2 mu(r)) of the smaller channel, with no
 theta series (:func:`qcfun.means._nome`); the duality
-mu(r) mu(r') = pi^2/4 gives the other channel.  At the signatures 1/2, 1/4
-and 1/3 mu_a has closed forms: mu itself, mu at a Landen-transformed radius,
-and a quotient of cubic AGMs.  At every other signature one series pass at
-w = min(r^2, r'^2) <= 1/2 gives both F factors of mu_a.  Both inverses use
-the duality to solve only for r <= 1/sqrt 2.  mu_inv, and mu_a_inv at
-a = 1/2 and 1/4, are closed forms in theta functions from one routine
+mu(r) mu(r') = pi^2/4 gives the other channel.  At the signatures 1/2, 1/4,
+1/3 and 1/6 mu_a has closed forms: mu itself, mu at a Landen-transformed
+radius, a quotient of cubic AGMs, and twice mu at a trigonometric Legendre
+radius.  At every other signature one series pass at w = min(r^2, r'^2) <= 1/2
+gives both F factors of mu_a.  Both inverses use the duality to solve only
+for r <= 1/sqrt 2.  mu_inv, and mu_a_inv at a = 1/2, 1/4 and 1/6, are closed
+forms in theta functions from one routine
 (:func:`_theta_radius`), which also serves the distortion pass
 :func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
 mu_inv without forming either.  Every other signature takes the
@@ -67,8 +68,18 @@ _INV_CAP = 100
 _HALF_PI = 0.5 * math.pi
 _QUARTER_PI_SQ = 0.25 * math.pi * math.pi
 _THIRD = 1.0 / 3.0
+_SIXTH = 1.0 / 6.0
 _MIN_NORMAL = sys.float_info.min
 _Y_SYM_THIRD = 0.5 * math.pi / math.sin(math.pi * _THIRD)
+# signature 1/6: y_sym = pi, R(1/6, 5/6)/2 = log sqrt 432, and the constants
+# of its Legendre radius (:func:`_sixth_legendre`)
+_PI_SQ = math.pi * math.pi
+_HALF_PI_SQ = 0.5 * _PI_SQ
+_LOG_SQRT432 = 0.5 * math.log(432.0)
+_PI_SIXTH = math.pi / 6.0
+_SQRT3 = math.sqrt(3.0)
+_HALF_SQRT3 = 0.5 * _SQRT3
+_F_SIXTH = 2.0 * _SQRT3 / _PI_SQ
 
 
 class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
@@ -274,6 +285,13 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     * a = 1/3: F(1/3,2/3;1;1-s^3) = 1/AG3(1,s) with the cubic AGM
       (J. M. and P. B. Borwein, Trans. AMS 323, 1991), so
       mu_a = y_sym AG3(1, r'^(2/3)) / AG3(1, r^(2/3)) and F = 1/AG3(1, r'^(2/3)).
+    * a = 1/6: mu_a = 2 mu(k) at the Legendre radius k of
+      :func:`_sixth_legendre`, and F = theta_3(q)^2 sqrt(sqrt3 / (2 cos(pi/6 - x)))
+      at its nome (Ramanujan's signature-6 theory, 4 r^2 r'^2 = 1728/j;
+      Berndt, Bhargava and Garvan, Trans. AMS 347, 1995).  For r > r' the
+      pair is taken at r' and mu_a(r) mu_a(r') = pi^2 gives mu_a and F =
+      mu_a(r') F(r'^2) / pi.  Below the normal double range the smaller
+      channel takes the asymptote mu_a = log(sqrt(432)/r), F = 1, exact there.
     """
     if a == 0.5:
         if u.r <= u.comp:
@@ -289,7 +307,33 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     if a == _THIRD:
         ag_comp = _agm3(1.0, u.comp ** (2.0 / 3.0))
         return _Y_SYM_THIRD * ag_comp / _agm3(1.0, u.r ** (2.0 / 3.0)), 1.0 / ag_comp
+    if a == _SIXTH:
+        small = min(u.r, u.comp)
+        if small <= _MIN_NORMAL:  # x and k^2 would lose digits to underflow
+            m, theta_sq, cos_m = 0.5 * (_LOG_SQRT432 - math.log(small)), 1.0, _HALF_SQRT3
+        else:
+            k, kc, cos_m = _sixth_legendre(small)
+            m, theta_sq = _nome(k, kc)
+        if u.r <= u.comp:
+            return 2.0 * m, theta_sq * math.sqrt(_HALF_SQRT3 / cos_m)
+        return _HALF_PI_SQ / m, m * theta_sq * math.sqrt(_F_SIXTH / cos_m)
     return _series_parts(a, u, big_r)
+
+
+def _sixth_legendre(r: float) -> tuple[float, float, float]:
+    """(k, k', cos(pi/6 - x)): the Legendre radius of signature 1/6 at r <= 1/sqrt 2.
+
+    With r = sin(theta) and x = 2 theta / 3 in [0, pi/6], k^2 = sin x / cos(pi/6 - x)
+    and k'^2 = cos(pi/6 + x) / cos(pi/6 - x), so that mu_{1/6}(r) = 2 mu(k).
+    This is the trigonometric root of the signature-6 cubic 4 r^2 r'^2 =
+    1728/j = 27 s^2 / (4 (1 - s)^3), s = k^2 k'^2, with Klein's j at the nome
+    of k.  The cosines lie in [1/2, 1] and the sines carry full relative
+    precision, so both channels of k come out to a few ulp; k = k' = 1/sqrt 2
+    at r = r'.
+    """
+    x = 2.0 * math.asin(r) / 3.0
+    cos_m = math.cos(_PI_SIXTH - x)
+    return math.sqrt(math.sin(x) / cos_m), math.sqrt(math.cos(_PI_SIXTH + x) / cos_m), cos_m
 
 
 def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[float, float]:
@@ -314,17 +358,20 @@ def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[
 def mu_a(a: float, x) -> float:
     """Generalized modulus mu_a(r) for signature a in (0, 1/2].
 
-    Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4
-    and 1/3 (see :func:`_mu_a_parts`); their relative error against mpmath,
-    over 1500 random r per signature from 1e-12 to 1 - 1e-12 on both
-    channels, is at most 2.7e-16, 2.7e-16 and 9.2e-16.  With r or r' below
+    Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4,
+    1/3 and 1/6 (see :func:`_mu_a_parts`); their relative error against
+    mpmath, over 1500 random r per signature from 1e-12 to 1 - 1e-12 on both
+    channels, is at most 2.7e-16, 2.7e-16, 9.2e-16 and, over 9600 r at 1/6,
+    3.9e-16 (2.7e-16 where r <= r'; the series: 6.0e-16), in about 1.7 us
+    (the series: 10 us; Python 3.11, 2 vCPU).  With r or r' below
     1e-12, down to 5e-324, the cubic AGM's rounding over its 8 steps reaches
     1.6e-15 at a = 1/3.  Every other signature runs one pass of
     the balanced series at w = min(r^2, r'^2), with relative error at most
     7.8e-16 over 4500 random (a, r), a in [1e-4, 1/2], r in
     [1e-12, 1 - 1e-12].  Between adjacent doubles mu_a rose by one or two
     ulp for 11, 7 and 26 of 3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and
-    1/3, and for none of 3000 in [0.3, 0.95] or within 40 ulp of 1/sqrt 2.
+    1/3, for none of them at 1/6, and for none of 3000 in [0.3, 0.95] or
+    within 40 ulp of 1/sqrt 2.
     At a = 1/2 the value is mu(r), by delegation.
     """
     a = check_signature(a)
@@ -335,8 +382,10 @@ def mu_a_derivative(a: float, x) -> float:
     """d mu_a/dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2); strictly negative.
 
     F comes from the same route as :func:`mu_a`, closed form at a = 1/2,
-    1/4 and 1/3; its relative error there against mpmath was at most 3.7e-16,
-    4.3e-16 and 7.7e-16 on the samples of :func:`mu_a`.  A slope beyond the
+    1/4, 1/3 and 1/6; its relative error there against mpmath was at most
+    3.7e-16, 4.3e-16, 7.7e-16 and 4.9e-16 on the samples of :func:`mu_a`
+    (at 1/6, 3.4e-16 where r <= r'; for r > r', F = mu_a(r') F(r'^2) / pi
+    carries the error of mu_a(r'), and the series' F is 4.6e-16 there).  A slope beyond the
     double range raises :class:`OverflowSignal`: at subnormal r, and at r'
     below about 1e-156 (3e-156 at a = 0.01).
     """
@@ -352,16 +401,22 @@ def mu_a_derivative(a: float, x) -> float:
 def mu_a_inv(a: float, y: float) -> UnitRadius:
     """Inverse generalized modulus: the radius with mu_a(r) = y, a in (0, 1/2].
 
-    Closed form at a = 1/2 and 1/4 through the theta-function inverse of mu:
+    Closed form at a = 1/2, 1/4 and 1/6 through the theta-function inverse of mu:
     mu_a_inv(1/2, y) is :func:`mu_inv`, and at a = 1/4 the radius k = mu_inv(y)
     gives r = 2k/(1+k^2) and r' = k'^2/(1+k^2), the inverse Landen map of
-    :func:`mu_a`.  Over 2000 log-uniform y in [0.004, 700] at a = 1/2 and
+    :func:`mu_a`.  At a = 1/6, k = mu_inv(y/2) is the Legendre radius of
+    :func:`mu_a`, and r = sin(3/2 atan(sqrt3 k^2 / (1 + k'^2))) (:func:`_sixth_inv`).
+    Over 2000 log-uniform y in [0.004, 700] at a = 1/2 and
     [0.007, 700] at a = 1/4, |mu_a(r) - y| <= 4.0e-16 max(1, y) and
-    5.8e-16 max(1, y), and at a = 1/4 r^2 + r'^2 = 1 to 5.4e-16.  Every other signature, 1/3 included, takes the
+    5.8e-16 max(1, y), and at a = 1/4 r^2 + r'^2 = 1 to 5.4e-16; over
+    100000 log-uniform y in [0.0139, 711.4] at a = 1/6, 6.8e-16 max(1, y)
+    (Newton: 6.6e-16 on the same y), in about 2 us (Newton: 11 to 13 us).
+    Every other signature, 1/3 included, takes the
     safeguarded Newton iteration of :func:`_mu_a_newton`.  A radius or complement below
     the normal double range raises :class:`ConvergenceError`; at a = 1/4
     that includes k, so the limit is y ~ 709.8 as for mu_inv, and r' ~ k'^2/2
-    underflows below y ~ 0.0069.
+    underflows below y ~ 0.0069; at a = 1/6 the limits are y ~ 711.43 and
+    pi^2/711.43 ~ 0.013873.
     """
     a = check_signature(a)
     if not (y > 0 and math.isfinite(y)):
@@ -380,7 +435,31 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
             )
         # past the guard comp lies in [2.2e-308, 1], 0 < 2k/(1+k^2) <= 1, and r^2 + comp^2 = 1 to 5.4e-16
         return _pair(2.0 * k.r / s, comp)
+    if a == _SIXTH:
+        return _sixth_inv(y)
     return _mu_a_newton(a, y)
+
+
+def _sixth_inv(y: float) -> UnitRadius:
+    """mu_a_inv at a = 1/6: the theta inverse of mu at y/2, inverted through the Legendre radius.
+
+    At y >= pi, (k, k') = mu_inv(y/2) is the Legendre radius of
+    :func:`_sixth_legendre`, so tan x = sqrt3 k^2 / (1 + k'^2), and with
+    theta = 3x/2 the radius is r = sin(theta) and its complement r' =
+    cos(theta) >= 1/sqrt 2.  Below pi the root is found at the dual pi^2/y and
+    the channels are exchanged.
+    """
+    dual = y < math.pi
+    target = _PI_SQ / y if dual else y
+    # the smaller channel is sqrt(432) e^-target to double precision out here
+    if not target - _LOG_SQRT432 <= -math.log(_MIN_NORMAL):
+        raise ConvergenceError(
+            f"mu_a_inv({_SIXTH}, {y}): the radius or its complement underflows double precision"
+        )
+    k, kc = _theta_radius(0.5 * target, False)
+    theta = 1.5 * math.atan(_SQRT3 * k * k / (1.0 + kc * kc))
+    u = _pair(math.sin(theta), math.cos(theta))
+    return u.swapped if dual else u
 
 
 def _mu_a_newton(a: float, y: float) -> UnitRadius:
@@ -397,8 +476,8 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
     d mu_a/dt = 1 / ((1-r^2) F^2), and a step leaving the bracket is replaced
     by bisection in t.  The last step is below 1e-13 y', which bounds
     |mu_a(r) - y| by 2e-13 max(1, y); 8e-16 max(1, y) was measured on 1500
-    random (a, y).  It also runs at a = 1/2 and 1/4, where the tests use it
-    as the oracle of the theta routes.
+    random (a, y).  It also runs at a = 1/2, 1/4 and 1/6, where the tests
+    use it as the oracle of the theta routes.
     """
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
     dual = y < y_sym
@@ -470,12 +549,23 @@ def teichmuller_tau2(t: float) -> float:
 
 
 def tau2_inv(y: float) -> float:
-    """Inverse of tau_2: the t with tau_2(t) = y, via t = 1/mu_inv(pi/y)^2 - 1."""
+    """Inverse of tau_2: the t with tau_2(t) = y, via t = (r'/r)^2 at the pair mu_inv(pi/y).
+
+    A t beyond the double range (y below about 0.00882) raises
+    :class:`OverflowSignal`, and a t below the normal double range (y above
+    about 452.8) raises :class:`ConvergenceError`, as mu_inv does where its
+    own radius underflows (y below about 0.00443 or above about 904).
+    """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"tau2_inv requires y > 0, got {y}")
     u = mu_inv(math.pi / y)
     q = u.comp / u.r
-    return q * q
+    t = q * q
+    if not _MIN_NORMAL <= t < math.inf:  # the one range test on the common path
+        if t == math.inf:
+            raise OverflowSignal(f"tau2_inv({y}) exceeds the double range")
+        raise ConvergenceError(f"tau2_inv({y}) underflows double precision")
+    return t
 
 
 def gamma2_inv(y: float) -> float:

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import sys
 
 import pytest
 
@@ -417,7 +418,8 @@ class TestLazyNumpy:
         "assert 'numpy' in sys.modules\n"
     )
 
-    HEAVY = ("qcfun.identities", "qcfun.geometry", "numpy", "dataclasses", "inspect", "json")
+    HEAVY = ("numpy", "dataclasses", "inspect", "json")
+    CORE = ("qcfun", "qcfun.errors")
 
     @staticmethod
     def fresh(script):
@@ -435,24 +437,57 @@ class TestLazyNumpy:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    def test_light_paths_leave_numpy_unloaded(self):
-        assert self.fresh(self.SCRIPT).strip() == f"{MU_HALF:.17g}"
-
-    def test_light_command_loads_the_core_alone(self):
-        # as `python -m qcfun.cli eval --fn mu --r .5`, then the heavy modules it left loaded
-        report = f"print(*[m for m in {self.HEAVY!r} if m in sys.modules])\n"
-        out = self.fresh(
-            "import runpy, sys\n"
-            "sys.argv = ['qcfun', 'eval', '--fn', 'mu', '--r', '.5']\n"
+    def loaded_by(self, prelude, argv=None):
+        """(qcfun modules, heavy modules beyond ``prelude``'s own) after ``prelude`` and,
+        as `python -m qcfun.cli *argv`, the command ``argv``."""
+        report = (f"print(' '.join(sorted(m for m in sys.modules if m.startswith('qcfun'))))\n"
+                  f"print(' '.join(m for m in {self.HEAVY!r} if m in sys.modules))\n")
+        run = "" if argv is None else (
+            f"sys.argv = ['qcfun', *{list(argv)!r}]\n"
             "try:\n"
             "    runpy.run_module('qcfun.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n"
-            "    assert exc.code == 0\n"
-            "assert 'qcfun.bounds' in sys.modules\n" + report)
-        bare = self.fresh("import sys\n" + report).split()
-        value, *loaded = out.split()
-        assert value == f"{MU_HALF:.17g}"
-        assert [m for m in loaded if m not in bare] == []
+            "    assert exc.code == 0\n")
+        before = self.fresh(f"import runpy, sys\n{prelude}\n" + report).splitlines()[1].split()
+        lines = self.fresh(f"import runpy, sys\n{prelude}\n{run}" + report).splitlines()
+        return set(lines[-2].split()), [m for m in lines[-1].split() if m not in before]
+
+    def test_light_paths_leave_numpy_unloaded(self):
+        assert self.fresh(self.SCRIPT).strip() == f"{MU_HALF:.17g}"
+
+    def test_import_loads_the_errors_alone(self):
+        assert self.loaded_by("import qcfun") == ({"qcfun", "qcfun.errors"}, [])
+
+    @pytest.mark.parametrize("argv, layers", [
+        (("eval", "--fn", "K", "--r", ".5"), ("means",)),
+        (("eval", "--fn", "mu", "--r", ".5"), ("specfun", "means", "modulus")),
+        (("invert", "--fn", "muA", "--a", "0.16666666666666666", "--y", "2"),
+         ("specfun", "means", "modulus")),
+        (("eval", "--fn", "eta", "--K", "2", "--t", "1"), ("specfun", "means", "modulus", "distortion")),
+        (("bounds", "--id", "MoriConstant", "--K", "2"),
+         ("specfun", "means", "modulus", "distortion", "bounds")),
+        (("bounds", "--list"), ("specfun", "means", "modulus", "distortion", "bounds")),
+        (("table", "--fn", "K", "--from", ".1", "--to", ".5", "--step", ".2"), ("means",)),
+    ], ids=["eval-K", "eval-mu", "invert-muA", "eval-eta", "bounds-id", "bounds-list", "table-K"])
+    def test_light_command_loads_its_layers_alone(self, argv, layers):
+        qcfun_modules, heavy = self.loaded_by("", argv)
+        assert qcfun_modules == {*self.CORE, *(f"qcfun.{m}" for m in layers)}
+        assert heavy == []
+
+    def test_residual_case_loads_no_geometry_dataclasses_or_inspect(self):
+        qcfun_modules, heavy = self.loaded_by("", ("residuals", "--case", "LJ3"))
+        assert "qcfun.identities" in qcfun_modules and "qcfun.geometry" not in qcfun_modules
+        assert heavy == ["json"]
+
+    def test_geom_check_loads_no_numeric_layer(self, tmp_path):
+        # numpy imports inspect itself, so heavy modules count beyond numpy's own;
+        # geometry.HyperplaneFit stays a dataclass
+        path = tmp_path / "square.csv"
+        path.write_text("x,y\n0,0\n1,0\n1,1\n0,1\n")
+        qcfun_modules, heavy = self.loaded_by(
+            "import numpy", ("geom", "check", "--in", str(path), "--property", "ahlfors"))
+        assert qcfun_modules == {*self.CORE, "qcfun.geometry"}
+        assert heavy == ["dataclasses", "json"]
 
     def test_lazy_submodules_resolve(self):
         out = self.fresh(
@@ -462,18 +497,42 @@ class TestLazyNumpy:
             "assert qcfun.run_suite is qcfun.identities.run_suite\n"
             "assert qcfun.geometry.regular_ngon is qcfun.regular_ngon\n"
             "assert 'numpy' in sys.modules\n"
+            "assert qcfun.modulus.mu is qcfun.mu\n"
             "try:\n"
             "    qcfun.no_such_name\n"
             "except AttributeError:\n"
             "    print('ok')\n")
         assert out == "ok\n"
 
+    def test_a_name_is_kept_after_its_first_use(self):
+        out = self.fresh(
+            "import qcfun\n"
+            "assert 'mu' not in vars(qcfun) and 'modulus' not in vars(qcfun)\n"
+            "mu = qcfun.mu\n"
+            "assert vars(qcfun)['mu'] is mu and 'modulus' in vars(qcfun)\n"
+            "assert 'mu_inv' not in vars(qcfun)\n"
+            "print(mu(.5))\n")
+        assert out.strip() == f"{MU_HALF:.17g}"
+
+    def test_star_import_binds_the_numeric_core(self):
+        out = self.fresh(
+            "import sys\n"
+            "from qcfun import *\n"
+            "assert 'numpy' not in sys.modules and 'qcfun.identities' not in sys.modules\n"
+            "print(mu(.5), QcfunError.__name__, BoundId.MoriConstant.value)\n")
+        assert out.split() == [f"{MU_HALF:.17g}", "QcfunError", "MoriConstant"]
+
     def test_lazy_names_are_the_submodules_exports(self):
         import qcfun
-        from qcfun import geometry
+        from qcfun import bounds, distortion, errors, geometry, means, modulus, specfun
 
-        assert qcfun._LAZY == {**dict.fromkeys(identities.__all__, "identities"),
-                               **dict.fromkeys(geometry.__all__, "geometry")}
+        layers = (specfun, means, modulus, distortion, bounds, identities, geometry)
+        assert qcfun._LAZY == {name: m.__name__.rpartition(".")[2] for m in layers for name in m.__all__}
+        assert list(qcfun._LAZY) == [name for m in layers for name in m.__all__]
+        assert set(qcfun.__all__) == set(errors.__all__) | {
+            name for m in layers[:5] for name in m.__all__}
+        for name in qcfun._LAZY:
+            assert getattr(qcfun, name) is getattr(sys.modules[f"qcfun.{qcfun._LAZY[name]}"], name)
         assert qcfun.EXPERIMENT_NAMES is identities.EXPERIMENT_NAMES
 
     @pytest.mark.parametrize("command", [None, "eval", "invert", "table", "residuals", "experiment",

@@ -699,3 +699,16 @@ class TestPolylineCsv:
     def test_coincident_consecutive_vertices(self, pts, closed):
         with pytest.raises(DomainError, match="coincident"):
             Polyline(np.array(pts), closed=closed)
+
+    def test_points_are_a_checked_read_only_copy(self):
+        source = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        poly = Polyline(source)
+        source[0, 0] = 5.0
+        assert poly.points[0, 0] == 0.0 and not poly.points.flags.writeable
+        assert poly.closed is True and tuple(poly) == (poly.points, True)
+        # _make and _replace go through the same checks as the constructor
+        with pytest.raises(DomainError, match="coincident"):
+            poly._replace(points=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(DomainError):
+            Polyline._make((np.array([[0.0, math.inf], [1.0, 0.0]]), False))
+        assert not poly._replace(closed=False).closed

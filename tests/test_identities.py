@@ -299,14 +299,19 @@ class TestExperiments:
         with pytest.raises(DomainError, match="a \\+ b <= 1"):
             experiment("q_maclaurin", a=a, b=b)
 
-    @pytest.mark.parametrize("K", [2.0, 1.0, 0.5, 7.6, math.nan])
+    @pytest.mark.parametrize("K", [2.0, 1.0, 0.5, math.inf, math.nan])
     def test_artanh_ratio_domain(self, K):
         with pytest.raises(DomainError, match="K != 2"):
             experiment("artanh_ratio", K=K)
 
     def test_artanh_ratio_largest_dilatation(self):
-        # phi_K(0.95) rounds to 1 from K ~ 7.55 on
-        assert all(math.isfinite(g) for g in experiment("artanh_ratio", K=7.5)["g"])
+        # phi_K(0.95) rounds to 1 from K ~ 7.55 on, and its complement carries
+        # the digits up to K ~ 281.1, where it underflows
+        for K in (7.5, 7.6, 20.0, 281.0):
+            obs = experiment("artanh_ratio", K=K)
+            assert all(math.isfinite(g) for g in obs["g"]) and obs["monotone_increasing"], K
+        with pytest.raises(ConvergenceError, match="underflows"):
+            experiment("artanh_ratio", K=282.0)
 
     def test_names_are_the_table(self):
         assert EXPERIMENT_NAMES == ("q_maclaurin", "newton_monotone", "artanh_ratio",

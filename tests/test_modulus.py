@@ -49,7 +49,7 @@ P_03 = 3.9076068996875940
 
 SQRT_HALF_VAL = math.sqrt(0.5)
 A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
-CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0)
+CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0)
 
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
 
@@ -437,8 +437,8 @@ class TestMuA:
             for y in (0.1, 1.0, 3.0, 40.0):
                 mu_a_inv(a, y)
         assert calls == []
-        assert set(newton) == {1.0 / 3.0}  # theta routes at 1/2 and 1/4
-        mu_a(1.0 / 6.0, 0.5)  # the counter sees the series where it runs
+        assert set(newton) == {1.0 / 3.0}  # theta routes at 1/2, 1/4 and 1/6
+        mu_a(0.2, 0.5)  # the counter sees the series where it runs
         assert len(calls) == 1
 
     def test_quarter_below_normal_radius(self):
@@ -453,6 +453,91 @@ class TestMuA:
             assert 0.0 < _agm3(1.0, s) < 1.0
         with pytest.raises(ConvergenceError):
             _agm3(1.0, math.nan)
+
+
+class TestSixthClosedForms:
+    """mu_a, its F factor and mu_a_inv at a = 1/6 against the series and Newton oracles."""
+
+    A = 1.0 / 6.0
+    ULP_S = math.ulp(SQRT_HALF_VAL)
+
+    @staticmethod
+    def around(x, deltas=(1e-9, 1e-5, 1e-2)):
+        # 1 to 4 ulp either side of x, and x (1 -+ delta), in increasing order
+        below, above = [x], [x]
+        for _ in range(4):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], math.inf))
+        return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
+
+    def test_forward_against_series_seeded(self):
+        rng = random.Random(616)
+        for _ in range(400):
+            x = 10.0 ** rng.uniform(-12.0, math.log10(0.5)) if rng.random() < 0.5 else rng.uniform(1e-12, 0.5)
+            for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
+                value, f = modulus._mu_a_parts(self.A, u)
+                want, f_want = modulus._series_parts(self.A, u)
+                assert abs(value - want) <= 1e-15 * want, u
+                assert abs(f - f_want) <= 1e-15 * f_want, u
+
+    def test_inverse_against_newton_seeded(self):
+        rng = random.Random(617)
+        for _ in range(300):
+            y = math.exp(rng.uniform(math.log(0.014), math.log(700.0)))
+            u, oracle = mu_a_inv(self.A, y), modulus._mu_a_newton(self.A, y)
+            # the smaller channel carries the digits: r at y >= pi, the complement below
+            got, want = (u.r, oracle.r) if y >= math.pi else (u.comp, oracle.comp)
+            assert abs(got - want) <= 1e-11 * want, y
+            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y), y
+            assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
+
+    def test_forward_seam_at_r_equals_complement(self):
+        rs = self.around(SQRT_HALF_VAL)
+        values = [mu_a(self.A, r) for r in rs]
+        assert all(b <= a for a, b in zip(values, values[1:])), values
+        for r in rs:
+            u = UnitRadius.from_r(r)
+            value, f = modulus._mu_a_parts(self.A, u)
+            want, f_want = modulus._series_parts(self.A, u)
+            assert abs(value - want) <= 1e-15 * want and abs(f - f_want) <= 1e-15 * f_want, r
+        # mu_a(r) >= pi exactly on the r <= r' side, and <= pi on the other
+        for r, value in zip(rs, values):
+            u = UnitRadius.from_r(r)
+            assert value >= math.pi if u.r <= u.comp else value <= math.pi, r
+
+    def test_inverse_seam_at_pi(self):
+        ys = self.around(math.pi)
+        us = [mu_a_inv(self.A, y) for y in ys]
+        assert all(a.r >= b.r and a.comp <= b.comp for a, b in zip(us, us[1:])), us
+        for y, u in zip(ys, us):
+            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y), y
+        at = us[ys.index(math.pi)]
+        assert abs(at.r - SQRT_HALF_VAL) <= 2 * self.ULP_S and abs(at.comp - SQRT_HALF_VAL) <= 2 * self.ULP_S
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-310, sys.float_info.min])
+    def test_below_normal_radius_takes_the_asymptote(self, r):
+        # x = 2 asin(r)/3 and k^2 lose digits below the smallest normal double;
+        # mu_{1/6}(r) = log(sqrt(432)/r) and F = 1 there, on either channel
+        want = 0.5 * math.log(432.0) - math.log(r)
+        assert mu_a(self.A, r) == pytest.approx(want, rel=1e-15)
+        assert modulus._mu_a_parts(self.A, UnitRadius.from_r(r))[1] == 1.0
+        u = UnitRadius.from_comp(r)
+        assert mu_a(self.A, u) == pytest.approx(math.pi ** 2 / want, rel=1e-15)
+        assert modulus._mu_a_parts(self.A, u)[1] == pytest.approx(want / math.pi, rel=1e-15)
+
+    def test_closed_form_meets_the_asymptote(self):
+        # just above the switch both routes hold full precision
+        for r in (math.nextafter(sys.float_info.min, 1.0), 3 * sys.float_info.min, 1e-300, 1e-100):
+            assert mu_a(self.A, r) == pytest.approx(0.5 * math.log(432.0) - math.log(r), rel=1e-15)
+
+    def test_last_normal_results_and_underflow(self):
+        for y in (711.43, 0.013873):
+            u = mu_a_inv(self.A, y)
+            assert min(u) >= sys.float_info.min * (1.0 - 1e-12)
+            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y)
+        for y in (711.44, 0.01387, 1e-300, 1e300):
+            with pytest.raises(ConvergenceError, match="underflows"):
+                mu_a_inv(self.A, y)
 
 
 class TestMuADerivative:
@@ -628,6 +713,22 @@ class TestCapacities:
     @pytest.mark.parametrize("t", [0.2, 1.0, 3.0, 8.0])
     def test_tau2_inverse(self, t):
         assert tau2_inv(teichmuller_tau2(t)) == pytest.approx(t, rel=1e-11)
+
+    @pytest.mark.parametrize("y, error", [(0.00443, OverflowSignal), (0.005, OverflowSignal),
+                                          (0.00881, OverflowSignal), (452.9, ConvergenceError),
+                                          (460.0, ConvergenceError), (500.0, ConvergenceError),
+                                          (903.0, ConvergenceError)])
+    def test_tau2_inverse_beyond_the_normal_range_is_typed(self, y, error):
+        # t = (r'/r)^2 is past the double range (inf before) or below the normal
+        # range (a subnormal or 0.0 before) while mu_inv's own pair is normal
+        with pytest.raises(error, match="tau2_inv"):
+            tau2_inv(y)
+
+    @pytest.mark.parametrize("y", [0.0089, 452.0])
+    def test_tau2_inverse_last_normal_values(self, y):
+        t = tau2_inv(y)
+        assert sys.float_info.min <= t <= sys.float_info.max
+        assert teichmuller_tau2(t) == pytest.approx(y, rel=1e-13)
 
     @pytest.mark.parametrize("s", [1.2, 2.0, 5.0])
     def test_gamma2_inverse(self, s):

@@ -314,15 +314,70 @@ def test_mu_a_fused_series(a, r_sq):
     assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1e-15
 
 
-@pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0])
+@pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0])
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12])
 def test_mu_a_closed_forms(a, r):
-    # the closed-form routes: mu, mu at the Landen radius, and the cubic AGM quotient
+    # the closed-form routes: mu, mu at the Landen radius, the cubic AGM
+    # quotient, and mu at the signature-6 Legendre radius
     want = mu_a_mp(a, r)
     assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1.5e-15
     f_want = mp.hyp2f1(mp.mpf(a), 1 - mp.mpf(a), 1, mp.mpf(r) ** 2)
     f = modulus._mu_a_parts(a, UnitRadius.from_r(r))[1]
     assert abs(mp.mpf(f) - f_want) / f_want < 1.5e-15
+
+
+def test_sixth_closed_forms_seeded_sweep():
+    # the docstrings' figures at a = 1/6: mu_a within 4e-16 relative and F
+    # within 3.5e-16 (r <= r') and 5e-16 (r > r'), on both channels, each
+    # reference taken at the channel held exactly; the inverse's residual
+    # within 8e-16 max(1, y)
+    rng = random.Random(1606)
+    a = mp.mpf(1) / 6
+    with mp.workdps(40):
+        for _ in range(150):
+            x = 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else rng.uniform(1e-12, 1.0 - 1e-12)
+            for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
+                small = mp.mpf(min(u))
+                f_small = mp.hyp2f1(a, 1 - a, 1, small * small)
+                f_big = mp.hyp2f1(a, 1 - a, 1, (1 - small) * (1 + small))
+                value, f = modulus._mu_a_parts(1.0 / 6.0, u)
+                if u.r <= u.comp:
+                    want, f_want, f_tol = mp.pi * f_big / f_small, f_small, 3.5e-16
+                else:
+                    want, f_want, f_tol = mp.pi * f_small / f_big, f_big, 5e-16
+                assert _rel_err(value, want) <= 4e-16, u
+                assert _rel_err(f, f_want) <= f_tol, u
+    for _ in range(300):
+        y = math.exp(rng.uniform(math.log(0.0139), math.log(711.4)))
+        assert abs(mu_a(1.0 / 6.0, mu_a_inv(1.0 / 6.0, y)) - y) <= 8e-16 * max(1.0, y), y
+
+
+def _artanh_ratio_mp(Kd, r):
+    """artanh(phi_K(r)) / artanh(r^(1/K)), phi_K by theta functions on the well-conditioned side."""
+    y = mu_mp_from_r(r) / Kd
+    if y >= mp.pi / 2:
+        q = mp.exp(-2 * y)
+        s = (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2
+        comp = mp.sqrt((1 - s) * (1 + s))
+    else:
+        q = mp.exp(-mp.pi ** 2 / (2 * y))
+        comp = (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2
+        s = mp.sqrt((1 - comp) * (1 + comp))
+    return (mp.log1p(s) - mp.log(comp)) / mp.atanh(mp.exp(mp.log(r) / Kd))
+
+
+def test_artanh_ratio_seeded_sweep():
+    # the experiment's ratios within 1e-15 relative: artanh from the complement
+    # channel where phi_K(r) nears 1, and 1 - r^(1/K) from expm1
+    from qcfun.identities import R_GRID, _artanh_ratio, experiment
+
+    rng = random.Random(1515)
+    for Kd in (1.5, 3.0, 7.0, 20.0, 100.0):
+        g = experiment("artanh_ratio", K=Kd)["g"]
+        for r, value in zip(R_GRID, g):
+            assert _rel_err(value, _artanh_ratio_mp(Kd, mp.mpf(r))) <= 1e-15, (Kd, r)
+        for r in (rng.uniform(1e-3, 0.999) for _ in range(30)):
+            assert _rel_err(_artanh_ratio(Kd, r), _artanh_ratio_mp(Kd, mp.mpf(r))) <= 1e-15, (Kd, r)
 
 
 def test_mu_a_inv_scaled_to_signature():

@@ -28,7 +28,8 @@ from qcfun import (
 from qcfun import bounds, distortion, identities, means, modulus, specfun
 from qcfun.specfun import AsymptoticClass, HypergeomParams
 
-GRID = (1e-320, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 2.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
+# 0.005 and 500 lie where tau2_inv's t leaves the double range (above and below)
+GRID = (1e-320, 1e-12, 0.005, 0.5, 1.0 - 1e-12, 1.0, 2.0, 500.0, 1e3, 1e12, 1e308, math.inf, math.nan, -1.0, 0.0)
 RESULT_TYPES = (float, UnitRadius, AsymptoticClass, HypergeomParams)
 NOT_FUNCTIONS = {"BoundId", "SQRT_HALF", "EULER_GAMMA", "BoundaryCase", "AsymptoticClass", "MeanKind"}
 MODULES = (bounds, distortion, means, modulus, specfun)
