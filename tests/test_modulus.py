@@ -456,7 +456,10 @@ class TestMuA:
 
 
 class TestSixthClosedForms:
-    """mu_a, its F factor and mu_a_inv at a = 1/6 against the series and Newton oracles."""
+    """mu_a, its F factor and mu_a_inv at a = 1/6 against the series and Newton oracles.
+
+    The seeded series comparison is test_closed_forms_against_series_oracle,
+    which samples 1/6 with the other closed forms."""
 
     A = 1.0 / 6.0
     ULP_S = math.ulp(SQRT_HALF_VAL)
@@ -469,16 +472,6 @@ class TestSixthClosedForms:
             below.append(math.nextafter(below[-1], 0.0))
             above.append(math.nextafter(above[-1], math.inf))
         return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
-
-    def test_forward_against_series_seeded(self):
-        rng = random.Random(616)
-        for _ in range(400):
-            x = 10.0 ** rng.uniform(-12.0, math.log10(0.5)) if rng.random() < 0.5 else rng.uniform(1e-12, 0.5)
-            for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
-                value, f = modulus._mu_a_parts(self.A, u)
-                want, f_want = modulus._series_parts(self.A, u)
-                assert abs(value - want) <= 1e-15 * want, u
-                assert abs(f - f_want) <= 1e-15 * f_want, u
 
     def test_inverse_against_newton_seeded(self):
         rng = random.Random(617)
