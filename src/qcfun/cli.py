@@ -3,7 +3,7 @@
 Subcommands: eval, invert, table, residuals, experiment, bounds, geom.
 Output is deterministic (no environment dependence, fixed 17-significant-digit
 numbers in tables).  Exit codes: 0 success / suite all-pass, 1 computational
-failure or suite failure, 2 usage or domain error.
+failure or suite failure, 2 usage, domain or file error.
 
 A command imports only the layers it runs: the parser needs none of them
 (the bounds and experiment options are built only for their own command and
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PolylineFormatError, DomainError) as exc:
+    except (PolylineFormatError, DomainError, OSError) as exc:  # OSError: a file geom cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except QcfunError as exc:

@@ -186,8 +186,8 @@ def linearized_g(K: float, x: float) -> float:
     return _logit_conjugate(lambda u: phi_K(K, u), x)
 
 
-def _logit_conjugate(distortion, x: float) -> float:
-    """p(distortion(q(x))) with p = logit, q = p^{-1}, through the complement channel.
+def _logistic_radius(x: float) -> UnitRadius:
+    """The radius q(x) = p^{-1}(x) = 1/(1 + e^-x) with its complement, p = logit.
 
     q and 1 - q are e^-|x| / (1 + e^-|x|) and 1 / (1 + e^-|x|), so no
     exponential overflows.  Where the smaller one falls below the normal
@@ -200,6 +200,10 @@ def _logit_conjugate(distortion, x: float) -> float:
     if small < sys.float_info.min:
         raise ConvergenceError(f"logit inverse q({x}) or its complement underflows double precision")
     q, one_minus_q = (big, small) if x >= 0.0 else (small, big)
-    arg = UnitRadius(q, math.sqrt(one_minus_q * (1.0 + q)))
-    v = distortion(arg)
+    return UnitRadius(q, math.sqrt(one_minus_q * (1.0 + q)))
+
+
+def _logit_conjugate(distortion, x: float) -> float:
+    """p(distortion(q(x))) at the radius :func:`_logistic_radius`, through the complement channel."""
+    v = distortion(_logistic_radius(x))
     return math.log(v.r) + math.log1p(v.r) - 2.0 * math.log(v.comp)

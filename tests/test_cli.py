@@ -358,6 +358,18 @@ class TestGeomCli:
         assert code == 2
         assert "line 3" in err
 
+    def test_missing_input_exit_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.csv"
+        code, out, err = run_cli(capsys, "geom", "check", "--in", str(missing), "--property", "ahlfors")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(missing) in err and len(err.splitlines()) == 1
+
+    def test_unwritable_output_exit_two(self, capsys, tmp_path):
+        out_file = tmp_path / "no_such_dir" / "k.csv"
+        code, out, err = run_cli(capsys, "geom", "generate", "--koch", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(out_file) in err and len(err.splitlines()) == 1
+
 
 class TestTypedErrors:
     def test_invert_underflowing_result_exit_one(self, capsys):
@@ -365,6 +377,13 @@ class TestTypedErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "underflows" in err
+
+    def test_underflow_message_names_the_given_modulus(self, capsys):
+        # below pi/2 the radius is taken at the dual modulus pi^2/(4y); the message names y
+        code, _, err = run_cli(capsys, "invert", "--fn", "mu", "--y", "0.001")
+        assert code == 1
+        assert err.splitlines() == ["error: the radius or its complement at modulus 0.001 "
+                                    "underflows double precision"]
 
     def test_tiny_dilatation_exit_one(self, capsys):
         # mu(0.5) / 1e-310 overflows: the radius underflows, a computation failure

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -441,11 +442,6 @@ class TestMuA:
         mu_a(0.2, 0.5)  # the counter sees the series where it runs
         assert len(calls) == 1
 
-    def test_quarter_below_normal_radius(self):
-        # r/2 loses digits below the smallest normal double; mu_{1/4}(r) = log(8/r) there
-        for r in (5e-324, 1e-310, sys.float_info.min):
-            assert mu_a(0.25, r) == pytest.approx(math.log(8.0) - math.log(r), rel=1e-15)
-
     def test_cubic_agm_reaches_no_cap(self):
         from qcfun.means import _agm3
         assert _agm3(1.0, 1.0) == 1.0
@@ -455,13 +451,17 @@ class TestMuA:
             _agm3(1.0, math.nan)
 
 
-class TestSixthClosedForms:
-    """mu_a, its F factor and mu_a_inv at a = 1/6 against the series and Newton oracles.
+class ClassicalRouteChecks:
+    """mu_a, its F factor and mu_a_inv on the classical route against the series and Newton oracles.
 
-    The seeded series comparison is test_closed_forms_against_series_oracle,
-    which samples 1/6 with the other closed forms."""
+    One subclass per signature sets A, its y_sym and R(a,1-a)/2, the last y on
+    either side of y_sym whose radius is normal, and y whose radius or
+    complement underflows.  The seeded series comparison is
+    test_closed_forms_against_series_oracle, which samples these signatures
+    with 1/3."""
 
-    A = 1.0 / 6.0
+    A = Y_SYM = HALF_R = None
+    LAST = UNDER = ()
     ULP_S = math.ulp(SQRT_HALF_VAL)
 
     @staticmethod
@@ -474,63 +474,84 @@ class TestSixthClosedForms:
         return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
 
     def test_inverse_against_newton_seeded(self):
+        a, y_sym, y_min = self.A, self.Y_SYM, self.LAST[1]
         rng = random.Random(617)
         for _ in range(300):
-            y = math.exp(rng.uniform(math.log(0.014), math.log(700.0)))
-            u, oracle = mu_a_inv(self.A, y), modulus._mu_a_newton(self.A, y)
-            # the smaller channel carries the digits: r at y >= pi, the complement below
-            got, want = (u.r, oracle.r) if y >= math.pi else (u.comp, oracle.comp)
+            y = math.exp(rng.uniform(math.log(y_min), math.log(700.0)))
+            u, oracle = mu_a_inv(a, y), modulus._mu_a_newton(a, y)
+            # the smaller channel carries the digits: r at y >= y_sym, the complement below
+            got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
             assert abs(got - want) <= 1e-11 * want, y
-            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y), y
+            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
             assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
 
     def test_forward_seam_at_r_equals_complement(self):
+        a, y_sym = self.A, self.Y_SYM
         rs = self.around(SQRT_HALF_VAL)
-        values = [mu_a(self.A, r) for r in rs]
-        assert all(b <= a for a, b in zip(values, values[1:])), values
+        values = [mu_a(a, r) for r in rs]
+        assert all(w <= v for v, w in zip(values, values[1:])), values
         for r in rs:
             u = UnitRadius.from_r(r)
-            value, f = modulus._mu_a_parts(self.A, u)
-            want, f_want = modulus._series_parts(self.A, u)
+            value, f = modulus._mu_a_parts(a, u)
+            want, f_want = modulus._series_parts(a, u)
             assert abs(value - want) <= 1e-15 * want and abs(f - f_want) <= 1e-15 * f_want, r
-        # mu_a(r) >= pi exactly on the r <= r' side, and <= pi on the other
+        # mu_a(r) >= y_sym exactly on the r <= r' side, and <= y_sym on the other
         for r, value in zip(rs, values):
             u = UnitRadius.from_r(r)
-            assert value >= math.pi if u.r <= u.comp else value <= math.pi, r
+            assert value >= y_sym if u.r <= u.comp else value <= y_sym, r
 
-    def test_inverse_seam_at_pi(self):
-        ys = self.around(math.pi)
-        us = [mu_a_inv(self.A, y) for y in ys]
-        assert all(a.r >= b.r and a.comp <= b.comp for a, b in zip(us, us[1:])), us
+    def test_inverse_seam_at_y_sym(self):
+        a, y_sym = self.A, self.Y_SYM
+        ys = self.around(y_sym)
+        us = [mu_a_inv(a, y) for y in ys]
+        assert all(v.r >= w.r and v.comp <= w.comp for v, w in zip(us, us[1:])), us
         for y, u in zip(ys, us):
-            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y), y
-        at = us[ys.index(math.pi)]
+            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
+        at = us[ys.index(y_sym)]
         assert abs(at.r - SQRT_HALF_VAL) <= 2 * self.ULP_S and abs(at.comp - SQRT_HALF_VAL) <= 2 * self.ULP_S
 
     @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-310, sys.float_info.min])
     def test_below_normal_radius_takes_the_asymptote(self, r):
-        # x = 2 asin(r)/3 and k^2 lose digits below the smallest normal double;
-        # mu_{1/6}(r) = log(sqrt(432)/r) and F = 1 there, on either channel
-        want = 0.5 * math.log(432.0) - math.log(r)
-        assert mu_a(self.A, r) == pytest.approx(want, rel=1e-15)
-        assert modulus._mu_a_parts(self.A, UnitRadius.from_r(r))[1] == 1.0
+        # the classical radius loses digits below the smallest normal double;
+        # mu_a(r) = R/2 - log r and F = 1 there, on either channel
+        a, y_sym = self.A, self.Y_SYM
+        want = self.HALF_R - math.log(r)
+        assert mu_a(a, r) == pytest.approx(want, rel=1e-15)
+        assert modulus._mu_a_parts(a, UnitRadius.from_r(r))[1] == 1.0
         u = UnitRadius.from_comp(r)
-        assert mu_a(self.A, u) == pytest.approx(math.pi ** 2 / want, rel=1e-15)
-        assert modulus._mu_a_parts(self.A, u)[1] == pytest.approx(want / math.pi, rel=1e-15)
+        assert mu_a(a, u) == pytest.approx(y_sym ** 2 / want, rel=1e-15)
+        assert modulus._mu_a_parts(a, u)[1] == pytest.approx(want / y_sym, rel=1e-15)
 
     def test_closed_form_meets_the_asymptote(self):
         # just above the switch both routes hold full precision
         for r in (math.nextafter(sys.float_info.min, 1.0), 3 * sys.float_info.min, 1e-300, 1e-100):
-            assert mu_a(self.A, r) == pytest.approx(0.5 * math.log(432.0) - math.log(r), rel=1e-15)
+            assert mu_a(self.A, r) == pytest.approx(self.HALF_R - math.log(r), rel=1e-15)
 
     def test_last_normal_results_and_underflow(self):
-        for y in (711.43, 0.013873):
-            u = mu_a_inv(self.A, y)
+        a = self.A
+        for y in self.LAST:
+            u = mu_a_inv(a, y)
             assert min(u) >= sys.float_info.min * (1.0 - 1e-12)
-            assert abs(mu_a(self.A, u) - y) <= 8e-16 * max(1.0, y)
-        for y in (711.44, 0.01387, 1e-300, 1e300):
-            with pytest.raises(ConvergenceError, match="underflows"):
-                mu_a_inv(self.A, y)
+            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y)
+        for y in self.UNDER + (1e-300, 1e300):
+            with pytest.raises(ConvergenceError, match=re.escape(f"mu_a_inv({a}, {y}): ") + ".* underflows"):
+                mu_a_inv(a, y)
+
+
+class TestHalfClosedForms(ClassicalRouteChecks):
+    A, Y_SYM, HALF_R = 0.5, math.pi / 2.0, math.log(4.0)
+    LAST, UNDER = (709.78, 0.0034763), (709.79, 0.003476)
+
+
+class TestQuarterClosedForms(ClassicalRouteChecks):
+    # the Landen radius k ~ r/2 underflows before r does
+    A, Y_SYM, HALF_R = 0.25, math.pi / math.sqrt(2.0), math.log(8.0)
+    LAST, UNDER = (709.78, 0.0069526), (709.79, 0.0069525, 0.0069, 0.005)
+
+
+class TestSixthClosedForms(ClassicalRouteChecks):
+    A, Y_SYM, HALF_R = 1.0 / 6.0, math.pi, 0.5 * math.log(432.0)
+    LAST, UNDER = (711.43, 0.013873), (711.44, 0.01387)
 
 
 class TestMuADerivative:
@@ -562,21 +583,6 @@ class TestMuAInv:
     def test_reduces_to_mu_inv(self, y):
         assert mu_a_inv(0.5, y).r == pytest.approx(mu_inv(y).r, rel=1e-11)
 
-    @given(st.floats(min_value=0.004, max_value=700.0))
-    @settings(max_examples=150, deadline=None)
-    def test_quarter_theta_route_against_newton_oracle(self, y):
-        try:
-            u = mu_a_inv(0.25, y)
-        except ConvergenceError:
-            # r' ~ k'^2/2 underflows first, below y ~ 0.0069
-            assert y < 0.007
-            return
-        oracle = modulus._mu_a_newton(0.25, y)
-        y_sym = math.pi / math.sqrt(2.0)
-        got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
-        assert abs(got - want) <= 1e-11 * want
-        assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
-
     @given(st.sampled_from((0.5, 0.25)), st.floats(min_value=0.004, max_value=700.0))
     @settings(max_examples=300, deadline=None)
     def test_theta_routes_round_trip(self, a, y):
@@ -586,12 +592,6 @@ class TestMuAInv:
             assert a == 0.25 and y < 0.007
             return
         assert abs(mu_a(a, u) - y) <= 1e-15 * max(1.0, y)
-
-    def test_quarter_complement_underflow_signalled(self):
-        # k' from mu_inv is normal here, but r' = k'^2/(1+k^2) is not
-        for y in (0.0069, 0.005):
-            with pytest.raises(ConvergenceError, match="underflows"):
-                mu_a_inv(0.25, y)
 
     @pytest.mark.parametrize("a", A_GRID)
     def test_symmetric_point(self, a):

@@ -38,6 +38,7 @@ from qcfun import (
     mu_a_inv,
     mu_inv,
     phi_K,
+    phi_aK,
     QcfunError,
     rho_disk,
     teichmuller_tau2,
@@ -326,30 +327,40 @@ def test_mu_a_closed_forms(a, r):
     assert abs(mp.mpf(f) - f_want) / f_want < 1.5e-15
 
 
-def test_sixth_closed_forms_seeded_sweep():
-    # the docstrings' figures at a = 1/6: mu_a within 4e-16 relative and F
-    # within 3.5e-16 (r <= r') and 5e-16 (r > r'), on both channels, each
-    # reference taken at the channel held exactly; the inverse's residual
-    # within 8e-16 max(1, y)
+# signature -> the docstrings' figures on the classical route: mu_a, F where r <= r' and
+# where r > r', and the inverse's residual over max(1, y) on its y range
+CLASSICAL_FIGURES = {
+    0.5: (3.5e-16, 2e-16, 4.5e-16, 5e-16, (0.0035, 709.7)),
+    0.25: (4e-16, 3.5e-16, 6e-16, 5e-16, (0.007, 709.7)),
+    1.0 / 6.0: (4e-16, 3.5e-16, 5e-16, 8e-16, (0.0139, 711.4)),
+}
+
+
+@pytest.mark.parametrize("a", list(CLASSICAL_FIGURES), ids=["half", "quarter", "sixth"])
+def test_classical_route_seeded_sweep(a):
+    # mu_a and F on both channels, each reference taken at the channel held
+    # exactly, and the inverse's residual
+    mu_tol, f_le_tol, f_gt_tol, inv_tol, (y_lo, y_hi) = CLASSICAL_FIGURES[a]
     rng = random.Random(1606)
-    a = mp.mpf(1) / 6
+    sig = 1 / mp.mpf(round(1 / a))
     with mp.workdps(40):
+        y_sym = mp.pi / (2 * mp.sin(mp.pi * sig))
         for _ in range(150):
             x = 10.0 ** rng.uniform(-12.0, 0.0) if rng.random() < 0.5 else rng.uniform(1e-12, 1.0 - 1e-12)
             for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
                 small = mp.mpf(min(u))
-                f_small = mp.hyp2f1(a, 1 - a, 1, small * small)
-                f_big = mp.hyp2f1(a, 1 - a, 1, (1 - small) * (1 + small))
-                value, f = modulus._mu_a_parts(1.0 / 6.0, u)
+                f_small = mp.hyp2f1(sig, 1 - sig, 1, small * small)
+                f_big = mp.hyp2f1(sig, 1 - sig, 1, (1 - small) * (1 + small))
+                value, f = modulus._mu_a_parts(a, u)
                 if u.r <= u.comp:
-                    want, f_want, f_tol = mp.pi * f_big / f_small, f_small, 3.5e-16
+                    want, f_want, f_tol = y_sym * f_big / f_small, f_small, f_le_tol
                 else:
-                    want, f_want, f_tol = mp.pi * f_small / f_big, f_big, 5e-16
-                assert _rel_err(value, want) <= 4e-16, u
+                    want, f_want, f_tol = y_sym * f_small / f_big, f_big, f_gt_tol
+                assert _rel_err(value, want) <= mu_tol, u
                 assert _rel_err(f, f_want) <= f_tol, u
     for _ in range(300):
-        y = math.exp(rng.uniform(math.log(0.0139), math.log(711.4)))
-        assert abs(mu_a(1.0 / 6.0, mu_a_inv(1.0 / 6.0, y)) - y) <= 8e-16 * max(1.0, y), y
+        y = math.exp(rng.uniform(math.log(y_lo), math.log(y_hi)))
+        assert abs(mu_a(a, mu_a_inv(a, y)) - y) <= inv_tol * max(1.0, y), y
 
 
 def _artanh_ratio_mp(Kd, r):
@@ -378,6 +389,41 @@ def test_artanh_ratio_seeded_sweep():
             assert _rel_err(value, _artanh_ratio_mp(Kd, mp.mpf(r))) <= 1e-15, (Kd, r)
         for r in (rng.uniform(1e-3, 0.999) for _ in range(30)):
             assert _rel_err(_artanh_ratio(Kd, r), _artanh_ratio_mp(Kd, mp.mpf(r))) <= 1e-15, (Kd, r)
+
+
+def _linearized_slope_mp(sig, K, x, g0):
+    """g'(x) of g = p o phi^a_K o p^-1, p = logit, by a central difference of the mpmath map."""
+    y_sym = mp.pi / (2 * mp.sin(mp.pi * sig))
+
+    def mu_logit(s):
+        # mu_a at r = 1/(1+e^-s), with r^2 and r'^2 formed from e^-s
+        e = mp.exp(-s)
+        return y_sym * mp.hyp2f1(sig, 1 - sig, 1, e * (2 + e) / (1 + e) ** 2) / mp.hyp2f1(sig, 1 - sig, 1, 1 / (1 + e) ** 2)
+
+    def g(t):
+        target = mu_logit(t) / K
+        return mp.findroot(lambda s: mu_logit(s) - target, mp.mpf(g0))
+
+    h = mp.mpf("1e-20")
+    return (g(x + h) - g(x - h)) / (2 * h)
+
+
+def test_linearize_phi_a_slopes_seeded():
+    # the closed-form slopes within their stated error of an mpmath difference quotient
+    from qcfun.distortion import _logit_conjugate
+    from qcfun.identities import _SLOPE_ERR, experiment
+
+    rng = random.Random(1515)
+    with mp.workdps(60):
+        for a, K in ((1.0 / 3.0, 2.0), (0.25, 3.0), (1.0 / 6.0, 1.5), (0.1, 5.0)):
+            # the closed forms run at the exact signature, the series at the double a
+            sig = mp.mpf(1) / round(1.0 / a) if a != 0.1 else mp.mpf(a)
+            obs = experiment("linearize_phi_a", a=a, K=K)
+            for i in [0, len(obs["x"]) - 1] + rng.sample(range(1, len(obs["x"]) - 1), 2):
+                x = obs["x"][i]
+                g0 = _logit_conjugate(lambda u: phi_aK(a, K, u), x)
+                want = _linearized_slope_mp(sig, mp.mpf(K), mp.mpf(x), g0)
+                assert _rel_err(obs["slope"][i], want) <= _SLOPE_ERR, (a, K, x)
 
 
 def test_mu_a_inv_scaled_to_signature():
