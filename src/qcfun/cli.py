@@ -263,13 +263,19 @@ def _cmd_geom(args) -> int:
             poly = geometry.koch_curve(args.level, args.angle)
         else:
             poly = geometry.regular_ngon(args.ngon, args.radius)
-        poly.to_csv(args.out)
+        try:
+            poly.to_csv(args.out)
+        except OSError as exc:  # a file geom cannot write is a usage error
+            raise DomainError(str(exc)) from None
         print(f"wrote {poly.n_vertices} vertices ({poly.n_edges} edges) to {args.out}")
         return 0
     results = {}
     for prop in args.properties:
         closed = not args.open and prop != "triangle"
-        poly = geometry.Polyline.from_csv(args.infile, closed=closed)
+        try:
+            poly = geometry.Polyline.from_csv(args.infile, closed=closed)
+        except OSError as exc:  # as is one it cannot read
+            raise DomainError(str(exc)) from None
         if prop == "ahlfors":
             results["ahlfors"] = geometry.ahlfors_constant(poly)
         elif prop == "triangle":
@@ -309,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PolylineFormatError, DomainError, OSError) as exc:  # OSError: a file geom cannot read or write
+    except (PolylineFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except QcfunError as exc:

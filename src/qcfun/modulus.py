@@ -395,26 +395,29 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     """Inverse generalized modulus: the radius with mu_a(r) = y, a in (0, 1/2].
 
     Closed form at a = 1/2, 1/4 and 1/6, the classical route of
-    :func:`_mu_a_parts` run backwards.  Below y_sym the root is found at the
-    dual y_sym^2 / y and the channels are exchanged, so the smaller channel
-    comes out directly.  The theta inverse of mu (:func:`_theta_radius`) at
-    y/c gives the classical radius k, and the inverse map the radius: r = k
-    at a = 1/2; r = 2k/(1+k^2) and r' = (1-k)(1+k)/(1+k^2), the inverse
-    Landen map, at 1/4; r = sin(theta) and r' = cos(theta) with theta =
-    3/2 atan(sqrt3 k^2 / (1 + k'^2)) at 1/6.  Over 100000 log-uniform y from
+    :func:`_mu_a_parts` run backwards.  At a = 1/2 it is :func:`mu_inv`, whose
+    theta inverse (:func:`_theta_radius`) takes its own dual and underflow
+    guard.  At 1/4 and 1/6 the root is found below y_sym at the dual y_sym^2 /
+    y and the channels are exchanged, so the smaller channel comes out
+    directly; the theta inverse at y/c gives the classical radius k, and the
+    inverse map the radius: r = 2k/(1+k^2) and r' = (1-k)(1+k)/(1+k^2), the
+    inverse Landen map, at 1/4; r = sin(theta) and r' = cos(theta) with theta
+    = 3/2 atan(sqrt3 k^2 / (1 + k'^2)) at 1/6.  Over 100000 log-uniform y from
     the lower limit below to 709.7 (711.4 at 1/6), |mu_a(r) - y| <= 6.1e-16,
-    5.8e-16 and 6.9e-16 max(1, y) at a = 1/2, 1/4 and 1/6, and r^2 + r'^2
-    = 1 to 8.0e-16, 5.4e-16 and 1.4e-16, in about 1.7 us (Newton: 15 to 70
-    us).  Every other signature, 1/3 included, takes the safeguarded Newton
-    iteration of :func:`_mu_a_newton`.  A radius or complement below the
-    normal double range raises :class:`ConvergenceError`: past y ~ 709.78 at
-    a = 1/2 and 1/4 (at 1/4 the Landen radius k ~ r/2 underflows first) and
-    711.43 at 1/6, and below the duals of those limits, y ~ 0.0034763,
-    0.0069526 and 0.013873.
+    5.8e-16 and 6.9e-16 max(1, y) at a = 1/2, 1/4 and 1/6, and r^2 + r'^2 = 1
+    to 8.0e-16, 5.4e-16 and 1.4e-16, in about 1 us at 1/2 and 2 us at 1/4 and
+    1/6 (Python 3.11, 2 vCPU; Newton: 15 to 70 us).  Every other signature, 1/3
+    included, takes the safeguarded Newton iteration of
+    :func:`_mu_a_newton`.  A radius or complement below the normal double range
+    raises :class:`ConvergenceError`: past y ~ 709.78 at a = 1/2 and 1/4 (at
+    1/4 the Landen radius k ~ r/2 underflows first) and 711.43 at 1/6, and
+    below the duals of those limits, y ~ 0.0034763, 0.0069526 and 0.013873.
     """
     a = check_signature(a)
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_a_inv requires y > 0, got {y}")
+    if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
+        return _theta_radius(y, False)
     row = _CLASSICAL.get(a)
     if row is None:
         return _mu_a_newton(a, y)
@@ -426,9 +429,7 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if not max(target - half_r, target / c - _LOG4) <= _MAX_EXP:
         raise ConvergenceError(f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision")
     k, kc = _theta_radius(target / c, False)
-    if a == 0.5:
-        r, comp = k, kc
-    elif a == 0.25:
+    if a == 0.25:
         d = 1.0 + k * k
         r, comp = 2.0 * k / d, (1.0 - k) * (1.0 + k) / d
     else:
