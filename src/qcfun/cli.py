@@ -3,7 +3,8 @@
 Subcommands: eval, invert, table, residuals, experiment, bounds, geom.
 Output is deterministic (no environment dependence, fixed 17-significant-digit
 numbers in tables).  Exit codes: 0 success / suite all-pass, 1 computational
-failure or suite failure, 2 usage, domain or file error.
+failure, suite failure or a reader that closed stdout early (``qcfun table ...
+| head -1``, which ends without a traceback), 2 usage, domain or file error.
 
 A command imports only the layers it runs: the parser needs none of them
 (the bounds and experiment options are built only for their own command and
@@ -15,6 +16,7 @@ suite, numpy and ``json`` load in the commands that use them.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import qcfun as qc  # each public name loads its layer on first use
@@ -269,13 +271,14 @@ def _cmd_geom(args) -> int:
             raise DomainError(str(exc)) from None
         print(f"wrote {poly.n_vertices} vertices ({poly.n_edges} edges) to {args.out}")
         return 0
+    try:
+        # read once, open; each property's variant re-runs the checks of its own closure
+        read = geometry.Polyline.from_csv(args.infile, closed=False)
+    except OSError as exc:  # as is one it cannot read
+        raise DomainError(str(exc)) from None
     results = {}
     for prop in args.properties:
-        closed = not args.open and prop != "triangle"
-        try:
-            poly = geometry.Polyline.from_csv(args.infile, closed=closed)
-        except OSError as exc:  # as is one it cannot read
-            raise DomainError(str(exc)) from None
+        poly = read._replace(closed=not args.open and prop != "triangle")
         if prop == "ahlfors":
             results["ahlfors"] = geometry.ahlfors_constant(poly)
         elif prop == "triangle":
@@ -314,7 +317,12 @@ def main(argv=None) -> int:
     parser = _build_parser(next((word for word in argv if not word.startswith("-")), ""))
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler, not at exit
+        return code
+    except BrokenPipeError:  # the Python docs' SIGPIPE recipe: the last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL_EXIT
     except (PolylineFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -41,8 +41,6 @@ __all__ = [
 _AGM_CAP = 60
 _AGM_TAIL = 4e-3  # up to 5e-3 any value only trades steps; at 1e-2 the tail drops 3 eps
 _AGM_SMALL, _AGM_BIG = 2.0 ** -510, 2.0 ** 510  # every a_n b_n of a pair in between is normal
-_AGM_RTOL = 1e-16
-_AGM3_CAP = 30
 _HALF_PI = 0.5 * math.pi
 _LOG2 = math.log(2.0)
 _MIN_NORMAL = sys.float_info.min
@@ -85,26 +83,6 @@ def agm(x: float, y: float) -> float:
             return scale * (0.5 * s * (1.0 - d * (0.25 + 0.078125 * d)))
         a, b = 0.5 * (a + b), math.sqrt(a * b)
     raise ConvergenceError(f"agm did not converge for ({x}, {y})")
-
-
-def _agm3(x: float, y: float) -> float:
-    """Borwein cubic AGM of x >= y > 0 (Trans. AMS 323, 1991).
-
-    Iterates a_{n+1} = (a_n + 2 b_n)/3, b_{n+1} = cbrt(b_n (a_n^2 + a_n b_n + b_n^2)/3),
-    which converges cubically, to 1e-16 relative or its ulp floor.  It gives
-    F(1/3,2/3;1;1-s^3) = 1/AG3(1,s).  AG3(1, s) takes at most 8 steps for
-    every s = r^(2/3) of a double radius (s >= 2.9e-216), so the 30-step cap
-    is reached only by NaN input.
-    """
-    a, b = x, y
-    prev = math.inf
-    for _ in range(_AGM3_CAP):
-        gap = a - b
-        if gap <= _AGM_RTOL * a or gap >= prev:
-            return (a + 2.0 * b) / 3.0
-        prev = gap
-        a, b = (a + 2.0 * b) / 3.0, (b * (a * a + a * b + b * b) / 3.0) ** (1.0 / 3.0)
-    raise ConvergenceError(f"cubic agm did not converge for ({x}, {y})")
 
 
 def mean(kind: MeanKind, x: float, y: float) -> float:

@@ -16,17 +16,17 @@ reduces to mu at a = 1/2 and obeys the derivative formula
 and the duality mu_a(r) mu_a(r') = (pi / (2 sin(pi a)))^2.  mu itself is
 the log of the Jacobi nome q = e^(-2 mu(r)) of the smaller channel, with no
 theta series (:func:`qcfun.means._nome`); the duality
-mu(r) mu(r') = pi^2/4 gives the other channel.  At a = 1/2, 1/4 and 1/6 one
-classical route serves mu_a and its inverse: mu_a(r) = c mu(k) at a radius k
+mu(r) mu(r') = pi^2/4 gives the other channel.  At a = 1/2, 1/4, 1/3 and
+1/6 one classical route serves mu_a: mu_a(r) = c mu(k) at a radius k
 algebraic in the smaller channel (r itself, Landen's map, Ramanujan's
-signature-6 Legendre radius), the duality gives the other channel, and the
-inverse runs the theta inverse of mu (:func:`_theta_radius`) back through the
-inverse map.  At a = 1/3 mu_a is a quotient of cubic AGMs.  At every other
-signature one series pass at w = min(r^2, r'^2) <= 1/2 gives both F factors
-of mu_a, and the inverse, 1/3 included, is the safeguarded Newton iteration
-of :func:`_mu_a_newton`.  Both inverses use the duality to solve only for
-r <= 1/sqrt 2.  The theta inverse also serves the distortion pass
-:func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
+signature-6 Legendre radius, at 1/3 after the cubic-to-sextic map), and the
+duality gives the other channel; at 1/2, 1/4 and 1/6 the inverse runs the
+theta inverse of mu (:func:`_theta_radius`) back through the inverse map.
+At every other signature one series pass at w = min(r^2, r'^2) <= 1/2 gives
+both F factors of mu_a, and the inverse, 1/3 included, is the safeguarded
+Newton iteration of :func:`_mu_a_newton`.  Both inverses use the duality to
+solve only for r <= 1/sqrt 2.  The theta inverse also serves the distortion
+pass :func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
 mu_inv without forming either.
 
 Radii travel as :class:`UnitRadius` pairs (r, sqrt(1-r^2)).  Keeping the
@@ -45,7 +45,7 @@ import sys
 from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
-from .means import _agm3, _nome, comp_radius
+from .means import _nome, comp_radius
 from .specfun import _balanced_r0, _hyp_sums
 
 __all__ = [
@@ -72,7 +72,6 @@ _THIRD = 1.0 / 3.0
 _SIXTH = 1.0 / 6.0
 _MIN_NORMAL = sys.float_info.min
 _MAX_EXP = -math.log(_MIN_NORMAL)  # e^-t is a normal double for t up to here
-_Y_SYM_THIRD = 0.5 * math.pi / math.sin(math.pi * _THIRD)
 _PI_SIXTH = math.pi / 6.0
 _SQRT3 = math.sqrt(3.0)
 _HALF_SQRT3 = 0.5 * _SQRT3
@@ -82,6 +81,7 @@ _LOG4 = math.log(4.0)
 _CLASSICAL = {
     0.5: (1.0, _HALF_PI, _LOG4),
     0.25: (1.0, math.pi / math.sqrt(2.0), math.log(8.0)),
+    _THIRD: (2.0, math.pi / _SQRT3, 0.5 * math.log(27.0)),
     _SIXTH: (2.0, math.pi, 0.5 * math.log(432.0)),
 }
 
@@ -278,30 +278,32 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     ``big_r`` is R(a, 1-a) when the caller has it (an inverse evaluates it
     once for all its steps); the series route computes it otherwise.
 
-    * a = 1/3: F(1/3,2/3;1;1-s^3) = 1/AG3(1,s) with the cubic AGM
-      (J. M. and P. B. Borwein, Trans. AMS 323, 1991), so
-      mu_a = y_sym AG3(1, r'^(2/3)) / AG3(1, r^(2/3)) and F = 1/AG3(1, r'^(2/3)).
-    * a = 1/2, 1/4 and 1/6: the classical route, one row (c, y_sym, R/2) of
-      ``_CLASSICAL``.  At the smaller channel s = min(r, r') a classical
-      radius k <= k' gives mu_a(s) = c mu(k) and F(s^2) = g theta_3(q)^2 at
-      the nome q of k (:func:`qcfun.means._nome`): at 1/2, k = s and g = 1;
-      at 1/4, the Landen radius k = s/(1+s'), k' = sqrt(2s'/(1+s')) and
-      g = sqrt(2/(1+s')); at 1/6, with s = sin(theta) and x = 2 theta/3,
-      the Legendre radius k^2 = sin x / cos(pi/6 - x), k'^2 = cos(pi/6 + x)
-      / cos(pi/6 - x) and g = sqrt(sqrt3 / (2 cos(pi/6 - x))), the
-      trigonometric root of Ramanujan's signature-6 cubic 4 s^2 s'^2 =
-      1728/j (Berndt, Bhargava and Garvan, Trans. AMS 347, 1995).  The
-      cosines lie in [1/2, 1] and the sines carry full relative precision,
-      so both channels of k come out to a few ulp.  For r > r' the duality
+    * a = 1/2, 1/4, 1/3 and 1/6: the classical route, one row (c, y_sym, R/2)
+      of ``_CLASSICAL``.  At the smaller channel s = min(r, r') a classical
+      radius k gives mu_a(s) = c mu(k) and F(s^2) = g theta_3(q)^2 at the
+      nome q of k (:func:`qcfun.means._nome`): at 1/2, k = s and g = 1; at
+      1/4, the Landen radius k = s/(1+s'), k' = sqrt(2s'/(1+s')) and
+      g = sqrt(2/(1+s')); at 1/6, with s = sin(theta) and phi = 2 theta/3,
+      the Legendre radius k^2 = sin phi / cos(pi/6 - phi), k'^2 =
+      cos(pi/6 + phi) / cos(pi/6 - phi) and g = sqrt(sqrt3 / (2 cos(pi/6 -
+      phi))), the trigonometric root of Ramanujan's signature-6 cubic
+      4 s^2 s'^2 = 1728/j (Berndt, Bhargava and Garvan, Trans. AMS 347,
+      1995).  The cosines lie in [1/2, 1] and the sines carry full relative
+      precision, so both channels of k come out to a few ulp.  At 1/3,
+      x = s^2, the cubic transformation F(1/3,2/3;1;x) = (1+8x)^(-1/4)
+      F(1/6,5/6;1;t^2) keeps the nome, at t = sin(theta) with tan 2 theta =
+      8 s s'^3 / (1 - 20x - 8x^2) (ibid.): the 1/6 map runs at the angle
+      phi = atan2(8 s s'^3, |1 - 20x - 8x^2|)/3 <= pi/6 and g carries
+      (1+8x)^(-1/4).  Past x* = (sqrt 432 - 20)/16 (s ~ 0.22145) the angle
+      of k is pi/3 - phi > pi/6, so the map gives (k', k), and mu(k) =
+      pi^2 / (4 mu(k')), K(k) = (2/pi) mu(k') K(k') close the route, as in
+      :func:`mu`.  For r > r' the duality
       mu_a(r) mu_a(r') = y_sym^2 gives mu_a = y_sym^2 / mu_a(s) and F =
       mu_a(s) F(s^2) / y_sym.  Below the normal double range, where the
       maps lose digits, s takes the asymptote mu_a = R/2 - log s, F = 1,
       exact there.
     * every other a: one pass of the balanced series (:func:`_series_parts`).
     """
-    if a == _THIRD:
-        ag_comp = _agm3(1.0, u.comp ** (2.0 / 3.0))
-        return _Y_SYM_THIRD * ag_comp / _agm3(1.0, u.r ** (2.0 / 3.0)), 1.0 / ag_comp
     row = _CLASSICAL.get(a)
     if row is None:
         return _series_parts(a, u, big_r)
@@ -310,18 +312,28 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     if s <= _MIN_NORMAL:
         value, f = half_r - math.log(s), 1.0
     else:
+        dual = False
         if a == 0.5:
             k, kc, g = s, big, 1.0
         elif a == 0.25:
             d = 1.0 + big
             k, kc, g = s / d, math.sqrt(2.0 * big / d), math.sqrt(2.0 / d)
         else:
-            x = 2.0 * math.asin(s) / 3.0
-            cos_m = math.cos(_PI_SIXTH - x)
-            k, kc = math.sqrt(math.sin(x) / cos_m), math.sqrt(math.cos(_PI_SIXTH + x) / cos_m)
-            g = math.sqrt(_HALF_SQRT3 / cos_m)
+            if a == _SIXTH:
+                phi, w = 2.0 * math.asin(s) / 3.0, 1.0
+            else:  # 1/3: the cubic-to-sextic angle, reflected below pi/6 past x*
+                x = s * s
+                t = 1.0 - x * (20.0 + 8.0 * x)
+                phi = math.atan2(8.0 * s * big * big * big, abs(t)) / 3.0
+                w, dual = math.sqrt(1.0 + 8.0 * x), t < 0.0
+            cos_m = math.cos(_PI_SIXTH - phi)
+            k, kc = math.sqrt(math.sin(phi) / cos_m), math.sqrt(math.cos(_PI_SIXTH + phi) / cos_m)
+            g = math.sqrt(_HALF_SQRT3 / (w * cos_m))
         m, theta_sq = _nome(k, kc)
-        value, f = c * m, g * theta_sq
+        if dual:  # (k, kc) is the classical pair exchanged
+            value, f = c * _QUARTER_PI_SQ / m, g * m * theta_sq / _HALF_PI
+        else:
+            value, f = c * m, g * theta_sq
     if u.r <= u.comp:
         return value, f
     return y_sym * y_sym / value, value * f / y_sym
@@ -349,22 +361,22 @@ def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[
 def mu_a(a: float, x) -> float:
     """Generalized modulus mu_a(r) for signature a in (0, 1/2].
 
-    Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4
-    and 1/6 (the classical route) and 1/3 (the cubic AGM; see
+    Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4,
+    1/3 and 1/6, the four rows of the classical route (see
     :func:`_mu_a_parts`).  Against 40-digit mpmath, over 10000 random x per
-    signature from 1e-12 to 1 - 1e-12, each as r and as r', the relative
-    error was at most 3.4e-16, 3.7e-16, 4.5e-16 and 1.1e-15 at a = 1/2, 1/4,
-    1/6 and 1/3 (where r <= r': 2.4e-16, 2.6e-16, 2.9e-16 and 1.1e-15), in
-    about 1.5 us at 1/2, 1/4 and 1/6 (the series: about 20 us; Python 3.11,
-    2 vCPU).  With r or r' below 1e-12, down to 5e-324, the classical route
-    stays within 3.8e-16 (its asymptote below the normal range is exact
-    there) and the cubic AGM's rounding over its 8 steps reaches 1.6e-15.
-    Every other signature runs one pass of the balanced series at
-    w = min(r^2, r'^2), with relative error at most 6.7e-16 over 4500 random
-    (a, r), a log-spread on [1e-4, 1/2], r in [1e-12, 1 - 1e-12].  Between
-    adjacent doubles mu_a rose by one ulp for 6 to 12, 2 to 4 and none of
-    3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and 1/6, and by up to two
-    for 36 to 47 at 1/3 (two seeded draws); for at most 3 of 3000 in
+    signature from 1e-12 to 1 - 1e-12 (20000 against 60 digits at 1/3), each
+    as r and as r', the relative error was at most 3.4e-16, 3.7e-16, 4.2e-16
+    and 4.5e-16 at a = 1/2, 1/4, 1/3 and 1/6 (where r <= r': 2.4e-16,
+    2.6e-16, 4.2e-16 and 2.9e-16), in about 1.5 us at 1/2, 1/4 and 1/6 and
+    2 us at 1/3 (the series: about 20 us; Python 3.11, 2 vCPU).  With r or r'
+    below 1e-12, down to 5e-324, the route stays within 4.2e-16 on 3000
+    log-spread x per signature (its asymptote below the normal range is
+    exact there).  Every other signature runs one pass of the balanced
+    series at w = min(r^2, r'^2), with relative error at most 6.7e-16 over
+    4500 random (a, r), a log-spread on [1e-4, 1/2], r in [1e-12, 1 - 1e-12].
+    Between adjacent doubles mu_a rose by one ulp for 6 to 12, 2 to 4 and
+    none of 3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and 1/6, and by up
+    to two for 3 to 10 at 1/3 (two seeded draws); for at most 5 of 3000 in
     [0.3, 0.95], and for none within 40 ulp of 1/sqrt 2.
     """
     a = check_signature(a)
@@ -375,11 +387,10 @@ def mu_a_derivative(a: float, x) -> float:
     """d mu_a/dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2); strictly negative.
 
     F comes from the same route as :func:`mu_a`, closed form at a = 1/2,
-    1/4, 1/6 and 1/3; its relative error there against mpmath was at most
-    4.4e-16, 5.9e-16, 5.6e-16 and 1.0e-15 on the samples of :func:`mu_a`
-    (where r <= r': 1.8e-16, 3.5e-16, 3.3e-16 and 3.8e-16; on the classical
-    route, F = mu_a(r') F(r'^2) / y_sym for r > r' carries the error of
-    mu_a(r')).  A slope beyond the double range raises :class:`OverflowSignal`:
+    1/4, 1/3 and 1/6; its relative error there against mpmath was at most
+    4.4e-16, 5.9e-16, 5.6e-16 and 5.6e-16 on the samples of :func:`mu_a`
+    (where r <= r': 1.8e-16, 3.5e-16, 5.4e-16 and 3.3e-16; F = mu_a(r')
+    F(r'^2) / y_sym for r > r' carries the error of mu_a(r')).  A slope beyond the double range raises :class:`OverflowSignal`:
     at subnormal r, and at r' below about 1e-156 (3e-156 at a = 0.01).
     """
     a = check_signature(a)
@@ -406,9 +417,11 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     the lower limit below to 709.7 (711.4 at 1/6), |mu_a(r) - y| <= 6.1e-16,
     5.8e-16 and 6.9e-16 max(1, y) at a = 1/2, 1/4 and 1/6, and r^2 + r'^2 = 1
     to 8.0e-16, 5.4e-16 and 1.4e-16, in about 1 us at 1/2 and 2 us at 1/4 and
-    1/6 (Python 3.11, 2 vCPU; Newton: 15 to 70 us).  Every other signature, 1/3
-    included, takes the safeguarded Newton iteration of
-    :func:`_mu_a_newton`.  A radius or complement below the normal double range
+    1/6 (Python 3.11, 2 vCPU; Newton: 15 to 70 us).  Every other signature
+    takes the safeguarded Newton iteration of :func:`_mu_a_newton`, and so
+    does 1/3, whose row of the classical route has a forward map only
+    (there |mu_a(r) - y| <= 4.6e-16 max(1, y) over 6000 log-uniform y from
+    0.0047 to 710).  A radius or complement below the normal double range
     raises :class:`ConvergenceError`: past y ~ 709.78 at a = 1/2 and 1/4 (at
     1/4 the Landen radius k ~ r/2 underflows first) and 711.43 at 1/6, and
     below the duals of those limits, y ~ 0.0034763, 0.0069526 and 0.013873.
@@ -419,7 +432,7 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
         return _theta_radius(y, False)
     row = _CLASSICAL.get(a)
-    if row is None:
+    if row is None or a == _THIRD:  # no inverse map at 1/3
         return _mu_a_newton(a, y)
     c, y_sym, half_r = row
     dual = y < y_sym

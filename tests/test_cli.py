@@ -358,6 +358,21 @@ class TestGeomCli:
         assert code == 2
         assert "line 3" in err
 
+    def test_check_reads_the_file_once(self, capsys, tmp_path, monkeypatch):
+        from qcfun import geometry
+
+        path = tmp_path / "pentagon.csv"
+        path.write_text("x,y\n0,0\n2,0\n2,1\n1,3\n0,1\n")
+        reads = []
+        read = geometry.Polyline.from_csv.__func__
+        monkeypatch.setattr(geometry.Polyline, "from_csv",
+                            classmethod(lambda cls, *args, **kw: reads.append(args) or read(cls, *args, **kw)))
+        code, out, _ = run_cli(capsys, "geom", "check", "--in", str(path),
+                               "--property", "ahlfors", "--property", "triangle")
+        assert code == 0 and len(reads) == 1
+        # closed for ahlfors, open for triangle, as when each property read the file itself
+        assert out == '{\n  "ahlfors": 1.118033988749895,\n  "triangle": 5.39834563766817\n}\n'
+
     def test_missing_input_exit_two(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"
         code, out, err = run_cli(capsys, "geom", "check", "--in", str(missing), "--property", "ahlfors")
@@ -397,17 +412,34 @@ class TestModuleEntry:
     """``python -m qcfun.cli`` runs ``main`` and exits with its code."""
 
     @staticmethod
-    def _run(*argv):
+    def _command(*argv):
         import os
-        import subprocess
-        import sys
         from pathlib import Path
 
         import qcfun
 
         src = str(Path(qcfun.__file__).resolve().parent.parent)
-        return subprocess.run([sys.executable, "-m", "qcfun.cli", *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        return [sys.executable, "-m", "qcfun.cli", *argv], {**os.environ, "PYTHONPATH": src}
+
+    @classmethod
+    def _run(cls, *argv):
+        import subprocess
+
+        command, env = cls._command(*argv)
+        return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+    def test_reader_closing_the_pipe_early_gets_no_traceback(self):
+        # as in ``qcfun table ... | head -1``: about 4 MB of rows, and the reader stops after one
+        import subprocess
+
+        command, env = self._command("table", "--fn", "mu", "--from", "0.001", "--to", "0.999",
+                                     "--step", "1e-5")
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"r,value,error\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_value(self):
         proc = self._run("eval", "--fn", "mu", "--r", "0.5")

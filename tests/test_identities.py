@@ -124,9 +124,10 @@ class TestRegressionDetection:
     def test_equality_tolerance(self):
         assert all(c.tolerance == 1e-13 for c in all_cases() if c.kind is CaseKind.Equality)
 
-    def test_cubic_agm_route_drift_fails(self, monkeypatch):
-        # scales mu_a at a = 1/3 only: its y_sym factor is the cubic-AGM route's alone
-        monkeypatch.setattr(modulus, "_Y_SYM_THIRD", modulus._Y_SYM_THIRD * (1.0 + 1e-12))
+    def test_third_row_drift_fails(self, monkeypatch):
+        # scales mu_a at a = 1/3 only, through the c of its classical-route row
+        c, y_sym, half_r = modulus._CLASSICAL[modulus._THIRD]
+        monkeypatch.setitem(modulus._CLASSICAL, modulus._THIRD, (c * (1.0 + 1e-12), y_sym, half_r))
         assert not all(rep.passed for rep in run_suite())
 
     def test_theta_radius_drift_fails(self, monkeypatch):

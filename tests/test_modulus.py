@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcfun import distortion, modulus
+from qcfun.means import ellint_K_from_comp
 from qcfun import (
     ConvergenceError,
     DomainError,
@@ -53,6 +54,15 @@ A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
 CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0)
 
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
+
+
+def around(x, deltas=(1e-9, 1e-5, 1e-2)):
+    """1 to 4 ulp either side of x, and x (1 -+ delta), in increasing order."""
+    below, above = [x], [x]
+    for _ in range(4):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
 
 
 class TestUnitRadius:
@@ -241,6 +251,28 @@ class TestMu:
         u = UnitRadius.from_comp(r) if comp_channel else UnitRadius.from_r(r)
         oracle = 0.5 * math.pi * agm(1.0, u.comp) / agm(1.0, u.r)
         assert abs(mu(u) - oracle) <= 5.0 * math.ulp(oracle)
+
+    @pytest.mark.parametrize("seam", [SQRT_HALF_VAL, sys.float_info.min], ids=["r_eq_comp", "smallest_normal"])
+    def test_nome_seams_against_mpmath(self, seam):
+        # mu and K across the duality switch at r = r' and across the smallest normal
+        # double, each x as the radius and as the complement: within the docstrings'
+        # 3 and 4 ulp of 40-digit mpmath, and mu falls and K rises with r
+        mp = pytest.importorskip("mpmath")
+        mus, ks = [], []
+        with mp.workdps(40):
+            for x in around(seam):
+                u = UnitRadius.from_r(x)
+                k_x = mp.pi / (2 * mp.agm(1, mp.sqrt((1 - mp.mpf(x)) * (1 + mp.mpf(x)))))
+                k_xc = mp.pi / (2 * mp.agm(1, x))
+                for got, want, tol in ((mu(u), mp.pi / 2 * k_xc / k_x, 3),
+                                       (mu(u.swapped), mp.pi / 2 * k_x / k_xc, 3),
+                                       (ellint_K_from_comp(u.comp, u.r), k_x, 4),
+                                       (ellint_K_from_comp(u.r, u.comp), k_xc, 4)):
+                    assert abs(got - want) <= tol * math.ulp(float(want)), (x, got)
+                mus.append(mu(u))
+                ks.append(ellint_K_from_comp(u.comp, u.r))
+        assert all(b <= a for a, b in zip(mus, mus[1:])), mus
+        assert all(a <= b for a, b in zip(ks, ks[1:])), ks
 
     def test_adjacent_doubles_monotone(self):
         # between adjacent doubles mu may rise by rounding only: on both
@@ -442,75 +474,35 @@ class TestMuA:
         mu_a(0.2, 0.5)  # the counter sees the series where it runs
         assert len(calls) == 1
 
-    def test_cubic_agm_reaches_no_cap(self):
-        from qcfun.means import _agm3
-        assert _agm3(1.0, 1.0) == 1.0
-        for s in (5e-324 ** (2.0 / 3.0), 1e-300, 1e-16, 0.5, 1.0 - 2.0 ** -52):
-            assert 0.0 < _agm3(1.0, s) < 1.0
-        with pytest.raises(ConvergenceError):
-            _agm3(1.0, math.nan)
 
+class ClassicalForwardChecks:
+    """mu_a and its F factor on the classical route against the series oracle.
 
-class ClassicalRouteChecks:
-    """mu_a, its F factor and mu_a_inv on the classical route against the series and Newton oracles.
-
-    One subclass per signature sets A, its y_sym and R(a,1-a)/2, the last y on
-    either side of y_sym whose radius is normal, and y whose radius or
-    complement underflows.  The seeded series comparison is
-    test_closed_forms_against_series_oracle, which samples these signatures
-    with 1/3."""
+    One subclass per signature sets A, its y_sym and R(a,1-a)/2.  The seeded
+    series comparison is test_closed_forms_against_series_oracle."""
 
     A = Y_SYM = HALF_R = None
-    LAST = UNDER = ()
-    # the start of the underflow message, formatted with a and y
-    UNDER_MSG = "mu_a_inv({a}, {y}): "
-    ULP_S = math.ulp(SQRT_HALF_VAL)
 
-    @staticmethod
-    def around(x, deltas=(1e-9, 1e-5, 1e-2)):
-        # 1 to 4 ulp either side of x, and x (1 -+ delta), in increasing order
-        below, above = [x], [x]
-        for _ in range(4):
-            below.append(math.nextafter(below[-1], 0.0))
-            above.append(math.nextafter(above[-1], math.inf))
-        return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
-
-    def test_inverse_against_newton_seeded(self):
-        a, y_sym, y_min = self.A, self.Y_SYM, self.LAST[1]
-        rng = random.Random(617)
-        for _ in range(300):
-            y = math.exp(rng.uniform(math.log(y_min), math.log(700.0)))
-            u, oracle = mu_a_inv(a, y), modulus._mu_a_newton(a, y)
-            # the smaller channel carries the digits: r at y >= y_sym, the complement below
-            got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
-            assert abs(got - want) <= 1e-11 * want, y
-            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
-            assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
-
-    def test_forward_seam_at_r_equals_complement(self):
-        a, y_sym = self.A, self.Y_SYM
-        rs = self.around(SQRT_HALF_VAL)
-        values = [mu_a(a, r) for r in rs]
-        assert all(w <= v for v, w in zip(values, values[1:])), values
-        for r in rs:
-            u = UnitRadius.from_r(r)
+    def check_seam(self, xs, complement=False):
+        # over the increasing xs, as r (mu_a decreasing) or as r' (increasing),
+        # mu_a monotone, and mu_a and F against the series
+        a = self.A
+        us = [UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x) for x in xs]
+        values = [mu_a(a, u) for u in us]
+        assert all((v <= w) if complement else (w <= v) for v, w in zip(values, values[1:])), values
+        for u in us:
             value, f = modulus._mu_a_parts(a, u)
             want, f_want = modulus._series_parts(a, u)
-            assert abs(value - want) <= 1e-15 * want and abs(f - f_want) <= 1e-15 * f_want, r
+            assert abs(value - want) <= 1e-15 * want and abs(f - f_want) <= 1e-15 * f_want, u
+        return values
+
+    def test_forward_seam_at_r_equals_complement(self):
+        y_sym, rs = self.Y_SYM, around(SQRT_HALF_VAL)
+        values = self.check_seam(rs)
         # mu_a(r) >= y_sym exactly on the r <= r' side, and <= y_sym on the other
         for r, value in zip(rs, values):
             u = UnitRadius.from_r(r)
             assert value >= y_sym if u.r <= u.comp else value <= y_sym, r
-
-    def test_inverse_seam_at_y_sym(self):
-        a, y_sym = self.A, self.Y_SYM
-        ys = self.around(y_sym)
-        us = [mu_a_inv(a, y) for y in ys]
-        assert all(v.r >= w.r and v.comp <= w.comp for v, w in zip(us, us[1:])), us
-        for y, u in zip(ys, us):
-            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
-        at = us[ys.index(y_sym)]
-        assert abs(at.r - SQRT_HALF_VAL) <= 2 * self.ULP_S and abs(at.comp - SQRT_HALF_VAL) <= 2 * self.ULP_S
 
     @pytest.mark.parametrize("r", [5e-324, 1e-320, 1e-310, sys.float_info.min])
     def test_below_normal_radius_takes_the_asymptote(self, r):
@@ -528,6 +520,40 @@ class ClassicalRouteChecks:
         # just above the switch both routes hold full precision
         for r in (math.nextafter(sys.float_info.min, 1.0), 3 * sys.float_info.min, 1e-300, 1e-100):
             assert mu_a(self.A, r) == pytest.approx(self.HALF_R - math.log(r), rel=1e-15)
+
+
+class ClassicalRouteChecks(ClassicalForwardChecks):
+    """The forward checks, and mu_a_inv on the classical route against the Newton oracle.
+
+    A subclass also sets the last y on either side of y_sym whose radius is
+    normal, and y whose radius or complement underflows."""
+
+    LAST = UNDER = ()
+    # the start of the underflow message, formatted with a and y
+    UNDER_MSG = "mu_a_inv({a}, {y}): "
+    ULP_S = math.ulp(SQRT_HALF_VAL)
+
+    def test_inverse_against_newton_seeded(self):
+        a, y_sym, y_min = self.A, self.Y_SYM, self.LAST[1]
+        rng = random.Random(617)
+        for _ in range(300):
+            y = math.exp(rng.uniform(math.log(y_min), math.log(700.0)))
+            u, oracle = mu_a_inv(a, y), modulus._mu_a_newton(a, y)
+            # the smaller channel carries the digits: r at y >= y_sym, the complement below
+            got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
+            assert abs(got - want) <= 1e-11 * want, y
+            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
+            assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
+
+    def test_inverse_seam_at_y_sym(self):
+        a, y_sym = self.A, self.Y_SYM
+        ys = around(y_sym)
+        us = [mu_a_inv(a, y) for y in ys]
+        assert all(v.r >= w.r and v.comp <= w.comp for v, w in zip(us, us[1:])), us
+        for y, u in zip(ys, us):
+            assert abs(mu_a(a, u) - y) <= 8e-16 * max(1.0, y), y
+        at = us[ys.index(y_sym)]
+        assert abs(at.r - SQRT_HALF_VAL) <= 2 * self.ULP_S and abs(at.comp - SQRT_HALF_VAL) <= 2 * self.ULP_S
 
     def test_last_normal_results_and_underflow(self):
         a = self.A
@@ -555,6 +581,19 @@ class TestQuarterClosedForms(ClassicalRouteChecks):
 class TestSixthClosedForms(ClassicalRouteChecks):
     A, Y_SYM, HALF_R = 1.0 / 6.0, math.pi, 0.5 * math.log(432.0)
     LAST, UNDER = (711.43, 0.013873), (711.44, 0.01387)
+
+
+class TestThirdClosedForms(ClassicalForwardChecks):
+    # the forward route only: the inverse at 1/3 is Newton's (test_closed_forms_run_no_series)
+    A, Y_SYM, HALF_R = 1.0 / 3.0, math.pi / math.sqrt(3.0), 0.5 * math.log(27.0)
+    # at s^2 = x* = (sqrt 432 - 20)/16 the signature-6 angle reaches pi/6; past it the
+    # map yields the complement of the classical radius and the route takes the dual nome
+    S_STAR = math.sqrt((math.sqrt(432.0) - 20.0) / 16.0)
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_forward_seam_at_the_reflection(self, complement):
+        assert 0.2214 < self.S_STAR < 0.2215
+        self.check_seam(around(self.S_STAR), complement)
 
 
 class TestMuADerivative:
@@ -651,6 +690,19 @@ class TestMuAInv:
             return
         assert isinstance(u, UnitRadius)
         assert abs(mu_a(a, u) - y) <= 2e-13 * max(1.0, y)
+
+    def test_newton_bisects_where_a_step_leaves_the_bracket(self, monkeypatch):
+        # an F factor 4x too large makes each Newton step 16x too long: the bracket
+        # turns the steps that leave it into bisection, so the root is still found
+        parts = modulus._mu_a_parts
+
+        def steep(a, u, big_r=None):
+            value, f = parts(a, u, big_r)
+            return value, 4.0 * f
+        monkeypatch.setattr(modulus, "_mu_a_parts", steep)
+        for a, y in ((0.2, 0.5), (0.2, 3.0), (1.0 / 3.0, 40.0), (1e-3, 300.0)):
+            u = modulus._mu_a_newton(a, y)
+            assert abs(parts(a, u)[0] - y) <= 1e-12 * max(1.0, y), (a, y)
 
     def test_series_evaluations_per_inverse(self, monkeypatch):
         # one _mu_a_parts call is one pass of the fused series (both F factors)

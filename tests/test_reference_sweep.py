@@ -318,8 +318,8 @@ def test_mu_a_fused_series(a, r_sq):
 @pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0])
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12])
 def test_mu_a_closed_forms(a, r):
-    # the closed-form routes: mu, mu at the Landen radius, the cubic AGM
-    # quotient, and mu at the signature-6 Legendre radius
+    # the closed-form routes: mu, mu at the Landen radius, and mu at the
+    # signature-6 Legendre radius, reached at 1/3 by the cubic-to-sextic map
     want = mu_a_mp(a, r)
     assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1.5e-15
     f_want = mp.hyp2f1(mp.mpf(a), 1 - mp.mpf(a), 1, mp.mpf(r) ** 2)
@@ -328,15 +328,16 @@ def test_mu_a_closed_forms(a, r):
 
 
 # signature -> the docstrings' figures on the classical route: mu_a, F where r <= r' and
-# where r > r', and the inverse's residual over max(1, y) on its y range
+# where r > r', and the inverse's residual over max(1, y) on its y range (Newton's at 1/3)
 CLASSICAL_FIGURES = {
     0.5: (3.5e-16, 2e-16, 4.5e-16, 5e-16, (0.0035, 709.7)),
     0.25: (4e-16, 3.5e-16, 6e-16, 5e-16, (0.007, 709.7)),
     1.0 / 6.0: (4e-16, 3.5e-16, 5e-16, 8e-16, (0.0139, 711.4)),
+    1.0 / 3.0: (4.5e-16, 5.5e-16, 6e-16, 5e-16, (0.0047, 710.0)),
 }
 
 
-@pytest.mark.parametrize("a", list(CLASSICAL_FIGURES), ids=["half", "quarter", "sixth"])
+@pytest.mark.parametrize("a", list(CLASSICAL_FIGURES), ids=["half", "quarter", "sixth", "third"])
 def test_classical_route_seeded_sweep(a):
     # mu_a and F on both channels, each reference taken at the channel held
     # exactly, and the inverse's residual
