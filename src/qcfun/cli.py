@@ -16,6 +16,7 @@ suite, numpy and ``json`` load in the commands that use them.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -25,6 +26,7 @@ from .errors import DomainError, PolylineFormatError, QcfunError
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+_MAX_GRID_POINTS = 10 ** 6  # table and residuals --grid refuse a longer grid before building it
 
 
 def _fmt(value: float) -> str:
@@ -169,11 +171,17 @@ def _cmd_eval(args) -> int:
 
 
 def _grid_points(start: float, stop: float, step: float) -> list[float]:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"grid bounds must be finite, got {start} and {stop}")
     if not (step > 0):
         raise DomainError(f"step must be positive, got {step}")
     if not (start < stop):
         raise DomainError(f"need from < to, got {start} >= {stop}")
-    n = int(round((stop - start) / step))
+    span = (stop - start) / step  # inf once the span overflows
+    if not span < _MAX_GRID_POINTS - 0.5:  # round(span) + 1 points
+        raise DomainError(f"a grid has at most {_MAX_GRID_POINTS} points; "
+                          f"{start} to {stop} in steps of {step} has more")
+    n = int(round(span))
     pts = [start + i * step for i in range(n + 1)]
     return [p for p in pts if p <= stop + 1e-12 * max(1.0, abs(stop))]
 

@@ -93,6 +93,16 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
 
     As for phi_K, a radius or complement below the normal double range raises
     :class:`ConvergenceError`.
+
+    Accuracy is condition-scaled, as for phi_K.  At a = 1/2, 1/4, 1/3 and 1/6,
+    with y = mu_a(r)/K the modulus of the result and y* = y_sym^2 / y that of
+    its complement (y_sym = pi / (2 sin(pi a))), the radius is within
+    4 eps max(1, y) and the complement within 4 eps max(1, y*) relative
+    (eps = 2^-52).  Against 40-digit mpmath, over two seeded sets of 1500
+    draws per signature with K log-uniform in [0.02, 50] and r or r'
+    log-uniform in [1e-12, 1/2], the factor was at most 2.2 on either
+    channel.  At every other a the inverse is Newton's, whose stop bounds
+    |mu_a(result) - y| by 2e-13 max(1, y) (:func:`qcfun.modulus._mu_a_newton`).
     """
     a = check_signature(a)
     K = _check_K(K, sub_unit_ok=True)

@@ -20,14 +20,14 @@ mu(r) mu(r') = pi^2/4 gives the other channel.  At a = 1/2, 1/4, 1/3 and
 1/6 one classical route serves mu_a: mu_a(r) = c mu(k) at a radius k
 algebraic in the smaller channel (r itself, Landen's map, Ramanujan's
 signature-6 Legendre radius, at 1/3 after the cubic-to-sextic map), and the
-duality gives the other channel; at 1/2, 1/4 and 1/6 the inverse runs the
-theta inverse of mu (:func:`_theta_radius`) back through the inverse map.
-At every other signature one series pass at w = min(r^2, r'^2) <= 1/2 gives
-both F factors of mu_a, and the inverse, 1/3 included, is the safeguarded
-Newton iteration of :func:`_mu_a_newton`.  Both inverses use the duality to
-solve only for r <= 1/sqrt 2.  The theta inverse also serves the distortion
-pass :func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
-mu_inv without forming either.
+duality gives the other channel.  Its inverse is the theta inverse of mu
+(:func:`_theta_radius`) at 1/2, and at 1/6 after the Legendre angle, and
+Euler's products at 1/4 and 1/3.  Every other signature takes one series
+pass at w = min(r^2, r'^2) <= 1/2 for both F factors of mu_a, and the
+safeguarded Newton iteration of :func:`_mu_a_newton` for the inverse.  Both
+inverses use the duality to solve only for r <= 1/sqrt 2.  The theta
+inverse also serves the distortion pass :func:`_phi_pair`: it scales the
+log nome of r by K, so composes mu and mu_inv without forming either.
 
 Radii travel as :class:`UnitRadius` pairs (r, sqrt(1-r^2)).  Keeping the
 complement as a first-class channel is what lets values down to the smallest
@@ -405,26 +405,26 @@ def mu_a_derivative(a: float, x) -> float:
 def mu_a_inv(a: float, y: float) -> UnitRadius:
     """Inverse generalized modulus: the radius with mu_a(r) = y, a in (0, 1/2].
 
-    Closed form at a = 1/2, 1/4 and 1/6, the classical route of
-    :func:`_mu_a_parts` run backwards.  At a = 1/2 it is :func:`mu_inv`, whose
-    theta inverse (:func:`_theta_radius`) takes its own dual and underflow
-    guard.  At 1/4 and 1/6 the root is found below y_sym at the dual y_sym^2 /
-    y and the channels are exchanged, so the smaller channel comes out
-    directly; the theta inverse at y/c gives the classical radius k, and the
-    inverse map the radius: r = 2k/(1+k^2) and r' = (1-k)(1+k)/(1+k^2), the
-    inverse Landen map, at 1/4; r = sin(theta) and r' = cos(theta) with theta
-    = 3/2 atan(sqrt3 k^2 / (1 + k'^2)) at 1/6.  Over 100000 log-uniform y from
-    the lower limit below to 709.7 (711.4 at 1/6), |mu_a(r) - y| <= 6.1e-16,
-    5.8e-16 and 6.9e-16 max(1, y) at a = 1/2, 1/4 and 1/6, and r^2 + r'^2 = 1
-    to 8.0e-16, 5.4e-16 and 1.4e-16, in about 1 us at 1/2 and 2 us at 1/4 and
-    1/6 (Python 3.11, 2 vCPU; Newton: 15 to 70 us).  Every other signature
-    takes the safeguarded Newton iteration of :func:`_mu_a_newton`, and so
-    does 1/3, whose row of the classical route has a forward map only
-    (there |mu_a(r) - y| <= 4.6e-16 max(1, y) over 6000 log-uniform y from
-    0.0047 to 710).  A radius or complement below the normal double range
-    raises :class:`ConvergenceError`: past y ~ 709.78 at a = 1/2 and 1/4 (at
-    1/4 the Landen radius k ~ r/2 underflows first) and 711.43 at 1/6, and
-    below the duals of those limits, y ~ 0.0034763, 0.0069526 and 0.013873.
+    Closed form at a = 1/2, 1/4, 1/3 and 1/6.  At 1/2 it is :func:`mu_inv`,
+    whose theta inverse (:func:`_theta_radius`) takes its own dual and
+    underflow guard.  Elsewhere, below y_sym, the dual y_sym^2 / y gives the
+    smaller channel directly, and the channels are exchanged.  At 1/4 and 1/3
+    Ramanujan's theories of signatures 4 and 3 give r/r' = e^(R/2 - y)
+    (E(q^m) / E(q))^(12/(m-1)), m = 2 and 3, an eta quotient in the nome
+    q = e^(-2y) with Euler's product E(q) = prod (1 - q^n) (Berndt, Bhargava
+    and Garvan, Trans. AMS 347, 1995).  At 1/6 the theta inverse at y/2 gives
+    the Legendre radius k, and r, r' = sin, cos of 3/2 atan(sqrt3 k^2 /
+    (1 + k'^2)).  Over 100000 log-uniform y between the limits below,
+    |mu_a(r) - y| <= 6.5e-16, 3.9e-16, 4.9e-16 and 6.1e-16 max(1, y) at
+    a = 1/2, 1/4, 1/3 and 1/6 (1.8e-16 at 1/4 and 1/3 on 3000 y against
+    40-digit mpmath), and r^2 + r'^2 = 1 to 8.9e-16, 4.4e-16, 4.4e-16 and
+    2.2e-16, in about 1 us at 1/2, 1/4 and 1/3 and 2 us at 1/6 (Python 3.11,
+    2 vCPU; Newton: 15 to 70 us).  Every other signature takes the
+    safeguarded Newton iteration of :func:`_mu_a_newton`.  A radius or
+    complement below the normal double range raises :class:`ConvergenceError`:
+    past y ~ 709.78, 710.48, 710.04 and 711.43 at a = 1/2, 1/4, 1/3 and 1/6,
+    where the smaller channel e^(R/2 - y) underflows, and below their duals,
+    y ~ 0.0034763, 0.0069458, 0.0046333 and 0.013873.
     """
     a = check_signature(a)
     if not (y > 0 and math.isfinite(y)):
@@ -432,24 +432,31 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
         return _theta_radius(y, False)
     row = _CLASSICAL.get(a)
-    if row is None or a == _THIRD:  # no inverse map at 1/3
+    if row is None:
         return _mu_a_newton(a, y)
     c, y_sym, half_r = row
     dual = y < y_sym
     target = y_sym * y_sym / y if dual else y
-    # out here the smaller channel is e^(R/2 - target) and that of k is 4 e^(-target/c),
-    # to double precision; k underflows first at a = 1/4
-    if not max(target - half_r, target / c - _LOG4) <= _MAX_EXP:
+    if not target - half_r <= _MAX_EXP:  # out here the smaller channel is e^(R/2 - target)
         raise ConvergenceError(f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision")
-    k, kc = _theta_radius(target / c, False)
-    if a == 0.25:
-        d = 1.0 + k * k
-        r, comp = 2.0 * k / d, (1.0 - k) * (1.0 + k) / d
-    else:
+    if a == _SIXTH:
+        k, kc = _theta_radius(target / c, False)
         theta = 1.5 * math.atan(_SQRT3 * k * k / (1.0 + kc * kc))
         r, comp = math.sin(theta), math.cos(theta)
+    else:  # 1/4 and 1/3: r/r' = e^(R/2 - y) (E(q^m)/E(q))^(12/(m-1)) at q = e^(-2y)
+        m = 2 if a == 0.25 else 3
+        q = math.exp(-2.0 * target)
+        rho = math.exp(half_r - target + 12.0 / (m - 1) * (_log_euler(q ** m) - _log_euler(q)))
+        comp = 1.0 / math.sqrt(1.0 + rho * rho)
+        r = rho * comp
     # past the guard the smaller channel is normal (to rounding), and r^2 + comp^2 = 1 to rounding
     return _pair(comp, r) if dual else _pair(r, comp)
+
+
+def _log_euler(x: float) -> float:
+    """log prod (1 - x^n) by Euler's pentagonal series 1 - x - x^2 + x^5 + x^7; x^12 < 1.2e-19 for x <= 0.0266."""
+    x2 = x * x
+    return math.log1p(-x * (1.0 + x - x2 * x2 * (1.0 + x2)))
 
 
 def _mu_a_newton(a: float, y: float) -> UnitRadius:
@@ -466,8 +473,8 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
     d mu_a/dt = 1 / ((1-r^2) F^2), and a step leaving the bracket is replaced
     by bisection in t.  The last step is below 1e-13 y', which bounds
     |mu_a(r) - y| by 2e-13 max(1, y); 8e-16 max(1, y) was measured on 1500
-    random (a, y).  It also runs at a = 1/2, 1/4 and 1/6, where the tests
-    use it as the oracle of the theta routes.
+    random (a, y).  It also runs at every row of the classical route, where
+    the tests use it as the oracle of the closed forms.
     """
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
     dual = y < y_sym

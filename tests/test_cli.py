@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from qcfun import identities, linearized_g
+from qcfun import DomainError, identities, linearized_g
+from qcfun import cli
 from qcfun.cli import _build_parser, main
 
 MU_HALF = 2.0094593770052853
@@ -17,6 +18,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def no_large_grid(monkeypatch):
+    """A grid of more than 10^6 + 1 points fails as it is built, instead of filling memory."""
+    def short_range(n):
+        assert n <= 10 ** 6 + 1, f"a grid of {n} points was built"
+        return range(n)
+    monkeypatch.setattr(cli, "range", short_range, raising=False)
 
 
 class TestEval:
@@ -198,6 +208,29 @@ class TestTable:
                                "--step", "0.1")
         assert code == 2 and "from < to" in err
 
+    @pytest.mark.parametrize("bounds", [("--from", "0.1", "--to", "inf"), ("--from=-inf", "--to", "1"),
+                                        ("--from", "0.1", "--to", "nan")])
+    def test_non_finite_bound_exit_two(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "table", "--fn", "mu", *bounds, "--step", "0.1")
+        assert code == 2 and out == ""
+        assert "grid bounds must be finite" in err
+
+    @pytest.mark.parametrize("grid", [("0.1", "0.9", "1e-12"), ("-1e308", "1e308", "1")])
+    def test_overlong_grid_refused_before_it_is_built(self, capsys, grid, no_large_grid):
+        start, stop, step = grid
+        code, out, err = run_cli(capsys, "table", "--fn", "mu", f"--from={start}", "--to", stop, "--step", step)
+        assert code == 2 and out == ""
+        assert "at most 1000000 points" in err
+
+    def test_grid_limit_counts_points(self, monkeypatch):
+        # the limit at 10 instead of 10^6: 0, 1, ..., 9 is the longest grid allowed
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
+        assert cli._grid_points(0.0, 9.0, 1.0) == [float(i) for i in range(10)]
+        assert cli._grid_points(0.0, 9.4, 1.0) == [float(i) for i in range(10)]
+        for stop in (9.5, 10.0):
+            with pytest.raises(DomainError, match="at most 10 points"):
+                cli._grid_points(0.0, stop, 1.0)
+
 
 class TestResiduals:
     def test_single_case(self, capsys):
@@ -214,6 +247,13 @@ class TestResiduals:
         code, out, _ = run_cli(capsys, "residuals", "--case", "BBG11")
         assert code == 0
         assert json.loads(out)[0]["max_residual"] < 1e-8
+
+    @pytest.mark.parametrize("grid, message", [("0.1:inf:0.1", "grid bounds must be finite"),
+                                               ("0.1:0.9:1e-12", "at most 1000000 points")])
+    def test_unbuildable_grid_exit_two(self, capsys, grid, message, no_large_grid):
+        code, out, err = run_cli(capsys, "residuals", "--suite", "all", "--grid", grid)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_failing_grid_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "residuals", "--case", "LJ3", "--grid", "1.2:1.4:0.1")

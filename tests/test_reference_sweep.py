@@ -328,7 +328,7 @@ def test_mu_a_closed_forms(a, r):
 
 
 # signature -> the docstrings' figures on the classical route: mu_a, F where r <= r' and
-# where r > r', and the inverse's residual over max(1, y) on its y range (Newton's at 1/3)
+# where r > r', and the inverse's residual over max(1, y) on its y range
 CLASSICAL_FIGURES = {
     0.5: (3.5e-16, 2e-16, 4.5e-16, 5e-16, (0.0035, 709.7)),
     0.25: (4e-16, 3.5e-16, 6e-16, 5e-16, (0.007, 709.7)),
@@ -494,6 +494,48 @@ def test_phi_condition_scaled_accuracy():
         r, comp = _inv_mp(y)
         assert _rel_err(v.r, r) <= 4 * EPS * max(1, y), (K, x)
         assert _rel_err(v.comp, comp) <= 4 * EPS * max(1, mp.pi ** 2 / (4 * y)), (K, x)
+
+
+def _mu_a_slope_mp(sig, x):
+    """(mu_a(x), (1 - x^2) F(x^2)^2) at an exact double x in (0,1): d log x / d mu_a is minus the second."""
+    if x < 1e-30:  # the asymptote R/2 - log x and F = 1, off by O(x^2 log x)
+        return (-2 * mp.euler - mp.digamma(sig) - mp.digamma(1 - sig)) / 2 - mp.log(x), mp.mpf(1)
+    # F(1 - x^2) needs x^2 to survive the subtraction
+    with mp.workdps(40 + max(0, int(-2 * math.log10(min(x, math.sqrt((1 - x) * (1 + x))))))):
+        x = mp.mpf(x)
+        x_sq, comp_sq = x * x, (1 - x) * (1 + x)
+        f, f_comp = mp.hyp2f1(sig, 1 - sig, 1, x_sq), mp.hyp2f1(sig, 1 - sig, 1, comp_sq)
+        return mp.pi / (2 * mp.sin(mp.pi * sig)) * f_comp / f, comp_sq * f * f
+
+
+@pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0], ids=["half", "quarter", "third", "sixth"])
+def test_phi_a_condition_scaled_accuracy(a):
+    # phi_aK's docstring: radius within 4 eps max(1, y), complement within 4 eps max(1, y*),
+    # y = mu_a(r)/K and y* = y_sym^2 / y; the exact pair is one Newton step in log s from
+    # the result's smaller channel s
+    rng = random.Random(914)
+    sig = 1 / mp.mpf(round(1 / a))
+    with mp.workdps(40):
+        y_sym_sq = (mp.pi / (2 * mp.sin(mp.pi * sig))) ** 2
+        for _ in range(250):
+            K = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+            x = math.exp(rng.uniform(math.log(1e-12), math.log(0.5)))
+            complement = rng.random() < 0.5
+            u = UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
+            m = _mu_a_slope_mp(sig, x)[0]
+            y = (y_sym_sq / m if complement else m) / K
+            try:
+                v = phi_aK(a, K, u)
+            except ConvergenceError:  # the radius or its complement underflows
+                continue
+            swap = v.r > v.comp
+            s, t = (v.comp, y_sym_sq / y) if swap else (v.r, y)
+            value, slope = _mu_a_slope_mp(sig, s)
+            s_exact = s * mp.exp((value - t) * slope)
+            big_exact = mp.sqrt(1 - s_exact * s_exact)
+            r, comp = (big_exact, s_exact) if swap else (s_exact, big_exact)
+            assert _rel_err(v.r, r) <= 4 * EPS * max(1, y), (K, x, complement)
+            assert _rel_err(v.comp, comp) <= 4 * EPS * max(1, y_sym_sq / y), (K, x, complement)
 
 
 def test_eta_and_lambda_condition_scaled_accuracy():
