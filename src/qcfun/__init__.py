@@ -4,12 +4,13 @@ Layers, bottom up:
 
 * :mod:`qcfun.specfun` -- gamma family and the Gauss hypergeometric series
   with its zero-balanced boundary machinery;
-* :mod:`qcfun.means` -- mean values and the complete elliptic integral via
-  the arithmetic-geometric mean;
+* :mod:`qcfun.means` -- mean values, the arithmetic-geometric mean, and the
+  complete elliptic integral and log nome from the Jacobi nome series;
 * :mod:`qcfun.modulus` -- the plane ring modulus mu, its generalized
   signature version mu_a, their inverses (theta functions for mu and for
-  mu_a at a = 1/2, 1/4 and 1/6, safeguarded Newton at every other a),
-  planar capacities, and the ascending-Landen product;
+  mu_a at a = 1/2 and 1/6, Euler's products at a = 1/4 and 1/3,
+  safeguarded Newton at every off-grid a), planar capacities, and the
+  ascending-Landen product;
 * :mod:`qcfun.distortion` -- distortion functions phi_K and phi^a_K, the
   quasisymmetry function, the linear-dilatation bound, the Schottky bound,
   and the logit linearization;

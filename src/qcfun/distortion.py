@@ -11,11 +11,13 @@ lambda(K) = eta_{K,2}(1), the Schottky supremum psi(r,t) = eta_{M,2}(t) with
 M = (1+r)/(1-r), and the logit-conjugated linearization
 g(x) = p(phi_K(q(x))) whose derivative increases through (1/K, K).
 
-phi_K, eta_{K,2} and lambda(K) share one nome pass
-(:func:`qcfun.modulus._phi_pair`): the log nome of the smaller channel of r
-is scaled by 1/K or by K, and the theta functions are evaluated once at the
-scaled nome, so mu(r) and the inverse are never formed as two separate
-calls.  phi^a_K composes mu_a and its inverse.
+phi_K, eta_{K,2}, lambda(K), the linearization and the plane eta bound of
+:mod:`qcfun.bounds` share one nome pass (:func:`qcfun.modulus._phi_pair`),
+after each has validated its own arguments once: the log nome of the
+smaller channel of r is scaled by 1/K or by K, and the theta functions are
+evaluated once at the scaled nome, so mu(r) and the inverse are never
+formed as two separate calls.  phi^a_K composes the kernel of mu_a and its
+inverse.
 
 ``phi_K``/``phi_aK`` return :class:`~qcfun.modulus.UnitRadius` so the
 complement 1 - phi^2 stays available at full precision; eta and the
@@ -35,10 +37,10 @@ from .modulus import (
     SQRT_HALF,
     UnitRadius,
     _checked_r,
+    _mu_a_parts,
     _phi_pair,
     as_radius,
     check_signature,
-    mu_a,
     mu_a_inv,
 )
 
@@ -109,7 +111,7 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
     u = as_radius(x)
     if K == 1.0:
         return u
-    modulus = mu_a(a, u)
+    modulus = _mu_a_parts(a, u)[0]  # mu_a(a, u), whose checks a and u have passed
     target = modulus / K
     if math.isinf(target):
         # a tiny K sends the radius below every double: the inverse underflows
@@ -193,7 +195,7 @@ def linearized_g(K: float, x: float) -> float:
     K = _check_K(K, sub_unit_ok=False)
     if not math.isfinite(x):
         raise DomainError(f"linearized_g requires finite x, got {x}")
-    return _logit_conjugate(lambda u: phi_K(K, u), x)
+    return _logit_conjugate(lambda u: _phi_pair(K, u.r, u.comp), x)
 
 
 def _logistic_radius(x: float) -> UnitRadius:

@@ -102,7 +102,8 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
         return float(self.edge_lengths().sum())
 
     def diameter(self) -> float:
-        return _diameter(self.points)
+        e = _unit_exponent(self.points)
+        return math.ldexp(_diameter(np.ldexp(self.points, -e)), e)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -203,6 +204,28 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def _unit_exponent(*arrays) -> int:
+    """The frexp exponent e of the largest |coordinate|, so the points times 2^-e lie in (-1, 1).
+
+    Distances square coordinate differences and widths multiply two of them,
+    which leaves the double range beyond about 1e+-154.  So every
+    scale-invariant estimator runs on its points times 2^-e (``np.ldexp``),
+    which is exact, and on points of ordinary size leaves every bit as it is.
+    """
+    return math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
+
+
+def _scaled_radius(r: float, scale: int) -> float:
+    """r times 2^scale, or inf past the double range.
+
+    There B(x, r) holds every point of the scaled set, and r exceeds every
+    distance between them by 2^1022, so a width over r is 0 to double
+    precision.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(r, scale))
+
+
 def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
     """``reduce`` (np.max or np.min) of the n_rows x n_cols table whose rows
     i:j ``block(i, j)`` returns, one row block at a time.
@@ -223,6 +246,8 @@ def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
+    scale = -_unit_exponent(e, f)
+    e, f = np.ldexp(e, scale), np.ldexp(f, scale)
     gap = _blockwise(np.min, len(e), len(f), lambda i, j: _dist(e[i:j, None], f[None]))
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
@@ -248,7 +273,8 @@ def ahlfors_constant(curve: Polyline) -> float:
         raise DomainError(
             f"ahlfors_constant accepts at most {_AHLFORS_MAX_VERTICES} vertices, got {n}"
         )
-    pts2 = np.concatenate([curve.points, curve.points])
+    pts = np.ldexp(curve.points, -_unit_exponent(curve.points))
+    pts2 = np.concatenate([pts, pts])
     # arc[L, s] = diameter of the vertex run s..s+L (wrapping), L = 0..n-1, by the
     # interval recurrence diam(s,L) = max(diam(s,L-1), diam(s+1,L-1), |v_s - v_{s+L}|)
     arc = np.zeros((n, n))
@@ -278,10 +304,10 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     """
     if curve.closed:
         raise DomainError("triangle_condition_constant applies to open polylines (curves through infinity)")
-    pts = curve.points
     n = curve.n_vertices
     if n < 3:
         raise DomainError("triangle condition needs at least 3 vertices")
+    pts = np.ldexp(curve.points, -_unit_exponent(curve.points))
     if adjacent_only:
         ac = _dist(pts[:-2], pts[2:])
         if np.any(ac == 0.0):
@@ -321,11 +347,13 @@ def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
         raise DomainError(f"radius must be positive, got {r}")
     if not np.any(np.all(pts == x, axis=1)):
         raise DomainError("base point must belong to the point set")
+    base = (float(x[0]), float(x[1]))
+    scale = -_unit_exponent(pts)  # x is one of the points
+    pts, x, r = np.ldexp(pts, scale), np.ldexp(x, scale), _scaled_radius(r, scale)
     d = pts - x
     local = d[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 2:
         raise DomainError("insufficient local points inside B(x, r)")
-    base = (float(x[0]), float(x[1]))
     hull = _convex_hull(np.concatenate((local, -local)))
     if not hull:  # every local point is x itself, so every line through x fits
         return HyperplaneFit(base=base, direction=(1.0, 0.0), delta=0.0)
@@ -368,6 +396,8 @@ def thickness_constant(E, x, r: float) -> float:
     x = np.asarray(x, dtype=float)
     if not (r > 0):
         raise DomainError(f"radius must be positive, got {r}")
+    scale = -_unit_exponent(pts, x)
+    pts, x, r = np.ldexp(pts, scale), np.ldexp(x, scale), _scaled_radius(r, scale)
     d = pts - x
     local = pts[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 3:
@@ -533,7 +563,8 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
         raise DomainError("boundary must be a closed polyline")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    poly = boundary.points
+    scale = -_unit_exponent(boundary.points, av, bv)
+    poly, av, bv = np.ldexp(boundary.points, scale), np.ldexp(av, scale), np.ldexp(bv, scale)
     pa = np.hypot(poly[:, 0] - av[0], poly[:, 1] - av[1])
     pb = np.hypot(poly[:, 0] - bv[0], poly[:, 1] - bv[1])
     for name, p in (("a", av), ("b", bv)):

@@ -24,7 +24,7 @@ from .distortion import _logistic_radius, eta_K2, lambda_of_K, phi_aK, phi_K
 from .errors import DomainError, QcfunError
 from .means import MeanKind, agm, comp_radius, ellint_K, ellint_K_from_comp, mean, mean_mod
 from .modulus import SQRT_HALF, UnitRadius, _mu_a_parts, agm_product_p, as_radius, mu, mu_a, mu_inv
-from .specfun import _ZB_SWITCH, HypergeomParams, _balanced_r0, beta_fn, gauss_F, gauss_F_near_one, ramanujan_R
+from .specfun import _ZB_SWITCH, HypergeomParams, beta_fn, gauss_F, gauss_F_near_one, ramanujan_R
 
 __all__ = [
     "CaseKind",
@@ -571,7 +571,7 @@ def _exp_q_maclaurin(a=0.25, b=0.25, n=20) -> dict:
     if not (0 < a <= 1 and 0 < b <= 1 and a + b <= 1):
         raise DomainError("q_maclaurin requires a, b in (0,1] with a + b <= 1")
     big_b = beta_fn(a, b)
-    big_r = _balanced_r0(a, b)  # no (0,1) restriction, unlike ramanujan_R
+    big_r = ramanujan_R(a, b)
     f = [1.0]
     for k in range(n):
         f.append(f[-1] * (a + k) * (b + k) / ((a + b + k) * (k + 1.0)))

@@ -171,7 +171,7 @@ def _log_mean_of_one(kind: MeanKind, u: float) -> float:
         for n in range(3, _AGM_CAP):
             term *= u / n
             d += term
-            if abs(term) <= 1e-17 * abs(d):
+            if abs(term) <= 1e-17 * abs(d):  # speed only: every later term is below half an ulp of d
                 break
         return math.log1p(d)
     if u < math.log(_MIN_NORMAL):
@@ -191,21 +191,19 @@ def comp_radius(r: float) -> float:
     return math.sqrt((1.0 - r) * (1.0 + r))
 
 
-def _nome(k: float, kc: float, with_mu: bool = True,
-          with_theta: bool = True) -> tuple[float, float]:
+def _nome(k: float, kc: float, with_mu: bool = True) -> tuple[float, float]:
     """(mu(k), theta_3(q)^2) at the nome q of the channel k <= kc, so K(k) = (pi/2) theta_3^2.
 
     lambda = k^2 / (2 (1 + k') (1 + sqrt k')^2) avoids the cancellation in
     1 - sqrt k'; the first dropped terms, 1707 lambda^17 of q and 2q^16 of
-    theta_3 = 1 + 2q + 2q^4 + 2q^9, lie below 3e-19 lambda and 2e-22.  Every
-    caller, the distortion pass (:func:`qcfun.modulus._phi_pair`) included,
-    gets the log nome from one plain sum, with q = lambda (1 + tail):
-    mu = ((log 2 - log1p(tail) + log(1 + k')) / 2 + log(1 + sqrt k')) - log k.
-    It takes no logarithm of lambda, which underflows below k ~ 1e-154, so
-    subnormal k needs no guard.  The switches skip work: the entry not asked
-    for is NaN, and without ``with_mu`` no logarithm is taken (k = 0 gives
-    theta_3 = 1), without ``with_theta`` no theta series is summed.
+    theta_3 = 1 + 2q + 2q^4 + 2q^9, lie below 3e-19 lambda and 2e-22.  The
+    log nome is the plain sum of :func:`_log_nome`.  Without ``with_mu`` no
+    logarithm is taken and the first entry is NaN (k = 0 then gives
+    theta_3 = 1): the r <= r' branch of :func:`ellint_K_from_comp` needs
+    theta_3 alone.  Callers that need mu alone call :func:`_log_nome`, which
+    sums no theta series.
     """
+    # the prologue and mu line repeat _log_nome's: a shared helper would cost a call per evaluation
     s = math.sqrt(kc)
     lam = k * k / (2.0 * (1.0 + kc) * ((1.0 + s) * (1.0 + s)))
     l4 = lam * lam
@@ -214,12 +212,29 @@ def _nome(k: float, kc: float, with_mu: bool = True,
     m = math.nan
     if with_mu:
         m = (0.5 * (_LOG2 - math.log1p(tail) + math.log1p(kc)) + math.log1p(s)) - math.log(k)
-    if not with_theta:
-        return m, math.nan
     q = lam + lam * tail
     q3 = q * q * q
     d = 2.0 * q * (1.0 + q3 * (1.0 + q3 * q * q))  # theta_3 - 1
     return m, 1.0 + d * (2.0 + d)
+
+
+def _log_nome(k: float, kc: float) -> float:
+    """mu(k) = -log(q)/2 at the nome q of the channel k <= kc, with no theta series.
+
+    Every caller that needs the log nome alone, :func:`qcfun.modulus.mu` and
+    the distortion pass :func:`qcfun.modulus._phi_pair`, takes it here, from
+    the lambda and tail that :func:`_nome` also forms and one plain sum, with
+    q = lambda (1 + tail):
+    mu = ((log 2 - log1p(tail) + log(1 + k')) / 2 + log(1 + sqrt k')) - log k.
+    It takes no logarithm of lambda, which underflows below k ~ 1e-154, so
+    subnormal k needs no guard.
+    """
+    s = math.sqrt(kc)
+    lam = k * k / (2.0 * (1.0 + kc) * ((1.0 + s) * (1.0 + s)))
+    l4 = lam * lam
+    l4 *= l4
+    tail = l4 * (2.0 + l4 * (15.0 + 150.0 * l4))
+    return (0.5 * (_LOG2 - math.log1p(tail) + math.log1p(kc)) + math.log1p(s)) - math.log(k)
 
 
 def ellint_K(r: float) -> float:

@@ -653,6 +653,46 @@ class TestBoundaryMetric:
             boundary_metric_estimate(Polyline(ngon.points, closed=False), (0.0, 0.0), (0.5, 0.0), "Apollonian")
 
 
+def _scale_invariant_estimates(s):
+    """Every scale-invariant estimator at s times three point sets; the linear fit as (delta, direction)."""
+    ngon, koch = regular_ngon(16).points * s, koch_curve(2).points * s
+    graph = np.cumsum(np.random.default_rng(20).uniform(0.1, 1.0, (20, 2)), axis=0) * s
+    fit = linear_approx_delta(koch, koch[5], 0.5 * s)
+    return {
+        "ahlfors_ngon": ahlfors_constant(Polyline(ngon)),
+        "ahlfors_koch": ahlfors_constant(Polyline(koch)),
+        "triangle": triangle_condition_constant(Polyline(graph, closed=False)),
+        "triangle_adjacent": triangle_condition_constant(Polyline(graph, closed=False), adjacent_only=True),
+        "relative_size": relative_size(koch[:10], koch[20:]),
+        "delta": (fit.delta, fit.direction),
+        "thickness": thickness_constant(koch, koch[5], 0.5 * s),
+        "absolute_ratio": boundary_metric_estimate(Polyline(ngon), ngon[0] * 0.2, ngon[5] * -0.3, "AbsoluteRatio"),
+        "apollonian": boundary_metric_estimate(Polyline(ngon), ngon[0] * 0.2, ngon[5] * -0.3, "Apollonian"),
+        "diameters": [Polyline(pts).diameter() / s for pts in (ngon, koch, graph)],
+    }
+
+
+class TestScaleInvariance:
+    """The estimators run on their points times the 2^-e of the largest coordinate, which is exact."""
+
+    @pytest.mark.parametrize("k", [-960, -560, 530, 960])
+    def test_same_bits_at_every_power_of_two(self, k):
+        # squared differences leave the double range beyond about 1e+-154: at 2^530
+        # the Ahlfors constant read 0.0 and the diameter inf, at 2^-560 three
+        # estimators refused distinct points as coincident; diameter(2^k P) = 2^k diameter(P)
+        assert _scale_invariant_estimates(2.0 ** k) == _scale_invariant_estimates(1.0)
+
+    def test_tiny_polygon_diameter(self):
+        # 5.6e-6 off before, where the squared sides fell below the normal range
+        assert regular_ngon(12, 1e-160).diameter() == pytest.approx(2e-160, rel=1e-15, abs=0.0)
+
+    def test_radius_past_the_double_range_holds_every_point(self):
+        # r times 2^-e overflows: the slab width over r is 0 and so is the thickness
+        pts = koch_curve(2).points * 2.0 ** -1000
+        assert linear_approx_delta(pts, pts[5], 1e300).delta == 0.0
+        assert thickness_constant(pts, pts[5], 1e300) == 0.0
+
+
 class TestPolylineCsv:
     def test_roundtrip(self, tmp_path):
         poly = koch_curve(2)

@@ -50,6 +50,11 @@ class TestMeans:
         assert mean(MeanKind.Geometric, 1e200, 1e200) == pytest.approx(1e200, rel=1e-15)
         assert mean(MeanKind.Geometric, 1e-200, 1e-200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
         assert mean(MeanKind.Logarithmic, 1e308, 1e-308) == pytest.approx(1e308 / (616 * math.log(10.0)), rel=1e-14)
+        # the halves of a subnormal round, where the sum keeps its last bit
+        assert mean(MeanKind.Arithmetic, 5e-324, 5e-324) == 5e-324
+        # log hi - log lo, each rounded near 690, would be 2.5e-15 off the log of the exact ratio 2^10
+        assert mean(MeanKind.Logarithmic, 2.0 ** 1000, 2.0 ** 990) == pytest.approx(
+            (2.0 ** 1000 - 2.0 ** 990) / (10.0 * math.log(2.0)), rel=1e-15)
 
     @pytest.mark.parametrize("kind", list(MeanKind))
     def test_infinite_argument(self, kind):

@@ -765,6 +765,14 @@ class TestCapacities:
         with pytest.raises(error, match="tau2_inv"):
             tau2_inv(y)
 
+    @pytest.mark.parametrize("y", [1e-309, 1e-320])
+    @pytest.mark.parametrize("inverse", [tau2_inv, gamma2_inv], ids=["tau2_inv", "gamma2_inv"])
+    def test_inverse_where_the_modulus_overflows(self, inverse, y):
+        # pi/y and 2 pi/y overflow, so the theta radius is 0: the radius underflows, as it
+        # does below y ~ 0.0044 and 0.0089 (a DomainError about a modulus of inf before)
+        with pytest.raises(ConvergenceError):
+            inverse(y)
+
     @pytest.mark.parametrize("y", [0.0089, 452.0])
     def test_tau2_inverse_last_normal_values(self, y):
         t = tau2_inv(y)

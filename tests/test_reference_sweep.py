@@ -16,9 +16,11 @@ from qcfun import modulus, specfun
 from qcfun.means import ellint_K_from_comp
 from qcfun.specfun import gauss_F_near_one
 from qcfun import (
+    BoundId,
     ConvergenceError,
     HypergeomParams,
     beta_fn,
+    bound_value,
     hypergeom_boundary,
     UnitRadius,
     agm,
@@ -28,6 +30,7 @@ from qcfun import (
     ellint_K,
     ellint_Kprime,
     eta_K2,
+    gamma2_inv,
     gauss_F,
     grotzsch_gamma2,
     lambda_of_K,
@@ -41,6 +44,7 @@ from qcfun import (
     phi_aK,
     QcfunError,
     rho_disk,
+    tau2_inv,
     teichmuller_tau2,
 )
 
@@ -572,6 +576,26 @@ def test_capacities_seeded_sweep():
         sm = mp.mpf(s)
         want = 2 * mp.pi / _mu_mp_of_squares(1 / sm ** 2, (sm - 1) * (sm + 1) / sm ** 2)
         assert _rel_err(grotzsch_gamma2(s), want) <= 2 * EPS, s
+
+
+def test_capacity_inverses_condition_scaled_accuracy():
+    # the docstrings' claims: tau2_inv within 12 eps max(1, pi/y, y/pi), gamma2_inv within
+    # 3 eps max(1, 2 pi/y), c(2,K) = 1 + tau2_inv(tau2(1)/K) within 5 eps max(1, pi K/2),
+    # against theta functions at the exact modulus pi/y, 2 pi/y or pi K/2
+    rng = random.Random(1318)
+    for _ in range(300):
+        y = math.exp(rng.uniform(math.log(0.009), math.log(450.0)))
+        r, comp = _inv_mp(mp.pi / mp.mpf(y))
+        assert _rel_err(tau2_inv(y), (comp / r) ** 2) <= 12 * EPS * max(1, math.pi / y, y / math.pi), y
+    for _ in range(300):
+        y = math.exp(rng.uniform(math.log(0.0089), math.log(900.0)))
+        r, _ = _inv_mp(2 * mp.pi / mp.mpf(y))
+        assert _rel_err(gamma2_inv(y), 1 / r) <= 3 * EPS * max(1, 2 * math.pi / y), y
+    for _ in range(300):
+        K = math.exp(rng.uniform(0.0, math.log(226.0)))
+        r, comp = _inv_mp(mp.pi * mp.mpf(K) / 2)
+        got = bound_value(BoundId.VuorinenC2, [K])
+        assert _rel_err(got, 1 + (comp / r) ** 2) <= 5 * EPS * max(1, math.pi * K / 2), K
 
 
 def test_eta_large_t_complement_reference():

@@ -1,11 +1,13 @@
-"""Branch sweep: list the single-line ``if`` tests that no tier-1 test depends on.
+"""Branch sweep: list the single-line branch tests that no tier-1 test depends on.
 
 For each ``if``/``elif`` whose test fits on one line in the named modules,
 the sweep copies the repository to a temporary directory, replaces that test
-with ``False``, and runs the tier-1 command there.  A mutant that still
-passes every test is a *survivor*: its branch has no test that fails without
-it.  The sweep prints each survivor as ``file:line: test`` and exits 1 if
-there is any.
+with ``False``, and runs the tier-1 command there; each conditional
+expression ``x if test else y`` whose test fits on one line is replaced
+once with ``True`` and once with ``False``.  A mutant that still passes
+every test is a *survivor*: its branch has no test that fails without it.
+The sweep prints each survivor as ``file:line: test -> replacement`` and
+exits 1 if there is any.
 
     python tools/branch_sweep.py src/qcfun/bounds.py src/qcfun/cli.py src/qcfun/means.py
 
@@ -34,25 +36,28 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypoth
                                 "*.egg-info", "perfbench/out")
 
 
-def if_tests(source: str) -> list[tuple[int, int, int, str]]:
-    """(line, start column, end column, text) of every single-line if/elif test.
+def branch_tests(source: str) -> list[tuple[int, int, int, str, str]]:
+    """(line, start column, end column, text, replacement) of every mutant:
+    each single-line if/elif test to ``False``, each single-line conditional
+    expression test to ``True`` and to ``False``.
 
     Columns are byte offsets into the UTF-8 encoded line, as ``ast`` reports them.
     """
     lines = source.splitlines()
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.If) and node.test.lineno == node.test.end_lineno:
+        if isinstance(node, (ast.If, ast.IfExp)) and node.test.lineno == node.test.end_lineno:
             line = lines[node.test.lineno - 1].encode()
             start, end = node.test.col_offset, node.test.end_col_offset
-            found.append((node.test.lineno, start, end, line[start:end].decode()))
+            for replacement in ("True", "False") if isinstance(node, ast.IfExp) else ("False",):
+                found.append((node.test.lineno, start, end, line[start:end].decode(), replacement))
     return sorted(found)
 
 
-def mutate(source: str, lineno: int, start: int, end: int) -> str:
+def mutate(source: str, lineno: int, start: int, end: int, replacement: str) -> str:
     lines = source.splitlines(keepends=True)
     line = lines[lineno - 1].encode()
-    lines[lineno - 1] = (line[:start] + b"False" + line[end:]).decode()
+    lines[lineno - 1] = (line[:start] + replacement.encode() + line[end:]).decode()
     return "".join(lines)
 
 
@@ -79,13 +84,13 @@ def main(argv=None) -> int:
         for module in args.modules:
             target = tree / module
             original = target.read_text()
-            tests = if_tests(original)
-            print(f"{module}: {len(tests)} single-line if tests", file=sys.stderr)
-            for lineno, start, end, text in tests:
-                target.write_text(mutate(original, lineno, start, end))
+            tests = branch_tests(original)
+            print(f"{module}: {len(tests)} branch mutants", file=sys.stderr)
+            for lineno, start, end, text, replacement in tests:
+                target.write_text(mutate(original, lineno, start, end, replacement))
                 if passes(tree):
-                    survivors.append(f"{module}:{lineno}: {text}")
-                    print(f"  survivor {module}:{lineno}: {text}", file=sys.stderr)
+                    survivors.append(f"{module}:{lineno}: {text} -> {replacement}")
+                    print(f"  survivor {survivors[-1]}", file=sys.stderr)
             target.write_text(original)
     for line in survivors:
         print(line)
