@@ -17,7 +17,7 @@ from enum import Enum
 
 from .errors import DomainError, OverflowSignal, UnsupportedDimensionError
 from .means import comp_radius
-from .modulus import _phi_pair, _theta_radius, teichmuller_tau2
+from .modulus import _phi_pair, _tau2_inv_value, teichmuller_tau2
 from .specfun import gamma_fn
 
 __all__ = [
@@ -103,11 +103,8 @@ def _seittenranta(K: float) -> float:
 
 
 def _vuorinen_c2(K: float) -> float:
-    # c(2,K) = 1 + tau2^-1(tau2(1)/K) = 1 + (r'/r)^2 at the theta pair of modulus
-    # pi / (tau2(1)/K), as tau2_inv forms it; inf from K ~ 227, which bound_value names
-    r, comp = _theta_radius(math.pi / (_TAU2_ONE / _require_K(K)), False)
-    q = comp / r
-    return 1.0 + q * q
+    # c(2,K) = 1 + tau2^-1(tau2(1)/K); inf from K ~ 227, which bound_value names
+    return 1.0 + _tau2_inv_value(_TAU2_ONE / _require_K(K))
 
 
 def _beurling_ahlfors(M: float) -> float:

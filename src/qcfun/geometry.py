@@ -49,6 +49,7 @@ _AHLFORS_MAX_VERTICES = 4096
 _TRIANGLE_MAX_VERTICES = 1024
 _BOX_MAX_SAMPLES = 20_000_000  # box_dimension's densified samples at one scale
 _PAIR_BLOCK = 1 << 18  # table entries per row block of _blockwise
+_SCALE_TOP = 509  # scaled points lie below 2^509 (see _scale_exponent)
 
 
 def _as_points(data, min_points: int, name: str) -> np.ndarray:
@@ -102,8 +103,11 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
         return float(self.edge_lengths().sum())
 
     def diameter(self) -> float:
-        e = _unit_exponent(self.points)
-        return math.ldexp(_diameter(np.ldexp(self.points, -e)), e)
+        s = _scale_exponent(self.points)
+        if not s:
+            return _diameter(self.points)
+        with np.errstate(over="ignore"):  # a diameter past the double range is inf
+            return float(np.ldexp(_diameter(np.ldexp(self.points, s)), -s))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -204,26 +208,20 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _unit_exponent(*arrays) -> int:
-    """The frexp exponent e of the largest |coordinate|, so the points times 2^-e lie in (-1, 1).
+def _scale_exponent(pts: np.ndarray, other: float = 0.0) -> int:
+    """The power of two 2^s by which the estimators scale their points: 0 for points of ordinary size.
 
-    Distances square coordinate differences and widths multiply two of them,
-    which leaves the double range beyond about 1e+-154.  So every
-    scale-invariant estimator runs on its points times 2^-e (``np.ldexp``),
-    which is exact, and on points of ordinary size leaves every bit as it is.
+    Distances square coordinate differences and widths multiply two of them.
+    Below 2^509 those squares and products, and the sums of two, stay finite;
+    they stay normal while the differences are above 2^-511.  So points whose
+    largest |coordinate| m lies in [2^-256, 2^509) are used as given, and
+    any others are scaled (``np.ldexp``, exact) so that m lies in
+    [2^508, 2^509), which leaves the most room below for small differences.
+    A scale-invariant estimator then gives the same bits at 2^k X as at X.
+    ``other`` is the largest |coordinate| of the inputs taken with ``pts``.
     """
-    return math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
-
-
-def _scaled_radius(r: float, scale: int) -> float:
-    """r times 2^scale, or inf past the double range.
-
-    There B(x, r) holds every point of the scaled set, and r exceeds every
-    distance between them by 2^1022, so a width over r is 0 to double
-    precision.
-    """
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(r, scale))
+    e = math.frexp(max(float(np.abs(pts).max()), other))[1]
+    return 0 if -256 < e <= _SCALE_TOP else _SCALE_TOP - e
 
 
 def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
@@ -246,8 +244,9 @@ def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
-    scale = -_unit_exponent(e, f)
-    e, f = np.ldexp(e, scale), np.ldexp(f, scale)
+    s = _scale_exponent(e, float(np.abs(f).max()))
+    if s:
+        e, f = np.ldexp(e, s), np.ldexp(f, s)
     gap = _blockwise(np.min, len(e), len(f), lambda i, j: _dist(e[i:j, None], f[None]))
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
@@ -273,7 +272,10 @@ def ahlfors_constant(curve: Polyline) -> float:
         raise DomainError(
             f"ahlfors_constant accepts at most {_AHLFORS_MAX_VERTICES} vertices, got {n}"
         )
-    pts = np.ldexp(curve.points, -_unit_exponent(curve.points))
+    pts = curve.points
+    s = _scale_exponent(pts)
+    if s:
+        pts = np.ldexp(pts, s)
     pts2 = np.concatenate([pts, pts])
     # arc[L, s] = diameter of the vertex run s..s+L (wrapping), L = 0..n-1, by the
     # interval recurrence diam(s,L) = max(diam(s,L-1), diam(s+1,L-1), |v_s - v_{s+L}|)
@@ -307,7 +309,10 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     n = curve.n_vertices
     if n < 3:
         raise DomainError("triangle condition needs at least 3 vertices")
-    pts = np.ldexp(curve.points, -_unit_exponent(curve.points))
+    pts = curve.points
+    s = _scale_exponent(pts)
+    if s:
+        pts = np.ldexp(pts, s)
     if adjacent_only:
         ac = _dist(pts[:-2], pts[2:])
         if np.any(ac == 0.0):
@@ -348,12 +353,13 @@ def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
     if not np.any(np.all(pts == x, axis=1)):
         raise DomainError("base point must belong to the point set")
     base = (float(x[0]), float(x[1]))
-    scale = -_unit_exponent(pts)  # x is one of the points
-    pts, x, r = np.ldexp(pts, scale), np.ldexp(x, scale), _scaled_radius(r, scale)
     d = pts - x
     local = d[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 2:
         raise DomainError("insufficient local points inside B(x, r)")
+    s = _scale_exponent(local)  # of the local differences, whatever lies outside B(x, r)
+    if s:
+        local = np.ldexp(local, s)
     hull = _convex_hull(np.concatenate((local, -local)))
     if not hull:  # every local point is x itself, so every line through x fits
         return HyperplaneFit(base=base, direction=(1.0, 0.0), delta=0.0)
@@ -361,7 +367,8 @@ def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
     width, ex, ey = min((abs(px * (qy - py) - py * (qx - px)) / math.hypot(qx - px, qy - py), qx - px, qy - py)
                         for (px, py), (qx, qy) in zip(hull, hull[1:] + hull[:1]))
     phi = math.atan2(ey, ex) % math.pi
-    return HyperplaneFit(base=base, direction=(math.cos(phi), math.sin(phi)), delta=width / r)
+    m, e = math.frexp(r)  # width / (r 2^s) with the exponents of r and the scale taken out exactly
+    return HyperplaneFit(base=base, direction=(math.cos(phi), math.sin(phi)), delta=math.ldexp(width / m, -(e + s)))
 
 
 def _convex_hull(pts: np.ndarray) -> list:
@@ -396,12 +403,13 @@ def thickness_constant(E, x, r: float) -> float:
     x = np.asarray(x, dtype=float)
     if not (r > 0):
         raise DomainError(f"radius must be positive, got {r}")
-    scale = -_unit_exponent(pts, x)
-    pts, x, r = np.ldexp(pts, scale), np.ldexp(x, scale), _scaled_radius(r, scale)
     d = pts - x
     local = pts[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 3:
         raise DomainError("insufficient local points inside B(x, r)")
+    s = _scale_exponent(local)  # of the local points, whatever lies outside B(x, r)
+    if s:
+        local = np.ldexp(local, s)
     hull = np.array(_convex_hull(local))
     h = hull.shape[0]
     best = 0.0
@@ -409,7 +417,8 @@ def thickness_constant(E, x, r: float) -> float:
         u = hull[i + 1:] - hull[i]
         cross = np.abs(u[:, None, 0] * u[None, :, 1] - u[:, None, 1] * u[None, :, 0])
         best = max(best, float(cross.max()))
-    return 0.5 * best / (r * r)
+    m, e = math.frexp(r)  # best / (2 (r 2^s)^2) with the exponents of r and the scale taken out exactly
+    return math.ldexp(0.5 * best / (m * m), -2 * (e + s))
 
 
 def box_dimension(curve: Polyline, scales) -> float:
@@ -563,8 +572,10 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
         raise DomainError("boundary must be a closed polyline")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    scale = -_unit_exponent(boundary.points, av, bv)
-    poly, av, bv = np.ldexp(boundary.points, scale), np.ldexp(av, scale), np.ldexp(bv, scale)
+    poly = boundary.points
+    s = _scale_exponent(poly, max(map(abs, av.tolist() + bv.tolist())))
+    if s:
+        poly, av, bv = np.ldexp(poly, s), np.ldexp(av, s), np.ldexp(bv, s)
     pa = np.hypot(poly[:, 0] - av[0], poly[:, 1] - av[1])
     pb = np.hypot(poly[:, 0] - bv[0], poly[:, 1] - bv[1])
     for name, p in (("a", av), ("b", bv)):

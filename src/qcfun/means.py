@@ -191,40 +191,31 @@ def comp_radius(r: float) -> float:
     return math.sqrt((1.0 - r) * (1.0 + r))
 
 
-def _nome(k: float, kc: float, with_mu: bool = True) -> tuple[float, float]:
-    """(mu(k), theta_3(q)^2) at the nome q of the channel k <= kc, so K(k) = (pi/2) theta_3^2.
+def _nome(k: float, kc: float) -> float:
+    """theta_3(q)^2 at the Jacobi nome q of the channel k <= kc, so K(k) = (pi/2) theta_3^2.
 
     lambda = k^2 / (2 (1 + k') (1 + sqrt k')^2) avoids the cancellation in
     1 - sqrt k'; the first dropped terms, 1707 lambda^17 of q and 2q^16 of
-    theta_3 = 1 + 2q + 2q^4 + 2q^9, lie below 3e-19 lambda and 2e-22.  The
-    log nome is the plain sum of :func:`_log_nome`.  Without ``with_mu`` no
-    logarithm is taken and the first entry is NaN (k = 0 then gives
-    theta_3 = 1): the r <= r' branch of :func:`ellint_K_from_comp` needs
-    theta_3 alone.  Callers that need mu alone call :func:`_log_nome`, which
-    sums no theta series.
+    theta_3 = 1 + 2q + 2q^4 + 2q^9, lie below 3e-19 lambda and 2e-22.  k = 0
+    gives theta_3 = 1.  The log nome of the same q is :func:`_log_nome`, which
+    forms the same lambda and tail; the two kernels stand side by side, and a
+    caller that needs both calls both.
     """
-    # the prologue and mu line repeat _log_nome's: a shared helper would cost a call per evaluation
     s = math.sqrt(kc)
     lam = k * k / (2.0 * (1.0 + kc) * ((1.0 + s) * (1.0 + s)))
     l4 = lam * lam
     l4 *= l4
-    tail = l4 * (2.0 + l4 * (15.0 + 150.0 * l4))  # q = lambda (1 + tail)
-    m = math.nan
-    if with_mu:
-        m = (0.5 * (_LOG2 - math.log1p(tail) + math.log1p(kc)) + math.log1p(s)) - math.log(k)
-    q = lam + lam * tail
+    q = lam + lam * (l4 * (2.0 + l4 * (15.0 + 150.0 * l4)))  # lambda (1 + tail)
     q3 = q * q * q
     d = 2.0 * q * (1.0 + q3 * (1.0 + q3 * q * q))  # theta_3 - 1
-    return m, 1.0 + d * (2.0 + d)
+    return 1.0 + d * (2.0 + d)
 
 
 def _log_nome(k: float, kc: float) -> float:
-    """mu(k) = -log(q)/2 at the nome q of the channel k <= kc, with no theta series.
+    """mu(k) = -log(q)/2 at the Jacobi nome q of the channel k <= kc, with no theta series.
 
-    Every caller that needs the log nome alone, :func:`qcfun.modulus.mu` and
-    the distortion pass :func:`qcfun.modulus._phi_pair`, takes it here, from
-    the lambda and tail that :func:`_nome` also forms and one plain sum, with
-    q = lambda (1 + tail):
+    From the lambda and tail of :func:`_nome`, with q = lambda (1 + tail), one
+    plain sum:
     mu = ((log 2 - log1p(tail) + log(1 + k')) / 2 + log(1 + sqrt k')) - log k.
     It takes no logarithm of lambda, which underflows below k ~ 1e-154, so
     subnormal k needs no guard.
@@ -257,16 +248,15 @@ def ellint_K_from_comp(comp: float, r: float) -> float:
     """K at the radius whose complement is ``comp`` (internal two-channel entry).
 
     The nome of the smaller channel gives K with no iteration (see
-    :func:`_nome`): K(r) = (pi/2) theta_3(q)^2 when r <= r', and
+    :func:`_nome` and :func:`_log_nome`): K(r) = (pi/2) theta_3(q)^2 when r <= r', and
     K(r) = mu(r') theta_3(q')^2 otherwise, which is K(r) = (2/pi) mu(r') K(r')
     at the nome q' of r'.  ``r`` may be a rounded 1.0 when ``comp`` is tiny:
     there it is only the larger channel, which rounding to 1 leaves exact
     to double precision.
     """
     if r <= comp:
-        return _HALF_PI * _nome(r, comp, with_mu=False)[1]
-    m, theta_sq = _nome(comp, r)
-    return m * theta_sq
+        return _HALF_PI * _nome(r, comp)
+    return _log_nome(comp, r) * _nome(comp, r)
 
 
 def ellint_Kprime(r: float) -> float:

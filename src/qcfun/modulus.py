@@ -329,7 +329,7 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
             cos_m = math.cos(_PI_SIXTH - phi)
             k, kc = math.sqrt(math.sin(phi) / cos_m), math.sqrt(math.cos(_PI_SIXTH + phi) / cos_m)
             g = math.sqrt(_HALF_SQRT3 / (w * cos_m))
-        m, theta_sq = _nome(k, kc)
+        m, theta_sq = _log_nome(k, kc), _nome(k, kc)
         if dual:  # (k, kc) is the classical pair exchanged
             value, f = c * _QUARTER_PI_SQ / m, g * m * theta_sq / _HALF_PI
         else:
@@ -563,14 +563,23 @@ def tau2_inv(y: float) -> float:
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"tau2_inv requires y > 0, got {y}")
-    r, comp = _theta_radius(math.pi / y, False)
-    q = comp / r
-    t = q * q
+    t = _tau2_inv_value(y)
     if not _MIN_NORMAL <= t < math.inf:  # the one range test on the common path
         if t == math.inf:
             raise OverflowSignal(f"tau2_inv({y}) exceeds the double range")
         raise ConvergenceError(f"tau2_inv({y}) underflows double precision")
     return t
+
+
+def _tau2_inv_value(y: float) -> float:
+    """tau_2^-1(y) = (r'/r)^2 at the theta pair of modulus pi/y, for y > 0, unchecked.
+
+    Past the double range the value is inf.  :func:`tau2_inv` and the bound
+    c(2, K) = 1 + tau_2^-1(tau_2(1)/K) (:mod:`qcfun.bounds`) both take it here.
+    """
+    r, comp = _theta_radius(math.pi / y, False)
+    q = comp / r
+    return q * q
 
 
 def gamma2_inv(y: float) -> float:

@@ -673,7 +673,7 @@ def _scale_invariant_estimates(s):
 
 
 class TestScaleInvariance:
-    """The estimators run on their points times the 2^-e of the largest coordinate, which is exact."""
+    """Points far from ordinary size run times an exact power of two; ordinary points run as given."""
 
     @pytest.mark.parametrize("k", [-960, -560, 530, 960])
     def test_same_bits_at_every_power_of_two(self, k):
@@ -686,8 +686,30 @@ class TestScaleInvariance:
         # 5.6e-6 off before, where the squared sides fell below the normal range
         assert regular_ngon(12, 1e-160).diameter() == pytest.approx(2e-160, rel=1e-15, abs=0.0)
 
-    def test_radius_past_the_double_range_holds_every_point(self):
-        # r times 2^-e overflows: the slab width over r is 0 and so is the thickness
+    def test_diameter_past_the_double_range_is_inf(self):
+        assert Polyline([(1e308, 1e308), (-1e308, -1e308), (0.0, 1.0)]).diameter() == math.inf
+
+    @pytest.mark.parametrize("far", [1e200, 1e300])
+    def test_local_estimators_ignore_a_far_point(self, far):
+        # the local fits scale by the points inside B(x, r) alone: a point outside
+        # leaves every bit as it is, however far it lies
+        near = np.array([(0.0, 0.0), (0.3, 0.0), (0.0, 0.7)])
+        with_far = np.vstack([near, [(far, far)]])
+        assert linear_approx_delta(with_far, near[0], 1.0) == linear_approx_delta(near, near[0], 1.0)
+        assert thickness_constant(with_far, near[0], 1.0) == thickness_constant(near, near[0], 1.0)
+        assert thickness_constant(near, near[0], 1.0) == pytest.approx(0.105, rel=1e-15)
+
+    def test_local_estimators_at_a_tiny_radius(self):
+        # the cross products of differences near 2^-570 underflow unless scaled: delta
+        # read 0.0 and the thickness raised ZeroDivisionError
+        tiny = 2.0 ** -570
+        pts = np.array([(0.0, 0.0), (tiny, 0.0), (0.0, tiny), (1.0, 1.0)])
+        unit = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        assert linear_approx_delta(pts, pts[0], 8 * tiny) == linear_approx_delta(unit, unit[0], 8.0)
+        assert thickness_constant(pts, pts[0], 8 * tiny) == thickness_constant(unit, unit[0], 8.0) == 0.5 / 64
+
+    def test_radius_far_beyond_the_local_points(self):
+        # the slab width over r and the thickness lie far below the double range
         pts = koch_curve(2).points * 2.0 ** -1000
         assert linear_approx_delta(pts, pts[5], 1e300).delta == 0.0
         assert thickness_constant(pts, pts[5], 1e300) == 0.0
