@@ -18,7 +18,6 @@ from enum import Enum
 from .errors import DomainError, OverflowSignal, UnsupportedDimensionError
 from .means import comp_radius
 from .modulus import _phi_pair, _tau2_inv_value, teichmuller_tau2
-from .specfun import gamma_fn
 
 __all__ = [
     "BoundId",
@@ -69,6 +68,8 @@ def surface_area(n: float) -> float:
 
     Gamma(1 + n/2) overflows first, so n > 340 raises :class:`OverflowSignal`.
     """
+    from .specfun import gamma_fn  # the catalog's one use of specfun
+
     if not (n >= 1 and math.isfinite(n)):
         raise DomainError(f"surface_area requires n >= 1, got {n}")
     gamma = gamma_fn(1.0 + 0.5 * n)
@@ -93,13 +94,13 @@ def gehring_d2_composite(K: float) -> float:
 
 
 def _log_seittenranta(K: float) -> float:
-    # log s(K) = 6 (K+1)^2 sqrt(K-1)
-    return 6.0 * (_require_K(K) + 1.0) ** 2 * math.sqrt(K - 1.0)
+    # log s(K) = 6 (K+1)^2 sqrt(K-1), at a K already checked
+    return 6.0 * (K + 1.0) ** 2 * math.sqrt(K - 1.0)
 
 
 def _seittenranta(K: float) -> float:
     # s(K), past the double range from K ~ 6.25
-    return math.exp(_log_seittenranta(K))
+    return math.exp(_log_seittenranta(_require_K(K)))
 
 
 def _vuorinen_c2(K: float) -> float:
@@ -143,7 +144,7 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
     if not (math.isfinite(n) and n == int(n) and n >= 2):
         raise DomainError(f"EtaKnUpper requires integer n >= 2, got {n}")
     if t == 1.0:
-        return _seittenranta(K)
+        return math.exp(_log_seittenranta(K))  # s(K)
     # from here on s(K), past the double range from K ~ 6.25, is never formed
     # alone, so only a value past the double range overflows
     if n == 2:
@@ -152,9 +153,9 @@ def _eta_kn_upper(K: float, t: float, n: float) -> float:
         # exp(log s(K) + log phi) loses to the rounding of a sum near 132
         half = math.exp(0.5 * _log_seittenranta(K))
         if t < 1.0:
-            return half * _phi_pair(K, t, comp_radius(t)).r * half
+            return half * _phi_pair(K, t, comp_radius(t))[0] * half
         s = 1.0 / t
-        return half / _phi_pair(1.0 / K, s, comp_radius(s)).r * half
+        return half / _phi_pair(1.0 / K, s, comp_radius(s))[0] * half
     # exact distortion unknown; use the power bracket s(K) lam^|p-1| t^p
     # with p = K^(1/(1-n)) for t < 1 and its inverse for t > 1, and the
     # conservative upper estimate lam = 2 e^(n-1) of the Grotzsch
@@ -213,7 +214,7 @@ def bound_value(bound_id: BoundId, params) -> float:
             raise DomainError(f"unknown bound id {bound_id!r}; known ids: {known}") from None
     names, formula = _CATALOG[bound_id]
     try:
-        params = [float(v) for v in params]
+        params = list(map(float, params))
     except (TypeError, ValueError):
         raise DomainError(f"{bound_id.value} takes numeric parameters {names}, got {params!r}") from None
     if len(params) != len(names):
@@ -249,8 +250,7 @@ def vuorinen_c(n: float, K: float) -> float:
     relative (eps = 2^-52): against 40- to 60-digit mpmath, over 12000
     log-uniform K in [1, 226] and 30000 uniform K in [1, 4], the factor was
     at most 3.94 (at K = 1.75).  Past K ~ 227 the value leaves the double
-    range and raises :class:`OverflowSignal`; past K ~ 452 the radius behind
-    it underflows and raises :class:`ConvergenceError`.
+    range and raises :class:`OverflowSignal`, for every larger K.
     """
     if n == 2:
         return bound_value(BoundId.VuorinenC2, [K])

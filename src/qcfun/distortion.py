@@ -21,7 +21,11 @@ inverse.
 
 ``phi_K``/``phi_aK`` return :class:`~qcfun.modulus.UnitRadius` so the
 complement 1 - phi^2 stays available at full precision; eta and the
-linearization read that channel instead of subtracting from 1.
+linearization read that channel instead of subtracting from 1.  The nome
+pass hands out the plain pair ``(r, comp)``: ``phi_K`` forms its
+UnitRadius once, as its result, and eta, lambda and the linearization
+unpack the pair without one.  Each public function checks its arguments
+inline and calls the nome pass directly.
 
 Pure functions throughout; safe for unrestricted concurrent use.
 """
@@ -32,11 +36,9 @@ import math
 import sys
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
-from .means import comp_radius
 from .modulus import (
     SQRT_HALF,
     UnitRadius,
-    _checked_r,
     _mu_a_parts,
     _phi_pair,
     as_radius,
@@ -54,12 +56,15 @@ __all__ = [
 ]
 
 
-def _check_K(K: float, sub_unit_ok: bool) -> float:
-    if not (math.isfinite(K) and K > 0):
-        raise DomainError(f"dilatation must be positive, got {K}")
-    if not sub_unit_ok and K < 1.0:
-        raise DomainError(f"dilatation must satisfy K >= 1, got {K}")
-    return float(K)
+_INF = math.inf
+_SQRT_HALF = SQRT_HALF[0]  # both channels of SQRT_HALF
+
+
+def _K_error(K) -> DomainError:
+    """The error for a dilatation outside [1, inf), once an inline test has failed."""
+    if 0.0 < K < _INF:
+        return DomainError(f"dilatation must satisfy K >= 1, got {K}")
+    return DomainError(f"dilatation must be positive, got {K}")
 
 
 def phi_K(K: float, x) -> UnitRadius:
@@ -83,11 +88,16 @@ def phi_K(K: float, x) -> UnitRadius:
     40000 draws with K log-uniform in [0.02, 50] and r or r' log-uniform in
     [1e-12, 1/2], the factor was at most 2.57 on either channel.
     """
-    K = _check_K(K, sub_unit_ok=True)
+    if not 0.0 < K < _INF:
+        raise DomainError(f"dilatation must be positive, got {K}")
     if isinstance(x, UnitRadius):
-        return _phi_pair(K, x[0], x[1])
-    r = _checked_r(float(x))  # the one check; the pair is formed by the result only
-    return _phi_pair(K, r, comp_radius(r))
+        r, comp = x
+    else:
+        r = float(x)
+        if not 0.0 < r < 1.0:  # the one check; the pair is formed by the result only
+            raise DomainError(f"radius must lie strictly in (0,1), got {r}")
+        comp = math.sqrt((1.0 - r) * (1.0 + r))  # comp_radius(r), inline
+    return tuple.__new__(UnitRadius, _phi_pair(K, r, comp))
 
 
 def phi_aK(a: float, K: float, x) -> UnitRadius:
@@ -107,7 +117,9 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
     |mu_a(result) - y| by 2e-13 max(1, y) (:func:`qcfun.modulus._mu_a_newton`).
     """
     a = check_signature(a)
-    K = _check_K(K, sub_unit_ok=True)
+    if not 0.0 < K < _INF:
+        raise DomainError(f"dilatation must be positive, got {K}")
+    K = float(K)
     u = as_radius(x)
     if K == 1.0:
         return u
@@ -118,16 +130,6 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
         raise ConvergenceError(f"phi_aK: modulus / K = {modulus} / {K} overflows, "
                                "so the radius underflows double precision")
     return mu_a_inv(a, target)
-
-
-def _squared_ratio(K: float, r: float, comp: float) -> float:
-    """u^2/(1-u^2) for u = phi_K(r), read off the complement channel; inf past the double range."""
-    try:
-        u, u_comp = _phi_pair(K, r, comp)
-    except ConvergenceError:
-        return math.inf  # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
-    ratio = u / u_comp
-    return ratio * ratio
 
 
 def eta_K2(K: float, t: float) -> float:
@@ -145,17 +147,23 @@ def eta_K2(K: float, t: float) -> float:
     seeded sets of 40000 draws with K and t log-uniform in [1, 50] and
     [1e-6, 1e6], the factor was at most 6.54.
     """
-    K = _check_K(K, sub_unit_ok=False)
+    if not 1.0 <= K < _INF:
+        raise _K_error(K)
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"eta_K2 requires t >= 0, got {t}")
     if t == 0.0:
         return 0.0
     # for every finite t > 0 both channels lie in (0,1] (t/(1+t) >= 5e-324 and
     # 1/(1+t) >= 5.6e-309), and they are the radius and complement of sqrt(t/(1+t))
-    value = _squared_ratio(K, math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
-    if math.isinf(value):
-        raise OverflowSignal(f"eta_K2({K}, {t}) exceeds double precision")
-    return value
+    try:
+        u, u_comp = _phi_pair(K, math.sqrt(t / (1.0 + t)), math.sqrt(1.0 / (1.0 + t)))
+        ratio = u / u_comp
+    except ConvergenceError:  # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
+        ratio = _INF
+    ratio *= ratio
+    if ratio == _INF:
+        raise OverflowSignal(f"eta_K2({float(K)}, {t}) exceeds double precision")
+    return ratio
 
 
 def lambda_of_K(K: float) -> float:
@@ -169,11 +177,17 @@ def lambda_of_K(K: float) -> float:
     against 40-digit mpmath, over three seeded sets of 40000 K log-uniform in
     [1, 200], the factor was at most 5.61.
     """
-    K = _check_K(K, sub_unit_ok=False)
-    value = _squared_ratio(K, SQRT_HALF[0], SQRT_HALF[1])
-    if math.isinf(value):
-        raise OverflowSignal(f"lambda_of_K({K}) exceeds double precision")
-    return value
+    if not 1.0 <= K < _INF:
+        raise _K_error(K)
+    try:
+        u, u_comp = _phi_pair(K, _SQRT_HALF, _SQRT_HALF)
+        ratio = u / u_comp
+    except ConvergenceError:  # 1 - u^2 underflows double precision, so u^2/(1-u^2) has overflowed
+        ratio = _INF
+    ratio *= ratio
+    if ratio == _INF:
+        raise OverflowSignal(f"lambda_of_K({float(K)}) exceeds double precision")
+    return ratio
 
 
 def schottky_psi(r: float, t: float) -> float:
@@ -192,10 +206,11 @@ def linearized_g(K: float, x: float) -> float:
     identity at K = 1.  Evaluated through the complement channel:
     p(v) = log v + log(1+v) - 2 log v' for v in (0,1).
     """
-    K = _check_K(K, sub_unit_ok=False)
+    if not 1.0 <= K < _INF:
+        raise _K_error(K)
     if not math.isfinite(x):
         raise DomainError(f"linearized_g requires finite x, got {x}")
-    return _logit_conjugate(lambda u: _phi_pair(K, u.r, u.comp), x)
+    return _logit_conjugate(lambda u: _phi_pair(K, u[0], u[1]), x)
 
 
 def _logistic_radius(x: float) -> UnitRadius:
@@ -216,6 +231,9 @@ def _logistic_radius(x: float) -> UnitRadius:
 
 
 def _logit_conjugate(distortion, x: float) -> float:
-    """p(distortion(q(x))) at the radius :func:`_logistic_radius`, through the complement channel."""
-    v = distortion(_logistic_radius(x))
-    return math.log(v.r) + math.log1p(v.r) - 2.0 * math.log(v.comp)
+    """p(distortion(q(x))) at the radius :func:`_logistic_radius`, through the complement channel.
+
+    ``distortion`` maps a UnitRadius to a radius pair, plain or UnitRadius.
+    """
+    v, v_comp = distortion(_logistic_radius(x))
+    return math.log(v) + math.log1p(v) - 2.0 * math.log(v_comp)

@@ -236,21 +236,34 @@ def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
     return float(reduce([reduce(block(i, i + rows)) for i in range(0, n_rows, rows)]))
 
 
-def _diameter(pts: np.ndarray) -> float:
-    return _blockwise(np.max, len(pts), len(pts), lambda i, j: _dist(pts[i:j, None], pts[None]))
+def _hypot_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`_dist` by ``np.hypot``, which squares no difference, so none underflows."""
+    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+
+
+def _diameter(pts: np.ndarray, dist=_dist) -> float:
+    return _blockwise(np.max, len(pts), len(pts), lambda i, j: dist(pts[i:j, None], pts[None]))
 
 
 def relative_size(E, F) -> float:
-    """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets."""
+    """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets.
+
+    Scaled points (see :func:`_scale_exponent`) may span more than the squares
+    of their differences can: a far point fixes the scale, and the near ones'
+    squared differences underflow.  There the distances are taken by
+    ``np.hypot``; points of ordinary size keep the squared form.
+    """
     e = _as_points(E, 1, "E")
     f = _as_points(F, 1, "F")
     s = _scale_exponent(e, float(np.abs(f).max()))
+    dist = _dist
     if s:
         e, f = np.ldexp(e, s), np.ldexp(f, s)
-    gap = _blockwise(np.min, len(e), len(f), lambda i, j: _dist(e[i:j, None], f[None]))
+        dist = _hypot_dist
+    gap = _blockwise(np.min, len(e), len(f), lambda i, j: dist(e[i:j, None], f[None]))
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
-    return min(_diameter(e), _diameter(f)) / gap
+    return min(_diameter(e, dist), _diameter(f, dist)) / gap
 
 
 def ahlfors_constant(curve: Polyline) -> float:

@@ -29,11 +29,13 @@ inverses use the duality to solve only for r <= 1/sqrt 2.  The theta
 inverse also serves the distortion pass :func:`_phi_pair`: it scales the
 log nome of r by K, so composes mu and mu_inv without forming either.
 
-Radii travel as :class:`UnitRadius` pairs (r, sqrt(1-r^2)).  Keeping the
-complement as a first-class channel is what lets values down to the smallest
-normal double (2.2e-308) away from the endpoints round-trip at full
-precision: near r = 1 both inverses produce the complement directly, where
-the problem is perfectly conditioned.
+Radii travel as pairs (r, sqrt(1-r^2)).  Keeping the complement as a
+first-class channel is what lets values down to the smallest normal double
+(2.2e-308) away from the endpoints round-trip at full precision: near r = 1
+both inverses produce the complement directly, where the problem is
+perfectly conditioned.  The kernels (:func:`_theta_radius`,
+:func:`_phi_pair`) pass plain ``(r, comp)`` tuples; a :class:`UnitRadius` is
+formed once, where a public function returns a radius to its caller.
 
 Pure functions throughout; safe for unrestricted concurrent use.
 """
@@ -46,7 +48,6 @@ from collections import namedtuple
 
 from .errors import ConvergenceError, DomainError, OverflowSignal
 from .means import _log_nome, _nome, comp_radius
-from .specfun import _balanced_r0, _hyp_sums
 
 __all__ = [
     "UnitRadius",
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 _INV_CAP = 100
+_INF = math.inf
 _HALF_PI = 0.5 * math.pi
 _QUARTER_PI_SQ = 0.25 * math.pi * math.pi
 _THIRD = 1.0 / 3.0
@@ -101,6 +103,12 @@ class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
     complement of a checked channel, exchanged channels, the theta inverses
     after their underflow guard), are built by the trusted :func:`_pair`, so
     each public call validates its radius once.
+
+    It is a boundary type: the kernels pass plain ``(r, comp)`` tuples, and a
+    public function that returns a radius (:func:`mu_inv`, :func:`mu_a_inv`,
+    :func:`qcfun.distortion.phi_K`, :func:`qcfun.distortion.phi_aK`) forms its
+    UnitRadius once, as its result.  A caller that only reads the channels
+    unpacks the plain pair, and no tuple subclass is built for it.
     """
 
     __slots__ = ()
@@ -121,8 +129,10 @@ class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
 
     @classmethod
     def from_r(cls, r: float) -> "UnitRadius":
+        if not (0.0 < r < 1.0):  # a NaN fails the check too
+            raise DomainError(f"radius must lie strictly in (0,1), got {r}")
         # r in (0,1) gives comp = sqrt((1-r)(1+r)) in (0,1], and r^2 + comp^2 = 1 to rounding
-        return _pair(_checked_r(r), comp_radius(r))
+        return _pair(r, comp_radius(r))
 
     @classmethod
     def from_comp(cls, comp: float) -> "UnitRadius":
@@ -142,15 +152,12 @@ class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
 
 
 def _pair(r: float, comp: float) -> UnitRadius:
-    """The pair (r, comp) without checks, for channels the caller has already guaranteed."""
+    """The pair (r, comp) without checks, for channels the caller has already guaranteed.
+
+    A public function that returns a kernel's plain pair wraps it the same
+    way, as ``tuple.__new__(UnitRadius, pair)``, with no frame of its own.
+    """
     return tuple.__new__(UnitRadius, (r, comp))
-
-
-def _checked_r(r: float) -> float:
-    """r itself, checked to lie strictly in (0,1) (a NaN fails the check)."""
-    if not (0.0 < r < 1.0):
-        raise DomainError(f"radius must lie strictly in (0,1), got {r}")
-    return r
 
 
 SQRT_HALF = UnitRadius(math.sqrt(0.5), math.sqrt(0.5))
@@ -190,14 +197,16 @@ def mu(x) -> float:
     if isinstance(x, UnitRadius):
         r, comp = x
     else:
-        r = _checked_r(float(x))  # the one check; no pair is formed
-        comp = comp_radius(r)
+        r = float(x)
+        if not 0.0 < r < 1.0:  # the one check; no pair is formed
+            raise DomainError(f"radius must lie strictly in (0,1), got {r}")
+        comp = math.sqrt((1.0 - r) * (1.0 + r))  # comp_radius(r), inline
     if r <= comp:
         return _log_nome(r, comp)
     return _QUARTER_PI_SQ / _log_nome(comp, r)
 
 
-def _theta_radius(y: float, swap: bool) -> UnitRadius:
+def _theta_radius(y: float, swap: bool) -> tuple[float, float]:
     """mu_inv(y), with its channels exchanged when ``swap``: the one theta inverse.
 
     r = theta_2(q)^2 / theta_3(q)^2 and r' = theta_4(q)^2 / theta_3(q)^2 at
@@ -209,6 +218,7 @@ def _theta_radius(y: float, swap: bool) -> UnitRadius:
     theta_2 = 2 q^(1/4) sum q^(n(n+1)) carries e as a factor, so the small
     channel ~ 4 e^-y keeps full relative precision however small it is.  A
     channel below the normal double range raises :class:`ConvergenceError`.
+    The result is the plain pair (r, r').
     """
     x = y
     if y < _HALF_PI:
@@ -229,7 +239,7 @@ def _theta_radius(y: float, swap: bool) -> UnitRadius:
     if small < _MIN_NORMAL:
         raise ConvergenceError(f"the radius or its complement at modulus {y} underflows double precision")
     # past the guard both channels lie in [2.2e-308, 1], and theta_3^4 = theta_2^4 + theta_4^4
-    return tuple.__new__(UnitRadius, (c * c, small) if swap else (small, c * c))
+    return (c * c, small) if swap else (small, c * c)
 
 
 def mu_inv(y: float) -> UnitRadius:
@@ -245,12 +255,12 @@ def mu_inv(y: float) -> UnitRadius:
     or complement below the normal double range (y above about 709.8 or
     below about 0.00348) raises :class:`ConvergenceError`.
     """
-    if not (y > 0 and math.isfinite(y)):
+    if not 0.0 < y < _INF:
         raise DomainError(f"mu_inv requires y > 0, got {y}")
-    return _theta_radius(y, False)
+    return tuple.__new__(UnitRadius, _theta_radius(y, False))
 
 
-def _phi_pair(K: float, r: float, comp: float) -> UnitRadius:
+def _phi_pair(K: float, r: float, comp: float) -> tuple[float, float]:
     """phi_K at the radius pair (r, comp): mu_inv(mu(r)/K) in one nome pass, for K > 0.
 
     The log nome log q = -2 mu(k) of the smaller channel k needs no theta
@@ -260,9 +270,10 @@ def _phi_pair(K: float, r: float, comp: float) -> UnitRadius:
     the channels are exchanged.
     Where that modulus falls below pi/2, :func:`_theta_radius` takes its dual,
     so the theta series run on whichever side is well conditioned.
+    The result is the plain pair (phi_K(r), phi_K(r)').
     """
     if K == 1.0:
-        return _pair(r, comp)
+        return r, comp
     if r <= comp:
         return _theta_radius(_log_nome(r, comp) / K, False)
     return _theta_radius(_log_nome(comp, r) * K, True)
@@ -347,6 +358,8 @@ def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[
     the route of every signature without a closed form, and the test oracle
     of the closed forms.
     """
+    from .specfun import _balanced_r0, _hyp_sums  # only the series routes load specfun
+
     if big_r is None:
         big_r = _balanced_r0(a, 1.0 - a)
     small = min(u.r, u.comp)
@@ -430,7 +443,7 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_a_inv requires y > 0, got {y}")
     if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
-        return _theta_radius(y, False)
+        return tuple.__new__(UnitRadius, _theta_radius(y, False))
     row = _CLASSICAL.get(a)
     if row is None:
         return _mu_a_newton(a, y)
@@ -476,6 +489,8 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
     random (a, y).  It also runs at every row of the classical route, where
     the tests use it as the oracle of the closed forms.
     """
+    from .specfun import _balanced_r0
+
     y_sym = 0.5 * math.pi / math.sin(math.pi * a)
     dual = y < y_sym
     target = y_sym * y_sym / y if dual else y
@@ -555,11 +570,11 @@ def tau2_inv(y: float) -> float:
     in t.  Against 40- to 60-digit mpmath, over 12000 log-uniform y in
     [0.009, 450] and 30000 uniform y in [1, 10], where the scale is 1, the
     factor was at most 9.9 (at y = 3.41).
-    A t beyond the double range (y below about 0.00882) raises
-    :class:`OverflowSignal`, and a t below the normal double range (y above
-    about 452.8) raises :class:`ConvergenceError`, as does a radius or
-    complement of the pair below it (y below about 0.00443, where pi/y
-    overflows included, or above about 904).
+    A t beyond the double range (y below about 0.00882, where pi/y
+    overflows included) raises :class:`OverflowSignal`, and a t below the
+    normal double range (y above about 452.8) raises
+    :class:`ConvergenceError`, as does a complement of the pair below it
+    (y above about 904).
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"tau2_inv requires y > 0, got {y}")
@@ -576,8 +591,18 @@ def _tau2_inv_value(y: float) -> float:
 
     Past the double range the value is inf.  :func:`tau2_inv` and the bound
     c(2, K) = 1 + tau_2^-1(tau_2(1)/K) (:mod:`qcfun.bounds`) both take it here.
+    Where pi/y >= pi/2 the theta pair is not dualled, so its radius r is the
+    small channel and r' is near 1; an r below the normal range puts
+    t = (r'/r)^2 above 2^2044, so the value is inf there, not the underflow
+    of r.
     """
-    r, comp = _theta_radius(math.pi / y, False)
+    x = math.pi / y
+    try:
+        r, comp = _theta_radius(x, False)
+    except ConvergenceError:
+        if x >= _HALF_PI:
+            return _INF
+        raise
     q = comp / r
     return q * q
 
@@ -589,14 +614,22 @@ def gamma2_inv(y: float) -> float:
     small y, r is about 4 e^(-2 pi/y), so the absolute error of the modulus
     becomes a relative one in s.  Against 40- to 60-digit mpmath, over 12000
     log-uniform y in [0.0089, 900] and 30000 uniform y in [1, 10], the
-    factor was at most 2.46 (at y = 3.01).  A radius or complement of the
-    pair below the normal double range raises :class:`ConvergenceError`: y
-    below about 0.00885, where 2 pi/y overflows included, and above about
-    1807, where s has long rounded to 1.
+    factor was at most 2.46 (at y = 3.01).  A radius of the pair below the
+    normal double range raises :class:`ConvergenceError`: y below about
+    0.00885, where 2 pi/y overflows included.  Every larger y has a value:
+    above about 1807 only the complement underflows, and s, which has long
+    rounded to 1, is 1.0.
     """
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"gamma2_inv requires y > 0, got {y}")
-    return 1.0 / _theta_radius(2.0 * math.pi / y, False).r
+    x = 2.0 * math.pi / y
+    try:
+        r = _theta_radius(x, False)[0]
+    except ConvergenceError:
+        if x < _HALF_PI:  # the dual side: the complement underflowed, and r = 1.0 exactly
+            return 1.0
+        raise
+    return 1.0 / r
 
 
 def agm_product_p(x) -> float:

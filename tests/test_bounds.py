@@ -300,6 +300,7 @@ class TestCatalogTable:
         (BoundId.BeurlingAhlforsK, [1e308]),
         (BoundId.VuorinenC2, [300.0]),
         (BoundId.SurfaceArea, [2000.0]),
+        (BoundId.VuorinenC2, [460.0]),  # its radius underflows too (ConvergenceError before)
     ])
     def test_overflow_is_typed(self, bound_id, params):
         with pytest.raises(OverflowSignal, match=bound_id.value if bound_id is not BoundId.SurfaceArea
@@ -319,6 +320,11 @@ class TestCatalogTable:
             with pytest.raises(OverflowSignal):
                 surface_area(n)
         assert surface_area(340.0) > 0.0
+
+    def test_vuorinen_c_far_past_the_double_range(self):
+        # tau_2(1)/K = 2e-6: the theta radius at pi/y ~ 1.6e6 underflows, and c(2,K) names the overflow
+        with pytest.raises(OverflowSignal, match="VuorinenC2"):
+            vuorinen_c(2, 1e6)
 
     def test_gehring_composite_overflow(self):
         with pytest.raises(OverflowSignal, match="gehring_d2_composite"):

@@ -551,12 +551,12 @@ class TestLazyNumpy:
 
     @pytest.mark.parametrize("argv, layers", [
         (("eval", "--fn", "K", "--r", ".5"), ("means",)),
-        (("eval", "--fn", "mu", "--r", ".5"), ("specfun", "means", "modulus")),
+        (("eval", "--fn", "mu", "--r", ".5"), ("means", "modulus")),
         (("invert", "--fn", "muA", "--a", "0.16666666666666666", "--y", "2"),
-         ("specfun", "means", "modulus")),
-        (("eval", "--fn", "eta", "--K", "2", "--t", "1"), ("specfun", "means", "modulus", "distortion")),
-        (("bounds", "--id", "MoriConstant", "--K", "2"), ("specfun", "means", "modulus", "bounds")),
-        (("bounds", "--list"), ("specfun", "means", "modulus", "bounds")),
+         ("means", "modulus")),
+        (("eval", "--fn", "eta", "--K", "2", "--t", "1"), ("means", "modulus", "distortion")),
+        (("bounds", "--id", "MoriConstant", "--K", "2"), ("means", "modulus", "bounds")),
+        (("bounds", "--list"), ("means", "modulus", "bounds")),
         (("table", "--fn", "K", "--from", ".1", "--to", ".5", "--step", ".2"), ("means",)),
     ], ids=["eval-K", "eval-mu", "invert-muA", "eval-eta", "bounds-id", "bounds-list", "table-K"])
     def test_light_command_loads_its_layers_alone(self, argv, layers):

@@ -167,10 +167,11 @@ class TestNomePass:
         # each channel within the sum of the two routes' 4 eps max(1, y) bounds
         got = modulus._phi_pair(K, u.r, u.comp)
         assert phi_K(K, u) == got
+        r, comp = got
         y = mu(u) / K
         want = mu_inv(y)
-        assert abs(got.r / want.r - 1.0) <= 8.0 * self.EPS * max(1.0, y), (K, u)
-        assert abs(got.comp / want.comp - 1.0) <= 8.0 * self.EPS * max(1.0, 0.25 * math.pi ** 2 / y), (K, u)
+        assert abs(r / want.r - 1.0) <= 8.0 * self.EPS * max(1.0, y), (K, u)
+        assert abs(comp / want.comp - 1.0) <= 8.0 * self.EPS * max(1.0, 0.25 * math.pi ** 2 / y), (K, u)
         # which of the four cases ran: the smaller input channel, and the side of pi/2
         return u.r <= u.comp, y >= self.HALF_PI
 
@@ -223,6 +224,10 @@ class TestPhiAK:
 
     def test_identity_at_one(self):
         assert phi_aK(1.0 / 3.0, 1.0, 0.37).r == 0.37
+        # the radius itself, to the bit, where mu_a_inv(mu_a(r)) rounds off it
+        for a in (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5, 0.2):
+            for u in (UnitRadius.from_r(1e-9), UnitRadius.from_r(0.9), UnitRadius.from_comp(1e-12)):
+                assert phi_aK(a, 1.0, u) == u
 
     def test_cubic_identity_oracle(self):
         # solve the signature-1/3 degree-2 relation (alpha beta)^(1/3)
@@ -299,6 +304,14 @@ class TestEtaK2:
             eta_K2(0.5, 1.0)
         with pytest.raises(DomainError):
             eta_K2(2.0, -1.0)
+
+    @pytest.mark.parametrize("K, message", [(0.5, "satisfy K >= 1, got 0.5"), (0.0, "positive, got 0.0"),
+                                            (-2.0, "positive"), (math.inf, "positive"), (math.nan, "positive")])
+    def test_dilatation_messages(self, K, message):
+        # the functions that need K >= 1 name what K breaks: the bound 1, or positivity
+        for call in (lambda: eta_K2(K, 1.0), lambda: lambda_of_K(K), lambda: linearized_g(K, 0.0)):
+            with pytest.raises(DomainError, match=message):
+                call()
 
 
 class TestLambda:

@@ -160,6 +160,21 @@ class TestRelativeSize:
         with pytest.raises(DegenerateGeometryError):
             relative_size(e, e)
 
+    def test_far_point(self):
+        # the far point scales the near ones down to ~1e-187, where their squared
+        # differences underflow (DegenerateGeometryError before); hypot keeps them
+        square = 1e-40 * np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        e, f = square + (3e-40, 0.0), square[:3] - (3e-40, 0.0)
+        far_f = np.vstack([f, [(1e300, 2e300)]])
+        near, far = relative_size(e, f), relative_size(e, far_f)
+
+        def diameter(p):
+            return max(math.hypot(*(a - b)) for a in p for b in p)
+
+        want = min(diameter(e), diameter(far_f)) / min(math.hypot(*(a - b)) for a in e for b in far_f)
+        ulp = math.ulp(want)
+        assert abs(far - near) <= 4 * ulp and abs(far - want) <= 4 * ulp
+
     @pytest.mark.parametrize("points", [np.zeros(3), np.zeros((3, 3)), np.empty((0, 2)),
                                         [[0.0, 0.0], [math.nan, 1.0]], [[0.0, 0.0], [math.inf, 1.0]]])
     def test_point_set_guards(self, points):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcfun import distortion, modulus
+from qcfun import distortion, modulus, specfun
 from qcfun.means import ellint_K_from_comp
 from qcfun import (
     ConvergenceError,
@@ -191,6 +191,30 @@ class TestTrustedPairs:
             pass
         assert len(seen) == 1
         self.revalidate(UnitRadius(*seen[0]))
+
+
+class TestBoundaryType:
+    """A UnitRadius is formed where a public function returns a radius; the kernels pass plain pairs."""
+
+    @pytest.mark.parametrize("y", [0.1, 1.0, 3.0, 40.0])
+    def test_public_inverses_return_unit_radius(self, y):
+        assert type(mu_inv(y)) is UnitRadius
+        for a in (*CLOSED_FORM_SIGNATURES, 0.2):  # every grid row and the Newton route
+            assert type(mu_a_inv(a, y)) is UnitRadius
+
+    @pytest.mark.parametrize("x", [0.3, 0.9, UnitRadius.from_comp(1e-12)])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_distortions_return_unit_radius(self, K, x):
+        assert type(phi_K(K, x)) is UnitRadius
+        for a in A_GRID:
+            assert type(phi_aK(a, K, x)) is UnitRadius
+
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+    def test_kernels_return_plain_pairs(self, K):
+        for y in (0.5, 3.0):
+            for swap in (False, True):
+                assert type(modulus._theta_radius(y, swap)) is tuple
+        assert type(modulus._phi_pair(K, 0.3, math.sqrt(0.91))) is tuple
 
 
 class TestMu:
@@ -457,8 +481,9 @@ class TestMuA:
 
     def test_closed_forms_run_no_series(self, monkeypatch):
         calls, newton = [], []
-        sums, solve = modulus._hyp_sums, modulus._mu_a_newton
-        monkeypatch.setattr(modulus, "_hyp_sums",
+        # the series route imports _hyp_sums from specfun when it runs, so the counter sits there
+        sums, solve = specfun._hyp_sums, modulus._mu_a_newton
+        monkeypatch.setattr(specfun, "_hyp_sums",
                             lambda *args: calls.append(args) or sums(*args))
         monkeypatch.setattr(modulus, "_mu_a_newton",
                             lambda a, y: newton.append(a) or solve(a, y))
@@ -755,22 +780,27 @@ class TestCapacities:
     def test_tau2_inverse(self, t):
         assert tau2_inv(teichmuller_tau2(t)) == pytest.approx(t, rel=1e-11)
 
-    @pytest.mark.parametrize("y, error", [(0.00443, OverflowSignal), (0.005, OverflowSignal),
+    @pytest.mark.parametrize("y, error", [(1e-300, OverflowSignal), (0.004, OverflowSignal),
+                                          (0.00443, OverflowSignal), (0.005, OverflowSignal),
                                           (0.00881, OverflowSignal), (452.9, ConvergenceError),
                                           (460.0, ConvergenceError), (500.0, ConvergenceError),
                                           (903.0, ConvergenceError)])
     def test_tau2_inverse_beyond_the_normal_range_is_typed(self, y, error):
         # t = (r'/r)^2 is past the double range (inf before) or below the normal
-        # range (a subnormal or 0.0 before) while mu_inv's own pair is normal
+        # range (a subnormal or 0.0 before) while mu_inv's own pair is normal;
+        # below y ~ 0.00443 the radius of the pair underflows too, and t, past the
+        # double range from 0.00882 down, still names the overflow (ConvergenceError before)
         with pytest.raises(error, match="tau2_inv"):
             tau2_inv(y)
 
     @pytest.mark.parametrize("y", [1e-309, 1e-320])
-    @pytest.mark.parametrize("inverse", [tau2_inv, gamma2_inv], ids=["tau2_inv", "gamma2_inv"])
-    def test_inverse_where_the_modulus_overflows(self, inverse, y):
-        # pi/y and 2 pi/y overflow, so the theta radius is 0: the radius underflows, as it
-        # does below y ~ 0.0044 and 0.0089 (a DomainError about a modulus of inf before)
-        with pytest.raises(ConvergenceError):
+    @pytest.mark.parametrize("inverse, error", [(tau2_inv, OverflowSignal), (gamma2_inv, ConvergenceError)],
+                             ids=["tau2_inv", "gamma2_inv"])
+    def test_inverse_where_the_modulus_overflows(self, inverse, error, y):
+        # pi/y and 2 pi/y overflow, so the theta radius is 0, as below y ~ 0.0044 and
+        # 0.0089 (a DomainError about a modulus of inf before): tau2_inv's t = (r'/r)^2
+        # is past the double range (ConvergenceError before), gamma2_inv's radius underflows
+        with pytest.raises(error):
             inverse(y)
 
     @pytest.mark.parametrize("y", [0.0089, 452.0])
@@ -782,6 +812,12 @@ class TestCapacities:
     @pytest.mark.parametrize("s", [1.2, 2.0, 5.0])
     def test_gamma2_inverse(self, s):
         assert gamma2_inv(grotzsch_gamma2(s)) == pytest.approx(s, rel=1e-11)
+
+    @pytest.mark.parametrize("y", [1800.0, 1808.0, 1e4, 1e300])
+    def test_gamma2_inverse_past_the_complement_underflow(self, y):
+        # from y ~ 1807 only the complement of the pair underflows, and s = 1/r has
+        # long rounded to 1: the value is 1.0 (ConvergenceError before, from 1808)
+        assert gamma2_inv(y) == 1.0
 
     def test_domains(self):
         with pytest.raises(DomainError):
