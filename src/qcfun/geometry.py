@@ -41,15 +41,15 @@ INFINITY = object()  # marker for the point at infinity in absolute ratios
 _KOCH_MAX_LEVEL = 12
 _ORIENT_BOUND = 3.4e-16  # (3 + 16 eps) eps, eps = 2^-53, rounded up
 _ORIENT_FLOOR = 1e-290  # below this the products may have lost digits to underflow
-# ahlfors_constant holds an n x n float64 arc table: a 76 MB peak at
-# n = 3072 (Koch level 5), so 134 MB at the cap by the n^2 scaling
+# ahlfors_constant holds an (n//2 + 1) x n float64 arc table: a 38 MB peak at
+# n = 3072 (Koch level 5), so near 67 MB at the cap by the n^2 scaling
 _AHLFORS_MAX_VERTICES = 4096
 # the full triangle-condition search is cubic in n: about 1 s at n = 1024 on
 # 2 vCPU, and each doubling multiplies the time by about 8
 _TRIANGLE_MAX_VERTICES = 1024
 _BOX_MAX_SAMPLES = 20_000_000  # box_dimension's densified samples at one scale
 _PAIR_BLOCK = 1 << 18  # table entries per row block of _blockwise
-_SCALE_TOP = 509  # scaled points lie below 2^509 (see _scale_exponent)
+_SCALE_TOP = 509  # prepared points lie below 2^509 (see _prepare)
 
 
 def _as_points(data, min_points: int, name: str) -> np.ndarray:
@@ -103,11 +103,11 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
         return float(self.edge_lengths().sum())
 
     def diameter(self) -> float:
-        s = _scale_exponent(self.points)
-        if not s:
-            return _diameter(self.points)
+        """Largest distance between two vertices, over the corners of their hull; like every
+        scale-invariant estimator here, the same bits at 2^k X as at X (times 2^k)."""
+        pts, s, dist = _prepare(self.points)
         with np.errstate(over="ignore"):  # a diameter past the double range is inf
-            return float(np.ldexp(_diameter(np.ldexp(self.points, s)), -s))
+            return float(np.ldexp(_diameter(pts, dist), -s))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -208,20 +208,29 @@ def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _scale_exponent(pts: np.ndarray, other: float = 0.0) -> int:
-    """The power of two 2^s by which the estimators scale their points: 0 for points of ordinary size.
+def _hypot_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`_dist` by ``np.hypot``, which squares no difference, so none underflows."""
+    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
+
+
+def _prepare(*arrays):
+    """The point arrays scaled jointly by an exact power of two 2^s, then s and the distance kernel.
 
     Distances square coordinate differences and widths multiply two of them.
-    Below 2^509 those squares and products, and the sums of two, stay finite;
-    they stay normal while the differences are above 2^-511.  So points whose
-    largest |coordinate| m lies in [2^-256, 2^509) are used as given, and
-    any others are scaled (``np.ldexp``, exact) so that m lies in
-    [2^508, 2^509), which leaves the most room below for small differences.
-    A scale-invariant estimator then gives the same bits at 2^k X as at X.
-    ``other`` is the largest |coordinate| of the inputs taken with ``pts``.
+    The scale (``np.ldexp``, exact) brings the largest |coordinate| into
+    [2^508, 2^509), so those squares and products, and sums of two, stay
+    finite.  Coordinates of 2^-459 or more, or 0, differ by 0 or by at least
+    2^-511, the ulp of 2^-459, so the squared distance of two distinct points
+    stays normal unless a nonzero prepared coordinate lies below 2^-459;
+    then the kernel is :func:`_hypot_dist`, and otherwise :func:`_dist`.
+    So every scale-invariant estimator gives the same bits at 2^k X as at X.
     """
-    e = math.frexp(max(float(np.abs(pts).max()), other))[1]
-    return 0 if -256 < e <= _SCALE_TOP else _SCALE_TOP - e
+    a = np.abs(np.concatenate([np.ravel(x) for x in arrays]))
+    top = float(a.max())
+    s = _SCALE_TOP - math.frexp(top)[1] if math.isfinite(top) else 0  # its estimator refuses a non-finite point
+    smallest = float(np.min(a, where=a > 0.0, initial=math.inf))  # of the nonzero |coordinates|
+    dist = _hypot_dist if smallest < math.ldexp(1.0, -459 - s) else _dist
+    return (*(np.ldexp(x, s) for x in arrays), s, dist)
 
 
 def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
@@ -236,30 +245,20 @@ def _blockwise(reduce, n_rows: int, n_cols: int, block) -> float:
     return float(reduce([reduce(block(i, i + rows)) for i in range(0, n_rows, rows)]))
 
 
-def _hypot_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`_dist` by ``np.hypot``, which squares no difference, so none underflows."""
-    return np.hypot(p[..., 0] - q[..., 0], p[..., 1] - q[..., 1])
-
-
 def _diameter(pts: np.ndarray, dist=_dist) -> float:
-    return _blockwise(np.max, len(pts), len(pts), lambda i, j: dist(pts[i:j, None], pts[None]))
+    """Largest ``dist`` between two of the points; the farthest pair are hull vertices (Preparata & Shamos, 1985)."""
+    hull = np.array(_convex_hull(pts) or pts[:1])  # one distinct point has no hull, and diameter 0
+    return _blockwise(np.max, len(hull), len(hull), lambda i, j: dist(hull[i:j, None], hull[None]))
 
 
 def relative_size(E, F) -> float:
     """Relative size min(d(E), d(F)) / d(E, F) of two disjoint point sets.
 
-    Scaled points (see :func:`_scale_exponent`) may span more than the squares
-    of their differences can: a far point fixes the scale, and the near ones'
-    squared differences underflow.  There the distances are taken by
-    ``np.hypot``; points of ordinary size keep the squared form.
+    Both sets are prepared together by :func:`_prepare`, so the value at
+    2^k E, 2^k F has the bits of the value at E, F, and structure far below
+    a far point keeps its distances.
     """
-    e = _as_points(E, 1, "E")
-    f = _as_points(F, 1, "F")
-    s = _scale_exponent(e, float(np.abs(f).max()))
-    dist = _dist
-    if s:
-        e, f = np.ldexp(e, s), np.ldexp(f, s)
-        dist = _hypot_dist
+    e, f, _, dist = _prepare(_as_points(E, 1, "E"), _as_points(F, 1, "F"))
     gap = _blockwise(np.min, len(e), len(f), lambda i, j: dist(e[i:j, None], f[None]))
     if gap == 0.0:
         raise DegenerateGeometryError("relative_size requires disjoint sets (d(E,F) > 0)")
@@ -272,9 +271,9 @@ def ahlfors_constant(curve: Polyline) -> float:
 
     Arc diameters are taken over arc vertices including the split points.
     Near 1 for circle-like curves; grows with fractality and for rooms-and-
-    corridors shapes.  O(n^2) time by running-maximum sweeps over one n x n
-    table of arc diameters (n^2 floats, no pairwise tensors); more than 4096
-    vertices raise :class:`DomainError`.
+    corridors shapes.  O(n^2) time by one running-maximum sweep that keeps
+    the arc diameters of the runs up to half the curve, (n/2 + 1) x n floats
+    and no pairwise tensors; more than 4096 vertices raise :class:`DomainError`.
     """
     if not curve.closed:
         raise DomainError("ahlfors_constant is defined for closed curves")
@@ -285,27 +284,27 @@ def ahlfors_constant(curve: Polyline) -> float:
         raise DomainError(
             f"ahlfors_constant accepts at most {_AHLFORS_MAX_VERTICES} vertices, got {n}"
         )
-    pts = curve.points
-    s = _scale_exponent(pts)
-    if s:
-        pts = np.ldexp(pts, s)
+    pts, _, dist = _prepare(curve.points)
     pts2 = np.concatenate([pts, pts])
-    # arc[L, s] = diameter of the vertex run s..s+L (wrapping), L = 0..n-1, by the
-    # interval recurrence diam(s,L) = max(diam(s,L-1), diam(s+1,L-1), |v_s - v_{s+L}|)
-    arc = np.zeros((n, n))
+    # cur[s] = diameter of the vertex run s..s+L (wrapping), by the interval recurrence
+    # diam(s,L) = max(diam(s,L-1), diam(s+1,L-1), |v_s - v_{s+L}|); arc[L] keeps it for L <= n/2
+    half = n // 2
+    arc = np.zeros((half + 1, n))
     cur = np.zeros(2 * n)
-    for length in range(1, n):
-        m = 2 * n - length
-        cur = np.maximum(np.maximum(cur[:m], cur[1:m + 1]), _dist(pts2[:m], pts2[length:]))
-        arc[length] = cur[:n]
-    # the pair (s, s+L) splits the curve into runs of lengths L and n-L
     best = 0.0
     for length in range(1, n):
-        chord = _dist(pts2[:n - length], pts2[length:n])
-        if np.any(chord == 0.0):
-            raise DegenerateGeometryError("curve passes through the same point twice")
-        both = np.minimum(arc[length, :n - length], arc[n - length, length:])
-        best = max(best, float((both / chord).max()))
+        m = 2 * n - length
+        chord = dist(pts2[:m], pts2[length:])
+        cur = np.maximum(np.maximum(cur[:m], cur[1:m + 1]), chord)
+        if length <= half:
+            arc[length] = cur[:n]
+        if length >= n - half:
+            # the pairs (s, s+L) and (s, s+n-L) split the curve into runs of lengths L and n-L,
+            # and their chords are chord[s] and chord[s+n-L], as |v_{s+n-L} - v_{s+n}| = |v_s - v_{s+n-L}|
+            if np.any(chord[:n] == 0.0):
+                raise DegenerateGeometryError("curve passes through the same point twice")
+            both = np.minimum(cur[:n], np.roll(arc[n - length], -length))
+            best = max(best, float((both / chord[:n]).max()))
     return best
 
 
@@ -322,20 +321,17 @@ def triangle_condition_constant(curve: Polyline, adjacent_only: bool = False) ->
     n = curve.n_vertices
     if n < 3:
         raise DomainError("triangle condition needs at least 3 vertices")
-    pts = curve.points
-    s = _scale_exponent(pts)
-    if s:
-        pts = np.ldexp(pts, s)
+    pts, _, dist = _prepare(curve.points)
     if adjacent_only:
-        ac = _dist(pts[:-2], pts[2:])
+        ac = dist(pts[:-2], pts[2:])
         if np.any(ac == 0.0):
             raise DegenerateGeometryError("degenerate triple with a = c")
-        edge = _dist(pts[:-1], pts[1:])
+        edge = dist(pts[:-1], pts[1:])
         return float(((edge[:-1] + edge[1:]) / ac).max())
     if n > _TRIANGLE_MAX_VERTICES:
         raise DomainError(f"the full triangle-condition search accepts at most {_TRIANGLE_MAX_VERTICES} "
                           f"vertices (about 1 s), got {n}; adjacent_only has no limit")
-    d = _dist(pts[:, None], pts[None])
+    d = dist(pts[:, None], pts[None])
     best = 1.0
     for j in range(1, n - 1):
         left = d[:j, j]
@@ -370,9 +366,7 @@ def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
     local = d[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 2:
         raise DomainError("insufficient local points inside B(x, r)")
-    s = _scale_exponent(local)  # of the local differences, whatever lies outside B(x, r)
-    if s:
-        local = np.ldexp(local, s)
+    local, s, _ = _prepare(local)  # the local differences, whatever lies outside B(x, r)
     hull = _convex_hull(np.concatenate((local, -local)))
     if not hull:  # every local point is x itself, so every line through x fits
         return HyperplaneFit(base=base, direction=(1.0, 0.0), delta=0.0)
@@ -386,17 +380,26 @@ def linear_approx_delta(E, x, r: float) -> HyperplaneFit:
 
 def _convex_hull(pts: np.ndarray) -> list:
     """Andrew's monotone chain over Python floats; the hull vertices as [x, y]
-    lists in counterclockwise order, none for a single distinct point."""
-    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+    lists in counterclockwise order, none for a single distinct point.
+
+    A point leaves the chain only where its turn is certified not left, by
+    the filter of :func:`_edge_orientation` and :func:`_exact_turn` where that
+    cannot decide, so the chain keeps exactly the hull's corners.
+    """
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    step = np.diff(srt[:, 0]) > 0  # of the points on one vertical line only the ends can be corners
+    srt = srt[np.r_[True, step] | np.r_[step, True]].tolist()
     uniq = srt[:1] + [p for p, q in zip(srt[1:], srt) if p != q]
 
     def build(seq):
         out = []
         for p in seq:
             while len(out) >= 2:
-                ux, uy = out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]
-                vx, vy = p[0] - out[-2][0], p[1] - out[-2][1]
-                if ux * vy - uy * vx > 0:
+                o, a = out[-2], out[-1]
+                left, right = (a[0] - o[0]) * (p[1] - o[1]), (a[1] - o[1]) * (p[0] - o[0])
+                size = abs(left) + abs(right)
+                if (left > right if abs(left - right) > _ORIENT_BOUND * size and size > _ORIENT_FLOOR
+                        else _exact_turn(o, a, p) > 0):
                     break
                 out.pop()
             out.append(p)
@@ -420,9 +423,7 @@ def thickness_constant(E, x, r: float) -> float:
     local = pts[np.hypot(d[:, 0], d[:, 1]) <= r]
     if local.shape[0] < 3:
         raise DomainError("insufficient local points inside B(x, r)")
-    s = _scale_exponent(local)  # of the local points, whatever lies outside B(x, r)
-    if s:
-        local = np.ldexp(local, s)
+    local, s, _ = _prepare(local)  # the local points, whatever lies outside B(x, r)
     hull = np.array(_convex_hull(local))
     h = hull.shape[0]
     best = 0.0
@@ -525,7 +526,7 @@ def _edge_orientation(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
     The float determinant decides wherever it exceeds Shewchuk's error bound
     (3 + 16 eps) eps times the sum of its two products (Discrete Comput. Geom.
     18, 1997); the rest, nearly collinear or outside the normal range, are
-    evaluated in rational arithmetic.
+    evaluated exactly by :func:`_exact_turn`.
     """
     x, y = pt
     xs, ys = poly[:, 0], poly[:, 1]
@@ -536,17 +537,20 @@ def _edge_orientation(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
         det = left - right
         decided = (np.abs(det) > _ORIENT_BOUND * size) & (size > _ORIENT_FLOOR)
     sign = np.sign(det)
-    undecided = np.flatnonzero(~decided)
-    if len(undecided) == 0:
-        return sign
-    from fractions import Fraction  # about 2 ms to import, and nearly collinear edges are rare
-
-    fx, fy = Fraction(float(x)), Fraction(float(y))
-    for i in undecided:
-        px, py = Fraction(float(xs[i])), Fraction(float(ys[i]))
-        exact = (Fraction(float(xn[i])) - px) * (fy - py) - (Fraction(float(yn[i])) - py) * (fx - px)
-        sign[i] = (exact > 0) - (exact < 0)
+    for i in np.flatnonzero(~decided):
+        sign[i] = _exact_turn((xs[i], ys[i]), (xn[i], yn[i]), pt)
     return sign
+
+
+def _exact_turn(o, a, b) -> int:
+    """Sign of (a - o) x (b - o), exactly: 1 for a left turn o -> a -> b."""
+    def fixed(c):  # a double is n / 2^k with k <= 1074, so 2^1074 times it is an integer
+        n, d = float(c).as_integer_ratio()
+        return n << (1075 - d.bit_length())
+
+    (ox, oy), (ax, ay), (bx, by) = ([fixed(c) for c in p] for p in (o, a, b))
+    exact = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    return (exact > 0) - (exact < 0)
 
 
 def _point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
@@ -583,12 +587,7 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
         raise DomainError(f"unknown boundary metric mode {mode!r}")
     if not boundary.closed:
         raise DomainError("boundary must be a closed polyline")
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    poly = boundary.points
-    s = _scale_exponent(poly, max(map(abs, av.tolist() + bv.tolist())))
-    if s:
-        poly, av, bv = np.ldexp(poly, s), np.ldexp(av, s), np.ldexp(bv, s)
+    poly, av, bv, _, dist = _prepare(boundary.points, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     pa = np.hypot(poly[:, 0] - av[0], poly[:, 1] - av[1])
     pb = np.hypot(poly[:, 0] - bv[0], poly[:, 1] - bv[1])
     for name, p in (("a", av), ("b", bv)):
@@ -598,7 +597,7 @@ def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRati
         # sup over (c, d) of |a - b| |c - d| / (|c - a| |d - b|), one row block of c at a time
         ab = float(np.hypot(*(av - bv)))
         n = len(poly)
-        return math.log1p(_blockwise(np.max, n, n, lambda i, j: ab * _dist(poly[i:j, None], poly[None])
+        return math.log1p(_blockwise(np.max, n, n, lambda i, j: ab * dist(poly[i:j, None], poly[None])
                                      / (pa[i:j, None] * pb[None, :])))
     # Apollonian: sup over (c, d) of log(|c-a| |b-d| / (|c-b| |a-d|)) -- the
     # ratio factorizes, so the sup is a product of two one-dimensional sups

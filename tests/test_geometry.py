@@ -85,6 +85,65 @@ def rho_by_geodesic_endpoints(a, b):
     return math.log(abs_ratio(e1, av, bv, e2))
 
 
+def hypot_diameter(pts):
+    return max(math.hypot(*(a - b)) for a in pts for b in pts)
+
+
+def ahlfors_by_hypot(pts):
+    """The Ahlfors constant by every vertex pair and its two arcs, all distances by math.hypot."""
+    best, n = 0.0, len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            arcs = hypot_diameter(pts[i:j + 1]), hypot_diameter(np.vstack([pts[j:], pts[:i + 1]]))
+            best = max(best, min(arcs) / math.hypot(*(pts[i] - pts[j])))
+    return best
+
+
+def ahlfors_full_table(pts):
+    """The Ahlfors constant from the full n x n arc table, with every chord formed a second time."""
+    n = len(pts)
+    pts2 = np.concatenate([pts, pts])
+    arc, cur = np.zeros((n, n)), np.zeros(2 * n)
+    for length in range(1, n):
+        m = 2 * n - length
+        cur = np.maximum(np.maximum(cur[:m], cur[1:m + 1]), geometry._dist(pts2[:m], pts2[length:]))
+        arc[length] = cur[:n]
+    return max(float((np.minimum(arc[length, :n - length], arc[n - length, length:])
+                      / geometry._dist(pts2[:n - length], pts2[length:n])).max()) for length in range(1, n))
+
+
+def all_pairs_diameter(pts):
+    n = len(pts)
+    return geometry._blockwise(np.max, n, n, lambda i, j: geometry._dist(pts[i:j, None], pts[None]))
+
+
+def exact_hull(pts):
+    """Andrew's monotone chain with every turn decided in rational arithmetic."""
+    srt = sorted({(float(x), float(y)) for x, y in pts})
+
+    def turn(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = ([Fraction(c) for c in p] for p in (o, a, b))
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+    def build(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return [list(p) for p in build(srt)[:-1] + build(srt[::-1])[:-1]] if len(srt) > 1 else []
+
+
+def near_collinear_sets(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = rng.uniform(-1.0, 1.0, int(rng.integers(3, 40)))
+        noise = rng.normal(scale=10.0 ** -float(rng.integers(8, 17)), size=len(t))
+        yield np.column_stack([t, rng.uniform(-2.0, 2.0) * t + noise])
+
+
 def _shoelace(pts):
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
@@ -167,11 +226,7 @@ class TestRelativeSize:
         e, f = square + (3e-40, 0.0), square[:3] - (3e-40, 0.0)
         far_f = np.vstack([f, [(1e300, 2e300)]])
         near, far = relative_size(e, f), relative_size(e, far_f)
-
-        def diameter(p):
-            return max(math.hypot(*(a - b)) for a in p for b in p)
-
-        want = min(diameter(e), diameter(far_f)) / min(math.hypot(*(a - b)) for a in e for b in far_f)
+        want = min(hypot_diameter(e), hypot_diameter(far_f)) / min(math.hypot(*(a - b)) for a in e for b in far_f)
         ulp = math.ulp(want)
         assert abs(far - near) <= 4 * ulp and abs(far - want) <= 4 * ulp
 
@@ -192,6 +247,22 @@ class TestRelativeSize:
         assert geometry._diameter(e) == diam
         assert relative_size(e, f) == min(diam, geometry._dist(f[:, None], f[None]).max()) / full.min()
 
+    @pytest.mark.parametrize("t", [1e-158, 1e-161, 1e-165, 1e-300])
+    def test_tiny_structure_beside_unit_points(self, t):
+        # squared differences of the tiny set underflowed: 8e-9 off at 1e-158, 0.6% at
+        # 1e-161, and 0.0 from 1e-165 on
+        e, f = np.array([(0.0, 0.0), (t, 0.0), (0.0, t)]), np.array([(1.0, 0.0), (1.0, 1.0)])
+        want = min(hypot_diameter(e), hypot_diameter(f)) / min(math.hypot(*(a - b)) for a in e for b in f)
+        assert abs(relative_size(e, f) - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("k", [-960, -600, 600, 960])
+    def test_same_bits_at_every_power_of_two(self, k):
+        # the scaled branch took np.hypot and the unscaled one squares: their bits differed
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            e, f = rng.normal(size=(int(rng.integers(1, 12)), 2)), rng.normal(size=(int(rng.integers(1, 12)), 2)) + 4.0
+            assert relative_size(2.0 ** k * e, 2.0 ** k * f) == relative_size(e, f)
+
     def test_diameter_peak_memory(self):
         # n = 3072: the full n x n x 2 difference tensor peaked at 377 MB
         curve = koch_curve(5)
@@ -202,6 +273,36 @@ class TestRelativeSize:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+class TestHullDiameter:
+    """Diameters from the corners of the convex hull, which hold the farthest pair."""
+
+    def test_equals_the_all_pairs_maximum(self):
+        sets = [koch_curve(4).points, koch_curve(5).points]
+        sets += [regular_ngon(n).points for n in (3, 4, 5, 7, 64, 1000, 4095, 4096)]
+        sets += list(near_collinear_sets(18, 40))
+        for pts in sets:
+            assert Polyline(pts, closed=False).diameter() == all_pairs_diameter(pts)
+
+    def test_farthest_pair_by_rationals(self):
+        def square(pair):
+            (ax, ay), (bx, by) = pair
+            return (Fraction(ax) - Fraction(bx)) ** 2 + (Fraction(ay) - Fraction(by)) ** 2
+
+        rng = np.random.default_rng(44)
+        sets = list(near_collinear_sets(45, 20)) + [rng.normal(size=(int(rng.integers(2, 30)), 2)) for _ in range(20)]
+        for pts in sets:
+            a, b = max(((a, b) for a in pts for b in pts), key=square)
+            assert geometry._diameter(pts) == geometry._dist(a, b)
+
+    def test_hull_keeps_exactly_the_corners(self):
+        # the float cross product popped true corners or kept collinear points
+        # on 21 of these sets and on the Koch curve
+        for pts in near_collinear_sets(18, 200):
+            assert geometry._convex_hull(pts) == exact_hull(pts)
+        koch = koch_curve(4).points  # with many runs of points on one vertical line
+        assert geometry._convex_hull(koch) == exact_hull(koch)
 
 
 class TestAhlfors:
@@ -264,8 +365,9 @@ class TestAhlfors:
         with pytest.raises(DomainError, match="4096"):
             ahlfors_constant(regular_ngon(4097))
 
-    def test_peak_memory_is_one_arc_table(self):
-        # n = 768: the arc table is 4.7 MB; pairwise (2n, 2n, 2) tensors would take 90 MB
+    def test_peak_memory_is_half_an_arc_table(self):
+        # n = 768: the arc rows up to n/2 take 2.4 MB, the full arc table 4.7 MB, and
+        # pairwise (2n, 2n, 2) tensors would take 90 MB
         curve = koch_curve(4)
         tracemalloc.start()
         try:
@@ -273,7 +375,27 @@ class TestAhlfors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 4e6
+
+    def test_half_table_matches_the_full_table(self):
+        # one pass over the arc rows up to n/2 and each chord formed once, both parities of n
+        rng = np.random.default_rng(31)
+        curves = [koch_curve(2).points, koch_curve(3, 50.0).points]
+        for n in range(4, 40):
+            ang = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            curves.append(rng.uniform(0.5, 1.5, (n, 1)) * np.column_stack([np.cos(ang), np.sin(ang)]))
+        for pts in curves:
+            assert ahlfors_constant(Polyline(pts)) == ahlfors_full_table(pts)
+
+    @pytest.mark.parametrize("pts", [
+        # a 1e-40 square beside a far vertex, and a unit curve with 1e-170 structure: the
+        # squared differences of the small structure underflowed to a spurious coincidence
+        np.vstack([1e-40 * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]), [(1e300, 5e299)]]),
+        np.array([(0.0, 0.0), (1e-170, 0.0), (1e-170, 1e-170), (0.0, 2e-170), (-1.0, 1.0), (-1.0, -0.5)]),
+    ])
+    def test_tiny_structure(self, pts):
+        want = ahlfors_by_hypot(pts)
+        assert abs(ahlfors_constant(Polyline(pts)) - want) <= 4 * math.ulp(want)
 
 
 class TestTriangleCondition:
@@ -313,6 +435,14 @@ class TestTriangleCondition:
         finally:
             tracemalloc.stop()
         assert peak < 8e6  # an n x n table would be 20 GB
+
+    def test_far_point(self):
+        # the far point fixed the scale, and the near points' squared differences
+        # underflowed: DegenerateGeometryError with it, 2.414 without it
+        square = 1e-40 * np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        near = np.vstack([square + (3e-40, 0.0), square[:3] - (3e-40, 0.0)])
+        for pts in (near, np.vstack([near, [(1e300, 2e300)]])):
+            assert triangle_condition_constant(Polyline(pts, closed=False)) == 2.414213562373095
 
     def test_full_search_vertex_limit(self):
         x = np.linspace(0.0, 1.0, 1025)
@@ -660,6 +790,8 @@ class TestBoundaryMetric:
         for outside in ((2.0, 0.0), (math.nan, 0.0), (0.0, -math.inf)):
             with pytest.raises(DomainError):
                 boundary_metric_estimate(ngon, outside, (0.0, 0.0), "AbsoluteRatio")
+            with pytest.raises(DomainError):  # a non-finite point scales no boundary past the double range
+                boundary_metric_estimate(regular_ngon(64, 1e300), 1e300 * np.asarray(outside), (0.0, 0.0), "Apollonian")
         with pytest.raises(DomainError):
             boundary_metric_estimate(ngon, (0.0, 0.0), (0.5, 0.0), "Poincare")
         with pytest.raises(DomainError):
@@ -668,12 +800,23 @@ class TestBoundaryMetric:
             boundary_metric_estimate(Polyline(ngon.points, closed=False), (0.0, 0.0), (0.5, 0.0), "Apollonian")
 
 
-def _scale_invariant_estimates(s):
-    """Every scale-invariant estimator at s times three point sets; the linear fit as (delta, direction)."""
+def _scale_invariant_estimates(k):
+    """Every scale-invariant estimator at 2^k times four point sets; the linear fit as (delta, direction).
+
+    The fourth set, a 1e-200 cluster beside unit points, spans more than a scale
+    by 2^+-960 keeps exact, so it runs at 2^(k // 4).
+    """
+    s = 2.0 ** k
     ngon, koch = regular_ngon(16).points * s, koch_curve(2).points * s
     graph = np.cumsum(np.random.default_rng(20).uniform(0.1, 1.0, (20, 2)), axis=0) * s
     fit = linear_approx_delta(koch, koch[5], 0.5 * s)
+    cluster = 1e-200 * np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 2.0)]) * 2.0 ** (k // 4)
+    unit = np.array([(-1.0, 1.0), (-1.0, -0.5), (-0.5, -1.0)]) * 2.0 ** (k // 4)
     return {
+        "tiny_relative_size": relative_size(cluster, unit),
+        "tiny_ahlfors": ahlfors_constant(Polyline(np.vstack([cluster, unit]))),
+        "tiny_triangle": triangle_condition_constant(Polyline(np.vstack([cluster, unit[:1]]), closed=False)),
+        "tiny_diameter": Polyline(cluster).diameter() / 2.0 ** (k // 4),
         "ahlfors_ngon": ahlfors_constant(Polyline(ngon)),
         "ahlfors_koch": ahlfors_constant(Polyline(koch)),
         "triangle": triangle_condition_constant(Polyline(graph, closed=False)),
@@ -695,7 +838,7 @@ class TestScaleInvariance:
         # squared differences leave the double range beyond about 1e+-154: at 2^530
         # the Ahlfors constant read 0.0 and the diameter inf, at 2^-560 three
         # estimators refused distinct points as coincident; diameter(2^k P) = 2^k diameter(P)
-        assert _scale_invariant_estimates(2.0 ** k) == _scale_invariant_estimates(1.0)
+        assert _scale_invariant_estimates(k) == _scale_invariant_estimates(0)
 
     def test_tiny_polygon_diameter(self):
         # 5.6e-6 off before, where the squared sides fell below the normal range
