@@ -195,6 +195,13 @@ class TestRunSuite:
         assert reports[0].n_points == 3
         assert reports[0].passed
 
+    def test_off_grid_signatures_pass(self):
+        # the series pass and Newton, where no closed form serves mu_a or its inverse
+        ids = ["RamIdCase", "MuSub", "MuSuper", "MuDup", "MuProd"]
+        reports = run_suite(ids, {"a": (0.01, 0.1, 0.2, 0.3, 0.45)})
+        assert sorted(rep.case for rep in reports) == sorted(ids)
+        assert all(rep.passed for rep in reports), [rep.case for rep in reports if not rep.passed]
+
     def test_grid_override_keeps_joint_coordinates(self):
         # every (a, r, s) with a from the default grid, r and s from the override;
         # the signature axis keeps its four values once each

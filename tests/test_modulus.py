@@ -52,6 +52,8 @@ P_03 = 3.9076068996875940
 SQRT_HALF_VAL = math.sqrt(0.5)
 A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
 CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0)
+# signatures without a closed form: the series pass forward, Newton inverse
+OFF_GRID = (0.01, 0.1, 0.2, 0.3, 0.45)
 
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
 
@@ -63,6 +65,15 @@ def around(x, deltas=(1e-9, 1e-5, 1e-2)):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
     return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
+
+
+def ulps_around(x, n=8):
+    """x and the n doubles either side of it, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
 
 
 class TestUnitRadius:
@@ -454,6 +465,12 @@ class TestMuA:
         assert left.r <= left.comp and right.r > right.comp
         assert mu_a(a, left) >= mu_a(a, right)
 
+    @pytest.mark.parametrize("a", OFF_GRID)
+    def test_off_grid_no_increase_across_r_equals_complement(self, a):
+        # 1 to 8 ulp either side of 1/sqrt 2, where the forward duality takes over
+        values = [mu_a(a, r) for r in ulps_around(SQRT_HALF_VAL)]
+        assert all(w <= v for v, w in zip(values, values[1:])), values
+
     @pytest.mark.parametrize("a", [5e-324, 2.2e-311, 5e-309])
     def test_subnormal_signature_overflow_signalled(self, a):
         # R(a) ~ 1/a is not a double here, so no mu_a value is either
@@ -690,6 +707,15 @@ class TestMuAInv:
         assert below.comp <= at.comp <= above.comp
         ulp = math.ulp(SQRT_HALF_VAL)
         assert below.r - above.r <= 8 * ulp and above.comp - below.comp <= 8 * ulp
+
+    @pytest.mark.parametrize("a", OFF_GRID)
+    def test_off_grid_monotone_across_symmetric_value(self, a):
+        # 1 to 8 ulp either side of y_sym, below which Newton solves at the dual target
+        ys = ulps_around(math.pi / (2.0 * math.sin(math.pi * a)))
+        us = [mu_a_inv(a, y) for y in ys]
+        assert all(v.r >= w.r and v.comp <= w.comp for v, w in zip(us, us[1:])), us
+        for y, u in zip(ys, us):
+            assert abs(mu_a(a, u) - y) <= 1e-15 * max(1.0, y), y
 
     @pytest.mark.parametrize("a", A_GRID + (0.01,))
     def test_forward_duality(self, a):

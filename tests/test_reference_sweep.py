@@ -319,6 +319,18 @@ def test_mu_a_fused_series(a, r_sq):
     assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1e-15
 
 
+@pytest.mark.parametrize("a", [0.01, 0.1, 0.2, 0.3, 0.45])
+def test_off_grid_seams_against_mpmath(a):
+    # 1e-6 either side of r = r' (the forward duality) and of y = y_sym (the dual target),
+    # within the 6.7e-16 of the series route
+    y_sym = 0.5 * math.pi / math.sin(math.pi * a)
+    for x in (1.0 - 1e-6, 1.0 + 1e-6):
+        r = math.sqrt(0.5) * x
+        assert abs(mp.mpf(mu_a(a, r)) / mu_a_mp(a, r) - 1) <= 6.7e-16, r
+        y = y_sym * x
+        assert abs(mu_a_mp(a, mu_a_inv(a, y).r) / y - 1) <= 6.7e-16, y
+
+
 @pytest.mark.parametrize("a", [0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0])
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12])
 def test_mu_a_closed_forms(a, r):
