@@ -24,10 +24,12 @@ duality gives the other channel.  Its inverse is the theta inverse of mu
 (:func:`_theta_radius`) at 1/2, and at 1/6 after the Legendre angle, and
 Euler's products at 1/4 and 1/3.  Every other signature takes one series
 pass at w = min(r^2, r'^2) <= 1/2 for both F factors of mu_a, and the
-safeguarded Newton iteration of :func:`_mu_a_newton` for the inverse.  Both
-inverses use the duality to solve only for r <= 1/sqrt 2.  The theta
-inverse also serves the distortion pass :func:`_phi_pair`: it scales the
-log nome of r by K, so composes mu and mu_inv without forming either.
+safeguarded Newton iteration of :func:`_mu_a_newton` for the inverse.  The
+duality is stated once each way: forward in :func:`_mu_a_parts`, inverse
+(with the one underflow guard) in :func:`mu_a_inv`, for every a but the
+theta inverse's 1/2.  The theta inverse also serves the distortion pass
+:func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
+mu_inv without forming either.
 
 Radii travel as pairs (r, sqrt(1-r^2)).  Keeping the complement as a
 first-class channel is what lets values down to the smallest normal double
@@ -287,7 +289,10 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
     """(mu_a(r), F(a,1-a;1;r^2)); the F factor is reused by Newton steps.
 
     ``big_r`` is R(a, 1-a) when the caller has it (an inverse evaluates it
-    once for all its steps); the series route computes it otherwise.
+    once for all its steps); the series route computes it otherwise.  Every
+    route runs at the smaller channel s = min(r, r'), and for r > r' this is
+    the one place the duality mu_a(r) mu_a(r') = y_sym^2 runs forward:
+    mu_a = y_sym^2 / mu_a(s) and F = mu_a(s) F(s^2) / y_sym.
 
     * a = 1/2, 1/4, 1/3 and 1/6: the classical route, one row (c, y_sym, R/2)
       of ``_CLASSICAL``.  At the smaller channel s = min(r, r') a classical
@@ -308,21 +313,21 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
       (1+8x)^(-1/4).  Past x* = (sqrt 432 - 20)/16 (s ~ 0.22145) the angle
       of k is pi/3 - phi > pi/6, so the map gives (k', k), and mu(k) =
       pi^2 / (4 mu(k')), K(k) = (2/pi) mu(k') K(k') close the route, as in
-      :func:`mu`.  For r > r' the duality
-      mu_a(r) mu_a(r') = y_sym^2 gives mu_a = y_sym^2 / mu_a(s) and F =
-      mu_a(s) F(s^2) / y_sym.  Below the normal double range, where the
-      maps lose digits, s takes the asymptote mu_a = R/2 - log s, F = 1,
-      exact there.
+      :func:`mu`.  Below the normal double range, where the maps lose
+      digits, s takes the asymptote mu_a = R/2 - log s, F = 1, exact there.
     * every other a: one pass of the balanced series (:func:`_series_parts`).
     """
+    r, comp = u
+    s, big = (r, comp) if r <= comp else (comp, r)
     row = _CLASSICAL.get(a)
     if row is None:
-        return _series_parts(a, u, big_r)
-    c, y_sym, half_r = row
-    s, big = (u.r, u.comp) if u.r <= u.comp else (u.comp, u.r)
-    if s <= _MIN_NORMAL:
+        y_sym = 0.5 * math.pi / math.sin(math.pi * a)
+        value, f = _series_parts(a, s, y_sym, big_r)
+    elif s <= _MIN_NORMAL:
+        _, y_sym, half_r = row
         value, f = half_r - math.log(s), 1.0
     else:
+        c, y_sym, _ = row
         dual = False
         if a == 0.5:
             k, kc, g = s, big, 1.0
@@ -345,30 +350,28 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
             value, f = c * _QUARTER_PI_SQ / m, g * m * theta_sq / _HALF_PI
         else:
             value, f = c * m, g * theta_sq
-    if u.r <= u.comp:
+    if r <= comp:
         return value, f
-    return y_sym * y_sym / value, value * f / y_sym
+    # the clamp keeps mu_a(r) <= y_sym where fl(fl(y_sym^2) / y_sym) rounds above it, and
+    # where y_sym^2 overflows (a below 3.7e-155, where mu_a is y_sym to within 1e-150)
+    return min(y_sym * y_sym / value, y_sym), value * f / y_sym
 
 
-def _series_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[float, float]:
-    """:func:`_mu_a_parts` by one pass of the balanced series, for every a.
+def _series_parts(a: float, s: float, y_sym: float, big_r: float | None = None) -> tuple[float, float]:
+    """(mu_a(s), F(a,1-a;1;s^2)) at s <= 1/sqrt 2 by one pass of the balanced series, for every a.
 
-    With S0 = F(a,1-a;1;w) and S1 = 2 y_sym F(a,1-a;1;1-w) at w = min(r^2, r'^2),
-    mu_a is S1/(2 S0) for r <= r' and 2 y_sym^2 S0/S1 otherwise.  This is
-    the route of every signature without a closed form, and the test oracle
-    of the closed forms.
+    With S0 = F(a,1-a;1;w) and S1 = 2 y_sym F(a,1-a;1;1-w) at w = s^2,
+    mu_a(s) = S1/(2 S0) and F = S0.  mu_a(s) >= y_sym exactly, and the clamp
+    keeps it so, monotone across s = 1/sqrt 2.  This is the route of every
+    signature without a closed form, and, with the duality of
+    :func:`_mu_a_parts`, the test oracle of the closed forms.
     """
     from .specfun import _balanced_r0, _hyp_sums  # only the series routes load specfun
 
     if big_r is None:
         big_r = _balanced_r0(a, 1.0 - a)
-    small = min(u.r, u.comp)
-    s0, s1, _ = _hyp_sums(a, 1.0 - a, 1.0, small * small, big_r, 2.0 * math.log(small))
-    y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-    # mu_a >= y_sym exactly where r <= r'; the clamps keep it monotone there
-    if u.r <= u.comp:
-        return max(0.5 * s1 / s0, y_sym), s0
-    return min(y_sym * (2.0 * y_sym * s0 / s1), y_sym), 0.5 * s1 / y_sym
+    s0, s1, _ = _hyp_sums(a, 1.0 - a, 1.0, s * s, big_r, 2.0 * math.log(s))
+    return max(0.5 * s1 / s0, y_sym), s0
 
 
 def mu_a(a: float, x) -> float:
@@ -380,13 +383,14 @@ def mu_a(a: float, x) -> float:
     signature from 1e-12 to 1 - 1e-12 (20000 against 60 digits at 1/3), each
     as r and as r', the relative error was at most 3.4e-16, 3.7e-16, 4.2e-16
     and 4.5e-16 at a = 1/2, 1/4, 1/3 and 1/6 (where r <= r': 2.4e-16,
-    2.6e-16, 4.2e-16 and 2.9e-16), in about 1.5 us at 1/2, 1/4 and 1/6 and
-    2 us at 1/3 (the series: about 20 us; Python 3.11, 2 vCPU).  With r or r'
-    below 1e-12, down to 5e-324, the route stays within 4.2e-16 on 3000
-    log-spread x per signature (its asymptote below the normal range is
-    exact there).  Every other signature runs one pass of the balanced
-    series at w = min(r^2, r'^2), with relative error at most 6.7e-16 over
-    4500 random (a, r), a log-spread on [1e-4, 1/2], r in [1e-12, 1 - 1e-12].
+    2.6e-16, 4.2e-16 and 2.9e-16).  With r or r' below 1e-12, down to
+    5e-324, the route stays within 4.2e-16 on 3000 log-spread x per
+    signature (its asymptote below the normal range is exact there).  Every
+    other signature runs one pass of the balanced series at
+    w = min(r^2, r'^2), with a log-spread on [1e-4, 1/2] and r uniform in
+    [1e-12, 1 - 1e-12]: the relative error was at most 5.7e-16 where r <= r'
+    (21880 draws, two seeds), and 9.5e-16 where r > r' (four seeded sets of
+    4500), where the duality adds the rounding of y_sym^2.
     Between adjacent doubles mu_a rose by one ulp for 6 to 12, 2 to 4 and
     none of 3000 random r in [1e-3, 0.3] at a = 1/2, 1/4 and 1/6, and by up
     to two for 3 to 10 at 1/3 (two seeded draws); for at most 5 of 3000 in
@@ -420,23 +424,23 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
 
     Closed form at a = 1/2, 1/4, 1/3 and 1/6.  At 1/2 it is :func:`mu_inv`,
     whose theta inverse (:func:`_theta_radius`) takes its own dual and
-    underflow guard.  Elsewhere, below y_sym, the dual y_sym^2 / y gives the
-    smaller channel directly, and the channels are exchanged.  At 1/4 and 1/3
-    Ramanujan's theories of signatures 4 and 3 give r/r' = e^(R/2 - y)
-    (E(q^m) / E(q))^(12/(m-1)), m = 2 and 3, an eta quotient in the nome
-    q = e^(-2y) with Euler's product E(q) = prod (1 - q^n) (Berndt, Bhargava
-    and Garvan, Trans. AMS 347, 1995).  At 1/6 the theta inverse at y/2 gives
-    the Legendre radius k, and r, r' = sin, cos of 3/2 atan(sqrt3 k^2 /
-    (1 + k'^2)).  Over 100000 log-uniform y between the limits below,
-    |mu_a(r) - y| <= 6.5e-16, 3.9e-16, 4.9e-16 and 6.1e-16 max(1, y) at
-    a = 1/2, 1/4, 1/3 and 1/6 (1.8e-16 at 1/4 and 1/3 on 3000 y against
-    40-digit mpmath), and r^2 + r'^2 = 1 to 8.9e-16, 4.4e-16, 4.4e-16 and
-    2.2e-16, in about 1 us at 1/2, 1/4 and 1/3 and 2 us at 1/6 (Python 3.11,
-    2 vCPU; Newton: 15 to 70 us).  Every other signature takes the
-    safeguarded Newton iteration of :func:`_mu_a_newton`.  A radius or
-    complement below the normal double range raises :class:`ConvergenceError`:
-    past y ~ 709.78, 710.48, 710.04 and 711.43 at a = 1/2, 1/4, 1/3 and 1/6,
-    where the smaller channel e^(R/2 - y) underflows, and below their duals,
+    underflow guard.  Every other a shares one preamble, the only inverse
+    duality and underflow guard: below y_sym = pi / (2 sin(pi a)) the dual
+    y_sym^2 / y gives the smaller channel, and the channels are exchanged.
+    At 1/4 and 1/3 Ramanujan's theories of signatures 4 and 3 give r/r' =
+    e^(R/2 - y) (E(q^m) / E(q))^(12/(m-1)), m = 2 and 3, an eta quotient in
+    the nome q = e^(-2y) with Euler's product E(q) = prod (1 - q^n)
+    (Berndt, Bhargava and Garvan, Trans. AMS 347, 1995).  At 1/6 the theta
+    inverse at y/2 gives the Legendre radius k, and r, r' = sin, cos of
+    3/2 atan(sqrt3 k^2 / (1 + k'^2)).  Over 100000 log-uniform y between the
+    limits below, |mu_a(r) - y| <= 6.5e-16, 3.9e-16, 4.9e-16 and 6.1e-16
+    max(1, y) at a = 1/2, 1/4, 1/3 and 1/6 (1.8e-16 at 1/4 and 1/3 on 3000
+    y against 40-digit mpmath), and r^2 + r'^2 = 1 to 8.9e-16, 4.4e-16,
+    4.4e-16 and 2.2e-16.  Every other signature takes the safeguarded Newton
+    iteration of :func:`_mu_a_newton`.  A radius or complement below the
+    normal double range raises :class:`ConvergenceError`: past y ~ 709.78,
+    710.48, 710.04 and 711.43 at a = 1/2, 1/4, 1/3 and 1/6, where the
+    smaller channel e^(R/2 - y) underflows, and below their duals,
     y ~ 0.0034763, 0.0069458, 0.0046333 and 0.013873.
     """
     a = check_signature(a)
@@ -445,14 +449,20 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
         return tuple.__new__(UnitRadius, _theta_radius(y, False))
     row = _CLASSICAL.get(a)
-    if row is None:
-        return _mu_a_newton(a, y)
-    c, y_sym, half_r = row
+    # off the grid y_sym comes from its formula, and R once the target is known to be finite
+    c, y_sym, half_r = row or (None, 0.5 * math.pi / math.sin(math.pi * a), 0.0)
     dual = y < y_sym
     target = y_sym * y_sym / y if dual else y
+    # an infinite target fails the guard whatever R is, and R overflows for a < 5.6e-309
+    if row is None and target < _INF:
+        from .specfun import _balanced_r0  # only the series routes load specfun
+
+        half_r = 0.5 * _balanced_r0(a, 1.0 - a)
     if not target - half_r <= _MAX_EXP:  # out here the smaller channel is e^(R/2 - target)
         raise ConvergenceError(f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision")
-    if a == _SIXTH:
+    if row is None:
+        r, comp = _mu_a_newton(a, target, 2.0 * half_r)
+    elif a == _SIXTH:
         k, kc = _theta_radius(target / c, False)
         theta = 1.5 * math.atan(_SQRT3 * k * k / (1.0 + kc * kc))
         r, comp = math.sin(theta), math.cos(theta)
@@ -472,38 +482,27 @@ def _log_euler(x: float) -> float:
     return math.log1p(-x * (1.0 + x - x2 * x2 * (1.0 + x2)))
 
 
-def _mu_a_newton(a: float, y: float) -> UnitRadius:
-    """mu_a_inv by safeguarded Newton in t = log(1/r), for any a in (0, 1/2] and y > 0.
+def _mu_a_newton(a: float, target: float, big_r: float) -> UnitRadius:
+    """The radius r <= 1/sqrt 2 with mu_a(r) = target >= y_sym, by safeguarded Newton in t = log(1/r).
 
-    The F factors of mu_a trade places under r <-> r', so
-    mu_a(r) mu_a(r') = y_sym^2 with y_sym = pi/(2 sin pi a).  Below y_sym the
-    root is found at the dual y' = y_sym^2 / y and the channels are exchanged,
-    so the complement comes out directly.  At y >= y_sym the root r <= 1/sqrt 2
-    is solved for in t = log(1/r): mu_a(r) + log r decreases from R(a)/2 to 0
-    on (0,1), with R(a) = R(a,1-a), so t lies in [max(y - R/2, log sqrt 2), y].
-    Newton starts at the lower end, the r -> 0 asymptote t = y - R/2.  Each
-    step takes one mu_a evaluation, whose F(a,1-a;1;r^2) also gives
-    d mu_a/dt = 1 / ((1-r^2) F^2), and a step leaving the bracket is replaced
-    by bisection in t.  The last step is below 1e-13 y', which bounds
-    |mu_a(r) - y| by 2e-13 max(1, y); 8e-16 max(1, y) was measured on 1500
-    random (a, y).  It also runs at every row of the classical route, where
-    the tests use it as the oracle of the closed forms.
+    The dual target, the exchange of channels and the underflow guard are
+    :func:`mu_a_inv`'s, and ``big_r`` is R(a) = R(a,1-a).  mu_a(r) + log r
+    decreases from R(a)/2 to 0 on (0,1), so t lies in
+    [max(target - R/2, log sqrt 2), target].  Newton starts at the lower end,
+    the r -> 0 asymptote t = target - R/2.  Each step takes one mu_a
+    evaluation, whose F(a,1-a;1;r^2) also gives d mu_a/dt = 1 / ((1-r^2) F^2),
+    and a step leaving the bracket is replaced by bisection in t.  The last
+    step is below 1e-13 target, which bounds the relative residual by 2e-13,
+    so |mu_a(r) - y| <= 2e-13 max(1, y) on either side of y_sym; 8e-16
+    max(1, y) was measured on 1500 random (a, y).  It also runs at every row
+    of the classical route, where the tests use it as the oracle of the
+    closed forms.
     """
-    from .specfun import _balanced_r0
-
-    y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-    dual = y < y_sym
-    target = y_sym * y_sym / y if dual else y
-    # an infinite target fails the guard below whatever R is, and R overflows for a < 5.6e-309
-    big_r = _balanced_r0(a, 1.0 - a) if target < math.inf else 0.0
     # log(sqrt 2) rounds up, so e^-t <= r' here and the channels stay monotone across y_sym
     t = lo = max(target - 0.5 * big_r, math.log(math.sqrt(2.0)))
     hi = target
-    if not lo <= _MAX_EXP:  # also NaN, once y_sym overflows
-        raise ConvergenceError(
-            f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision"
-        )
     for _ in range(_INV_CAP):
+        # past the bracket's guarded end e^-t may be 0: from_r keeps that a typed error
         u = UnitRadius.from_r(math.exp(-t))
         value, f_den = _mu_a_parts(a, u, big_r)
         if value < target:
@@ -514,10 +513,9 @@ def _mu_a_newton(a: float, y: float) -> UnitRadius:
         if not lo <= t_new <= hi:
             t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= 1e-13 * target:
-            u = UnitRadius.from_r(math.exp(-t_new))
-            return u.swapped if dual else u
+            return UnitRadius.from_r(math.exp(-t_new))
         t = t_new
-    raise ConvergenceError(f"mu_a_inv({a}, {y}): safeguarded Newton did not converge "
+    raise ConvergenceError(f"safeguarded Newton did not converge on mu_a({a}, r) = {target} "
                            f"within {_INV_CAP} steps")
 
 

@@ -58,22 +58,36 @@ OFF_GRID = (0.01, 0.1, 0.2, 0.3, 0.45)
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
 
 
-def around(x, deltas=(1e-9, 1e-5, 1e-2)):
-    """1 to 4 ulp either side of x, and x (1 -+ delta), in increasing order."""
+def around(x, deltas=(1e-9, 1e-5, 1e-2), ulps=4):
+    """1 to ``ulps`` ulp either side of x, and x (1 -+ delta), in increasing order."""
     below, above = [x], [x]
-    for _ in range(4):
+    for _ in range(ulps):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
     return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
 
 
-def ulps_around(x, n=8):
-    """x and the n doubles either side of it, in increasing order."""
-    below, above = [x], [x]
-    for _ in range(n):
-        below.append(math.nextafter(below[-1], 0.0))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
+def series_oracle(a, u):
+    """(mu_a, F) at the pair u by the series pass at its smaller channel, the oracle of every row.
+
+    The duality for r > r' is applied here, with this module's own y_sym and
+    R, so the oracle does not share the forward duality it checks."""
+    y_sym = math.pi / (2.0 * math.sin(math.pi * a))
+    value, f = modulus._series_parts(a, min(u), y_sym, specfun._balanced_r0(a, 1.0 - a))
+    if u.r <= u.comp:
+        return value, f
+    return y_sym * (y_sym / value), value * f / y_sym
+
+
+def newton_oracle(a, y):
+    """The radius with mu_a(r) = y by Newton alone, the oracle of every inverse map.
+
+    Below y_sym Newton solves at the dual target and the channels are
+    exchanged here, with this module's own y_sym and R."""
+    y_sym = math.pi / (2.0 * math.sin(math.pi * a))
+    dual = y < y_sym
+    u = modulus._mu_a_newton(a, y_sym * y_sym / y if dual else y, specfun._balanced_r0(a, 1.0 - a))
+    return u.swapped if dual else u
 
 
 class TestUnitRadius:
@@ -378,7 +392,7 @@ class TestMuInv:
 
     def test_complement_below_1e300_returned(self):
         # the complement is 1.5e-304: below 1e-300, above the smallest normal double
-        u, oracle = mu_inv(0.00352), modulus._mu_a_newton(0.5, 0.00352)
+        u, oracle = mu_inv(0.00352), newton_oracle(0.5, 0.00352)
         for v in (u, oracle):
             assert sys.float_info.min < v.comp < 1e-300
             assert abs(mu(v) - 0.00352) <= 1e-15
@@ -397,7 +411,7 @@ class TestMuInv:
     @given(st.floats(min_value=0.004, max_value=700.0))
     @settings(max_examples=150, deadline=None)
     def test_theta_route_against_newton_oracle(self, y):
-        u, oracle = mu_inv(y), modulus._mu_a_newton(0.5, y)
+        u, oracle = mu_inv(y), newton_oracle(0.5, y)
         # the smaller channel carries the digits: r above pi/2, the complement below
         got, want = (u.r, oracle.r) if y >= 0.5 * math.pi else (u.comp, oracle.comp)
         assert abs(got - want) <= 1e-11 * want
@@ -452,7 +466,7 @@ class TestMuA:
         p = HypergeomParams(a, 1.0 - a, 1.0)
         f_den = gauss_F(p, r * r)
         want = math.pi / (2.0 * math.sin(math.pi * a)) * gauss_F(p, u.comp * u.comp) / f_den
-        value, f = modulus._series_parts(a, u)
+        value, f = series_oracle(a, u)
         assert abs(value - want) <= 2e-15 * want
         assert abs(f - f_den) <= 2e-15 * f_den
 
@@ -468,7 +482,7 @@ class TestMuA:
     @pytest.mark.parametrize("a", OFF_GRID)
     def test_off_grid_no_increase_across_r_equals_complement(self, a):
         # 1 to 8 ulp either side of 1/sqrt 2, where the forward duality takes over
-        values = [mu_a(a, r) for r in ulps_around(SQRT_HALF_VAL)]
+        values = [mu_a(a, r) for r in around(SQRT_HALF_VAL, (), 8)]
         assert all(w <= v for v, w in zip(values, values[1:])), values
 
     @pytest.mark.parametrize("a", [5e-324, 2.2e-311, 5e-309])
@@ -478,6 +492,13 @@ class TestMuA:
             mu_a(a, 0.5)
         with pytest.raises(OverflowSignal):
             mu_a(a, 0.9)
+
+    @pytest.mark.parametrize("a", [1e-200, 2.2e-308])
+    def test_tiny_signature_both_channels(self, a):
+        # y_sym^2 overflows, and mu_a is y_sym to within 1e-150 on either channel
+        y_sym = 0.5 * math.pi / math.sin(math.pi * a)
+        for u in (UnitRadius.from_r(0.3), UnitRadius.from_comp(0.3), UnitRadius.from_comp(1e-300)):
+            assert mu_a(a, u) == pytest.approx(y_sym, rel=1e-15), u
 
     def test_signature_domain(self):
         with pytest.raises(DomainError):
@@ -492,7 +513,7 @@ class TestMuA:
         # both channels: x is r, or x is r' so that r comes out near 1
         u = UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
         value, f = modulus._mu_a_parts(a, u)
-        want, f_want = modulus._series_parts(a, u)
+        want, f_want = series_oracle(a, u)
         assert abs(value - want) <= 2e-15 * want
         assert abs(f - f_want) <= 2e-15 * f_want
 
@@ -503,7 +524,7 @@ class TestMuA:
         monkeypatch.setattr(specfun, "_hyp_sums",
                             lambda *args: calls.append(args) or sums(*args))
         monkeypatch.setattr(modulus, "_mu_a_newton",
-                            lambda a, y: newton.append(a) or solve(a, y))
+                            lambda a, *args: newton.append(a) or solve(a, *args))
         for a in CLOSED_FORM_SIGNATURES:
             for r in (1e-9, 0.3, SQRT_HALF_VAL, 0.9, UnitRadius.from_comp(1e-12)):
                 mu_a(a, r)
@@ -538,7 +559,7 @@ class ClassicalRouteChecks:
         assert all((v <= w) if complement else (w <= v) for v, w in zip(values, values[1:])), values
         for u in us:
             value, f = modulus._mu_a_parts(a, u)
-            want, f_want = modulus._series_parts(a, u)
+            want, f_want = series_oracle(a, u)
             assert abs(value - want) <= 1e-15 * want and abs(f - f_want) <= 1e-15 * f_want, u
         return values
 
@@ -573,7 +594,7 @@ class ClassicalRouteChecks:
         rng = random.Random(617)
         for _ in range(300):
             y = math.exp(rng.uniform(math.log(y_min), math.log(700.0)))
-            u, oracle = mu_a_inv(a, y), modulus._mu_a_newton(a, y)
+            u, oracle = mu_a_inv(a, y), newton_oracle(a, y)
             # the smaller channel carries the digits: r at y >= y_sym, the complement below
             got, want = (u.r, oracle.r) if y >= y_sym else (u.comp, oracle.comp)
             assert abs(got - want) <= 1e-11 * want, y
@@ -711,7 +732,7 @@ class TestMuAInv:
     @pytest.mark.parametrize("a", OFF_GRID)
     def test_off_grid_monotone_across_symmetric_value(self, a):
         # 1 to 8 ulp either side of y_sym, below which Newton solves at the dual target
-        ys = ulps_around(math.pi / (2.0 * math.sin(math.pi * a)))
+        ys = around(math.pi / (2.0 * math.sin(math.pi * a)), (), 8)
         us = [mu_a_inv(a, y) for y in ys]
         assert all(v.r >= w.r and v.comp <= w.comp for v, w in zip(us, us[1:])), us
         for y, u in zip(ys, us):
@@ -745,7 +766,7 @@ class TestMuAInv:
             return value, 4.0 * f
         monkeypatch.setattr(modulus, "_mu_a_parts", steep)
         for a, y in ((0.2, 0.5), (0.2, 3.0), (1.0 / 3.0, 40.0), (1e-3, 300.0)):
-            u = modulus._mu_a_newton(a, y)
+            u = newton_oracle(a, y)
             assert abs(parts(a, u)[0] - y) <= 1e-12 * max(1.0, y), (a, y)
 
     def test_series_evaluations_per_inverse(self, monkeypatch):
