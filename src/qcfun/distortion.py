@@ -16,8 +16,10 @@ phi_K, eta_{K,2}, lambda(K), the linearization and the plane eta bound of
 after each has validated its own arguments once: the log nome of the
 smaller channel of r is scaled by 1/K or by K, and the theta functions are
 evaluated once at the scaled nome, so mu(r) and the inverse are never
-formed as two separate calls.  phi^a_K composes the kernel of mu_a and its
-inverse.
+formed as two separate calls.  phi^a_K at a = 1/2 is that pass; at every
+other signature it composes the value kernel of mu_a
+(:func:`qcfun.modulus._mu_a_value`) and the plain-pair kernel of its
+inverse (:func:`qcfun.modulus._mu_a_radius`), with no public call between.
 
 ``phi_K``/``phi_aK`` return :class:`~qcfun.modulus.UnitRadius` so the
 complement 1 - phi^2 stays available at full precision; eta and the
@@ -39,11 +41,11 @@ from .errors import ConvergenceError, DomainError, OverflowSignal
 from .modulus import (
     SQRT_HALF,
     UnitRadius,
-    _mu_a_parts,
+    _mu_a_radius,
+    _mu_a_value,
     _phi_pair,
     as_radius,
     check_signature,
-    mu_a_inv,
 )
 
 __all__ = [
@@ -104,9 +106,16 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
     """Generalized distortion phi^a_K(r) = mu_a^{-1}(mu_a(r)/K); phi^(1/2)_K = phi_K.
 
     As for phi_K, a radius or complement below the normal double range raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`, also where mu_a(r)/K overflows.
 
-    Accuracy is condition-scaled, as for phi_K.  At a = 1/2, 1/4, 1/3 and 1/6,
+    At a = 1/2 it is the one nome pass of :func:`phi_K`
+    (:func:`qcfun.modulus._phi_pair`), equal to phi_K to the bit, with
+    phi_K's accuracy claim.  Every other a takes the value kernel of
+    :func:`qcfun.modulus.mu_a` and then the plain-pair kernel of
+    :func:`qcfun.modulus.mu_a_inv`, whose guard raises for an infinite
+    target.
+
+    Accuracy is condition-scaled, as for phi_K.  At a = 1/4, 1/3 and 1/6,
     with y = mu_a(r)/K the modulus of the result and y* = y_sym^2 / y that of
     its complement (y_sym = pi / (2 sin(pi a))), the radius is within
     4 eps max(1, y) and the complement within 4 eps max(1, y*) relative
@@ -123,13 +132,10 @@ def phi_aK(a: float, K: float, x) -> UnitRadius:
     u = as_radius(x)
     if K == 1.0:
         return u
-    modulus = _mu_a_parts(a, u)[0]  # mu_a(a, u), whose checks a and u have passed
-    target = modulus / K
-    if math.isinf(target):
-        # a tiny K sends the radius below every double: the inverse underflows
-        raise ConvergenceError(f"phi_aK: modulus / K = {modulus} / {K} overflows, "
-                               "so the radius underflows double precision")
-    return mu_a_inv(a, target)
+    if a == 0.5:
+        return tuple.__new__(UnitRadius, _phi_pair(K, *u))
+    # mu_a and mu_a_inv's kernels, whose checks a and u have passed; the target is > 0
+    return tuple.__new__(UnitRadius, _mu_a_radius(a, _mu_a_value(a, *u)[0] / K))
 
 
 def eta_K2(K: float, t: float) -> float:

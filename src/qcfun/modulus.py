@@ -24,10 +24,16 @@ duality gives the other channel.  Its inverse is the theta inverse of mu
 (:func:`_theta_radius`) at 1/2, and at 1/6 after the Legendre angle, and
 Euler's products at 1/4 and 1/3.  Every other signature takes one series
 pass at w = min(r^2, r'^2) <= 1/2 for both F factors of mu_a, and the
-safeguarded Newton iteration of :func:`_mu_a_newton` for the inverse.  The
-duality is stated once each way: forward in :func:`_mu_a_parts`, inverse
-(with the one underflow guard) in :func:`mu_a_inv`, for every a but the
-theta inverse's 1/2.  The theta inverse also serves the distortion pass
+safeguarded Newton iteration of :func:`_mu_a_newton` for the inverse.
+
+The forward map has two kernels on one route.  The value kernel
+:func:`_mu_a_value`, read by :func:`mu_a` and
+:func:`qcfun.distortion.phi_aK`, takes the log nome only and forms no
+theta_3^2.  The F kernel :func:`_mu_a_parts` adds F(a,1-a;1;r^2) for the
+readers of the slope.  The duality is stated once each way: forward in
+:func:`_mu_a_value` (and, for F, in :func:`_mu_a_parts`), inverse (with the
+one underflow guard) in :func:`_mu_a_radius`, for every a but the theta
+inverse's 1/2.  The theta inverse also serves the distortion pass
 :func:`_phi_pair`: it scales the log nome of r by K, so composes mu and
 mu_inv without forming either.
 
@@ -36,8 +42,9 @@ first-class channel is what lets values down to the smallest normal double
 (2.2e-308) away from the endpoints round-trip at full precision: near r = 1
 both inverses produce the complement directly, where the problem is
 perfectly conditioned.  The kernels (:func:`_theta_radius`,
-:func:`_phi_pair`) pass plain ``(r, comp)`` tuples; a :class:`UnitRadius` is
-formed once, where a public function returns a radius to its caller.
+:func:`_phi_pair`, :func:`_mu_a_radius`) pass plain ``(r, comp)`` tuples; a
+:class:`UnitRadius` is formed once, where a public function returns a radius
+to its caller.
 
 Pure functions throughout; safe for unrestricted concurrent use.
 """
@@ -106,10 +113,11 @@ class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
     after their underflow guard), are built by the trusted :func:`_pair`, so
     each public call validates its radius once.
 
-    It is a boundary type: the kernels pass plain ``(r, comp)`` tuples, and a
-    public function that returns a radius (:func:`mu_inv`, :func:`mu_a_inv`,
-    :func:`qcfun.distortion.phi_K`, :func:`qcfun.distortion.phi_aK`) forms its
-    UnitRadius once, as its result.  A caller that only reads the channels
+    It is a boundary type: the kernels (:func:`_theta_radius`,
+    :func:`_phi_pair`, :func:`_mu_a_radius`) pass plain ``(r, comp)`` tuples,
+    and a public function that returns a radius (:func:`mu_inv`,
+    :func:`mu_a_inv`, :func:`qcfun.distortion.phi_K`,
+    :func:`qcfun.distortion.phi_aK`) forms its UnitRadius once, as its result.  A caller that only reads the channels
     unpacks the plain pair, and no tuple subclass is built for it.
     """
 
@@ -285,55 +293,60 @@ def _phi_pair(K: float, r: float, comp: float) -> tuple[float, float]:
 # generalized modulus mu_a
 # ---------------------------------------------------------------------------
 
-def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[float, float]:
-    """(mu_a(r), F(a,1-a;1;r^2)); the F factor is reused by Newton steps.
+def _mu_a_value(a: float, r: float, comp: float, big_r: float | None = None) -> tuple:
+    """mu_a at the pair (r, comp) with no theta series: the value kernel of mu_a and phi_aK.
 
-    ``big_r`` is R(a, 1-a) when the caller has it (an inverse evaluates it
-    once for all its steps); the series route computes it otherwise.  Every
-    route runs at the smaller channel s = min(r, r'), and for r > r' this is
-    the one place the duality mu_a(r) mu_a(r') = y_sym^2 runs forward:
-    mu_a = y_sym^2 / mu_a(s) and F = mu_a(s) F(s^2) / y_sym.
+    Returns (mu_a(r), mu_a(s), y_sym, g, k, kc, d) at the smaller channel
+    s = min(r, r'): F(a,1-a;1;s^2) = g theta_3(q)^2 / d at the nome q of the
+    pair (k, kc) (:func:`qcfun.means._nome`), which only the F kernel
+    :func:`_mu_a_parts` forms.  ``big_r`` is R(a, 1-a) when the caller has it
+    (an inverse evaluates it once for all its steps); the series route
+    computes it otherwise.  Every route runs at s, and for r > r' this is the
+    one place the duality mu_a(r) mu_a(r') = y_sym^2 runs forward for the
+    value: mu_a = y_sym^2 / mu_a(s).
 
     * a = 1/2, 1/4, 1/3 and 1/6: the classical route, one row (c, y_sym, R/2)
-      of ``_CLASSICAL``.  At the smaller channel s = min(r, r') a classical
-      radius k gives mu_a(s) = c mu(k) and F(s^2) = g theta_3(q)^2 at the
-      nome q of k (:func:`qcfun.means._nome`): at 1/2, k = s and g = 1; at
-      1/4, the Landen radius k = s/(1+s'), k' = sqrt(2s'/(1+s')) and
-      g = sqrt(2/(1+s')); at 1/6, with s = sin(theta) and phi = 2 theta/3,
-      the Legendre radius k^2 = sin phi / cos(pi/6 - phi), k'^2 =
-      cos(pi/6 + phi) / cos(pi/6 - phi) and g = sqrt(sqrt3 / (2 cos(pi/6 -
-      phi))), the trigonometric root of Ramanujan's signature-6 cubic
-      4 s^2 s'^2 = 1728/j (Berndt, Bhargava and Garvan, Trans. AMS 347,
-      1995).  The cosines lie in [1/2, 1] and the sines carry full relative
-      precision, so both channels of k come out to a few ulp.  At 1/3,
-      x = s^2, the cubic transformation F(1/3,2/3;1;x) = (1+8x)^(-1/4)
-      F(1/6,5/6;1;t^2) keeps the nome, at t = sin(theta) with tan 2 theta =
-      8 s s'^3 / (1 - 20x - 8x^2) (ibid.): the 1/6 map runs at the angle
-      phi = atan2(8 s s'^3, |1 - 20x - 8x^2|)/3 <= pi/6 and g carries
-      (1+8x)^(-1/4).  Past x* = (sqrt 432 - 20)/16 (s ~ 0.22145) the angle
-      of k is pi/3 - phi > pi/6, so the map gives (k', k), and mu(k) =
+      of ``_CLASSICAL``.  A classical radius k gives mu_a(s) = c mu(k), the log
+      nome of k (:func:`qcfun.means._log_nome`), and F(s^2) = g theta_3(q)^2,
+      d = 1: at 1/2, k = s and g = 1; at 1/4, the Landen radius
+      k = s/(1+s'), k' = sqrt(2s'/(1+s')) and g = sqrt(2/(1+s')); at 1/6, with
+      s = sin(theta) and phi = 2 theta/3, the Legendre radius
+      k^2 = sin phi / cos(pi/6 - phi), k'^2 = cos(pi/6 + phi) / cos(pi/6 - phi)
+      and g = sqrt(sqrt3 / (2 cos(pi/6 - phi))), the trigonometric root of
+      Ramanujan's signature-6 cubic 4 s^2 s'^2 = 1728/j (Berndt, Bhargava and
+      Garvan, Trans. AMS 347, 1995).  The cosines lie in [1/2, 1] and the sines
+      carry full relative precision, so both channels of k come out to a few
+      ulp.  At 1/3, x = s^2, the cubic transformation F(1/3,2/3;1;x) =
+      (1+8x)^(-1/4) F(1/6,5/6;1;t^2) keeps the nome, at t = sin(theta) with
+      tan 2 theta = 8 s s'^3 / (1 - 20x - 8x^2) (ibid.): the 1/6 map runs at
+      the angle phi = atan2(8 s s'^3, |1 - 20x - 8x^2|)/3 <= pi/6 and g carries
+      (1+8x)^(-1/4).  Past x* = (sqrt 432 - 20)/16 (s ~ 0.22145) the angle of k
+      is pi/3 - phi > pi/6, so the map gives (k', k), and mu(k) =
       pi^2 / (4 mu(k')), K(k) = (2/pi) mu(k') K(k') close the route, as in
-      :func:`mu`.  Below the normal double range, where the maps lose
-      digits, s takes the asymptote mu_a = R/2 - log s, F = 1, exact there.
-    * every other a: one pass of the balanced series (:func:`_series_parts`).
+      :func:`mu`: g takes the factor mu(k') and d = pi/2.  Below the normal
+      double range, where the maps lose digits, s takes the asymptote
+      mu_a = R/2 - log s, F = 1, exact there.
+    * every other a: one pass of the balanced series (:func:`_series_parts`),
+      which gives F itself as g.
+    Off the classical maps (k, kc) = (0, 1), where theta_3 = 1.
     """
-    r, comp = u
     s, big = (r, comp) if r <= comp else (comp, r)
     row = _CLASSICAL.get(a)
+    k, kc, d = 0.0, 1.0, 1.0
     if row is None:
         y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-        value, f = _series_parts(a, s, y_sym, big_r)
+        value, g = _series_parts(a, s, y_sym, big_r)
     elif s <= _MIN_NORMAL:
         _, y_sym, half_r = row
-        value, f = half_r - math.log(s), 1.0
+        value, g = half_r - math.log(s), 1.0
     else:
         c, y_sym, _ = row
         dual = False
         if a == 0.5:
             k, kc, g = s, big, 1.0
         elif a == 0.25:
-            d = 1.0 + big
-            k, kc, g = s / d, math.sqrt(2.0 * big / d), math.sqrt(2.0 / d)
+            e = 1.0 + big
+            k, kc, g = s / e, math.sqrt(2.0 * big / e), math.sqrt(2.0 / e)
         else:
             if a == _SIXTH:
                 phi, w = 2.0 * math.asin(s) / 3.0, 1.0
@@ -345,16 +358,31 @@ def _mu_a_parts(a: float, u: UnitRadius, big_r: float | None = None) -> tuple[fl
             cos_m = math.cos(_PI_SIXTH - phi)
             k, kc = math.sqrt(math.sin(phi) / cos_m), math.sqrt(math.cos(_PI_SIXTH + phi) / cos_m)
             g = math.sqrt(_HALF_SQRT3 / (w * cos_m))
-        m, theta_sq = _log_nome(k, kc), _nome(k, kc)
+        m = _log_nome(k, kc)
         if dual:  # (k, kc) is the classical pair exchanged
-            value, f = c * _QUARTER_PI_SQ / m, g * m * theta_sq / _HALF_PI
+            value, g, d = c * _QUARTER_PI_SQ / m, g * m, _HALF_PI
         else:
-            value, f = c * m, g * theta_sq
+            value = c * m
     if r <= comp:
-        return value, f
+        return value, value, y_sym, g, k, kc, d
     # the clamp keeps mu_a(r) <= y_sym where fl(fl(y_sym^2) / y_sym) rounds above it, and
     # where y_sym^2 overflows (a below 3.7e-155, where mu_a is y_sym to within 1e-150)
-    return min(y_sym * y_sym / value, y_sym), value * f / y_sym
+    return min(y_sym * y_sym / value, y_sym), value, y_sym, g, k, kc, d
+
+
+def _mu_a_parts(a: float, u, big_r: float | None = None) -> tuple[float, float]:
+    """(mu_a(r), F(a,1-a;1;r^2)) at the pair u: the F kernel.
+
+    Its three readers are :func:`mu_a_derivative`, the Newton steps of
+    :func:`_mu_a_newton` and the ``linearize_phi_a`` experiment of
+    :mod:`qcfun.identities`.  It forms theta_3^2 once on the route of the
+    value kernel :func:`_mu_a_value`, and for r > r' applies the forward
+    duality of F: F(r^2) = mu_a(s) F(s^2) / y_sym at s = r'.
+    """
+    r, comp = u
+    value, value_s, y_sym, g, k, kc, d = _mu_a_value(a, r, comp, big_r)
+    f = g * _nome(k, kc) / d
+    return value, (f if r <= comp else value_s * f / y_sym)
 
 
 def _series_parts(a: float, s: float, y_sym: float, big_r: float | None = None) -> tuple[float, float]:
@@ -364,7 +392,7 @@ def _series_parts(a: float, s: float, y_sym: float, big_r: float | None = None) 
     mu_a(s) = S1/(2 S0) and F = S0.  mu_a(s) >= y_sym exactly, and the clamp
     keeps it so, monotone across s = 1/sqrt 2.  This is the route of every
     signature without a closed form, and, with the duality of
-    :func:`_mu_a_parts`, the test oracle of the closed forms.
+    :func:`_mu_a_value`, the test oracle of the closed forms.
     """
     from .specfun import _balanced_r0, _hyp_sums  # only the series routes load specfun
 
@@ -378,9 +406,10 @@ def mu_a(a: float, x) -> float:
     """Generalized modulus mu_a(r) for signature a in (0, 1/2].
 
     Strictly decreasing in r (up to rounding).  Closed forms at a = 1/2, 1/4,
-    1/3 and 1/6, the four rows of the classical route (see
-    :func:`_mu_a_parts`).  Against 40-digit mpmath, over 10000 random x per
-    signature from 1e-12 to 1 - 1e-12 (20000 against 60 digits at 1/3), each
+    1/3 and 1/6, the four rows of the classical route (see the value kernel
+    :func:`_mu_a_value`, which forms no theta_3^2).  Against 40-digit mpmath,
+    over 10000 random x per signature from 1e-12 to 1 - 1e-12 (20000 against
+    60 digits at 1/3), each
     as r and as r', the relative error was at most 3.4e-16, 3.7e-16, 4.2e-16
     and 4.5e-16 at a = 1/2, 1/4, 1/3 and 1/6 (where r <= r': 2.4e-16,
     2.6e-16, 4.2e-16 and 2.9e-16).  With r or r' below 1e-12, down to
@@ -397,25 +426,27 @@ def mu_a(a: float, x) -> float:
     [0.3, 0.95], and for none within 40 ulp of 1/sqrt 2.
     """
     a = check_signature(a)
-    return _mu_a_parts(a, as_radius(x))[0]
+    return _mu_a_value(a, *as_radius(x))[0]
 
 
 def mu_a_derivative(a: float, x) -> float:
     """d mu_a/dr = -1 / (r (1-r^2) F(a,1-a;1;r^2)^2); strictly negative.
 
-    F comes from the same route as :func:`mu_a`, closed form at a = 1/2,
-    1/4, 1/3 and 1/6; its relative error there against mpmath was at most
-    4.4e-16, 5.9e-16, 5.6e-16 and 5.6e-16 on the samples of :func:`mu_a`
-    (where r <= r': 1.8e-16, 3.5e-16, 5.4e-16 and 3.3e-16; F = mu_a(r')
-    F(r'^2) / y_sym for r > r' carries the error of mu_a(r')).  A slope beyond the double range raises :class:`OverflowSignal`:
-    at subnormal r, and at r' below about 1e-156 (3e-156 at a = 0.01).
+    F comes from the F kernel :func:`_mu_a_parts`, on the route of
+    :func:`mu_a`: closed form at a = 1/2, 1/4, 1/3 and 1/6; its relative
+    error there against mpmath was at most 4.4e-16, 5.9e-16, 5.6e-16 and
+    5.6e-16 on the samples of :func:`mu_a` (where r <= r': 1.8e-16, 3.5e-16,
+    5.4e-16 and 3.3e-16; F = mu_a(r') F(r'^2) / y_sym for r > r' carries the
+    error of mu_a(r')).  A slope beyond the double range raises
+    :class:`OverflowSignal`: at subnormal r, and at r' below about 1e-156
+    (3e-156 at a = 0.01).
     """
     a = check_signature(a)
-    u = as_radius(x)
+    r, comp = u = as_radius(x)
     _, f_den = _mu_a_parts(a, u)
-    den = u.r * u.comp * u.comp * f_den * f_den
+    den = r * comp * comp * f_den * f_den
     if not den > 2.0 ** -1024:  # 1/den overflows exactly from here down (den may be 0)
-        raise OverflowSignal(f"mu_a_derivative({a}, r = {u.r}, r' = {u.comp}) exceeds double precision")
+        raise OverflowSignal(f"mu_a_derivative({a}, r = {r}, r' = {comp}) exceeds double precision")
     return -1.0 / den
 
 
@@ -424,9 +455,10 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
 
     Closed form at a = 1/2, 1/4, 1/3 and 1/6.  At 1/2 it is :func:`mu_inv`,
     whose theta inverse (:func:`_theta_radius`) takes its own dual and
-    underflow guard.  Every other a shares one preamble, the only inverse
-    duality and underflow guard: below y_sym = pi / (2 sin(pi a)) the dual
-    y_sym^2 / y gives the smaller channel, and the channels are exchanged.
+    underflow guard.  Every other a shares one preamble in the plain-pair
+    kernel :func:`_mu_a_radius`, the only inverse duality and underflow
+    guard: below y_sym = pi / (2 sin(pi a)) the dual y_sym^2 / y gives the
+    smaller channel, and the channels are exchanged.
     At 1/4 and 1/3 Ramanujan's theories of signatures 4 and 3 give r/r' =
     e^(R/2 - y) (E(q^m) / E(q))^(12/(m-1)), m = 2 and 3, an eta quotient in
     the nome q = e^(-2y) with Euler's product E(q) = prod (1 - q^n)
@@ -446,8 +478,18 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
     a = check_signature(a)
     if not (y > 0 and math.isfinite(y)):
         raise DomainError(f"mu_a_inv requires y > 0, got {y}")
+    return tuple.__new__(UnitRadius, _mu_a_radius(a, y))
+
+
+def _mu_a_radius(a: float, y: float) -> tuple[float, float]:
+    """mu_a_inv(a, y) for a checked signature and y > 0: the plain-pair kernel behind :func:`mu_a_inv`.
+
+    An infinite y, as :func:`qcfun.distortion.phi_aK` may pass for a tiny K,
+    fails the underflow guard with its :class:`ConvergenceError`.  The result
+    is the plain pair (r, r').
+    """
     if a == 0.5:  # mu_inv itself: the theta inverse takes the dual and guards the underflow
-        return tuple.__new__(UnitRadius, _theta_radius(y, False))
+        return _theta_radius(y, False)
     row = _CLASSICAL.get(a)
     # off the grid y_sym comes from its formula, and R once the target is known to be finite
     c, y_sym, half_r = row or (None, 0.5 * math.pi / math.sin(math.pi * a), 0.0)
@@ -473,7 +515,7 @@ def mu_a_inv(a: float, y: float) -> UnitRadius:
         comp = 1.0 / math.sqrt(1.0 + rho * rho)
         r = rho * comp
     # past the guard the smaller channel is normal (to rounding), and r^2 + comp^2 = 1 to rounding
-    return _pair(comp, r) if dual else _pair(r, comp)
+    return (comp, r) if dual else (r, comp)
 
 
 def _log_euler(x: float) -> float:
@@ -486,7 +528,7 @@ def _mu_a_newton(a: float, target: float, big_r: float) -> UnitRadius:
     """The radius r <= 1/sqrt 2 with mu_a(r) = target >= y_sym, by safeguarded Newton in t = log(1/r).
 
     The dual target, the exchange of channels and the underflow guard are
-    :func:`mu_a_inv`'s, and ``big_r`` is R(a) = R(a,1-a).  mu_a(r) + log r
+    :func:`_mu_a_radius`'s, and ``big_r`` is R(a) = R(a,1-a).  mu_a(r) + log r
     decreases from R(a)/2 to 0 on (0,1), so t lies in
     [max(target - R/2, log sqrt 2), target].  Newton starts at the lower end,
     the r -> 0 asymptote t = target - R/2.  Each step takes one mu_a

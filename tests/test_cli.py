@@ -255,6 +255,11 @@ class TestResiduals:
         assert code == 2 and out == ""
         assert message in err
 
+    def test_malformed_grid_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "residuals", "--suite", "all", "--grid", "0.1:0.9")
+        assert code == 2 and out == ""
+        assert "--grid must look like from:to:step" in err
+
     def test_failing_grid_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "residuals", "--case", "LJ3", "--grid", "1.2:1.4:0.1")
         assert code == 1

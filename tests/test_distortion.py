@@ -217,10 +217,26 @@ class TestNomePass:
 
 
 class TestPhiAK:
+    @staticmethod
+    def outcome(f, *args):
+        """The pair f returns, or the type and message of the typed error it raises."""
+        try:
+            return tuple(f(*args))
+        except QcfunError as e:
+            return type(e), str(e)
+
     def test_reduces_to_phi_K(self):
-        for K in (1.5, 2.0, 5.0):
-            for r in (0.2, 0.5, 0.8):
-                assert phi_aK(0.5, K, r).r == pytest.approx(phi_K(K, r).r, rel=1e-10)
+        # one route: phi^(1/2)_K is phi_K's nome pass, so the two agree to the bit, errors alike
+        rng = random.Random(31)
+        for _ in range(4000):
+            K = math.exp(rng.uniform(math.log(0.02), math.log(50.0)))
+            x = 10.0 ** rng.uniform(-300.0, 0.0) if rng.random() < 0.5 else rng.random()
+            if not 0.0 < x < 1.0:
+                continue
+            for u in (x, UnitRadius.from_r(x), UnitRadius.from_comp(x)):
+                assert self.outcome(phi_aK, 0.5, K, u) == self.outcome(phi_K, K, u), (K, u)
+        for K, r in ((1e-310, 0.5), (1e16, 0.9), (1e15, 0.5), (1.0, 0.3)):  # the errors and the identity
+            assert self.outcome(phi_aK, 0.5, K, r) == self.outcome(phi_K, K, r)
 
     def test_identity_at_one(self):
         assert phi_aK(1.0 / 3.0, 1.0, 0.37).r == 0.37

@@ -518,19 +518,29 @@ class TestMuA:
         assert abs(f - f_want) <= 2e-15 * f_want
 
     def test_closed_forms_run_no_series(self, monkeypatch):
-        calls, newton = [], []
+        calls, newton, thetas = [], [], []
         # the series route imports _hyp_sums from specfun when it runs, so the counter sits there
-        sums, solve = specfun._hyp_sums, modulus._mu_a_newton
+        sums, solve, nome = specfun._hyp_sums, modulus._mu_a_newton, modulus._nome
         monkeypatch.setattr(specfun, "_hyp_sums",
                             lambda *args: calls.append(args) or sums(*args))
         monkeypatch.setattr(modulus, "_mu_a_newton",
                             lambda a, *args: newton.append(a) or solve(a, *args))
+        # theta_3^2 is formed only where F is read: the value kernel of mu_a and phi_aK takes none
+        monkeypatch.setattr(modulus, "_nome", lambda *args: thetas.append(args) or nome(*args))
+        radii = (1e-9, 0.3, SQRT_HALF_VAL, 0.9, UnitRadius.from_comp(1e-12))
         for a in CLOSED_FORM_SIGNATURES:
-            for r in (1e-9, 0.3, SQRT_HALF_VAL, 0.9, UnitRadius.from_comp(1e-12)):
+            for r in radii:
                 mu_a(a, r)
-                mu_a_derivative(a, r)
+                for K in (0.3, 2.0, 7.0):
+                    phi_aK(a, K, r)
             for y in (0.1, 1.0, 3.0, 40.0):
                 mu_a_inv(a, y)
+        assert thetas == []
+        for a in CLOSED_FORM_SIGNATURES:
+            thetas.clear()
+            for r in radii:
+                mu_a_derivative(a, r)
+            assert len(thetas) == len(radii), a  # the F kernel forms it once a call
         assert calls == [] and newton == []  # an inverse map at every row
         mu_a(0.2, 0.5)  # the counter sees the series where it runs
         assert len(calls) == 1
@@ -768,6 +778,18 @@ class TestMuAInv:
         for a, y in ((0.2, 0.5), (0.2, 3.0), (1.0 / 3.0, 40.0), (1e-3, 300.0)):
             u = newton_oracle(a, y)
             assert abs(parts(a, u)[0] - y) <= 1e-12 * max(1.0, y), (a, y)
+
+    def test_newton_step_cap(self, monkeypatch):
+        # an F factor 1000x too small makes each Newton step 1e6x too short: no step
+        # leaves the bracket, none reaches the stop, and the cap ends the iteration
+        parts = modulus._mu_a_parts
+
+        def flat(a, u, big_r=None):
+            value, f = parts(a, u, big_r)
+            return value, 1e-3 * f
+        monkeypatch.setattr(modulus, "_mu_a_parts", flat)
+        with pytest.raises(ConvergenceError, match="within 100 steps"):
+            mu_a_inv(0.2, 3.0)
 
     def test_series_evaluations_per_inverse(self, monkeypatch):
         # one _mu_a_parts call is one pass of the fused series (both F factors)
