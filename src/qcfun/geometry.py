@@ -382,30 +382,27 @@ def _convex_hull(pts: np.ndarray) -> list:
     """Andrew's monotone chain over Python floats; the hull vertices as [x, y]
     lists in counterclockwise order, none for a single distinct point.
 
-    A point leaves the chain only where its turn is certified not left, by
-    the filter of :func:`_edge_orientation` and :func:`_exact_turn` where that
-    cannot decide, so the chain keeps exactly the hull's corners.
+    A point leaves the chain only where :func:`_turn` certifies its turn not
+    left, so the chain keeps exactly the hull's corners.  Each chain is fed
+    only the running minima of its height from either end of the sorted
+    points: any other point has a strictly lower point on each side, so lies
+    strictly above the segment joining them and is no corner of that chain.
+    The minima compare coordinates only, so the chains give the hull of all
+    the points exactly.
     """
     srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    step = np.diff(srt[:, 0]) > 0  # of the points on one vertical line only the ends can be corners
-    srt = srt[np.r_[True, step] | np.r_[step, True]].tolist()
-    uniq = srt[:1] + [p for p, q in zip(srt[1:], srt) if p != q]
+    srt = srt[np.r_[True, np.any(srt[1:] != srt[:-1], axis=1)]]  # one copy of each point
 
-    def build(seq):
+    def build(seq, v):  # the chain over the points of seq whose heights v are running minima
         out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                left, right = (a[0] - o[0]) * (p[1] - o[1]), (a[1] - o[1]) * (p[0] - o[0])
-                size = abs(left) + abs(right)
-                if (left > right if abs(left - right) > _ORIENT_BOUND * size and size > _ORIENT_FLOOR
-                        else _exact_turn(o, a, p) > 0):
-                    break
+        for p in seq[(v == np.minimum.accumulate(v)) | (v == np.minimum.accumulate(v[::-1])[::-1])].tolist():
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
 
-    return build(uniq)[:-1] + build(uniq[::-1])[:-1]
+    rev = srt[::-1]
+    return build(srt, srt[:, 1])[:-1] + build(rev, -rev[:, 1])[:-1]
 
 
 def thickness_constant(E, x, r: float) -> float:
@@ -520,35 +517,23 @@ def rho_disk(a, b) -> float:
     return math.log1p(2.0 * chord * (chord + math.sqrt(chord * chord + gap)) / gap)
 
 
-def _edge_orientation(pt: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Exact sign of (q - p) x (pt - p) for each edge p -> q of the closed polygon.
+def _turn(o, a, b) -> int:
+    """Sign of (a - o) x (b - o) over Python floats, exactly: 1 for a left turn o -> a -> b.
 
     The float determinant decides wherever it exceeds Shewchuk's error bound
     (3 + 16 eps) eps times the sum of its two products (Discrete Comput. Geom.
     18, 1997); the rest, nearly collinear or outside the normal range, are
-    evaluated exactly by :func:`_exact_turn`.
+    evaluated exactly in integers.
     """
-    x, y = pt
-    xs, ys = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        left, right = (xn - xs) * (y - ys), (yn - ys) * (x - xs)
-        size = np.abs(left) + np.abs(right)
-        det = left - right
-        decided = (np.abs(det) > _ORIENT_BOUND * size) & (size > _ORIENT_FLOOR)
-    sign = np.sign(det)
-    for i in np.flatnonzero(~decided):
-        sign[i] = _exact_turn((xs[i], ys[i]), (xn[i], yn[i]), pt)
-    return sign
-
-
-def _exact_turn(o, a, b) -> int:
-    """Sign of (a - o) x (b - o), exactly: 1 for a left turn o -> a -> b."""
-    def fixed(c):  # a double is n / 2^k with k <= 1074, so 2^1074 times it is an integer
-        n, d = float(c).as_integer_ratio()
-        return n << (1075 - d.bit_length())
-
-    (ox, oy), (ax, ay), (bx, by) = ([fixed(c) for c in p] for p in (o, a, b))
+    left, right = (a[0] - o[0]) * (b[1] - o[1]), (a[1] - o[1]) * (b[0] - o[0])
+    size = abs(left) + abs(right)
+    # speed only: the exact evaluation below gives the same signs, but without this
+    # filter koch_curve(7).diameter() takes about twice as long
+    if abs(left - right) > _ORIENT_BOUND * size and size > _ORIENT_FLOOR:
+        return (left > right) - (left < right)
+    # a double is n / 2^k with k <= 1074, so 2^1074 times it is an integer
+    (ox, oy), (ax, ay), (bx, by) = ([n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, p)]
+                                    for p in (o, a, b))
     exact = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
     return (exact > 0) - (exact < 0)
 
@@ -556,22 +541,28 @@ def _exact_turn(o, a, b) -> int:
 def _point_in_polygon(pt: np.ndarray, poly: np.ndarray) -> bool:
     """Whether pt lies strictly inside the closed polygon; a point on an edge or a vertex does not.
 
-    The crossing test, with each crossing decided by the exact orientation of
-    pt against its edge rather than by a rounded intersection abscissa.
+    The crossing test, with each crossing decided by the exact orientation
+    :func:`_turn` of pt against its edge rather than by a rounded intersection
+    abscissa.  Only the edges whose box holds pt or whose y-span straddles it
+    are decided: the others neither hold pt nor cross its ray.
     """
-    x, y = pt
+    x, y = pt = [float(c) for c in pt]
     if not (math.isfinite(x) and math.isfinite(y)):
         return False
-    xs, ys = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    sign = _edge_orientation(pt, poly)
+    nxt = np.roll(poly, -1, axis=0)
+    (xs, ys), (xn, yn) = poly.T, nxt.T
     in_box = ((np.minimum(xs, xn) <= x) & (x <= np.maximum(xs, xn))
               & (np.minimum(ys, yn) <= y) & (y <= np.maximum(ys, yn)))
-    if np.any(in_box & (sign == 0)):
-        return False
-    # pt is left of the crossing exactly when it is left of an upward edge or right of a downward one
-    hits = ((ys > y) != (yn > y)) & ((sign > 0) == (yn > ys))
-    return bool(hits.sum() % 2 == 1)
+    crosses = (ys > y) != (yn > y)
+    inside = False
+    i = np.flatnonzero(in_box | crosses)
+    for p, q, box, cross in zip(poly[i].tolist(), nxt[i].tolist(), in_box[i].tolist(), crosses[i].tolist()):
+        sign = _turn(p, q, pt)
+        if box and sign == 0:
+            return False
+        # pt is left of the crossing exactly when it is left of an upward edge or right of a downward one
+        inside ^= cross and (sign > 0) == (q[1] > p[1])
+    return inside
 
 
 def boundary_metric_estimate(boundary: Polyline, a, b, mode: str = "AbsoluteRatio") -> float:

@@ -87,7 +87,7 @@ _PI_SIXTH = math.pi / 6.0
 _SQRT3 = math.sqrt(3.0)
 _HALF_SQRT3 = 0.5 * _SQRT3
 _LOG4 = math.log(4.0)
-# the classical route of :func:`_mu_a_parts` and :func:`mu_a_inv`: signature ->
+# the classical route of :func:`_mu_a_value` and :func:`mu_a_inv`: signature ->
 # (c, y_sym, R(a,1-a)/2), where mu_a(r) = c mu(k) at a classical radius k
 _CLASSICAL = {
     0.5: (1.0, _HALF_PI, _LOG4),
@@ -293,16 +293,14 @@ def _phi_pair(K: float, r: float, comp: float) -> tuple[float, float]:
 # generalized modulus mu_a
 # ---------------------------------------------------------------------------
 
-def _mu_a_value(a: float, r: float, comp: float, big_r: float | None = None) -> tuple:
+def _mu_a_value(a: float, r: float, comp: float) -> tuple:
     """mu_a at the pair (r, comp) with no theta series: the value kernel of mu_a and phi_aK.
 
     Returns (mu_a(r), mu_a(s), y_sym, g, k, kc, d) at the smaller channel
     s = min(r, r'): F(a,1-a;1;s^2) = g theta_3(q)^2 / d at the nome q of the
     pair (k, kc) (:func:`qcfun.means._nome`), which only the F kernel
-    :func:`_mu_a_parts` forms.  ``big_r`` is R(a, 1-a) when the caller has it
-    (an inverse evaluates it once for all its steps); the series route
-    computes it otherwise.  Every route runs at s, and for r > r' this is the
-    one place the duality mu_a(r) mu_a(r') = y_sym^2 runs forward for the
+    :func:`_mu_a_parts` forms.  Every route runs at s, and for r > r' this is
+    the one place the duality mu_a(r) mu_a(r') = y_sym^2 runs forward for the
     value: mu_a = y_sym^2 / mu_a(s).
 
     * a = 1/2, 1/4, 1/3 and 1/6: the classical route, one row (c, y_sym, R/2)
@@ -326,16 +324,18 @@ def _mu_a_value(a: float, r: float, comp: float, big_r: float | None = None) -> 
       :func:`mu`: g takes the factor mu(k') and d = pi/2.  Below the normal
       double range, where the maps lose digits, s takes the asymptote
       mu_a = R/2 - log s, F = 1, exact there.
-    * every other a: one pass of the balanced series (:func:`_series_parts`),
-      which gives F itself as g.
+    * every other a: one pass of the balanced series (:func:`_series_parts`)
+      at R(a, 1-a) formed here, which gives F itself as g.
     Off the classical maps (k, kc) = (0, 1), where theta_3 = 1.
     """
     s, big = (r, comp) if r <= comp else (comp, r)
     row = _CLASSICAL.get(a)
     k, kc, d = 0.0, 1.0, 1.0
     if row is None:
+        from .specfun import _balanced_r0  # only the series routes load specfun
+
         y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-        value, g = _series_parts(a, s, y_sym, big_r)
+        value, g = _series_parts(a, s, y_sym, _balanced_r0(a, 1.0 - a))
     elif s <= _MIN_NORMAL:
         _, y_sym, half_r = row
         value, g = half_r - math.log(s), 1.0
@@ -370,34 +370,31 @@ def _mu_a_value(a: float, r: float, comp: float, big_r: float | None = None) -> 
     return min(y_sym * y_sym / value, y_sym), value, y_sym, g, k, kc, d
 
 
-def _mu_a_parts(a: float, u, big_r: float | None = None) -> tuple[float, float]:
+def _mu_a_parts(a: float, u) -> tuple[float, float]:
     """(mu_a(r), F(a,1-a;1;r^2)) at the pair u: the F kernel.
 
-    Its three readers are :func:`mu_a_derivative`, the Newton steps of
-    :func:`_mu_a_newton` and the ``linearize_phi_a`` experiment of
-    :mod:`qcfun.identities`.  It forms theta_3^2 once on the route of the
-    value kernel :func:`_mu_a_value`, and for r > r' applies the forward
-    duality of F: F(r^2) = mu_a(s) F(s^2) / y_sym at s = r'.
+    Its two readers are :func:`mu_a_derivative` and the ``linearize_phi_a``
+    experiment of :mod:`qcfun.identities`.  It forms theta_3^2 once on the
+    route of the value kernel :func:`_mu_a_value`, and for r > r' applies the
+    forward duality of F: F(r^2) = mu_a(s) F(s^2) / y_sym at s = r'.
     """
     r, comp = u
-    value, value_s, y_sym, g, k, kc, d = _mu_a_value(a, r, comp, big_r)
+    value, value_s, y_sym, g, k, kc, d = _mu_a_value(a, r, comp)
     f = g * _nome(k, kc) / d
     return value, (f if r <= comp else value_s * f / y_sym)
 
 
-def _series_parts(a: float, s: float, y_sym: float, big_r: float | None = None) -> tuple[float, float]:
+def _series_parts(a: float, s: float, y_sym: float, big_r: float) -> tuple[float, float]:
     """(mu_a(s), F(a,1-a;1;s^2)) at s <= 1/sqrt 2 by one pass of the balanced series, for every a.
 
     With S0 = F(a,1-a;1;w) and S1 = 2 y_sym F(a,1-a;1;1-w) at w = s^2,
-    mu_a(s) = S1/(2 S0) and F = S0.  mu_a(s) >= y_sym exactly, and the clamp
-    keeps it so, monotone across s = 1/sqrt 2.  This is the route of every
-    signature without a closed form, and, with the duality of
-    :func:`_mu_a_value`, the test oracle of the closed forms.
+    mu_a(s) = S1/(2 S0) and F = S0; ``big_r`` is R(a, 1-a).  mu_a(s) >= y_sym
+    exactly, and the clamp keeps it so, monotone across s = 1/sqrt 2.  This
+    is the forward map of every signature without a closed form and of each
+    Newton step, and the test oracle of the closed forms.
     """
-    from .specfun import _balanced_r0, _hyp_sums  # only the series routes load specfun
+    from .specfun import _hyp_sums  # only the series routes load specfun
 
-    if big_r is None:
-        big_r = _balanced_r0(a, 1.0 - a)
     s0, s1, _ = _hyp_sums(a, 1.0 - a, 1.0, s * s, big_r, 2.0 * math.log(s))
     return max(0.5 * s1 / s0, y_sym), s0
 
@@ -503,7 +500,7 @@ def _mu_a_radius(a: float, y: float) -> tuple[float, float]:
     if not target - half_r <= _MAX_EXP:  # out here the smaller channel is e^(R/2 - target)
         raise ConvergenceError(f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision")
     if row is None:
-        r, comp = _mu_a_newton(a, target, 2.0 * half_r)
+        r, comp = _mu_a_newton(a, target, y_sym, 2.0 * half_r)
     elif a == _SIXTH:
         k, kc = _theta_radius(target / c, False)
         theta = 1.5 * math.atan(_SQRT3 * k * k / (1.0 + kc * kc))
@@ -524,38 +521,40 @@ def _log_euler(x: float) -> float:
     return math.log1p(-x * (1.0 + x - x2 * x2 * (1.0 + x2)))
 
 
-def _mu_a_newton(a: float, target: float, big_r: float) -> UnitRadius:
-    """The radius r <= 1/sqrt 2 with mu_a(r) = target >= y_sym, by safeguarded Newton in t = log(1/r).
+def _mu_a_newton(a: float, target: float, y_sym: float, big_r: float) -> tuple[float, float]:
+    """The pair (r, r') with r <= 1/sqrt 2 and mu_a(r) = target >= y_sym, by safeguarded Newton in t = log(1/r).
 
     The dual target, the exchange of channels and the underflow guard are
-    :func:`_mu_a_radius`'s, and ``big_r`` is R(a) = R(a,1-a).  mu_a(r) + log r
-    decreases from R(a)/2 to 0 on (0,1), so t lies in
+    :func:`_mu_a_radius`'s, as are y_sym and ``big_r`` = R(a) = R(a,1-a).
+    mu_a(r) + log r decreases from R(a)/2 to 0 on (0,1), so t lies in
     [max(target - R/2, log sqrt 2), target].  Newton starts at the lower end,
-    the r -> 0 asymptote t = target - R/2.  Each step takes one mu_a
-    evaluation, whose F(a,1-a;1;r^2) also gives d mu_a/dt = 1 / ((1-r^2) F^2),
-    and a step leaving the bracket is replaced by bisection in t.  The last
-    step is below 1e-13 target, which bounds the relative residual by 2e-13,
-    so |mu_a(r) - y| <= 2e-13 max(1, y) on either side of y_sym; 8e-16
-    max(1, y) was measured on 1500 random (a, y).  It also runs at every row
-    of the classical route, where the tests use it as the oracle of the
-    closed forms.
+    the r -> 0 asymptote t = target - R/2.  Each step takes one series pass
+    :func:`_series_parts` at r <= r', whose F(a,1-a;1;r^2) also gives
+    d mu_a/dt = 1 / ((1-r^2) F^2), and a step leaving the bracket is replaced
+    by bisection in t.  The last step is below 1e-13 target, which bounds the
+    relative residual by 2e-13, so |mu_a(r) - y| <= 2e-13 max(1, y) on either
+    side of y_sym; 8e-16 max(1, y) was measured on 1500 random (a, y).  The
+    series runs at every signature, so at the rows of the classical route the
+    tests use Newton as an oracle of the closed-form inverses that shares no
+    closed-form forward map with them.
     """
     # log(sqrt 2) rounds up, so e^-t <= r' here and the channels stay monotone across y_sym
     t = lo = max(target - 0.5 * big_r, math.log(math.sqrt(2.0)))
     hi = target
     for _ in range(_INV_CAP):
         # past the bracket's guarded end e^-t may be 0: from_r keeps that a typed error
-        u = UnitRadius.from_r(math.exp(-t))
-        value, f_den = _mu_a_parts(a, u, big_r)
+        r, comp = UnitRadius.from_r(math.exp(-t))
+        value, f_den = _series_parts(a, r, y_sym, big_r)
         if value < target:
             lo = t
         else:
             hi = t
-        t_new = t - (value - target) * u.comp * u.comp * f_den * f_den
+        t_new = t - (value - target) * comp * comp * f_den * f_den
         if not lo <= t_new <= hi:
             t_new = 0.5 * (lo + hi)
         if abs(t_new - t) <= 1e-13 * target:
-            return UnitRadius.from_r(math.exp(-t_new))
+            r = math.exp(-t_new)
+            return r, comp_radius(r)
         t = t_new
     raise ConvergenceError(f"safeguarded Newton did not converge on mu_a({a}, r) = {target} "
                            f"within {_INV_CAP} steps")

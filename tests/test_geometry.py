@@ -778,12 +778,11 @@ class TestBoundaryMetric:
             t = rng.random()
             pt = np.array([math.nextafter(p[0] + t * (q[0] - p[0]), rng.choice((-1.0, 2.0))),
                            p[1] + t * (q[1] - p[1])])
-            sign = geometry._edge_orientation(pt, poly)
-            for j, (a, b) in enumerate(zip(poly, np.roll(poly, -1, axis=0))):
+            for j, (a, b) in enumerate(zip(poly.tolist(), np.roll(poly, -1, axis=0).tolist())):
                 ax, ay = Fraction(a[0]), Fraction(a[1])
                 exact = ((Fraction(b[0]) - ax) * (Fraction(pt[1]) - ay)
                          - (Fraction(b[1]) - ay) * (Fraction(pt[0]) - ax))
-                assert sign[j] == (exact > 0) - (exact < 0), (i, j)
+                assert geometry._turn(a, b, pt.tolist()) == (exact > 0) - (exact < 0), (i, j)
 
     def test_guards(self):
         ngon = regular_ngon(64)
@@ -932,3 +931,10 @@ class TestPolylineCsv:
         with pytest.raises(DomainError):
             Polyline._make((np.array([[0.0, math.inf], [1.0, 0.0]]), False))
         assert not poly._replace(closed=False).closed
+
+    def test_open_polyline_has_no_closing_edge(self):
+        # the 3-4-5 triangle: closed it has the edge back to the start, open it does not
+        pts = [[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]]
+        closed, open_ = Polyline(pts), Polyline(pts, closed=False)
+        assert (closed.n_edges, closed.edge_lengths().tolist(), closed.perimeter()) == (3, [3.0, 4.0, 5.0], 12.0)
+        assert (open_.n_edges, open_.edge_lengths().tolist(), open_.perimeter()) == (2, [3.0, 4.0], 7.0)

@@ -80,14 +80,14 @@ def series_oracle(a, u):
 
 
 def newton_oracle(a, y):
-    """The radius with mu_a(r) = y by Newton alone, the oracle of every inverse map.
+    """The radius with mu_a(r) = y by Newton on the series alone, the oracle of every inverse map.
 
     Below y_sym Newton solves at the dual target and the channels are
     exchanged here, with this module's own y_sym and R."""
     y_sym = math.pi / (2.0 * math.sin(math.pi * a))
     dual = y < y_sym
-    u = modulus._mu_a_newton(a, y_sym * y_sym / y if dual else y, specfun._balanced_r0(a, 1.0 - a))
-    return u.swapped if dual else u
+    r, comp = modulus._mu_a_newton(a, y_sym * y_sym / y if dual else y, y_sym, specfun._balanced_r0(a, 1.0 - a))
+    return UnitRadius(comp, r) if dual else UnitRadius(r, comp)
 
 
 class TestUnitRadius:
@@ -769,39 +769,55 @@ class TestMuAInv:
     def test_newton_bisects_where_a_step_leaves_the_bracket(self, monkeypatch):
         # an F factor 4x too large makes each Newton step 16x too long: the bracket
         # turns the steps that leave it into bisection, so the root is still found
-        parts = modulus._mu_a_parts
+        parts = modulus._series_parts
 
-        def steep(a, u, big_r=None):
-            value, f = parts(a, u, big_r)
+        def steep(a, s, y_sym, big_r):
+            value, f = parts(a, s, y_sym, big_r)
             return value, 4.0 * f
-        monkeypatch.setattr(modulus, "_mu_a_parts", steep)
+        monkeypatch.setattr(modulus, "_series_parts", steep)
         for a, y in ((0.2, 0.5), (0.2, 3.0), (1.0 / 3.0, 40.0), (1e-3, 300.0)):
             u = newton_oracle(a, y)
-            assert abs(parts(a, u)[0] - y) <= 1e-12 * max(1.0, y), (a, y)
+            assert abs(mu_a(a, u) - y) <= 1e-12 * max(1.0, y), (a, y)
 
     def test_newton_step_cap(self, monkeypatch):
         # an F factor 1000x too small makes each Newton step 1e6x too short: no step
         # leaves the bracket, none reaches the stop, and the cap ends the iteration
-        parts = modulus._mu_a_parts
+        parts = modulus._series_parts
 
-        def flat(a, u, big_r=None):
-            value, f = parts(a, u, big_r)
+        def flat(a, s, y_sym, big_r):
+            value, f = parts(a, s, y_sym, big_r)
             return value, 1e-3 * f
-        monkeypatch.setattr(modulus, "_mu_a_parts", flat)
+        monkeypatch.setattr(modulus, "_series_parts", flat)
         with pytest.raises(ConvergenceError, match="within 100 steps"):
             mu_a_inv(0.2, 3.0)
 
     def test_series_evaluations_per_inverse(self, monkeypatch):
-        # one _mu_a_parts call is one pass of the fused series (both F factors)
+        # one _series_parts call is one pass of the fused series (both F factors)
         calls = []
-        mu_a_parts = modulus._mu_a_parts
-        monkeypatch.setattr(modulus, "_mu_a_parts",
-                            lambda *args: calls.append(1) or mu_a_parts(*args))
+        series_parts = modulus._series_parts
+        monkeypatch.setattr(modulus, "_series_parts",
+                            lambda *args: calls.append(1) or series_parts(*args))
         for a in (0.1, 0.2, 0.4):  # off the table, where Newton runs
             for y in (0.1, 0.5, 1.0, 3.0, 10.0, 20.0):
                 calls.clear()
                 mu_a_inv(a, y)
                 assert 1 <= len(calls) <= 6, (a, y, len(calls))
+
+    def test_newton_steps_take_the_series_pass_alone(self, monkeypatch):
+        # a step reads mu_a and F at r <= r' from one series pass: no theta_3^2 off the
+        # grid, and at the grid rows no closed-form forward map shared with the inverses
+        thetas, values = [], []
+        nome, value = modulus._nome, modulus._mu_a_value
+        monkeypatch.setattr(modulus, "_nome", lambda *args: thetas.append(args) or nome(*args))
+        for a in (0.1, 0.2, 0.3, 0.45):
+            for y in (0.1, 1.0, 3.0, 40.0):
+                mu_a_inv(a, y)
+            phi_aK(a, 2.0, 0.5)
+        assert thetas == []
+        monkeypatch.setattr(modulus, "_mu_a_value", lambda *args: values.append(args) or value(*args))
+        for a in CLOSED_FORM_SIGNATURES:
+            newton_oracle(a, 3.0)
+        assert values == []
 
     @pytest.mark.parametrize("call", [lambda: mu_a_inv(1e-17, 1.0),
                                       lambda: phi_aK(1e-17, 2.0, 0.5),
