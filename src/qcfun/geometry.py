@@ -63,6 +63,11 @@ def _as_points(data, min_points: int, name: str) -> np.ndarray:
     return pts
 
 
+def _edges(pts: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(start, end) vertices of each edge; a closed polyline's last edge runs from its last vertex to its first."""
+    return (pts, np.roll(pts, -1, axis=0)) if closed else (pts[:-1], pts[1:])
+
+
 class Polyline(namedtuple("Polyline", ("points", "closed"))):
     """Ordered plane points; closed polylines treat last -> first as an edge.
 
@@ -75,8 +80,7 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
     def __new__(cls, points, closed: bool = True) -> "Polyline":
         pts = _as_points(points, 2, "polyline").copy()
         pts.setflags(write=False)
-        nxt = np.roll(pts, -1, axis=0) if closed else pts[1:]
-        cur = pts if closed else pts[:-1]
+        cur, nxt = _edges(pts, closed)
         if np.any(np.all(cur == nxt, axis=1)):
             raise DomainError("polyline has coincident consecutive vertices")
         return tuple.__new__(cls, (pts, closed))
@@ -95,8 +99,7 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
         return self.n_vertices if self.closed else self.n_vertices - 1
 
     def edge_lengths(self) -> np.ndarray:
-        nxt = np.roll(self.points, -1, axis=0) if self.closed else self.points[1:]
-        cur = self.points if self.closed else self.points[:-1]
+        cur, nxt = _edges(self.points, self.closed)
         return np.hypot(*(nxt - cur).T)
 
     def perimeter(self) -> float:
@@ -447,8 +450,7 @@ def box_dimension(curve: Polyline, scales) -> float:
     if scales[-1] / scales[0] < 10.0:
         raise DomainError("scales must span at least a decade")
     pts = curve.points
-    nxt = np.roll(pts, -1, axis=0) if curve.closed else pts[1:]
-    cur = pts if curve.closed else pts[:-1]
+    cur, nxt = _edges(pts, curve.closed)
     seg = nxt - cur
     lengths = np.hypot(seg[:, 0], seg[:, 1])
     origin = pts.min(axis=0)

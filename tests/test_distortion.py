@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contracts import contract_test
 from qcfun import modulus
 from qcfun import (
     ConvergenceError,
@@ -121,16 +122,7 @@ class TestPhiK:
         with pytest.raises(ConvergenceError, match="underflows"):
             phi_aK(1.0 / 3.0, 1e-310, 0.5)
 
-    @given(st.floats(min_value=1.0, max_value=1e300),
-           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
-    @settings(max_examples=300, deadline=None)
-    def test_large_dilatation_value_or_convergence_error(self, K, r):
-        target = mu(r) / K
-        try:
-            v = phi_K(K, r)
-        except ConvergenceError:
-            return
-        assert abs(mu(v) - target) <= 1e-15 * max(1.0, target)
+    test_large_dilatation_value_or_convergence_error = contract_test("phi_K.large_K")
 
     def test_result_below_normal_range_signalled(self):
         # mu(0.5)/0.001 ~ 2009: the inverse lies far below the smallest double

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contracts import contract_test, k_agm
 from qcfun import (
     DivergenceError,
     DomainError,
@@ -136,8 +137,9 @@ class TestMeanMod:
             mean_mod(MeanKind.Arithmetic, t, 1.0, 2.0)
 
     def test_unknown_kind(self):
-        with pytest.raises(DomainError, match="unknown mean kind"):
-            mean_mod("A", 1e-320, 2.0, 8.0)
+        for call in (lambda: mean_mod("A", 1e-320, 2.0, 8.0), lambda: mean("A", 2.0, 8.0)):
+            with pytest.raises(DomainError, match="unknown mean kind"):
+                call()
 
     @pytest.mark.parametrize("kind", list(MeanKind))
     def test_no_power_overflows(self, kind):
@@ -255,26 +257,15 @@ class TestEllintK:
 class TestNomeRoute:
     """K from the Jacobi nome against the public AGM: K(r) = pi / (2 AG(1, r'))."""
 
-    @given(st.floats(min_value=0.0, max_value=1.0 - 2.0 ** -53))
-    @settings(max_examples=400, deadline=None)
-    def test_ellint_k_against_agm_quotient(self, r):
-        # on 80000 random radii the two differed by at most 5 ulp, where each
-        # is 2 to 3 ulp off mpmath in opposite directions
-        oracle = math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - r) * (1.0 + r))))
-        assert abs(ellint_K(r) - oracle) <= 5.0 * math.ulp(oracle), r
-
-    @given(st.floats(min_value=5e-324, max_value=1.0))
-    @settings(max_examples=400, deadline=None)
-    def test_ellint_kprime_against_agm_quotient(self, r):
-        oracle = math.pi / (2.0 * agm(1.0, r))
-        assert abs(ellint_Kprime(r) - oracle) <= 5.0 * math.ulp(oracle), r
+    test_ellint_k_against_agm_quotient = contract_test("ellint_K.agm")
+    test_ellint_kprime_against_agm_quotient = contract_test("ellint_Kprime.agm")
 
     @pytest.mark.parametrize("r", [0.0, 1e-300, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12])
     def test_duality_switch(self, r):
         # taken at the larger channel the nome series are wrong far beyond
         # rounding, so forcing the r <= r' switch either way fails here
         comp = math.sqrt((1.0 - r) * (1.0 + r))
-        assert abs(ellint_K(r) - math.pi / (2.0 * agm(1.0, comp))) <= 5.0 * math.ulp(ellint_K(r))
+        assert abs(ellint_K(r) - k_agm(comp)) <= 5.0 * math.ulp(ellint_K(r))
         assert abs(ellint_Kprime(comp) - ellint_K(r)) <= 5.0 * math.ulp(ellint_K(r))
 
 

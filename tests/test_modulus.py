@@ -10,20 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contracts import (
+    CLOSED_FORM_SIGNATURES,
+    contract_test,
+    k_mp,
+    mu_agm,
+    mu_mp,
+    newton_oracle,
+    pair_mp,
+    series_oracle,
+)
 from qcfun import distortion, modulus, specfun
 from qcfun.means import ellint_K_from_comp
 from qcfun import (
     ConvergenceError,
     DomainError,
-    HypergeomParams,
     OverflowSignal,
-    QcfunError,
     UnitRadius,
-    agm,
     agm_product_p,
     eta_K2,
     gamma2_inv,
-    gauss_F,
     grotzsch_gamma2,
     mu,
     mu_a,
@@ -51,7 +57,6 @@ P_03 = 3.9076068996875940
 
 SQRT_HALF_VAL = math.sqrt(0.5)
 A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
-CLOSED_FORM_SIGNATURES = (0.5, 0.25, 1.0 / 3.0, 1.0 / 6.0)
 # signatures without a closed form: the series pass forward, Newton inverse
 OFF_GRID = (0.01, 0.1, 0.2, 0.3, 0.45)
 
@@ -65,29 +70,6 @@ def around(x, deltas=(1e-9, 1e-5, 1e-2), ulps=4):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
     return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
-
-
-def series_oracle(a, u):
-    """(mu_a, F) at the pair u by the series pass at its smaller channel, the oracle of every row.
-
-    The duality for r > r' is applied here, with this module's own y_sym and
-    R, so the oracle does not share the forward duality it checks."""
-    y_sym = math.pi / (2.0 * math.sin(math.pi * a))
-    value, f = modulus._series_parts(a, min(u), y_sym, specfun._balanced_r0(a, 1.0 - a))
-    if u.r <= u.comp:
-        return value, f
-    return y_sym * (y_sym / value), value * f / y_sym
-
-
-def newton_oracle(a, y):
-    """The radius with mu_a(r) = y by Newton on the series alone, the oracle of every inverse map.
-
-    Below y_sym Newton solves at the dual target and the channels are
-    exchanged here, with this module's own y_sym and R."""
-    y_sym = math.pi / (2.0 * math.sin(math.pi * a))
-    dual = y < y_sym
-    r, comp = modulus._mu_a_newton(a, y_sym * y_sym / y if dual else y, y_sym, specfun._balanced_r0(a, 1.0 - a))
-    return UnitRadius(comp, r) if dual else UnitRadius(r, comp)
 
 
 class TestUnitRadius:
@@ -281,15 +263,7 @@ class TestMu:
         with pytest.raises(DomainError):
             mu(bad)
 
-    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53), st.booleans())
-    @settings(max_examples=400, deadline=None)
-    def test_nome_route_against_agm_quotient(self, x, comp_channel):
-        # the AGM quotient (pi/2) AG(1, r') / AG(1, r) is the independent route;
-        # on 80000 random radii the two differed by at most 5 ulp, where each
-        # is 2 to 3 ulp off mpmath in opposite directions
-        u = UnitRadius.from_comp(x) if comp_channel else UnitRadius.from_r(x)
-        oracle = 0.5 * math.pi * agm(1.0, u.comp) / agm(1.0, u.r)
-        assert abs(mu(u) - oracle) <= 5.0 * math.ulp(oracle), (u, mu(u), oracle)
+    test_nome_route_against_agm_quotient = contract_test("mu.agm")
 
     @pytest.mark.parametrize("r", [5e-324, 1e-300, 1e-5, 0.1, 0.5, 0.9, 0.999])
     @pytest.mark.parametrize("comp_channel", [False, True])
@@ -297,7 +271,7 @@ class TestMu:
         # the nome series are taken at the smaller channel, where q <= e^-pi;
         # evaluated at the larger one they are wrong far beyond rounding
         u = UnitRadius.from_comp(r) if comp_channel else UnitRadius.from_r(r)
-        oracle = 0.5 * math.pi * agm(1.0, u.comp) / agm(1.0, u.r)
+        oracle = mu_agm(*u)
         assert abs(mu(u) - oracle) <= 5.0 * math.ulp(oracle)
 
     @pytest.mark.parametrize("seam", [SQRT_HALF_VAL, sys.float_info.min], ids=["r_eq_comp", "smallest_normal"])
@@ -310,10 +284,9 @@ class TestMu:
         with mp.workdps(40):
             for x in around(seam):
                 u = UnitRadius.from_r(x)
-                k_x = mp.pi / (2 * mp.agm(1, mp.sqrt((1 - mp.mpf(x)) * (1 + mp.mpf(x)))))
-                k_xc = mp.pi / (2 * mp.agm(1, x))
-                for got, want, tol in ((mu(u), mp.pi / 2 * k_xc / k_x, 3),
-                                       (mu(u.swapped), mp.pi / 2 * k_x / k_xc, 3),
+                k_x, k_xc = k_mp(pair_mp(x)[1]), k_mp(x)
+                for got, want, tol in ((mu(u), mu_mp(x), 3),
+                                       (mu(u.swapped), mu_mp(x, True), 3),
                                        (ellint_K_from_comp(u.comp, u.r), k_x, 4),
                                        (ellint_K_from_comp(u.r, u.comp), k_xc, 4)):
                     assert abs(got - want) <= tol * math.ulp(float(want)), (x, got)
@@ -408,15 +381,7 @@ class TestMuInv:
         assert u.r >= sys.float_info.min
         assert u.r == pytest.approx(4.0 * math.exp(-709.7), rel=1e-12)
 
-    @given(st.floats(min_value=0.004, max_value=700.0))
-    @settings(max_examples=150, deadline=None)
-    def test_theta_route_against_newton_oracle(self, y):
-        u, oracle = mu_inv(y), newton_oracle(0.5, y)
-        # the smaller channel carries the digits: r above pi/2, the complement below
-        got, want = (u.r, oracle.r) if y >= 0.5 * math.pi else (u.comp, oracle.comp)
-        assert abs(got - want) <= 1e-11 * want
-        assert abs(mu(u) - y) <= 1e-14 * max(1.0, y)
-        assert abs(Fraction(u.r) ** 2 + Fraction(u.comp) ** 2 - 1) <= 1e-15
+    test_theta_route_against_newton_oracle = contract_test("mu_inv.newton", "mu_inv.theta_residual", "mu_inv.unit_pair")
 
     def test_continuous_across_dual_nome_seam(self):
         seam = 0.5 * math.pi
@@ -427,15 +392,7 @@ class TestMuInv:
         ulp = math.ulp(SQRT_HALF_VAL)
         assert below.r - above.r <= 8 * ulp and above.comp - below.comp <= 8 * ulp
 
-    @given(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
-    @settings(max_examples=300, deadline=None)
-    def test_every_positive_y_gives_radius_or_typed_error(self, y):
-        try:
-            u = mu_inv(y)
-        except QcfunError:
-            return
-        assert isinstance(u, UnitRadius)
-        assert abs(mu(u) - y) <= 1e-14 * max(1.0, y)
+    test_every_positive_y_gives_radius_or_typed_error = contract_test("mu_inv.residual")
 
 
 class TestMuA:
@@ -457,18 +414,7 @@ class TestMuA:
         values = [mu_a(a, r / 20.0) for r in range(1, 20)]
         assert all(b < a_ for a_, b in zip(values, values[1:]))
 
-    @given(st.floats(min_value=sys.float_info.min, max_value=0.5),
-           st.floats(min_value=0.224, max_value=0.974))
-    @settings(max_examples=300, deadline=None)
-    def test_fused_series_against_public_quotient(self, a, r):
-        # r^2 and r'^2 both below the 0.95 seam: both F factors by the direct series
-        u = UnitRadius.from_r(r)
-        p = HypergeomParams(a, 1.0 - a, 1.0)
-        f_den = gauss_F(p, r * r)
-        want = math.pi / (2.0 * math.sin(math.pi * a)) * gauss_F(p, u.comp * u.comp) / f_den
-        value, f = series_oracle(a, u)
-        assert abs(value - want) <= 2e-15 * want
-        assert abs(f - f_den) <= 2e-15 * f_den
+    test_fused_series_against_public_quotient = contract_test("mu_a.fused_series")
 
     @given(st.floats(min_value=sys.float_info.min, max_value=0.5))
     @settings(max_examples=200, deadline=None)
@@ -506,16 +452,7 @@ class TestMuA:
         with pytest.raises(DomainError):
             mu_a(0.6, 0.5)
 
-    @given(st.sampled_from(CLOSED_FORM_SIGNATURES), st.floats(min_value=1e-12, max_value=1.0 - 1e-12),
-           st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_closed_forms_against_series_oracle(self, a, x, complement):
-        # both channels: x is r, or x is r' so that r comes out near 1
-        u = UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
-        value, f = modulus._mu_a_parts(a, u)
-        want, f_want = series_oracle(a, u)
-        assert abs(value - want) <= 2e-15 * want
-        assert abs(f - f_want) <= 2e-15 * f_want
+    test_closed_forms_against_series_oracle = contract_test("mu_a.closed_forms")
 
     def test_closed_forms_run_no_series(self, monkeypatch):
         calls, newton, thetas = [], [], []
@@ -551,8 +488,8 @@ class ClassicalRouteChecks:
 
     One subclass per signature sets A, its y_sym and R(a,1-a)/2, the last y
     on either side of y_sym whose radius is normal, and y whose radius or
-    complement underflows.  The seeded series comparison is
-    test_closed_forms_against_series_oracle."""
+    complement underflows.  The seeded series comparison is the contract
+    row mu_a.closed_forms."""
 
     A = Y_SYM = HALF_R = None
     LAST = UNDER = ()
@@ -691,15 +628,7 @@ class TestMuAInv:
     def test_reduces_to_mu_inv(self, y):
         assert mu_a_inv(0.5, y).r == pytest.approx(mu_inv(y).r, rel=1e-11)
 
-    @given(st.sampled_from((0.5, 0.25)), st.floats(min_value=0.004, max_value=700.0))
-    @settings(max_examples=300, deadline=None)
-    def test_theta_routes_round_trip(self, a, y):
-        try:
-            u = mu_a_inv(a, y)
-        except ConvergenceError:
-            assert a == 0.25 and y < 0.007
-            return
-        assert abs(mu_a(a, u) - y) <= 1e-15 * max(1.0, y)
+    test_theta_routes_round_trip = contract_test("mu_a_inv.theta_round_trip")
 
     @pytest.mark.parametrize("a", A_GRID)
     def test_symmetric_point(self, a):
@@ -755,16 +684,7 @@ class TestMuAInv:
             u = UnitRadius.from_r(r)
             assert mu_a(a, u) * mu_a(a, u.swapped) == pytest.approx(y_sym * y_sym, rel=1e-13)
 
-    @given(st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
-           st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
-    @settings(max_examples=300, deadline=None)
-    def test_every_input_gives_radius_or_typed_error(self, a, y):
-        try:
-            u = mu_a_inv(a, y)
-        except QcfunError:
-            return
-        assert isinstance(u, UnitRadius)
-        assert abs(mu_a(a, u) - y) <= 2e-13 * max(1.0, y)
+    test_every_input_gives_radius_or_typed_error = contract_test("mu_a_inv.residual")
 
     def test_newton_bisects_where_a_step_leaves_the_bracket(self, monkeypatch):
         # an F factor 4x too large makes each Newton step 16x too long: the bracket
