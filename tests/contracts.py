@@ -4,15 +4,16 @@ A row draws its arguments from ``sample(random.Random(seed))``, an iterable
 of argument tuples, and holds every ``call(*args)`` to within ``bound(want,
 *args)`` of ``want = reference(*args)``, the bound an absolute distance.  A
 call may return a tuple (a UnitRadius, or a value and its F factor); then
-reference and bound are tuples too, checked entry by entry.  ``errors(*args)``
-(an exception class or tuple, or a function of the arguments giving one)
-names the typed errors a call may raise in place of a value.
+reference and bound are tuples too, checked entry by entry.  ``errors``, an
+exception class or tuple, names the typed errors a call may raise in place of
+a value; a round trip lets only its inverse raise them (:func:`round_trip`).
 
 A reference is mpmath at ``dps`` digits, or, with ``dps`` None, a general
 algorithm the library keeps as an oracle (the double AGM quotient, Newton on
 the mu_a series, the series pass) or the input itself for a residual.  Rows
-that need mpmath skip without it.  ``check(*names)`` runs rows, and
-``contract_test(*names)`` makes a test that does.
+that need mpmath skip without it.  ``check(*names)`` runs rows;
+``contract_test`` and ``contract_cases`` make the tests that do, and record
+the rows they run in ``WIRED``, so a test can see that every row is run.
 """
 
 import contextlib
@@ -83,7 +84,7 @@ def check(*names):
             for args in row.sample(random.Random(row.seed)):
                 try:
                     got = row.call(*args)
-                except row.errors if isinstance(row.errors, (type, tuple)) else row.errors(*args):
+                except row.errors:
                     continue
                 want = row.reference(*args)
                 entries = (v if isinstance(v, tuple) else (v,) for v in (got, want, row.bound(want, *args)))
@@ -91,9 +92,22 @@ def check(*names):
                     assert abs(g - w) <= b, (name, args, g, w, b)
 
 
+WIRED = set()
+
+
 def contract_test(*names):
     """A test, as a function or a method, that runs the named rows."""
+    WIRED.update(names)
     return lambda *_: check(*names)
+
+
+def contract_cases(cases):
+    """A test parametrized over ``cases``, a dict from each case's id to the rows it runs."""
+    WIRED.update(itertools.chain(*cases.values()))
+
+    def run(rows):  # a named function: pytest's marks leave a lambda unmarked
+        check(*rows)
+    return pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))(run)
 
 
 def ulps(n):
@@ -129,9 +143,14 @@ def radius(x, complement=False):
     return UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
 
 
-def checked_radius(u):
-    assert isinstance(u, UnitRadius), u
-    return u
+def round_trip(forward, *args):
+    """forward at the radius an inverse returned, the last of args: a UnitRadius, which forward
+    must take without error, so that a row's allowed errors excuse the inverse alone."""
+    assert isinstance(args[-1], UnitRadius), args
+    try:
+        return forward(*args)
+    except QcfunError as exc:
+        raise AssertionError((forward.__name__, args)) from exc
 
 
 def draws(rng, lo, hi, n, core=None):
@@ -427,6 +446,13 @@ def _linearized_slope_mp(a, K, i):
     return (g(x + h) - g(x - h)) / (2 * h)
 
 
+def _linearize_points(rng):
+    # both ends of each (a, K)'s x grid and two seeded interior points
+    for a, K in ((1 / 3, 2.0), (0.25, 3.0), (1 / 6, 1.5), (0.1, 5.0)):
+        last = len(_experiment("linearize_phi_a", a=a, K=K)["x"]) - 1
+        yield from ((a, K, i) for i in [0, last] + rng.sample(range(1, last), 2))
+
+
 def _phi_draws(n):
     # K log-spread over [0.02, 50], x over [1e-12, 0.5], as r or as r'
     def sample(rng):
@@ -446,7 +472,8 @@ def _phi_kappa(K, x, complement):
 def _mu_a_slope_mp(sig, x):
     """(mu_a(x), (1 - x^2) F(x^2)^2) at an exact double x in (0,1): d log x / d mu_a is minus the second."""
     if x < 1e-30:  # the asymptote R/2 - log x and F = 1, off by O(x^2 log x)
-        return (-2 * mp.euler - mp.digamma(sig) - mp.digamma(1 - sig)) / 2 - mp.log(x), mp.mpf(1)
+        with mp.workdps(40):
+            return (-2 * mp.euler - mp.digamma(sig) - mp.digamma(1 - sig)) / 2 - mp.log(x), mp.mpf(1)
     # F(1 - x^2) needs x^2 to survive the subtraction
     with mp.workdps(40 + max(0, int(-2 * math.log10(min(x, math.sqrt((1 - x) * (1 + x))))))):
         x_sq, comp_sq = squares_mp(x)
@@ -575,6 +602,15 @@ def _smaller_channel(u, y):
     return u.r if y >= 0.5 * math.pi else u.comp
 
 
+def _theta_round_trip(a, y):
+    try:
+        u = mu_a_inv(a, y)
+    except ConvergenceError:
+        assert a == 0.25 and y < 0.007, (a, y)  # a = 1/4 refuses there, where its complement underflows
+        raise
+    return round_trip(mu_a, a, u)
+
+
 _POSITIVE_Y = (5e-324, 1e6, (1e-3, 1e3))  # y over (0, 1e6], two in three where the inverses have values
 _theta_y = box(150, (0.004, 700.0), extra=[(0.5 * math.pi,)])
 _tau_y, _gamma_y = log_uniform(300, (0.009, 450.0)), log_uniform(300, (0.0089, 900.0))
@@ -648,10 +684,8 @@ ROWS = {
     # phi_K(r) nears 1, and 1 - r^(1/K) from expm1
     "artanh_ratio": Row(1515, _artanh_points, lambda K, r, i: _artanh_ratio(K, r) if i is None
                         else _experiment("artanh_ratio", K=K)["g"][i], _artanh_ratio_mp, rel(1e-15)),
-    # the closed-form slopes within their stated error of an mpmath difference quotient, at
-    # both ends of the grid x = -6, -5.5, ..., 6 and two seeded interior points per (a, K)
-    "linearize_phi_a": Row(1515, lambda rng: [(a, K, i) for a, K in ((1 / 3, 2.0), (0.25, 3.0), (1 / 6, 1.5), (0.1, 5.))
-                                              for i in [0, 24] + rng.sample(range(1, 24), 2)],
+    # the closed-form slopes within their stated error of an mpmath difference quotient
+    "linearize_phi_a": Row(1515, _linearize_points,
                            lambda a, K, i: _experiment("linearize_phi_a", a=a, K=K)["slope"][i],
                            _linearized_slope_mp, rel(_SLOPE_ERR), dps=60),
     # the docstrings' 4 eps max(1, y) on the radius and 4 eps max(1, y*) on the complement, on
@@ -701,7 +735,7 @@ ROWS = {
     "mu_inv.theta_residual": Row(3304, _theta_y, lambda y: mu(mu_inv(y)), identity, residual(1e-14), dps=None),
     "mu_inv.unit_pair": Row(3304, _theta_y, lambda y: Fraction(mu_inv(y).r) ** 2 + Fraction(mu_inv(y).comp) ** 2,
                             lambda y: 1, lambda want, y: 1e-15, dps=None),
-    "mu_inv.residual": Row(3305, box(300, _POSITIVE_Y), lambda y: mu(checked_radius(mu_inv(y))), identity,
+    "mu_inv.residual": Row(3305, box(300, _POSITIVE_Y), lambda y: round_trip(mu, mu_inv(y)), identity,
                            residual(1e-14), dps=None, errors=QcfunError),
     # r^2 and r'^2 both below the 0.95 seam: both F factors by the direct series
     "mu_a.fused_series": Row(3306, box(300, (sys.float_info.min, 0.5), (0.224, 0.974)),
@@ -711,17 +745,15 @@ ROWS = {
     "mu_a.closed_forms": Row(3307, box(300, list(CLOSED_FORM_SIGNATURES), (1e-12, 1.0 - 1e-12), [False, True]),
                              lambda a, x, c: modulus._mu_a_parts(a, radius(x, c)),
                              lambda a, x, c: series_oracle(a, radius(x, c)), rel(2e-15), dps=None),
-    # a = 1/4 refuses below y = 0.007, where its complement underflows
     "mu_a_inv.theta_round_trip": Row(3308, box(300, [0.5, 0.25], (0.004, 700.0),
                                                extra=[(0.25, math.nextafter(0.007, 0.0)), (0.25, 0.007)]),
-                                     lambda a, y: mu_a(a, mu_a_inv(a, y)), identity, residual(1e-15), dps=None,
-                                     errors=lambda a, y: ConvergenceError if a == 0.25 and y < 0.007 else ()),
+                                     _theta_round_trip, identity, residual(1e-15), dps=None, errors=ConvergenceError),
     # a over (0, 1/2], two in three over [0.02, 1/2], where most y of the core have a radius
     "mu_a_inv.residual": Row(3309, box(300, (5e-324, 0.5, (0.02, 0.5)), _POSITIVE_Y),
-                             lambda a, y: mu_a(a, checked_radius(mu_a_inv(a, y))), identity, residual(2e-13),
+                             lambda a, y: round_trip(mu_a, a, mu_a_inv(a, y)), identity, residual(2e-13),
                              dps=None, errors=QcfunError),
     # K over [1, 1e300], two in three over [1, 1e3], where phi_K(r) does not round to 1
     "phi_K.large_K": Row(3310, box(300, (1.0, 1e300, (1.0, 1e3)), (5e-324, 1.0 - 2.0 ** -53)),
-                         lambda K, r: mu(phi_K(K, r)), lambda K, r: mu(r) / K, residual(1e-15), dps=None,
+                         lambda K, r: round_trip(mu, phi_K(K, r)), lambda K, r: mu(r) / K, residual(1e-15), dps=None,
                          errors=ConvergenceError),
 }

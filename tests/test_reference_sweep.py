@@ -16,18 +16,27 @@ mp = pytest.importorskip("mpmath")
 
 from contracts import (
     EPS,
+    ROWS,
+    WIRED,
+    Row,
     check,
+    contract_cases,
     contract_test,
     gamma_ratio_mp,
+    identity,
     mu_a_mp,
     mu_inv_bisect_mp,
     mu_mp,
+    residual,
+    round_trip,
     squares_mp,
 )
 from qcfun import modulus, specfun
 from qcfun.specfun import gauss_F_near_one
 from qcfun import (
+    ConvergenceError,
     HypergeomParams,
+    QcfunError,
     UnitRadius,
     agm_product_p,
     digamma_fn,
@@ -221,44 +230,50 @@ def test_product_reference():
 
 
 # each seeded sweep, and each grid sweep, is now one or more rows of contracts.py, run under its name
-SWEEPS = {
-    "test_ellint_k_complement_expansion": ("ellint_K.complement_grid",),
-    "test_nome_route_within_docstring_ulps": ("mu.nome_grid", "ellint_K.nome_grid", "ellint_Kprime.nome_grid"),
-    "test_nome_route_seeded_sweep": ("mu.nome", "ellint_K.nome", "ellint_Kprime.nome"),
-    "test_agm_far_from_one": ("agm.far",),
-    "test_agm_quadratic_tail": {"gaps0": ("agm.tail.lower",), "gaps1": ("agm.tail.upper",)},
-    "test_gauss_f_condition_scaled_accuracy": ("gauss_F.condition",),
-    "test_gauss_f_no_truncated_tail_near_one": ("gauss_F.tail",),
-    "test_gamma_and_digamma_claims": ("gamma_fn", "digamma_fn"),
-    "test_beta_condition_scaled_accuracy": ("beta_fn",),
-    "test_boundary_case_a_stirling_remainder": {
-        str(d): (f"hypergeom_boundary.stirling[{d}]",) for d in (10.0, 10.5, 12.0, 40.0)},
-    "test_classical_route_seeded_sweep": {name: (f"mu_a.classical.{name}", f"mu_a_inv.classical.{name}")
-                                          for name in ("half", "quarter", "sixth", "third")},
-    "test_artanh_ratio_seeded_sweep": ("artanh_ratio",),
-    "test_linearize_phi_a_slopes_seeded": ("linearize_phi_a",),
-    "test_phi_condition_scaled_accuracy": ("phi_K",),
-    "test_phi_a_condition_scaled_accuracy": {name: (f"phi_aK.{name}",)
-                                             for name in ("half", "quarter", "third", "sixth")},
-    "test_eta_and_lambda_condition_scaled_accuracy": ("eta_K2", "lambda_of_K"),
-    "test_capacities_seeded_sweep": ("teichmuller_tau2", "grotzsch_gamma2"),
-    "test_capacity_inverses_condition_scaled_accuracy": ("tau2_inv", "gamma2_inv", "vuorinen_c2"),
-    "test_beta_gamma_route_below_170": ("beta_fn.gamma_route",),
-    "test_boundary_gamma_route_below_171": ("hypergeom_boundary.gamma_route",),
-    "test_balanced_gauss_f_sweep": ("gauss_F_near_one.balanced", "gauss_F.balanced"),
-    "test_rho_disk_condition_scaled_accuracy": ("rho_disk",),
-    "test_mean_mod_seeded_sweep": {str(t): (f"mean_mod[{t}]",) for t in (3.0, 300.0)},
-}
+test_ellint_k_complement_expansion = contract_test("ellint_K.complement_grid")
+test_nome_route_within_docstring_ulps = contract_test("mu.nome_grid", "ellint_K.nome_grid", "ellint_Kprime.nome_grid")
+test_nome_route_seeded_sweep = contract_test("mu.nome", "ellint_K.nome", "ellint_Kprime.nome")
+test_agm_far_from_one = contract_test("agm.far")
+test_agm_quadratic_tail = contract_cases({"gaps0": ("agm.tail.lower",), "gaps1": ("agm.tail.upper",)})
+test_gauss_f_condition_scaled_accuracy = contract_test("gauss_F.condition")
+test_gauss_f_no_truncated_tail_near_one = contract_test("gauss_F.tail")
+test_gamma_and_digamma_claims = contract_test("gamma_fn", "digamma_fn")
+test_beta_condition_scaled_accuracy = contract_test("beta_fn")
+test_boundary_case_a_stirling_remainder = contract_cases(
+    {str(d): (f"hypergeom_boundary.stirling[{d}]",) for d in (10.0, 10.5, 12.0, 40.0)})
+test_classical_route_seeded_sweep = contract_cases(
+    {name: (f"mu_a.classical.{name}", f"mu_a_inv.classical.{name}") for name in ("half", "quarter", "sixth", "third")})
+test_artanh_ratio_seeded_sweep = contract_test("artanh_ratio")
+test_linearize_phi_a_slopes_seeded = contract_test("linearize_phi_a")
+test_phi_condition_scaled_accuracy = contract_test("phi_K")
+test_phi_a_condition_scaled_accuracy = contract_cases(
+    {name: (f"phi_aK.{name}",) for name in ("half", "quarter", "third", "sixth")})
+test_eta_and_lambda_condition_scaled_accuracy = contract_test("eta_K2", "lambda_of_K")
+test_capacities_seeded_sweep = contract_test("teichmuller_tau2", "grotzsch_gamma2")
+test_capacity_inverses_condition_scaled_accuracy = contract_test("tau2_inv", "gamma2_inv", "vuorinen_c2")
+test_beta_gamma_route_below_170 = contract_test("beta_fn.gamma_route")
+test_boundary_gamma_route_below_171 = contract_test("hypergeom_boundary.gamma_route")
+test_balanced_gauss_f_sweep = contract_test("gauss_F_near_one.balanced", "gauss_F.balanced")
+test_rho_disk_condition_scaled_accuracy = contract_test("rho_disk")
+test_mean_mod_seeded_sweep = contract_cases({str(t): (f"mean_mod[{t}]",) for t in (3.0, 300.0)})
 
 
-def _sweep(spec):
-    """A test that runs the rows of spec; a dict makes it parametrized, its ids the keys."""
-    if not isinstance(spec, dict):
-        return contract_test(*spec)
-
-    def run(rows):
-        check(*rows)
-    return pytest.mark.parametrize("rows", list(spec.values()), ids=list(spec))(run)
+def test_every_row_is_run():
+    # a row that no test runs is never checked: the tests above and those of these files run every one
+    import test_distortion  # noqa: F401
+    import test_means  # noqa: F401
+    import test_modulus  # noqa: F401
+    assert WIRED == set(ROWS), set(ROWS) ^ WIRED
 
 
-globals().update({name: _sweep(rows) for name, rows in SWEEPS.items()})
+def test_round_trip_allows_no_forward_error(monkeypatch):
+    # a round-trip row allows its errors from the inverse alone: the same error from the forward map fails it
+    def refuse(u):
+        raise ConvergenceError("forward")
+    row = Row(0, lambda rng: [(2.0,)], lambda y: round_trip(refuse, mu_inv(y)), identity, residual(1e-14),
+              dps=None, errors=QcfunError)
+    monkeypatch.setitem(ROWS, "probe", row)
+    with pytest.raises(AssertionError):
+        check("probe")
+    monkeypatch.setitem(ROWS, "probe", row._replace(call=lambda y: round_trip(mu, mu_inv(y))))
+    check("probe")
