@@ -197,7 +197,15 @@ def lambda_of_K(K: float) -> float:
 
 
 def schottky_psi(r: float, t: float) -> float:
-    """Schottky bound psi(r,t) = eta_{M,2}(t) with M = (1+r)/(1-r); psi(0,t) = t."""
+    """Schottky bound psi(r,t) = eta_{M,2}(t) with M = (1+r)/(1-r); psi(0,t) = t.
+
+    As for :func:`eta_K2` at K = M, with the rounding of M added, the relative
+    error is at most 14 eps max(1, y, y*) (eps = 2^-52), y = mu(sqrt(t/(1+t)))/M
+    and y* = pi^2/(4y).  Against 50-digit mpmath at the exact M, over 12000
+    seeded draws with M log-uniform in [1, 50] (r uniform in [0, 0.96] one
+    time in five) and t in [1e-6, 1e6], the factor was at most 6.8.  A value
+    beyond the double range raises :class:`OverflowSignal`.
+    """
     if not (0.0 <= r < 1.0):
         raise DomainError(f"schottky_psi requires r in [0,1), got {r}")
     if not (t > 0 and math.isfinite(t)):
@@ -210,7 +218,13 @@ def linearized_g(K: float, x: float) -> float:
 
     Strictly increasing with increasing derivative of range (1/K, K); g is the
     identity at K = 1.  Evaluated through the complement channel:
-    p(v) = log v + log(1+v) - 2 log v' for v in (0,1).
+    p(v) = log v + log(1+v) - 2 log v' for v in (0,1).  g vanishes where
+    phi_K(q(x)) = 1/2, so the bound is absolute: at most 16 eps max(1, |g(x)|)
+    (eps = 2^-52).  Against 50-digit mpmath (the theta pair of mu(q(x))/K),
+    over 20000 seeded draws with K log-uniform in [1, 50] or [1, 1e3], x
+    uniform in [-40, 40] or log-spread from 1e-300 to 700, the factor was at
+    most 9.04.  Where q(x), its complement or phi_K(q(x)) leaves the normal
+    double range, :class:`ConvergenceError` is raised.
     """
     if not 1.0 <= K < _INF:
         raise _K_error(K)

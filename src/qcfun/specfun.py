@@ -372,8 +372,19 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
 
     Requires a, b, c > 0.  Case A's limit F(a,b;c;1) is evaluated by the Gauss
     formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)), for c above 171 as
-    exp of two :func:`_log_gamma_ratio` values.  A gamma ratio, or R(a,b),
-    that leaves the double range raises :class:`OverflowSignal`.
+    exp of two :func:`_log_gamma_ratio` values; case B's R(a,b) by
+    :func:`digamma_fn`, case C's B(c, a+b-c) / B(a,b) by :func:`beta_fn`.
+    With c - a, c - b and c - a - b exact in double (a rounded difference d
+    adds its condition |d psi(d)| times its rounding), eps = 2^-52: case A's
+    relative error is at most 32 eps max(1, min(a,b) log c), case B's
+    absolute error 4 eps (1 + |psi(a)| + |psi(b)|) (R vanishes at a = b = 1),
+    and case C's relative error 12 eps max(1, |log B(c, a+b-c)| + |log B(a,b)|).
+    Against 50-digit mpmath, over 23000 seeded (a, b, c), a and b log-uniform
+    in [1e-3, 1e3] or [1e-3, 1e5] on the lattice of 2^-20 (case B also in
+    [1e-300, 1e300]), the factors were at most 15.1, 1.85 and 5.7.  A gamma
+    ratio, or R(a,b), that leaves the double range raises
+    :class:`OverflowSignal`, as does case C where either beta falls below
+    the normal range, though D may not.
     """
     if p.c <= 0:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")
@@ -395,7 +406,10 @@ def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
                 if math.isnan(const):
                     raise OverflowError
             return AsymptoticClass(BoundaryCase.A, const)
-        return AsymptoticClass(BoundaryCase.C, beta_fn(p.c, -d) / beta_fn(p.a, p.b))
-    except (OverflowError, ZeroDivisionError):
+        num, den = beta_fn(p.c, -d), beta_fn(p.a, p.b)
+        if min(num, den) < 2.0 ** -1022:  # a beta below the normal range has lost its digits, or is 0
+            raise OverflowError
+        return AsymptoticClass(BoundaryCase.C, num / den)
+    except OverflowError:
         raise OverflowSignal(f"boundary constant of F{(p.a, p.b, p.c)}: a gamma ratio "
                              "leaves double precision") from None

@@ -32,9 +32,11 @@ from qcfun import (
     ConvergenceError,
     HypergeomParams,
     MeanKind,
+    OverflowSignal,
     QcfunError,
     UnitRadius,
     agm,
+    agm_product_p,
     beta_fn,
     bound_value,
     digamma_fn,
@@ -47,6 +49,7 @@ from qcfun import (
     grotzsch_gamma2,
     hypergeom_boundary,
     lambda_of_K,
+    linearized_g,
     mean_mod,
     mu,
     mu_a,
@@ -55,6 +58,7 @@ from qcfun import (
     phi_K,
     phi_aK,
     rho_disk,
+    schottky_psi,
     tau2_inv,
     teichmuller_tau2,
 )
@@ -355,6 +359,10 @@ def _beta_bound(want, a, b):
     return 8 * EPS * max(1, abs(float(mp.log(want))), (a + b) * math.log(a + b)) * want
 
 
+def _digamma_bound(want, y):
+    return 1e-15 * max(1, abs(want))
+
+
 def _stirling_draws(d):
     # dyadic a, b make c - a - b = d exact
     def sample(rng):
@@ -375,6 +383,92 @@ def _boundary_below_171(rng):
 def _case_a_mp(a, b, c):
     # Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)), the differences as the library rounds them
     return gamma_ratio_mp((c, c - (a + b)), (c - a, c - b))
+
+
+def _boundary_constant(a, b, c):
+    return hypergeom_boundary(HypergeomParams(a, b, c)).constant
+
+
+def _lattice(x):
+    """x on the lattice of 2^-20, at least 2^-20: sums and differences of a few such values below 2^32 are exact."""
+    return max(round(x * 2 ** 20), 1) / 2 ** 20
+
+
+def _boundary_draws(rng):
+    # c above a + b (case A), at it (B) and below it (C), in turn, with a, b log-spread over
+    # [1e-3, 1e5] on the lattice, so that c - a, c - b and c - a - b are exact; case B needs
+    # no exact difference and spreads a, b over [1e-300, 1e300]
+    for i in range(300):
+        (a, b, d), = log_uniform(1, *[(1e-3, 1e5)] * 3)(rng)
+        a, b = _lattice(a), _lattice(b)
+        if i % 3 == 0:
+            yield a, b, a + b + _lattice(d)
+        elif i % 3 == 1:
+            (a, b), = log_uniform(1, (1e-300, 1e300), (1e-300, 1e300))(rng)
+            yield a, b, a + b
+        else:
+            yield a, b, _lattice((a + b) * rng.random())
+
+
+def _boundary_mp(a, b, c):
+    """The case constant: Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) above c = a + b,
+    R(a,b) = -psi(a) - psi(b) - 2 gamma at it, B(c, a+b-c) / B(a,b) below."""
+    if c == a + b:  # the case as the library tells it, in doubles
+        return -mp.digamma(a) - mp.digamma(b) - 2 * mp.euler
+    a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
+    return gamma_ratio_mp((c, c - a - b), (c - a, c - b)) if c > a + b else gamma_ratio_mp((c, a + b - c), (a, b))
+
+
+def _boundary_bound(want, a, b, c):
+    # A: 32 eps max(1, min(a,b) log c) relative; B: 4 eps (1 + |psi(a)| + |psi(b)|) absolute, as R
+    # vanishes at a = b = 1; C: 12 eps max(1, |log B(c, a+b-c)| + |log B(a,b)|) relative
+    if c == a + b:
+        return 4 * EPS * (1 + abs(mp.digamma(a)) + abs(mp.digamma(b)))
+    if c > a + b:
+        return 32 * EPS * max(1, min(a, b) * math.log(c)) * want
+    return 12 * EPS * max(1, abs(mp.log(mp.beta(c, mp.mpf(a) + b - c))) + abs(mp.log(mp.beta(a, b)))) * want
+
+
+def around(x, deltas=(1e-9, 1e-5, 1e-2), ulps=4):
+    """1 to ``ulps`` ulp either side of x, and x (1 -+ delta), in increasing order."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
+
+
+def _beta_seam(rng):
+    # a + b at the seams of a + b = 170, a on the 2^-10 lattice, so that b = s - a is exact
+    for s in around(170.0, (1e-6,)):
+        for _ in range(5):
+            a = rng.randint(1, 169 * 2 ** 10) / 2 ** 10
+            assert a + (s - a) == s
+            yield a, s - a
+
+
+def _boundary_seam(rng):
+    # case A with c at the seams of c = 171, the gamma route's end
+    for c in around(171.0, (1e-6,)):
+        for _ in range(5):
+            a, b = (_lattice(x) for x in log_uniform(1, (1e-3, 80.0), (1e-3, 80.0))(rng)[0])
+            yield a, b, c
+
+
+def _stirling_seam(rng):
+    # case A with c above 171 and d = c - a - b at the seams of d = 10, where the Stirling
+    # remainder of Gamma(d+m)/Gamma(d) starts; c in (171, 256) is a multiple of ulp(c) = 2^-45,
+    # 16 ulp(10), and so is d: d steps by it (the ulps of 10 are for _log_gamma_ratio itself)
+    step = 2.0 ** -45
+    for d in (*(10.0 + k * step for k in range(-4, 5)), *(round(10.0 * (1 + e) / step) * step for e in (-1e-6, 1e-6))):
+        for _ in range(5):
+            a, b = _lattice(rng.uniform(1e-3, 40.0)), _lattice(rng.uniform(165.0, 200.0))
+            assert (a + b + d) - (a + b) == d
+            yield a, b, a + b + d
+
+
+def _log_gamma_ratio_seam(rng):
+    return [(x, _lattice(rng.uniform(1e-3, 100.0))) for x in around(10.0, (1e-6,)) for _ in range(5)]
 
 
 # signature -> the docstrings' figures on the classical route: mu_a, F where r <= r' and
@@ -503,6 +597,32 @@ def _phi_a_mp(a, K, x, complement):
 
 
 _eta_draws = log_uniform(300, (1.0, 50.0), (1e-6, 1e6))
+
+
+def _schottky_draws(rng):
+    # M = (1+r)/(1-r) log-spread over [1, 50], r uniform on [0, 0.96] one time in five, and r = 0
+    for i, (M, t) in enumerate(_eta_draws(rng)):
+        yield (0.0 if i % 50 == 0 else rng.uniform(0.0, 0.96) if i % 5 == 0 else (M - 1.0) / (M + 1.0)), t
+
+
+def _schottky_modulus_mp(r, t):
+    """The modulus of u = sqrt(t/(1+t)) over M = (1+r)/(1-r), at the exact r."""
+    r = mp.mpf(r)
+    return _eta_modulus_mp((1 + r) / (1 - r), t)
+
+
+def _linearized_draws(rng):
+    # K log-spread over [1, 50]; x uniform on [-40, 40] two times in three, else of either
+    # sign log-spread from 1e-300 to 700, past where q(x) or its complement underflows
+    for i, (K,) in enumerate(log_uniform(300, (1.0, 50.0))(rng)):
+        yield K, rng.uniform(-40.0, 40.0) if i % 3 else rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 2.85)
+
+
+def _linearized_mp(K, x):
+    """logit(phi_K(q)) at q = 1/(1 + e^-x), through the theta pair of mu(q)/K."""
+    e = mp.exp(-mp.mpf(x))
+    s, comp = mu_inv_mp(mu_sq_mp(1 / (1 + e) ** 2, e * (2 + e) / (1 + e) ** 2) / K)
+    return mp.log(s) + mp.log1p(s) - 2 * mp.log(comp)
 
 
 def _eta_modulus_mp(K, t):
@@ -649,7 +769,7 @@ ROWS = {
     "gamma_fn": Row(1417, lambda rng: [(x,) for x, _ in log_uniform(400, (1e-300, 171.0), (1e-300, 1e300))(rng)],
                     gamma_fn, lambda x: mp.gamma(x), rel(1e-15)),
     "digamma_fn": Row(1417, lambda rng: [(y,) for _, y in log_uniform(400, (1e-300, 171.0), (1e-300, 1e300))(rng)],
-                      digamma_fn, lambda y: mp.digamma(y), lambda want, y: 1e-15 * max(1, abs(want))),
+                      digamma_fn, lambda y: mp.digamma(y), _digamma_bound),
     # above a + b = 170 the lgamma difference was 101% off at (1e15, .5) and B(1e308, .5) overflowed
     "beta_fn": Row(1418, _beta_pairs, beta_fn, _beta_mp, _beta_bound),
     # Gamma(a)Gamma(b)/Gamma(a+b) within 1e-14 of the rounded arguments' value; the
@@ -659,14 +779,23 @@ ROWS = {
                                beta_fn, lambda a, b: gamma_ratio_mp((a, b), (a + b,)), rel(1e-14)),
     # the case A constant for c up to 171, where products of two gammas overflow and
     # the lgamma route is about 3e-13 off
-    "hypergeom_boundary.gamma_route": Row(7, _boundary_below_171,
-                                          lambda a, b, c: hypergeom_boundary(HypergeomParams(a, b, c)).constant,
-                                          _case_a_mp, rel(1e-14)),
+    "hypergeom_boundary.gamma_route": Row(7, _boundary_below_171, _boundary_constant, _case_a_mp, rel(1e-14)),
     # c > 171 takes Gamma(d+m)/Gamma(d) from the Stirling remainder at x = d; cut
     # after x^-7 it was up to 6.6e-13 off at d = 10
-    **{f"hypergeom_boundary.stirling[{d}]": Row(
-        1719, _stirling_draws(d), lambda a, b, c: hypergeom_boundary(HypergeomParams(a, b, c)).constant,
-        _case_a_mp, rel(1e-14)) for d in (10.0, 10.5, 12.0, 40.0)},
+    **{f"hypergeom_boundary.stirling[{d}]": Row(1719, _stirling_draws(d), _boundary_constant, _case_a_mp, rel(1e-14))
+       for d in (10.0, 10.5, 12.0, 40.0)},
+    # the docstring's three case claims, with the differences of a, b, c exact
+    "hypergeom_boundary": Row(3401, _boundary_draws, _boundary_constant, _boundary_mp, _boundary_bound,
+                              errors=OverflowSignal),
+    # each route switch of the gamma family, 1 to 4 ulp either side and at 1e-6 relative, within its claim
+    "beta_fn.seam": Row(3402, _beta_seam, beta_fn, _beta_mp, _beta_bound),
+    "hypergeom_boundary.seam[171]": Row(3403, _boundary_seam, _boundary_constant, _boundary_mp, _boundary_bound),
+    "hypergeom_boundary.seam[10]": Row(3404, _stirling_seam, _boundary_constant, _boundary_mp, _boundary_bound),
+    "log_gamma_ratio.seam": Row(3404, _log_gamma_ratio_seam, lambda x, m: math.exp(specfun._log_gamma_ratio(x, m)),
+                                lambda x, m: gamma_ratio_mp((mp.mpf(x) + m,), (x,)),
+                                lambda want, x, m: 32 * EPS * max(1, m * math.log(x + m)) * want),
+    "digamma_fn.seam": Row(3405, lambda rng: [(x,) for x in around(10.0, (1e-6,))], digamma_fn, lambda y: mp.digamma(y),
+                           _digamma_bound),
     # within 1e-12, or a typed error
     "gauss_F_near_one.balanced": Row(1313, _balanced_draws, lambda a, b, w, r: gauss_F_near_one(a, b, w),
                                      lambda a, b, w, r: mp.hyp2f1(a, b, a + b, 1 - mp.mpf(w)), rel(1e-12),
@@ -701,6 +830,19 @@ ROWS = {
     "lambda_of_K": Row(913, after(_eta_draws, log_uniform(300, (1.0, 200.0))), lambda_of_K,
                        lambda K: eta_of_modulus_mp(mp.pi / (2 * mp.mpf(K))),
                        cond(12, lambda K: max(1, math.pi * K / 2))),
+    # eta_K2's 12 eps max(1, y, y*), and the rounding of M, at the exact M = (1+r)/(1-r)
+    "schottky_psi": Row(3406, _schottky_draws, schottky_psi,
+                        lambda r, t: eta_of_modulus_mp(_schottky_modulus_mp(r, t)),
+                        cond(14, lambda r, t: max(1, (y := _schottky_modulus_mp(r, t)), mp.pi ** 2 / (4 * y))),
+                        errors=OverflowSignal),
+    # an absolute bound: g vanishes where phi_K(q(x)) = 1/2
+    "linearized_g": Row(3407, _linearized_draws, linearized_g, _linearized_mp,
+                        lambda want, K, x: 16 * EPS * max(1, abs(want)), errors=ConvergenceError),
+    # r e^mu(r), the product at signature 1/2, on both input channels
+    "agm_product_p": Row(3408, lambda rng: [(x, c) for x in draws(rng, 1e-300, 1.0 - 2.0 ** -53, 300)
+                                            for c in (False, True)],
+                         lambda x, c: agm_product_p(radius(x, c)),
+                         lambda x, c: pair_mp(x, c)[0] * mp.exp(mu_mp(x, c)), rel(4 * EPS)),
     "teichmuller_tau2": Row(1316, lambda rng: _capacity_draws(rng)[0], teichmuller_tau2,
                             lambda t: mp.pi / mu_sq_mp(1 / (1 + mp.mpf(t)), t / (1 + mp.mpf(t))), rel(2 * EPS)),
     "grotzsch_gamma2": Row(1316, lambda rng: _capacity_draws(rng)[1], grotzsch_gamma2, _gamma2_mp, rel(2 * EPS)),

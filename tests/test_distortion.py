@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contracts import contract_test
+from contracts import around, contract_test
 from qcfun import modulus
 from qcfun import (
     ConvergenceError,
@@ -167,17 +167,6 @@ class TestNomePass:
         # which of the four cases ran: the smaller input channel, and the side of pi/2
         return u.r <= u.comp, y >= self.HALF_PI
 
-    @staticmethod
-    def around(x, deltas=(1e-9, 1e-5, 1e-2, 0.25)):
-        # x, 1 to 4 ulp either side, and x (1 +- delta)
-        points = [x]
-        for direction in (0.0, math.inf):
-            v = x
-            for _ in range(4):
-                v = math.nextafter(v, direction)
-                points.append(v)
-        return points + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]
-
     def test_four_cases_seeded(self):
         rng = random.Random(1717)
         seen = {}
@@ -192,7 +181,7 @@ class TestNomePass:
 
     def test_seam_r_equals_complement(self):
         seen = set()
-        for r in self.around(math.sqrt(0.5)):
+        for r in around(math.sqrt(0.5), (1e-9, 1e-5, 1e-2, 0.25)):
             u = UnitRadius.from_r(r)
             for K in (0.3, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52, 1.5, 7.0):
                 seen.add(self.check(K, u))
@@ -203,7 +192,7 @@ class TestNomePass:
         seen = set()
         for x in (1e-12, 1e-3, 0.3, 0.7):
             for u in (UnitRadius.from_r(x), UnitRadius.from_comp(x)):
-                for K in self.around(mu(u) / self.HALF_PI):
+                for K in around(mu(u) / self.HALF_PI, (1e-9, 1e-5, 1e-2, 0.25)):
                     seen.add(self.check(K, u))
         assert len(seen) == 4
 

@@ -6,7 +6,7 @@ import pytest
 
 from qcfun import ConvergenceError, DomainError, all_cases, experiment, get_case, modulus, residual, run_suite
 from qcfun import SQRT_HALF
-from qcfun.identities import A_GRID, EXPERIMENT_NAMES, CaseKind, K_GRID, R_GRID
+from qcfun.identities import A_GRID, EXPERIMENT_NAMES, CaseKind, IdentityCase, K_GRID, R_GRID
 
 EQUALITY_ROSTER = [
     "LJ3",
@@ -67,7 +67,17 @@ class TestRegistry:
         assert get_case("Fixed1").params == ()
         for case in all_cases():
             assert len(case.domains) == len(case.params), case.id
-            assert all(len(p) == len(case.params) for p in case.default_points), case.id
+
+    def test_default_points_inside_their_domains_once(self):
+        # run_suite runs the default points as stored, unchecked
+        cases = all_cases()
+        assert len(cases) == 39
+        for case in cases:
+            points = case.default_points
+            assert len(set(points)) == len(points), case.id
+            for point in points:
+                assert len(point) == len(case.params), (case.id, point)
+                assert all(lo <= v <= hi for v, (lo, hi) in zip(point, case.domains)), (case.id, point)
 
     def test_tolerance_from_kind(self):
         expected = {CaseKind.Equality: 1e-13, CaseKind.Inequality: 1e-11, CaseKind.MonotoneProperty: 1e-11}
@@ -181,6 +191,13 @@ class TestRunSuite:
         assert all(rep.passed for rep in reports), [
             (rep.case, rep.max_residual, rep.error) for rep in reports if not rep.passed]
 
+    def test_reports_the_largest_violation(self):
+        # an equality's largest absolute residual (BBG11's is positive), an inequality's most negative slack
+        for rep, case in zip(run_suite(), all_cases()):
+            values = [case.fn(*p) for p in case.default_points]
+            equality = case.kind is CaseKind.Equality
+            assert rep.max_residual == max(abs(v) if equality else -v for v in values), case.id
+
     def test_sorted_and_deterministic(self):
         r1 = run_suite(["LJ3", "Fixed1", "BBG2"])
         r2 = run_suite(["BBG2", "LJ3", "Fixed1"])
@@ -201,6 +218,26 @@ class TestRunSuite:
         reports = run_suite(ids, {"a": (0.01, 0.1, 0.2, 0.3, 0.45)})
         assert sorted(rep.case for rep in reports) == sorted(ids)
         assert all(rep.passed for rep in reports), [rep.case for rep in reports if not rep.passed]
+
+    def test_only_override_points_are_checked(self, monkeypatch):
+        checked = []
+        check_point = IdentityCase.check_point
+
+        def counting(case, point):
+            checked.append((case.id, point))
+            return check_point(case, point)
+        monkeypatch.setattr(IdentityCase, "check_point", counting)
+        run_suite()
+        assert checked == []
+        # LJ3 and MuSub take r or s from the overrides; Fixed1 and MeanChain have neither
+        run_suite(["LJ3", "MuSub", "Fixed1", "MeanChain"], {"r": [0.2, 0.4], "s": [0.2, 0.6]})
+        assert sorted(checked) == sorted([("LJ3", (0.2,)), ("LJ3", (0.4,))] + [
+            ("MuSub", (a, r, s)) for a in A_GRID for r in (0.2, 0.4) for s in (0.2, 0.6)])
+
+    def test_override_outside_its_domain_fails_the_report(self):
+        # phi_K takes K = 1e7, so only the domain check fails this point
+        (rep,) = run_suite(["PhiGroup1"], {"K": [1e7]})
+        assert not rep.passed and rep.error.startswith("DomainError: PhiGroup1: parameter K=")
 
     def test_grid_override_keeps_joint_coordinates(self):
         # every (a, r, s) with a from the default grid, r and s from the override;

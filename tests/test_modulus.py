@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from contracts import (
     CLOSED_FORM_SIGNATURES,
+    around,
     contract_test,
     k_mp,
     mu_agm,
@@ -61,15 +62,6 @@ A_GRID = (1.0 / 6.0, 0.25, 1.0 / 3.0, 0.5)
 OFF_GRID = (0.01, 0.1, 0.2, 0.3, 0.45)
 
 unit_interval = st.floats(min_value=0.01, max_value=0.99)
-
-
-def around(x, deltas=(1e-9, 1e-5, 1e-2), ulps=4):
-    """1 to ``ulps`` ulp either side of x, and x (1 -+ delta), in increasing order."""
-    below, above = [x], [x]
-    for _ in range(ulps):
-        below.append(math.nextafter(below[-1], 0.0))
-        above.append(math.nextafter(above[-1], math.inf))
-    return sorted(set(below + above + [x * (1.0 + d) for d in deltas] + [x * (1.0 - d) for d in deltas]))
 
 
 class TestUnitRadius:
@@ -415,6 +407,21 @@ class TestMuA:
         assert all(b < a_ for a_, b in zip(values, values[1:]))
 
     test_fused_series_against_public_quotient = contract_test("mu_a.fused_series")
+
+    def test_warm_series_routes_run_no_import(self, monkeypatch):
+        # the series routes reach specfun through one reference, bound on their first call
+        import builtins
+
+        calls = ((mu_a, 0.3, 0.4), (mu_a_inv, 0.3, 2.0), (phi_aK, 0.3, 2.0, 0.5))
+        for fn, *args in calls:
+            fn(*args)
+        imported = []
+        real = builtins.__import__
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "__import__", lambda *args, **kw: imported.append(args[0]) or real(*args, **kw))
+            for fn, *args in calls:
+                fn(*args)
+        assert imported == []
 
     @given(st.floats(min_value=sys.float_info.min, max_value=0.5))
     @settings(max_examples=200, deadline=None)

@@ -256,6 +256,13 @@ test_boundary_gamma_route_below_171 = contract_test("hypergeom_boundary.gamma_ro
 test_balanced_gauss_f_sweep = contract_test("gauss_F_near_one.balanced", "gauss_F.balanced")
 test_rho_disk_condition_scaled_accuracy = contract_test("rho_disk")
 test_mean_mod_seeded_sweep = contract_cases({str(t): (f"mean_mod[{t}]",) for t in (3.0, 300.0)})
+test_agm_product_p_accuracy = contract_test("agm_product_p")
+test_hypergeom_boundary_case_claims = contract_test("hypergeom_boundary")
+test_schottky_psi_condition_scaled_accuracy = contract_test("schottky_psi")
+test_linearized_g_absolute_accuracy = contract_test("linearized_g")
+test_gamma_family_seams = contract_cases({
+    "beta170": ("beta_fn.seam",), "boundary171": ("hypergeom_boundary.seam[171]",),
+    "stirling10": ("hypergeom_boundary.seam[10]", "log_gamma_ratio.seam"), "digamma10": ("digamma_fn.seam",)})
 
 
 def test_every_row_is_run():

@@ -445,6 +445,11 @@ class TestBoundary:
         assert cls.case is BoundaryCase.C
         assert cls.constant == pytest.approx(1.0, rel=1e-13)
 
+    def test_case_c_refuses_an_underflowed_beta(self):
+        # B(500, 800) underflows to 0, so the quotient would be 0, not D = 5.7e-72
+        with pytest.raises(OverflowSignal, match="boundary constant"):
+            hypergeom_boundary(HypergeomParams(1000.0, 300.0, 500.0))
+
     def test_domain(self):
         # the check names hypergeom_boundary; without it beta_fn rejects its own arguments
         with pytest.raises(DomainError, match="hypergeom_boundary requires c > 0"):
