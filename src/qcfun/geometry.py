@@ -116,8 +116,7 @@ class Polyline(namedtuple("Polyline", ("points", "closed"))):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y"])
-            for x, y in self.points:
-                writer.writerow([f"{x:.17g}", f"{y:.17g}"])
+            writer.writerows([f"{x:.17g}", f"{y:.17g}"] for x, y in self.points.tolist())
 
     @classmethod
     def from_csv(cls, path, closed: bool = True) -> "Polyline":

@@ -170,20 +170,22 @@ def beta_fn(a: float, b: float) -> float:
     the last term is rounding a + b (against mpmath on 4000 seeded pairs:
     1.2 eps of it for a + b <= 170, 3.0 eps max(1, |log B|) above).  Above
     170, B = Gamma(min)/(Gamma(a+b)/Gamma(max)) with the ratio from
-    :func:`_log_gamma_ratio`.  A value beyond the double range, as where
-    one argument is below about 5.6e-309, raises :class:`OverflowSignal`.
+    :func:`_log_gamma_ratio`.  A value outside the normal doubles [2^-1022, 2^1024), as
+    for an argument below about 5.6e-309 or B(500, 800) = 9.7e-378, raises :class:`OverflowSignal`.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"beta_fn requires finite positive arguments, got ({a}, {b})")
     lo, hi = sorted((a, b))
     try:
-        if a + b <= 170.0:
-            # the larger gamma over Gamma(a+b) first: Gamma(a)Gamma(b) overflows
-            # where one argument is tiny, as at B(160, 1e-300) = 1e300
-            return math.gamma(hi) / math.gamma(a + b) * math.gamma(lo)
-        return math.exp(math.lgamma(lo) - _log_gamma_ratio(hi, lo))
+        # the larger gamma over Gamma(a+b) first: Gamma(a)Gamma(b) overflows
+        # where one argument is tiny, as at B(160, 1e-300) = 1e300
+        beta = (math.gamma(hi) / math.gamma(a + b) * math.gamma(lo) if a + b <= 170.0
+                else math.exp(math.lgamma(lo) - _log_gamma_ratio(hi, lo)))
     except OverflowError:
-        raise OverflowSignal(f"beta_fn({a}, {b}) overflows double precision") from None
+        beta = math.inf
+    if not 2.0 ** -1022 <= beta < math.inf:  # a subnormal B has lost its digits
+        raise OverflowSignal(f"beta_fn({a}, {b}) leaves double precision")
+    return beta
 
 
 def _balanced_r0(a: float, b: float) -> float:
@@ -340,7 +342,7 @@ def gauss_F_near_one(a: float, b: float, w: float) -> float:
         except (ConvergenceError, OverflowSignal) as direct:
             raise ConvergenceError(f"{connection}; the direct series at 1 - w: {direct}") from None
     beta = beta_fn(a, b)
-    if not (beta > 0.0 and math.isfinite(s1 / beta)):
+    if not math.isfinite(s1 / beta):
         raise OverflowSignal(f"gauss_F_near_one({a}, {b}, {w}): the connection series or "
                              "B(a,b) leaves double precision")
     return s1 / beta
@@ -367,49 +369,47 @@ def gauss_F(p: HypergeomParams, r: float) -> float:
     return _hyp_sums(p.a, p.b, p.c, r)[0]
 
 
+def _gamma_quotient(p: float, q: float, s: float, t: float, m: float) -> float:
+    """Gamma(p)Gamma(q) / (Gamma(s)Gamma(t)) for positive p + q = s + t: a normal double, or OverflowError.
+
+    m = max(p,q) - max(s,t), the least shift, comes from exact inputs: p - s off rounded
+    differences can lose all of a small m.  With every argument up to 171, two quotients
+    of finite gammas (a product of two overflows from about 150 on); above, exp of
+    Gamma(s+m)/Gamma(s) over Gamma(q+m)/Gamma(q) by :func:`_log_gamma_ratio`, upside down
+    for m < 0, which overflow (inf - inf) only for m above about 1e305.
+    """
+    if max(p, q, s, t) <= 171.0:
+        const = math.gamma(p) / math.gamma(s) * (math.gamma(q) / math.gamma(t))
+    else:
+        lgr, (q, p), (t, s) = _log_gamma_ratio, sorted((p, q)), sorted((s, t))
+        const = math.exp(lgr(s, m) - lgr(q, m) if m >= 0.0 else lgr(t, -m) - lgr(p, -m))
+    if not 2.0 ** -1022 <= const < math.inf:  # NaN too
+        raise OverflowError
+    return const
+
+
 def hypergeom_boundary(p: HypergeomParams) -> AsymptoticClass:
     """Classify the r -> 1 behaviour of F(a,b;c;r) and return the case constant.
 
-    Requires a, b, c > 0.  Case A's limit F(a,b;c;1) is evaluated by the Gauss
-    formula Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b)), for c above 171 as
-    exp of two :func:`_log_gamma_ratio` values; case B's R(a,b) by
-    :func:`digamma_fn`, case C's B(c, a+b-c) / B(a,b) by :func:`beta_fn`.
-    With c - a, c - b and c - a - b exact in double (a rounded difference d
-    adds its condition |d psi(d)| times its rounding), eps = 2^-52: case A's
-    relative error is at most 32 eps max(1, min(a,b) log c), case B's
-    absolute error 4 eps (1 + |psi(a)| + |psi(b)|) (R vanishes at a = b = 1),
-    and case C's relative error 12 eps max(1, |log B(c, a+b-c)| + |log B(a,b)|).
-    Against 50-digit mpmath, over 23000 seeded (a, b, c), a and b log-uniform
-    in [1e-3, 1e3] or [1e-3, 1e5] on the lattice of 2^-20 (case B also in
-    [1e-300, 1e300]), the factors were at most 15.1, 1.85 and 5.7.  A gamma
-    ratio, or R(a,b), that leaves the double range raises
-    :class:`OverflowSignal`, as does case C where either beta falls below
-    the normal range, though D may not.
+    Requires a, b, c > 0.  Case A's limit F(a,b;c;1) = Gamma(c)Gamma(c-a-b) / (Gamma(c-a)Gamma(c-b))
+    and case C's D = Gamma(c)Gamma(a+b-c) / (Gamma(a)Gamma(b)) come from :func:`_gamma_quotient`,
+    case B's R(a,b) from :func:`digamma_fn`.  With c - a, c - b and c - a - b exact in double (a
+    rounded difference d adds its condition |d psi(d)| times its rounding), eps = 2^-52: A's and
+    C's relative error is at most 32 eps max(1, m log x), m the shift (min(a,b) in A, |max(c,
+    a+b-c) - max(a,b)| in C) and x the largest argument, and B's absolute error 4 eps (1 + |psi(a)|
+    + |psi(b)|) (R vanishes at a = b = 1).  Against 50-digit mpmath, a and b log-uniform in [1e-3,
+    1e3] or [1e-3, 1e5] on the lattice of 2^-20 (B also in [1e-300, 1e300]), the factors were at
+    most 17.1, 4.9 and 1.85.  A constant outside [2^-1022, 2^1024) raises :class:`OverflowSignal`.
     """
     if p.c <= 0:
         raise DomainError(f"hypergeom_boundary requires c > 0, got {p.c}")
-    d = p.c - (p.a + p.b)
     if p.zero_balanced:
         return AsymptoticClass(BoundaryCase.B, _balanced_r0(p.a, p.b))
+    d = p.c - (p.a + p.b)
     try:
-        if d > 0:
-            # c > a + b forces c - a > b > 0 and c - b > a > 0, so this is total.
-            if max(p.c, d) <= 171.0:
-                # two quotients of finite gammas: the product of two gammas
-                # overflows from c ~ 150 on where the ratio is finite
-                const = gamma_fn(p.c) / gamma_fn(p.c - p.a) * (gamma_fn(d) / gamma_fn(p.c - p.b))
-            else:
-                # Gamma(c)/Gamma(c-m) over Gamma(d+m)/Gamma(d), m = min(a, b); both ratios
-                # overflow (inf - inf) only for a, b above about 1e305, where F(a,b;c;1) does too
-                m = min(p.a, p.b)
-                const = math.exp(_log_gamma_ratio(p.c - m, m) - _log_gamma_ratio(d, m))
-                if math.isnan(const):
-                    raise OverflowError
-            return AsymptoticClass(BoundaryCase.A, const)
-        num, den = beta_fn(p.c, -d), beta_fn(p.a, p.b)
-        if min(num, den) < 2.0 ** -1022:  # a beta below the normal range has lost its digits, or is 0
-            raise OverflowError
-        return AsymptoticClass(BoundaryCase.C, num / den)
+        if d > 0:  # c > a + b forces c - a > b > 0 and c - b > a > 0
+            return AsymptoticClass(BoundaryCase.A, _gamma_quotient(p.c, d, p.c - p.a, p.c - p.b, min(p.a, p.b)))
+        m = p.c - max(p.a, p.b) if p.c >= -d else min(p.a, p.b) - p.c  # c's pair: no rounded argument
+        return AsymptoticClass(BoundaryCase.C, _gamma_quotient(p.c, -d, p.a, p.b, m))
     except OverflowError:
-        raise OverflowSignal(f"boundary constant of F{(p.a, p.b, p.c)}: a gamma ratio "
-                             "leaves double precision") from None
+        raise OverflowSignal(f"boundary constant of F{(p.a, p.b, p.c)} leaves double precision") from None

@@ -142,6 +142,22 @@ def identity(*args):
     return args[-1]
 
 
+def refusal_as_zero(call):
+    """call, with an OverflowSignal read as 0.0, which no call so wrapped returns as a value."""
+    def run(*args):
+        try:
+            return call(*args)
+        except OverflowSignal:
+            return 0.0
+    return run
+
+
+def normal_or_zero(want):
+    """want, or 0.0 where it lies outside the normal doubles [2^-1022, 2^1024): there a
+    relative bound is 0, and only a refusal read by :func:`refusal_as_zero` meets it."""
+    return want if mp.ldexp(1, -1022) <= abs(want) < mp.ldexp(1, 1024) else 0.0
+
+
 def radius(x, complement=False):
     """The UnitRadius with x exact as r, or as r' where ``complement``."""
     return UnitRadius.from_comp(x) if complement else UnitRadius.from_r(x)
@@ -323,6 +339,17 @@ def _agm_tail_pairs(lo, hi):
     return sample
 
 
+def _gauss_f(a, b, c, r):
+    return gauss_F(HypergeomParams(a, b, c), r)
+
+
+def _hyp2f1_mp(a, b, c, r):
+    return mp.hyp2f1(a, b, c, r)
+
+
+_GAUSS_F_CLAIM = cond(2, lambda a, b, c, r: max(1, 1 / (1 - r)))  # gauss_F's 2 eps max(1, 1/(1-r)) relative
+
+
 def _gauss_f_draws(rng):
     for _ in range(40):
         a, b = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
@@ -349,14 +376,12 @@ def _beta_pairs(rng):
 
 def _beta_mp(a, b):
     with mp.workdps(40 + int(math.log10(max(a, b, 10.0)))):
-        return gamma_ratio_mp((a, b), (mp.mpf(a) + b,))
+        return normal_or_zero(gamma_ratio_mp((a, b), (mp.mpf(a) + b,)))
 
 
 def _beta_bound(want, a, b):
-    # 8 eps max(1, |log B|, (a+b) log(a+b)), and no claim where B leaves the doubles
-    if not 1e-300 < want < 1e300:
-        return math.inf
-    return 8 * EPS * max(1, abs(float(mp.log(want))), (a + b) * math.log(a + b)) * want
+    # 8 eps max(1, |log B|, (a+b) log(a+b)); 0 where B is not a normal double and beta_fn must refuse
+    return 8 * EPS * max(1, abs(float(mp.log(want))), (a + b) * math.log(a + b)) * want if want else 0.0
 
 
 def _digamma_bound(want, y):
@@ -385,8 +410,7 @@ def _case_a_mp(a, b, c):
     return gamma_ratio_mp((c, c - (a + b)), (c - a, c - b))
 
 
-def _boundary_constant(a, b, c):
-    return hypergeom_boundary(HypergeomParams(a, b, c)).constant
+_boundary_constant = refusal_as_zero(lambda a, b, c: hypergeom_boundary(HypergeomParams(a, b, c)).constant)
 
 
 def _lattice(x):
@@ -412,21 +436,23 @@ def _boundary_draws(rng):
 
 def _boundary_mp(a, b, c):
     """The case constant: Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) above c = a + b,
-    R(a,b) = -psi(a) - psi(b) - 2 gamma at it, B(c, a+b-c) / B(a,b) below."""
+    R(a,b) = -psi(a) - psi(b) - 2 gamma at it, Gamma(c) Gamma(a+b-c) / (Gamma(a) Gamma(b)) below;
+    above and below, 0.0 (a refusal) outside the normal doubles."""
     if c == a + b:  # the case as the library tells it, in doubles
         return -mp.digamma(a) - mp.digamma(b) - 2 * mp.euler
     a, b, c = mp.mpf(a), mp.mpf(b), mp.mpf(c)
-    return gamma_ratio_mp((c, c - a - b), (c - a, c - b)) if c > a + b else gamma_ratio_mp((c, a + b - c), (a, b))
+    num, den = ((c, c - a - b), (c - a, c - b)) if c > a + b else ((c, a + b - c), (a, b))
+    return normal_or_zero(gamma_ratio_mp(num, den))
 
 
 def _boundary_bound(want, a, b, c):
-    # A: 32 eps max(1, min(a,b) log c) relative; B: 4 eps (1 + |psi(a)| + |psi(b)|) absolute, as R
-    # vanishes at a = b = 1; C: 12 eps max(1, |log B(c, a+b-c)| + |log B(a,b)|) relative
+    # B: 4 eps (1 + |psi(a)| + |psi(b)|) absolute, as R vanishes at a = b = 1; A and C: 32 eps
+    # max(1, m log x) relative, m = |max(p, q) - max(s, t)| the shift of Gamma(p)Gamma(q) /
+    # (Gamma(s)Gamma(t)) (min(a,b) in A) and x the largest argument (c in A)
     if c == a + b:
         return 4 * EPS * (1 + abs(mp.digamma(a)) + abs(mp.digamma(b)))
-    if c > a + b:
-        return 32 * EPS * max(1, min(a, b) * math.log(c)) * want
-    return 12 * EPS * max(1, abs(mp.log(mp.beta(c, mp.mpf(a) + b - c))) + abs(mp.log(mp.beta(a, b)))) * want
+    p, s = (c, max(c - a, c - b)) if c > a + b else (max(c, a + b - c), max(a, b))
+    return 32 * EPS * max(1, abs(p - s) * math.log(max(p, s))) * want
 
 
 def around(x, deltas=(1e-9, 1e-5, 1e-2), ulps=4):
@@ -455,6 +481,18 @@ def _boundary_seam(rng):
             yield a, b, c
 
 
+def _boundary_seam_c(rng):
+    # case C with the largest of c, a+b-c, a, b at the seams of 171: c, then a, then a+b-c; c
+    # has bits down to 2^-45, and u, v in [44, 80] on the 2^-20 lattice keep a + b below 256, so
+    # that every sum here is exact
+    for x in around(171.0, (1e-6,)):
+        for _ in range(2):
+            u, v = sorted(_lattice(rng.uniform(44.0, 80.0)) for _ in range(2))
+            for a, b, c in ((x - u, x - v, x), (x, u, v), (x + u - v, v, u)):
+                assert max(a, b, c, a + b - c) == x and Fraction(a) + Fraction(b) - Fraction(c) == a + b - c
+                yield a, b, c
+
+
 def _stirling_seam(rng):
     # case A with c above 171 and d = c - a - b at the seams of d = 10, where the Stirling
     # remainder of Gamma(d+m)/Gamma(d) starts; c in (171, 256) is a multiple of ulp(c) = 2^-45,
@@ -465,6 +503,41 @@ def _stirling_seam(rng):
             a, b = _lattice(rng.uniform(1e-3, 40.0)), _lattice(rng.uniform(165.0, 200.0))
             assert (a + b + d) - (a + b) == d
             yield a, b, a + b + d
+
+
+def _balanced_seam(rng):
+    # balanced F at _ZB_SWITCH = 0.95, where the direct series hands over to the connection
+    # formula; a, b on the lattice, so that c = a + b is exact
+    for r in around(0.95, (1e-6,)):
+        for _ in range(5):
+            a, b = _lattice(rng.uniform(0.1, 4.0)), _lattice(rng.uniform(0.1, 4.0))
+            yield a, b, a + b, r
+
+
+def _exact_box_seam(edge):
+    # one of a, b, c at an edge of _hyp_sums' exact-ratio box (c through c^2 at 1e-200 or 1e200),
+    # the others inside it; at 1e100 the partner of a or c is 0.999 of it, so that F stays finite
+    def sample(rng):
+        for x in around(edge, (1e-6,)):
+            for i in range(3):
+                u, v, y = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0), 0.999 * x
+                abc = ((x, u, v), (u, x, v), (u, v, x)) if edge < 1.0 else ((x, u, y), (u, x, y), (y, u, x))
+                yield (*abc[i], rng.uniform(0.05, 0.95))
+    return sample
+
+
+def _hyp_series_mp(a, b, c, r):
+    """F(a,b;c;r) for 0 <= r < 1 by the series at working precision, stopped once the term
+    ratio is below 1 and a term below eps of the sum (mp.hyp2f1 does not converge at a = 1e100)."""
+    a, b, c, r = map(mp.mpf, (a, b, c, r))
+    total, term, n = mp.mpf(1), mp.mpf(1), 0
+    while True:
+        rho = (a + n) * (b + n) / ((c + n) * (n + 1)) * r
+        term *= rho
+        total += term
+        n += 1
+        if rho < 1 and abs(term) < mp.eps * abs(total):
+            return total
 
 
 def _log_gamma_ratio_seam(rng):
@@ -760,18 +833,17 @@ ROWS = {
     "agm.tail.lower": Row(1921, _agm_tail_pairs(1e-6, 1e-4), agm, lambda x, y: mp.agm(x, y), rel(2 * EPS)),
     "agm.tail.upper": Row(1921, _agm_tail_pairs(1e-4, 1e-2), agm, lambda x, y: mp.agm(x, y), rel(2 * EPS)),
     # rounding in the term products, and no truncated tail above 2^-55
-    "gauss_F.condition": Row(1416, _gauss_f_draws, lambda a, b, c, r: gauss_F(HypergeomParams(a, b, c), r),
-                             lambda a, b, c, r: mp.hyp2f1(a, b, c, r), cond(2, lambda a, b, c, r: max(1, 1 / (1 - r)))),
+    "gauss_F.condition": Row(1416, _gauss_f_draws, _gauss_f, _hyp2f1_mp, _GAUSS_F_CLAIM),
     # c - a - b in [1.5, 3]: what is left is the truncated tail; the last-term stop left
     # about 1e-17/(1-r) (7.7e-14 at .9999)
-    "gauss_F.tail": Row(1415, _gauss_f_tail_draws, lambda a, b, c, r: gauss_F(HypergeomParams(a, b, c), r),
-                        lambda a, b, c, r: mp.hyp2f1(a, b, c, r), rel(2e-15)),
+    "gauss_F.tail": Row(1415, _gauss_f_tail_draws, _gauss_f, _hyp2f1_mp, rel(2e-15)),
     "gamma_fn": Row(1417, lambda rng: [(x,) for x, _ in log_uniform(400, (1e-300, 171.0), (1e-300, 1e300))(rng)],
                     gamma_fn, lambda x: mp.gamma(x), rel(1e-15)),
     "digamma_fn": Row(1417, lambda rng: [(y,) for _, y in log_uniform(400, (1e-300, 171.0), (1e-300, 1e300))(rng)],
                       digamma_fn, lambda y: mp.digamma(y), _digamma_bound),
     # above a + b = 170 the lgamma difference was 101% off at (1e15, .5) and B(1e308, .5) overflowed
-    "beta_fn": Row(1418, _beta_pairs, beta_fn, _beta_mp, _beta_bound),
+    # outside the normal doubles the call must refuse: there the reference, and the bound, are 0
+    "beta_fn": Row(1418, _beta_pairs, refusal_as_zero(beta_fn), _beta_mp, _beta_bound),
     # Gamma(a)Gamma(b)/Gamma(a+b) within 1e-14 of the rounded arguments' value; the
     # lgamma route, about 1e-13 off near a + b = 170, fails this
     "beta_fn.gamma_route": Row(2024, lambda rng: [(a, rng.uniform(80.0, 170.0 - a))
@@ -784,18 +856,23 @@ ROWS = {
     # after x^-7 it was up to 6.6e-13 off at d = 10
     **{f"hypergeom_boundary.stirling[{d}]": Row(1719, _stirling_draws(d), _boundary_constant, _case_a_mp, rel(1e-14))
        for d in (10.0, 10.5, 12.0, 40.0)},
-    # the docstring's three case claims, with the differences of a, b, c exact
-    "hypergeom_boundary": Row(3401, _boundary_draws, _boundary_constant, _boundary_mp, _boundary_bound,
-                              errors=OverflowSignal),
+    # the docstring's three case claims, with the differences of a, b, c exact, and a refusal
+    # exactly where a case A or C constant is not a normal double
+    "hypergeom_boundary": Row(3401, _boundary_draws, _boundary_constant, _boundary_mp, _boundary_bound),
     # each route switch of the gamma family, 1 to 4 ulp either side and at 1e-6 relative, within its claim
     "beta_fn.seam": Row(3402, _beta_seam, beta_fn, _beta_mp, _beta_bound),
     "hypergeom_boundary.seam[171]": Row(3403, _boundary_seam, _boundary_constant, _boundary_mp, _boundary_bound),
+    "hypergeom_boundary.seam[171C]": Row(3406, _boundary_seam_c, _boundary_constant, _boundary_mp, _boundary_bound),
     "hypergeom_boundary.seam[10]": Row(3404, _stirling_seam, _boundary_constant, _boundary_mp, _boundary_bound),
     "log_gamma_ratio.seam": Row(3404, _log_gamma_ratio_seam, lambda x, m: math.exp(specfun._log_gamma_ratio(x, m)),
                                 lambda x, m: gamma_ratio_mp((mp.mpf(x) + m,), (x,)),
                                 lambda want, x, m: 32 * EPS * max(1, m * math.log(x + m)) * want),
     "digamma_fn.seam": Row(3405, lambda rng: [(x,) for x in around(10.0, (1e-6,))], digamma_fn, lambda y: mp.digamma(y),
                            _digamma_bound),
+    # the series engine's seams, 1 to 4 ulp either side and at 1e-6 relative, within gauss_F's claim
+    "gauss_F.seam[0.95]": Row(3407, _balanced_seam, _gauss_f, _hyp2f1_mp, _GAUSS_F_CLAIM),
+    **{f"gauss_F.seam[{edge:g}]": Row(3408, _exact_box_seam(edge), _gauss_f, _hyp_series_mp, _GAUSS_F_CLAIM)
+       for edge in (1e-100, 1e100)},
     # within 1e-12, or a typed error
     "gauss_F_near_one.balanced": Row(1313, _balanced_draws, lambda a, b, w, r: gauss_F_near_one(a, b, w),
                                      lambda a, b, w, r: mp.hyp2f1(a, b, a + b, 1 - mp.mpf(w)), rel(1e-12),

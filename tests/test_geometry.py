@@ -1,5 +1,6 @@
 """Quasicircle generators and geometric-constant estimators."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -880,6 +881,16 @@ class TestPolylineCsv:
         back = Polyline.from_csv(path, closed=True)
         assert np.allclose(back.points, poly.points)
         assert back.closed
+
+    @pytest.mark.parametrize("curve, digest", [
+        (lambda: koch_curve(3), "694fba8e1b36c2ef93ef8eeb0ea8213992de1a374763b7a249d09a787e96c515"),
+        (lambda: regular_ngon(130), "4ed00ab35cd08532f0b5794f6275ceea5350e8d24fdbba7d45c37a574821f516"),
+    ], ids=["koch3", "ngon130"])
+    def test_written_bytes_are_pinned(self, tmp_path, curve, digest):
+        # the x,y header, then each vertex as two 17-significant-digit fields in CRLF rows
+        path = tmp_path / "curve.csv"
+        curve().to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_header_required(self):
         with pytest.raises(PolylineFormatError) as err:

@@ -262,7 +262,11 @@ test_schottky_psi_condition_scaled_accuracy = contract_test("schottky_psi")
 test_linearized_g_absolute_accuracy = contract_test("linearized_g")
 test_gamma_family_seams = contract_cases({
     "beta170": ("beta_fn.seam",), "boundary171": ("hypergeom_boundary.seam[171]",),
-    "stirling10": ("hypergeom_boundary.seam[10]", "log_gamma_ratio.seam"), "digamma10": ("digamma_fn.seam",)})
+    "stirling10": ("hypergeom_boundary.seam[10]", "log_gamma_ratio.seam"), "digamma10": ("digamma_fn.seam",),
+    "boundary171C": ("hypergeom_boundary.seam[171C]",)})
+test_series_engine_seams = contract_cases({
+    "balanced095": ("gauss_F.seam[0.95]",), "box1e-100": ("gauss_F.seam[1e-100]",),
+    "box1e100": ("gauss_F.seam[1e+100]",)})
 
 
 def test_every_row_is_run():

@@ -128,6 +128,12 @@ class TestBeta:
         # Gamma(160) Gamma(1e-300) overflows though B = 1e300 (mpmath 9.99999999999999975e299)
         assert beta_fn(a, b) == pytest.approx(1e300, rel=1e-15)
 
+    @pytest.mark.parametrize("a,b", [(500.0, 800.0), (1e155, 2.0), (2.0, 1e155)])
+    def test_below_the_normal_range_is_typed(self, a, b):
+        # B(500, 800) = 9.7e-378 (mpmath) and B(1e155, 2) = 1e-310 lie below the normal doubles
+        with pytest.raises(OverflowSignal, match="beta_fn"):
+            beta_fn(a, b)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             beta_fn(0.0, 1.0)
@@ -445,10 +451,20 @@ class TestBoundary:
         assert cls.case is BoundaryCase.C
         assert cls.constant == pytest.approx(1.0, rel=1e-13)
 
-    def test_case_c_refuses_an_underflowed_beta(self):
-        # B(500, 800) underflows to 0, so the quotient would be 0, not D = 5.7e-72
-        with pytest.raises(OverflowSignal, match="boundary constant"):
-            hypergeom_boundary(HypergeomParams(1000.0, 300.0, 500.0))
+    def test_case_a_shift_is_min_ab_itself(self):
+        # c - min(a,b) and c - a - b round here: a shift taken as c - (c - min(a,b)) leaves
+        # 2.4e-9, min(a,b) itself 7.3e-10, the rounding of c - a - b (50-digit mpmath of
+        # the exact Gauss quotient)
+        a, b, c = 78892.86573571073, 0.001290358260520588, 78892.86990799762
+        want = 1.4700431999884728974
+        assert abs(hypergeom_boundary(HypergeomParams(a, b, c)).constant / want - 1) < 1e-9
+
+    def test_case_c_where_both_betas_underflow_against_mpmath(self):
+        # B(500, 800) = 9.7e-378 and B(1000, 300) leave the doubles, D does not: 50-digit mpmath,
+        # within 32 eps max(1, m log x), shift m = 1000 - 800 and largest argument x = 1000
+        want = 5.7293686882493507430e-72
+        got = hypergeom_boundary(HypergeomParams(1000.0, 300.0, 500.0)).constant
+        assert abs(got - want) <= 32 * 2.0 ** -52 * 200 * math.log(1000.0) * want
 
     def test_domain(self):
         # the check names hypergeom_boundary; without it beta_fn rejects its own arguments

@@ -3,9 +3,9 @@
 The grid covers the subnormal, tiny, unit, large, infinite and NaN ends of
 every argument.  Results are finite floats (neither NaN nor +-inf), or the documented
 UnitRadius / AsymptoticClass / HypergeomParams objects; a mean is inf exactly
-where an argument is (AG(inf, y) = inf), and each mean kind is swept on its
-own.  Every residual-suite case and every experiment parameter is swept the
-same way.
+where an argument is (AG(inf, y) = inf), a beta is a normal double, and each mean
+kind is swept on its own.  Every residual-suite case and every experiment parameter
+is swept the same way.
 """
 
 import functools
@@ -76,6 +76,8 @@ def test_value_or_typed_error_on_grid(name, fn, arity):
             assert not math.isnan(value) and math.isinf(value) == (math.inf in point), (name, point, value)
         else:
             assert math.isfinite(value), (name, point, value)
+        # B has no exact zero and a subnormal B has lost digits: below 2^-1022 beta_fn raises
+        assert name != "beta_fn" or value >= 2.0 ** -1022, (name, point, value)
 
 
 def test_grid_covers_every_public_function():
@@ -166,9 +168,10 @@ class TestOverflowExits:
             specfun.gauss_F_near_one(1000.0, 1000.0, 1e-12)
 
     def test_gauss_f_near_one_quotient_overflow(self):
-        # B(510, 510) = 1.4e-308 is a double, F(510, 510; 1020; 1 - 1e-7) = 1.87e308 is not (mpmath)
-        with pytest.raises(OverflowSignal):
-            specfun.gauss_F_near_one(510.0, 510.0, 1e-7)
+        # B(509, 509) = 5.6e-308 is a normal double, F(509, 509; 1018; 1 - 1e-12) = 2.5e308 is not
+        # (mpmath); at (510, 510) B = 1.4e-308 is subnormal, and beta_fn refuses it first
+        with pytest.raises(OverflowSignal, match="gauss_F_near_one"):
+            specfun.gauss_F_near_one(509.0, 509.0, 1e-12)
 
     # F(500, 1000; 1500.000001; 1) = e^970.6 and F(4e307, 4e307; 1e308; 1) = e^(2.9e307)
     # (mpmath); at c = 1e308 the case A constant of (.5, .5) is 1
