@@ -229,6 +229,20 @@ def mu_agm(r, comp, agm=agm, pi=math.pi):
     return pi / 2.0 * agm(1.0, comp) / agm(1.0, r)
 
 
+def landen_product(x, complement=False):
+    """p(r) = prod_n (1 + r_n)^(2^-n) by the ascending Landen iteration r_0 = r',
+    r_n = 2 sqrt(r_{n-1}) / (1 + r_{n-1}), x exact as r or as r'.  r_n climbs to 1
+    quadratically and parks one ulp below it, where every remaining factor is 2^(2^-n)."""
+    rn = radius(x, complement).comp
+    log_p = 0.0
+    for n in range(61):
+        log_p += math.log1p(rn) / (1 << n)
+        if 1.0 - rn < 5e-16:
+            return math.exp(log_p + math.log(2.0) / (1 << n))
+        rn = 2.0 * math.sqrt(rn) / (1.0 + rn)
+    raise AssertionError(f"the Landen iteration did not reach 1 at {x}")
+
+
 def k_mp(comp):
     return k_agm(comp, mp.agm, mp.pi)
 
@@ -327,6 +341,10 @@ def _nome_draws(rng):
 
 def _nome_grid(rng):
     return [(10.0 ** (-323.0 + 323.0 * i / 150),) for i in range(150)] + [(i / 101,) for i in range(1, 101)]
+
+
+def _product_draws(rng):
+    return [(x, c) for x in draws(rng, 1e-300, 1.0 - 2.0 ** -53, 300) for c in (False, True)]
 
 
 def _agm_tail_pairs(lo, hi):
@@ -784,6 +802,44 @@ def _mean_mod_mp(kind, t, x, y):
     return hi * mp.exp(log_mean / t)
 
 
+def _agm_tail_seam(rng):
+    # b at the tail switch a - b = 4e-3 a of the first step, a a power of two so that b/a is exact
+    for b in around(1.0 - 4e-3, (1e-6,)):
+        for _ in range(3):
+            a = math.ldexp(1.0, rng.randint(-60, 60))
+            yield a, a * b
+
+
+def _agm_scaling_seam(edge):
+    # the smaller argument at 2^-510 or the larger at 2^510, the edges of the unscaled iteration,
+    # the other within 2^20 of it, so that the ratio stays above the asymptote's 2^-28
+    def sample(rng):
+        for x in around(edge, (1e-6,)):
+            for _ in range(3):
+                f = 2.0 ** rng.uniform(0.0, 20.0)
+                yield (x * f, x) if edge < 1.0 else (x, x / f)
+    return sample
+
+
+def _agm_asymptote_seam(rng):
+    # b/a at the asymptote's switch 2^-28, and at 2^-27 ... 2^-22, where the dropped (b/a)^2/4
+    # reaches 2^-46 and a switch moved up would show; a a power of two (b/a exact) or not
+    for ratio in around(2.0 ** -28, (1e-6,)) + [2.0 ** -k for k in range(22, 28)]:
+        for _ in range(2):
+            k = rng.randint(-990, 1000)
+            for a in (math.ldexp(1.0, k), math.ldexp(rng.uniform(1.0, 2.0), k)):
+                yield a, a * ratio
+
+
+def _log_ag_seam(rng):
+    # u = t log(lo/hi) at log AG's switch -28 log 2: lo/hi = 2^-28 exactly, and t 1 to 4 ulp
+    # from 1 (each moves u by about an ulp) and at 1e-6 relative
+    for t in around(1.0, (1e-6,)):
+        for _ in range(3):
+            hi = math.ldexp(1.0, rng.randint(-990, 1000))
+            yield MeanKind.ArithmeticGeometric, t, hi, hi * 2.0 ** -28
+
+
 def _public_quotient(a, r):
     p, u = HypergeomParams(a, 1.0 - a, 1.0), UnitRadius.from_r(r)
     f_den = gauss_F(p, r * r)
@@ -823,15 +879,23 @@ ROWS = {
                    lambda x, c: mu(radius(x, c)), mu_mp, ulps(3)),
     "ellint_K.nome": Row(1919, _nome_draws, ellint_K, lambda x: k_mp(pair_mp(x)[1]), ulps(4)),
     "ellint_Kprime.nome": Row(1919, _nome_draws, ellint_Kprime, k_mp, ulps(4)),
-    # both arguments log-spread over 1e-300...1e300: scaled by a power of two where a
-    # product a_n b_n would leave the normal range, and the log route where y/x
-    # underflows; 2.8 ulp was the worst over 4000 such pairs
+    # both arguments log-spread over 1e-300...1e300: the asymptote where y/x < 2^-28, and
+    # scaled by a power of two where a product a_n b_n would leave the normal range; 2.74
+    # ulp was the worst over 20000 such pairs
     "agm.far": Row(1920, lambda rng: [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
                                       for _ in range(300)], agm, lambda x, y: mp.agm(x, y), ulps(4)),
     # the tail closes a gap below 4e-3 at once and after one step above, within 2 eps; with
     # the tail from a gap of 1e-2, its first dropped term, 11 d^6/256, reaches 3 eps in the upper band
     "agm.tail.lower": Row(1921, _agm_tail_pairs(1e-6, 1e-4), agm, lambda x, y: mp.agm(x, y), rel(2 * EPS)),
     "agm.tail.upper": Row(1921, _agm_tail_pairs(1e-4, 1e-2), agm, lambda x, y: mp.agm(x, y), rel(2 * EPS)),
+    # each route switch of the AGM family, 1 to 4 ulp either side and at 1e-6 relative, within
+    # agm.far's 4 ulp and mean_mod's claim
+    "agm.seam[tail]": Row(3409, _agm_tail_seam, agm, lambda x, y: mp.agm(x, y), ulps(4)),
+    **{f"agm.seam[2^{e}]": Row(3409, _agm_scaling_seam(2.0 ** e), agm, lambda x, y: mp.agm(x, y), ulps(4))
+       for e in (-510, 510)},
+    "agm.seam[2^-28]": Row(3409, _agm_asymptote_seam, agm, lambda x, y: mp.agm(x, y), ulps(4)),
+    "mean_mod.seam[AG]": Row(3409, _log_ag_seam, mean_mod, _mean_mod_mp,
+                             cond(2, lambda kind, t, x, y: 1 + abs(math.log(x) - math.log(y)))),
     # rounding in the term products, and no truncated tail above 2^-55
     "gauss_F.condition": Row(1416, _gauss_f_draws, _gauss_f, _hyp2f1_mp, _GAUSS_F_CLAIM),
     # c - a - b in [1.5, 3]: what is left is the truncated tail; the last-term stop left
@@ -916,9 +980,7 @@ ROWS = {
     "linearized_g": Row(3407, _linearized_draws, linearized_g, _linearized_mp,
                         lambda want, K, x: 16 * EPS * max(1, abs(want)), errors=ConvergenceError),
     # r e^mu(r), the product at signature 1/2, on both input channels
-    "agm_product_p": Row(3408, lambda rng: [(x, c) for x in draws(rng, 1e-300, 1.0 - 2.0 ** -53, 300)
-                                            for c in (False, True)],
-                         lambda x, c: agm_product_p(radius(x, c)),
+    "agm_product_p": Row(3408, _product_draws, lambda x, c: agm_product_p(radius(x, c)),
                          lambda x, c: pair_mp(x, c)[0] * mp.exp(mu_mp(x, c)), rel(4 * EPS)),
     "teichmuller_tau2": Row(1316, lambda rng: _capacity_draws(rng)[0], teichmuller_tau2,
                             lambda t: mp.pi / mu_sq_mp(1 / (1 + mp.mpf(t)), t / (1 + mp.mpf(t))), rel(2 * EPS)),
@@ -948,6 +1010,9 @@ ROWS = {
     "ellint_Kprime.agm": Row(3302, box(400, (5e-324, 1.0)), ellint_Kprime, k_agm, ulps(5), dps=None),
     "mu.agm": Row(3303, box(400, (5e-324, 1.0 - 2.0 ** -53), [False, True]), lambda x, c: mu(radius(x, c)),
                   lambda x, c: mu_agm(*radius(x, c)), ulps(5), dps=None),
+    # the closed form against the ascending Landen iteration: the sum of their two 4 eps claims
+    "agm_product_p.landen": Row(3408, _product_draws, lambda x, c: agm_product_p(radius(x, c)), landen_product,
+                                rel(8 * EPS), dps=None),
     # the theta inverse against Newton on the series, at the smaller channel, which changes at y = pi/2
     "mu_inv.newton": Row(3304, _theta_y, lambda y: _smaller_channel(mu_inv(y), y),
                          lambda y: _smaller_channel(newton_oracle(0.5, y), y), rel(1e-11), dps=None),

@@ -62,6 +62,7 @@ class TestMeans:
         # L(inf, y) was (inf - y)/log(inf) = inf/inf = NaN
         assert mean(kind, math.inf, 1.0) == math.inf
         assert mean(kind, 1.0, math.inf) == math.inf
+        assert mean(kind, math.inf, math.inf) == math.inf
 
     def test_domain(self):
         for kind in MeanKind:
@@ -130,7 +131,7 @@ class TestMeanMod:
         with pytest.raises(DomainError):
             mean_mod(MeanKind.Arithmetic, -1.0, 1.0, 2.0)
 
-    @pytest.mark.parametrize("t", [1e301, 1e308, math.inf, math.nan])
+    @pytest.mark.parametrize("t", [math.nextafter(1e300, math.inf), 1e301, 1e308, math.inf, math.nan])
     def test_t_past_the_stated_range(self, t):
         # t log(x/y) may overflow above 1e300; the bound is stated up to there
         with pytest.raises(DomainError, match="0 < t <= 1e300"):
@@ -192,6 +193,7 @@ class TestAgm:
     def test_infinite_and_subnormal_pairs(self):
         # the quadratic tail would give inf/inf = NaN at infinity
         assert agm(math.inf, 1.0) == math.inf
+        assert agm(math.inf, math.inf) == math.inf
         assert agm(5e-324, 5e-324) == 5e-324
         # y/x underflows: AG(x, y) = x pi / (2 log(4x/y))
         assert agm(1.0, 5e-324) == pytest.approx(math.pi / (2.0 * (math.log(4.0) + 1074 * math.log(2.0))),

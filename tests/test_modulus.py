@@ -96,6 +96,12 @@ class TestUnitRadius:
             UnitRadius(0.0, 1.0)
         with pytest.raises(DomainError):
             UnitRadius.from_r(1.0)
+        # one ulp above 1 meets r^2 + comp^2 = 1 to 1e-12: only the range checks refuse it
+        for r, comp in ((math.nextafter(1.0, 2.0), 1e-300), (1e-300, math.nextafter(1.0, 2.0))):
+            with pytest.raises(DomainError, match="must lie in"):
+                UnitRadius(r, comp)
+        with pytest.raises(DomainError):
+            UnitRadius.from_comp(1.0)
         with pytest.raises(DomainError):
             UnitRadius.from_r(-0.2)
 
