@@ -48,7 +48,17 @@ class ComputationError(QcfunError, ArithmeticError):
 
 
 class ConvergenceError(ComputationError):
-    """An iteration failed to converge within its cap (usually NaN-poisoned input)."""
+    """No double-precision value by the operation's routes, for one of three causes.
+
+    * An iteration failed to converge within its cap (usually NaN-poisoned
+      input), or a series cannot reach its tolerance: the hypergeometric
+      series at z = 1, or a zero-balanced connection series that cancels.
+    * A closed form underflows: the radius or its complement lies below the
+      normal doubles (``mu_inv``, ``phi_K``, ``mu_a_inv``, ``tau2_inv`` and
+      the logit inverse of ``linearized_g``).
+    * A budget refusal made before any loop runs: the hypergeometric series
+      would need more than its term cap (``gauss_F``).
+    """
 
 
 class DivergenceError(ComputationError):

@@ -444,8 +444,8 @@ def box_dimension(curve: Polyline, scales) -> float:
     scales = sorted(float(s) for s in scales)
     if len(scales) < 2:
         raise DomainError("box_dimension needs at least 2 scales")
-    if scales[0] <= 0:
-        raise DomainError("scales must be positive")
+    if not all(0.0 < s < math.inf for s in scales):
+        raise DomainError("scales must be positive and finite")
     if scales[-1] / scales[0] < 10.0:
         raise DomainError("scales must span at least a decade")
     pts = curve.points
@@ -455,10 +455,12 @@ def box_dimension(curve: Polyline, scales) -> float:
     origin = pts.min(axis=0)
     counts = []
     for s in scales:
-        m = np.maximum(1, np.ceil(lengths / (s / 3.0)).astype(int))
-        total = int(m.sum()) + 1
+        # counted in float: at a tiny scale an edge's count overflows an int, or is inf
+        m = np.maximum(1.0, np.ceil(lengths / (s / 3.0)))
+        total = m.sum() + 1.0
         if total > _BOX_MAX_SAMPLES:
-            raise DomainError(f"scale {s} requires too many samples ({total})")
+            raise DomainError(f"scale {s} requires too many samples ({total:.3g})")
+        m, total = m.astype(int), int(total)
         # i * (1/k) for sample i of an edge cut into k, as linspace(0, 1, k, endpoint=False) rounds
         t_all = (np.arange(total - 1) - np.repeat(np.cumsum(m) - m, m)) * (1.0 / np.repeat(m, m))
         base = np.repeat(cur, m, axis=0)
@@ -481,9 +483,11 @@ def chordal_dist(a, b) -> float:
     if a is INFINITY:
         a, b = b, a
     av = np.asarray(a, dtype=float)
-    if b is INFINITY:
+    bv = None if b is INFINITY else np.asarray(b, dtype=float)
+    if not np.isfinite(av).all() or not (bv is None or np.isfinite(bv).all()):
+        raise DomainError("chordal_dist needs finite coordinates; pass INFINITY for the point at infinity")
+    if bv is None:
         return 1.0 / math.sqrt(1.0 + float(av @ av))
-    bv = np.asarray(b, dtype=float)
     return float(np.hypot(*(av - bv)) / (math.sqrt(1.0 + av @ av) * math.sqrt(1.0 + bv @ bv)))
 
 

@@ -11,9 +11,9 @@ a value; a round trip lets only its inverse raise them (:func:`round_trip`).
 A reference is mpmath at ``dps`` digits, or, with ``dps`` None, a general
 algorithm the library keeps as an oracle (the double AGM quotient, Newton on
 the mu_a series, the series pass) or the input itself for a residual.  Rows
-that need mpmath skip without it.  ``check(*names)`` runs rows;
-``contract_test`` and ``contract_cases`` make the tests that do, and record
-the rows they run in ``WIRED``, so a test can see that every row is run.
+that need mpmath skip without it.  ``check(name)`` runs a row on its sampler,
+and ``check(name, points)`` on named points; ``test_contracts.py`` runs each
+row of ``ROWS`` as one test.
 """
 
 import contextlib
@@ -78,40 +78,21 @@ EPS = 2.0 ** -52
 Row = namedtuple("Row", "seed sample call reference bound dps errors", defaults=(50, ()))
 
 
-def check(*names):
-    """Run the named rows: every sampled call within its bound of its reference, or an allowed error."""
-    for name in names:
-        row = ROWS[name]
-        if row.dps is not None and mp is None:
-            pytest.skip(f"{name} needs mpmath")
-        with mp.workdps(row.dps) if row.dps is not None else contextlib.nullcontext():
-            for args in row.sample(random.Random(row.seed)):
-                try:
-                    got = row.call(*args)
-                except row.errors:
-                    continue
-                want = row.reference(*args)
-                entries = (v if isinstance(v, tuple) else (v,) for v in (got, want, row.bound(want, *args)))
-                for g, w, b in zip(*entries, strict=True):
-                    assert abs(g - w) <= b, (name, args, g, w, b)
-
-
-WIRED = set()
-
-
-def contract_test(*names):
-    """A test, as a function or a method, that runs the named rows."""
-    WIRED.update(names)
-    return lambda *_: check(*names)
-
-
-def contract_cases(cases):
-    """A test parametrized over ``cases``, a dict from each case's id to the rows it runs."""
-    WIRED.update(itertools.chain(*cases.values()))
-
-    def run(rows):  # a named function: pytest's marks leave a lambda unmarked
-        check(*rows)
-    return pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))(run)
+def check(name, points=None):
+    """Run the named row on its sampler, or on ``points``: each call within its bound, or an allowed error."""
+    row = ROWS[name]
+    if row.dps is not None and mp is None:
+        pytest.skip(f"{name} needs mpmath")
+    with mp.workdps(row.dps) if row.dps is not None else contextlib.nullcontext():
+        for args in row.sample(random.Random(row.seed)) if points is None else points:
+            try:
+                got = row.call(*args)
+            except row.errors:
+                continue
+            want = row.reference(*args)
+            entries = (v if isinstance(v, tuple) else (v,) for v in (got, want, row.bound(want, *args)))
+            for g, w, b in zip(*entries, strict=True):
+                assert abs(g - w) <= b, (name, args, g, w, b)
 
 
 def ulps(n):
@@ -210,6 +191,11 @@ def box(n, *axes, extra=()):
         ends = itertools.product(*(ax if isinstance(ax, list) else ax[:2] for ax in axes))
         return list(zip(*cols)) + list(ends) + list(extra)
     return sample
+
+
+def ties(lo, hi, *inner):
+    """Equal and adjacent-double pairs: (x, x) and x with its neighbour inside [lo, hi], at lo, each inner x and hi."""
+    return [p for x in (lo, *inner, hi) for p in ((x, x), (x, math.nextafter(x, hi if x < hi else lo)))]
 
 
 def pair_mp(x, complement=False):
@@ -384,8 +370,9 @@ def _gauss_f_tail_draws(rng):
 
 
 def _beta_pairs(rng):
-    # the overflow and cancellation points, then the gamma route below a + b = 170
-    yield from [(1e3, 0.5), (1e10, 0.5), (1e15, 0.5), (1e17, 2.0), (1e308, 0.5), (160.0, 1e-300)]
+    # the overflow and cancellation points, (100, 100), where Gamma(a + b) overflows but B is
+    # normal, then the gamma route below a + b = 170
+    yield from [(1e3, 0.5), (1e10, 0.5), (1e15, 0.5), (1e17, 2.0), (1e308, 0.5), (160.0, 1e-300), (100.0, 100.0)]
     for _ in range(150):
         a = rng.uniform(1e-3, 169.0)
         yield a, rng.uniform(1e-3, 170.0 - a)
@@ -450,6 +437,8 @@ def _boundary_draws(rng):
             yield a, b, a + b
         else:
             yield a, b, _lattice((a + b) * rng.random())
+    # case C at 7.4e-300, a normal double, and at 6.9e-312, a subnormal the call must refuse
+    yield from [(1000.0, 1.0, 500.5), (1040.0, 1.0, 520.5)]
 
 
 def _boundary_mp(a, b, c):
@@ -840,6 +829,26 @@ def _log_ag_seam(rng):
             yield MeanKind.ArithmeticGeometric, t, hi, hi * 2.0 ** -28
 
 
+def _log_mean_seam(rng):
+    # u = t log(lo/hi) at the L series' switch u = -1: lo/hi = e^-1 rounded, whose log is -1
+    # exactly, so u = -t, with t 1 to 4 ulp from 1 and at 1e-6 relative
+    for t in around(1.0, (1e-6,)):
+        for _ in range(2):
+            hi = math.ldexp(1.0, rng.randint(-990, 1000))
+            yield MeanKind.Logarithmic, t, hi, hi * math.exp(-1.0)
+
+
+def _tiny_t_seam(rng):
+    # t at 2^-1022, below which M_t is the geometric mean, for each kind with a route of its
+    # own; x and y log-spread over [1e-300, 1e300]
+    for t in around(2.0 ** -1022, (1e-6,)):
+        for kind in (MeanKind.Arithmetic, MeanKind.Logarithmic, MeanKind.ArithmeticGeometric):
+            yield kind, t, 10.0 ** rng.uniform(-300.0, 300.0), 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+_MEAN_MOD_CLAIM = cond(2, lambda kind, t, x, y: 1 + abs(math.log(x) - math.log(y)))  # mean_mod's 2 eps (1 + |log(x/y)|)
+
+
 def _public_quotient(a, r):
     p, u = HypergeomParams(a, 1.0 - a, 1.0), UnitRadius.from_r(r)
     f_den = gauss_F(p, r * r)
@@ -894,8 +903,9 @@ ROWS = {
     **{f"agm.seam[2^{e}]": Row(3409, _agm_scaling_seam(2.0 ** e), agm, lambda x, y: mp.agm(x, y), ulps(4))
        for e in (-510, 510)},
     "agm.seam[2^-28]": Row(3409, _agm_asymptote_seam, agm, lambda x, y: mp.agm(x, y), ulps(4)),
-    "mean_mod.seam[AG]": Row(3409, _log_ag_seam, mean_mod, _mean_mod_mp,
-                             cond(2, lambda kind, t, x, y: 1 + abs(math.log(x) - math.log(y)))),
+    "mean_mod.seam[AG]": Row(3409, _log_ag_seam, mean_mod, _mean_mod_mp, _MEAN_MOD_CLAIM),
+    "mean_mod.seam[L]": Row(3410, _log_mean_seam, mean_mod, _mean_mod_mp, _MEAN_MOD_CLAIM),
+    "mean_mod.seam[2^-1022]": Row(3410, _tiny_t_seam, mean_mod, _mean_mod_mp, _MEAN_MOD_CLAIM),
     # rounding in the term products, and no truncated tail above 2^-55
     "gauss_F.condition": Row(1416, _gauss_f_draws, _gauss_f, _hyp2f1_mp, _GAUSS_F_CLAIM),
     # c - a - b in [1.5, 3]: what is left is the truncated tail; the last-term stop left
@@ -998,8 +1008,7 @@ ROWS = {
     # 4 eps / min(1 - |a|^2, 1 - |b|^2)
     "rho_disk": Row(1314, _rho_pairs, rho_disk, _rho_mp, cond(4, lambda p, q: 1 / min(
         1 - mp.mpf(p[0]) ** 2 - mp.mpf(p[1]) ** 2, 1 - mp.mpf(q[0]) ** 2 - mp.mpf(q[1]) ** 2))),
-    **{f"mean_mod[{log_t}]": Row(1317 + int(log_t), _mean_mod_draws(log_t), mean_mod, _mean_mod_mp,
-                                 cond(2, lambda kind, t, x, y: 1 + abs(math.log(x) - math.log(y))))
+    **{f"mean_mod[{log_t}]": Row(1317 + int(log_t), _mean_mod_draws(log_t), mean_mod, _mean_mod_mp, _MEAN_MOD_CLAIM)
        for log_t in (3.0, 300.0)},
 
     # -- against the general algorithms the library keeps, in doubles --

@@ -609,6 +609,9 @@ class TestBoxDimension:
             box_dimension(seg, [0.1, 0.05])  # spans less than a decade
         with pytest.raises(DomainError, match="positive"):
             box_dimension(seg, [0.1, -0.001])
+        for scales in ([0.01, math.inf], [math.nan, 0.01, 0.5]):  # these ended in numpy's LinAlgError
+            with pytest.raises(DomainError, match="finite"):
+                box_dimension(seg, scales)
 
     def test_sample_limit(self, monkeypatch):
         # scale 0.001 cuts the unit segment into 3000 samples
@@ -616,6 +619,9 @@ class TestBoxDimension:
         monkeypatch.setattr(geometry, "_BOX_MAX_SAMPLES", 2000)
         with pytest.raises(DomainError, match="too many samples"):
             box_dimension(seg, [0.1, 0.001])
+        # each edge's count, about 1e300, wrapped in the int cast to 1: a slope of -2.9e-19
+        with pytest.raises(DomainError, match="too many samples"):
+            box_dimension(koch_curve(2), [1e-300, 1e-200])
 
 
 class TestAbsRatio:
@@ -628,6 +634,15 @@ class TestAbsRatio:
         assert chordal_dist((0.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert chordal_dist((1.0, 0.0), INFINITY) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
         assert chordal_dist(INFINITY, INFINITY) == 0.0
+
+    @pytest.mark.parametrize("a, b", [((math.inf, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, math.nan)),
+                                      ((-math.inf, 1.0), INFINITY)])
+    def test_non_finite_coordinates(self, a, b):
+        # (inf, 0) gave nan, and abs_ratio inherited it
+        with pytest.raises(DomainError, match="INFINITY"):
+            chordal_dist(a, b)
+        with pytest.raises(DomainError, match="INFINITY"):
+            abs_ratio(a, (1.0, 1.0), b, (2.0, 0.0))
 
     def test_inversion_invariance(self):
         rng = np.random.default_rng(3)

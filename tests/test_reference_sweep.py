@@ -1,8 +1,8 @@
 """Cross-validation against a high-precision reference (skipped without mpmath).
 
-The seeded sweeps are rows of ``contracts.py``; the tests here run them, and
-check seams, route switches, the series engine and its reach at named points
-against the same references.  The reference modulus is evaluated as the
+The seeded sweeps are rows of ``contracts.py``, run by ``test_contracts.py``;
+the tests here check named points, each at its row's claim, and seams, route
+switches, the series engine and its reach, with their own bounds.  The reference modulus is evaluated as the
 two-AGM quotient in whichever of (r, r') is held exactly -- a naive
 high-precision transcription loses the complement at fixed dps just like
 doubles do.
@@ -14,43 +14,10 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from contracts import (
-    EPS,
-    ROWS,
-    WIRED,
-    Row,
-    check,
-    contract_cases,
-    contract_test,
-    gamma_ratio_mp,
-    identity,
-    mu_a_mp,
-    mu_inv_bisect_mp,
-    mu_mp,
-    residual,
-    round_trip,
-    squares_mp,
-)
-from qcfun import modulus, specfun
+from contracts import EPS, SIGNATURE_NAMES, check, gamma_ratio_mp, mu_a_mp, mu_inv_bisect_mp, mu_mp, squares_mp
+from qcfun import specfun
 from qcfun.specfun import gauss_F_near_one
-from qcfun import (
-    ConvergenceError,
-    HypergeomParams,
-    QcfunError,
-    UnitRadius,
-    agm,
-    agm_product_p,
-    digamma_fn,
-    ellint_K,
-    eta_K2,
-    gauss_F,
-    hypergeom_boundary,
-    mu,
-    mu_a,
-    mu_a_inv,
-    mu_inv,
-    phi_K,
-)
+from qcfun import HypergeomParams, agm_product_p, eta_K2, gauss_F, hypergeom_boundary, mu_a, mu_a_inv, mu_inv, phi_K
 
 mp.mp.dps = 50
 
@@ -70,18 +37,18 @@ def mu_a_at(a, r):
 @pytest.mark.parametrize("r", [1e-8, 9.9e-6, 1.01e-5, 1e-3, 0.1, 0.5, 0.9, 0.999,
                                1 - 1e-6, 1 - 1e-8])
 def test_mu_radius_channel(r):
-    assert rel(mu(r), mu_mp(r)) < 2e-13
+    check("mu.nome", [(r, False)])
 
 
 @pytest.mark.parametrize("c", [1.5e-4, 1.4e-4, 2e-7, 0.99e-7, 1e-9, 1e-50, 1e-150])
 def test_mu_complement_channel(c):
-    assert rel(mu(UnitRadius.from_comp(c)), mu_mp(c, True)) < 2e-13
+    check("mu.nome", [(c, True)])
 
 
 @pytest.mark.parametrize("gap", [9e-9, 4e-9, 1e-9, 2e-10, 5e-11, 1e-11, 1e-13, 2 ** -52])
 def test_ellint_k_near_one(gap):
-    r = 1.0 - gap
-    assert rel(ellint_K(r), mp.ellipk(mp.mpf(r) ** 2)) < 1e-15
+    # r' = sqrt((1 - r)(1 + r)) holds all of K's digits down to a gap of 2^-52
+    check("ellint_K.nome", [(1.0 - gap,)])
 
 
 @pytest.mark.parametrize("y", [0.004, 0.05, 1.0, 1.58, 20.0, 500.0])
@@ -183,11 +150,9 @@ def test_off_grid_seams_against_mpmath(a):
 @pytest.mark.parametrize("r", [1e-12, 1e-8, 1e-4, 0.5, 1 - 1e-4, 1 - 1e-8, 1 - 1e-12])
 def test_mu_a_closed_forms(a, r):
     # the closed-form routes: mu, mu at the Landen radius, and mu at the
-    # signature-6 Legendre radius, reached at 1/3 by the cubic-to-sextic map
-    want, f_want = mu_a_mp(a, *squares_mp(r))
-    assert abs(mp.mpf(mu_a(a, r)) - want) / want < 1.5e-15
-    f = modulus._mu_a_parts(a, UnitRadius.from_r(r))[1]
-    assert abs(mp.mpf(f) - f_want) / f_want < 1.5e-15
+    # signature-6 Legendre radius, reached at 1/3 by the cubic-to-sextic map; value and F
+    name = next(n for n, s in SIGNATURE_NAMES.items() if s == a)
+    check(f"mu_a.classical.{name}", [(a, r, False)])
 
 
 def test_mu_a_inv_scaled_to_signature():
@@ -212,14 +177,12 @@ def test_eta_large_t_complement_reference():
 
 
 def test_digamma_reference():
-    for x in (1e-3, 0.07, 2.345, 9.99, 10.01, 170.0):
-        assert rel(digamma_fn(x), mp.digamma(mp.mpf(x))) < 1e-13
+    check("digamma_fn", [(x,) for x in (1e-3, 0.07, 2.345, 9.99, 10.01, 170.0)])
 
 
 def test_agm_far_outlier():
     # 4.18 ulp off by the AGM steps, where the ratio is 1.2e-90; 0.18 by the asymptote
-    x, y = 3.50744446825575e+100, 41658135739.51491
-    assert abs(agm(x, y) - mp.agm(x, y)) <= 4 * math.ulp(agm(x, y))
+    check("agm.far", [(3.50744446825575e+100, 41658135739.51491)])
 
 
 def test_product_reference():
@@ -234,67 +197,3 @@ def test_product_reference():
                 break
             rn = 2 * mp.sqrt(rn) / (1 + rn)
         assert rel(agm_product_p(r), mp.e ** logp) < 1e-12
-
-
-# each seeded sweep, and each grid sweep, is now one or more rows of contracts.py, run under its name
-test_ellint_k_complement_expansion = contract_test("ellint_K.complement_grid")
-test_nome_route_within_docstring_ulps = contract_test("mu.nome_grid", "ellint_K.nome_grid", "ellint_Kprime.nome_grid")
-test_nome_route_seeded_sweep = contract_test("mu.nome", "ellint_K.nome", "ellint_Kprime.nome")
-test_agm_far_from_one = contract_test("agm.far")
-test_agm_quadratic_tail = contract_cases({"gaps0": ("agm.tail.lower",), "gaps1": ("agm.tail.upper",)})
-test_gauss_f_condition_scaled_accuracy = contract_test("gauss_F.condition")
-test_gauss_f_no_truncated_tail_near_one = contract_test("gauss_F.tail")
-test_gamma_and_digamma_claims = contract_test("gamma_fn", "digamma_fn")
-test_beta_condition_scaled_accuracy = contract_test("beta_fn")
-test_boundary_case_a_stirling_remainder = contract_cases(
-    {str(d): (f"hypergeom_boundary.stirling[{d}]",) for d in (10.0, 10.5, 12.0, 40.0)})
-test_classical_route_seeded_sweep = contract_cases(
-    {name: (f"mu_a.classical.{name}", f"mu_a_inv.classical.{name}") for name in ("half", "quarter", "sixth", "third")})
-test_artanh_ratio_seeded_sweep = contract_test("artanh_ratio")
-test_linearize_phi_a_slopes_seeded = contract_test("linearize_phi_a")
-test_phi_condition_scaled_accuracy = contract_test("phi_K")
-test_phi_a_condition_scaled_accuracy = contract_cases(
-    {name: (f"phi_aK.{name}",) for name in ("half", "quarter", "third", "sixth")})
-test_eta_and_lambda_condition_scaled_accuracy = contract_test("eta_K2", "lambda_of_K")
-test_capacities_seeded_sweep = contract_test("teichmuller_tau2", "grotzsch_gamma2")
-test_capacity_inverses_condition_scaled_accuracy = contract_test("tau2_inv", "gamma2_inv", "vuorinen_c2")
-test_beta_gamma_route_below_170 = contract_test("beta_fn.gamma_route")
-test_boundary_gamma_route_below_171 = contract_test("hypergeom_boundary.gamma_route")
-test_balanced_gauss_f_sweep = contract_test("gauss_F_near_one.balanced", "gauss_F.balanced")
-test_rho_disk_condition_scaled_accuracy = contract_test("rho_disk")
-test_mean_mod_seeded_sweep = contract_cases({str(t): (f"mean_mod[{t}]",) for t in (3.0, 300.0)})
-test_agm_product_p_accuracy = contract_test("agm_product_p", "agm_product_p.landen")
-test_hypergeom_boundary_case_claims = contract_test("hypergeom_boundary")
-test_schottky_psi_condition_scaled_accuracy = contract_test("schottky_psi")
-test_linearized_g_absolute_accuracy = contract_test("linearized_g")
-test_gamma_family_seams = contract_cases({
-    "beta170": ("beta_fn.seam",), "boundary171": ("hypergeom_boundary.seam[171]",),
-    "stirling10": ("hypergeom_boundary.seam[10]", "log_gamma_ratio.seam"), "digamma10": ("digamma_fn.seam",),
-    "boundary171C": ("hypergeom_boundary.seam[171C]",)})
-test_agm_family_seams = contract_cases({
-    "tail": ("agm.seam[tail]",), "scaling": ("agm.seam[2^-510]", "agm.seam[2^510]"),
-    "asymptote": ("agm.seam[2^-28]",), "logAG": ("mean_mod.seam[AG]",)})
-test_series_engine_seams = contract_cases({
-    "balanced095": ("gauss_F.seam[0.95]",), "box1e-100": ("gauss_F.seam[1e-100]",),
-    "box1e100": ("gauss_F.seam[1e+100]",)})
-
-
-def test_every_row_is_run():
-    # a row that no test runs is never checked: the tests above and those of these files run every one
-    import test_distortion  # noqa: F401
-    import test_means  # noqa: F401
-    import test_modulus  # noqa: F401
-    assert WIRED == set(ROWS), set(ROWS) ^ WIRED
-
-
-def test_round_trip_allows_no_forward_error(monkeypatch):
-    # a round-trip row allows its errors from the inverse alone: the same error from the forward map fails it
-    def refuse(u):
-        raise ConvergenceError("forward")
-    row = Row(0, lambda rng: [(2.0,)], lambda y: round_trip(refuse, mu_inv(y)), identity, residual(1e-14),
-              dps=None, errors=QcfunError)
-    monkeypatch.setitem(ROWS, "probe", row)
-    with pytest.raises(AssertionError):
-        check("probe")
-    monkeypatch.setitem(ROWS, "probe", row._replace(call=lambda y: round_trip(mu, mu_inv(y))))
-    check("probe")

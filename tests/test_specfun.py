@@ -10,9 +10,8 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from contracts import around, box
 from qcfun import (
     EULER_GAMMA,
     BoundaryCase,
@@ -102,12 +101,14 @@ class TestDigamma:
             digamma_fn(x)
 
     def test_last_finite_near_pole(self):
-        assert digamma_fn(1e-308) == pytest.approx(-1e308, rel=1e-15)
+        # 6e-309 lies just above 2^-1024, below which 1/x overflows
+        for x in (1e-308, 6e-309):
+            assert digamma_fn(x) == pytest.approx(-1.0 / x, rel=1e-15)
 
-    @given(st.floats(min_value=0.01, max_value=60.0))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, x):
-        assert digamma_fn(x + 1.0) - digamma_fn(x) == pytest.approx(1.0 / x, rel=1e-10, abs=1e-12)
+    def test_recurrence(self):
+        # the draws include x = 10 and 1 ulp either side, the series' switch to the asymptotic route
+        for x, in box(50, (0.01, 60.0), extra=[(x,) for x in around(10.0, (), ulps=1)])(random.Random(3707)):
+            assert digamma_fn(x + 1.0) - digamma_fn(x) == pytest.approx(1.0 / x, rel=1e-10, abs=1e-12), x
 
 
 class TestBeta:
@@ -200,8 +201,9 @@ class TestGaussF:
 
     @pytest.mark.parametrize("r", [-0.1, 1.0, 1.5])
     def test_domain(self, r):
-        with pytest.raises(DomainError):
-            gauss_F(HypergeomParams(0.5, 0.5, 1.0), r)
+        for abc in ((0.5, 0.5, 1.0), (0.3, 0.4, 1.2)):  # the balanced route checks w = 1 - r itself
+            with pytest.raises(DomainError):
+                gauss_F(HypergeomParams(*abc), r)
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -332,6 +334,8 @@ class TestSeriesBudget:
         ((0.5, 0.5, -0.5), 0.3, 0.68298777676251067307557425409),
         ((0.5, 0.5, -2.5), 0.3, 0.92551813014348383140746899903),
         ((1.5, 0.7, -1.3), 0.6, 75.7882410381700167584686522428),
+        # the largest term, about e^644, lies below the overflow guard's log of the largest double
+        ((110.0, 110.0, -300.5), 0.5, -5.62421432748017471379496994333e+279),
     ])
     def test_negative_c(self, abc, r, want):
         assert gauss_F(HypergeomParams(*abc), r) == pytest.approx(want, rel=1e-15)

@@ -37,8 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT_S = 600
-IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
-                                "*.egg-info", "perfbench/out")
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", "perfbench/out")
 
 
 def branch_tests(source: str) -> list[tuple[int, int, int, str, str]]:
